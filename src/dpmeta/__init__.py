@@ -14,8 +14,8 @@ from .privacy import (NoisySgdPlan, PrivacyParams, compose_sequential, group_dp,
                       make_plan, noise_variance, sample_step_noise, step_budget)
 from .learners import (LearnerOutput, OgdConfig, adaptation_step_size,
                        noisy_sgd_run, ogd_run, private_step_scale)
-from .meta import (MetaState, TaskRecord, meta_step, meta_step_batched,
-                   new_state, run_meta_training, surrogate_loss)
+from .meta import (MetaState, TaskRecord, meta_step, new_state,
+                   run_meta_training, surrogate_loss)
 from .task_env import (EnvSpec, TaskSpec, derive_seed, empirical_task_variance,
                        generate_losses, logistic_risk_gap, population_risk_gap,
                        sample_task, substream)

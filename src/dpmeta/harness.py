@@ -2,9 +2,10 @@
 
 A run trains the meta-initialization on t_train tasks, then measures excess
 transfer risk on t_eval fresh tasks for each requested arm. Arms share eval
-tasks and eval samples seed for seed, so comparisons are paired. The CSV
-schema is fixed and round-trips every float exactly (17 significant digits);
-wall_clock_s is the only column allowed to differ between identical runs.
+tasks, eval samples and Monte Carlo risk draws seed for seed, so comparisons
+are paired. The CSV schema is fixed and round-trips every float exactly (17
+significant digits); wall_clock_s is the only column allowed to differ between
+identical runs.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ import numpy as np
 
 from . import learners
 from .config import ExperimentConfig
-from .geometry import dist_sq
 from .learners import OgdConfig, adaptation_step_size, private_step_scale
 from .losses import certify_smoothness, smoothness_ceiling
 from .meta import run_meta_training
-from .privacy import compose_sequential, group_dp, make_plan
+from .privacy import NoisySgdPlan, compose_sequential, group_dp, make_plan
 from .task_env import (derive_seed, empirical_task_variance, generate_losses,
                        population_risk_gap, sample_task, substream)
 
@@ -81,6 +81,13 @@ class CalibrationRecord:
     def as_items(self):
         return [(name, getattr(self, name)) for name in self.__dataclass_fields__]
 
+    @property
+    def plan(self) -> NoisySgdPlan:
+        """The noisy-SGD plan these constants commit the private learner to."""
+        return NoisySgdPlan(steps_n=self.steps_n, step_size=self.sgd_step_size,
+                            noise_variance_sigma_sq=self.sigma_sq,
+                            clip_bound=self.lipschitz_g)
+
 
 @dataclass(frozen=True)
 class ArmResult:
@@ -117,10 +124,11 @@ class MetricsReport:
 def calibrate(cfg: ExperimentConfig) -> CalibrationRecord:
     """Derive all run constants from the config, without touching data."""
     env, reg, priv = cfg.env, cfg.regularity, cfg.privacy
+    step_scale = private_step_scale(reg.lipschitz_g, reg.growth_alpha, env.dim,
+                                    env.samples_per_task, priv,
+                                    cfg.step_scale_variant)
     plan = make_plan(env.samples_per_task, priv, env.dim, reg.lipschitz_g,
-                     private_step_scale(reg.lipschitz_g, reg.growth_alpha, env.dim,
-                                        env.samples_per_task, priv,
-                                        cfg.step_scale_variant))
+                     step_scale)
     eta = adaptation_step_size(env.similarity_v, reg.growth_alpha,
                                reg.lipschitz_g, env.samples_per_task)
     group_eps, group_delta = group_dp(priv)
@@ -132,9 +140,7 @@ def calibrate(cfg: ExperimentConfig) -> CalibrationRecord:
         dim=env.dim,
         steps_n=plan.steps_n,
         sigma_sq=plan.noise_variance_sigma_sq,
-        step_scale=private_step_scale(reg.lipschitz_g, reg.growth_alpha, env.dim,
-                                      env.samples_per_task, priv,
-                                      cfg.step_scale_variant),
+        step_scale=step_scale,
         sgd_step_size=plan.step_size,
         eta=eta,
         epsilon=priv.epsilon,
@@ -160,9 +166,9 @@ def _run_id(cfg: ExperimentConfig, axis_value) -> str:
     return "run-" + hashlib.sha256(canon.encode("utf-8")).hexdigest()[:10]
 
 
-def _train_arm(cfg, plan, inference_cfg):
+def _train_arm(cfg, plan):
     phi_hat, records, _ = run_meta_training(
-        cfg.env, cfg.t_train, plan, inference_cfg, cfg.phi_init, cfg.master_seed)
+        cfg.env, cfg.t_train, plan, cfg.phi_init, cfg.master_seed)
     mean_surrogate = float(np.mean([r.surrogate_loss_value for r in records]))
     v_bar_sq = empirical_task_variance([r.theta_star for r in records],
                                        cfg.env.planted_center)
@@ -173,27 +179,27 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
                    ) -> MetricsReport:
     """Train, evaluate, and aggregate one configuration.
 
-    Evaluation draws t_eval fresh tasks from eval substreams that are
-    independent of the training substreams, runs OGD at the calibrated
-    adaptation step size from each arm's initialization, and scores the
-    averaged iterate's population excess risk. All arms see identical eval
-    tasks and samples.
+    Training arms run the noisy-SGD plan of the calibration record (the
+    nonprivate arm with its noise variance set to 0). Evaluation draws t_eval
+    fresh tasks from eval substreams that are independent of the training
+    substreams, runs OGD at the calibrated adaptation step size from each
+    arm's initialization, and scores the averaged iterate's population excess
+    risk. All arms see identical eval tasks, samples and, for logistic tasks,
+    Monte Carlo draws (the substream (master_seed, "eval-risk", e)).
     """
     start = time.perf_counter()
     cal = calibrate(cfg)
     env = cfg.env
-    plan = make_plan(env.samples_per_task, cfg.privacy, env.dim, cal.lipschitz_g,
-                     cal.step_scale)
     inference_cfg = OgdConfig(step_size=cal.eta, num_steps=env.samples_per_task)
 
     arm_setups = {}
-    phi_hat, mean_sur, v_bar_sq = _train_arm(cfg, plan, inference_cfg)
+    phi_hat, mean_sur, v_bar_sq = _train_arm(cfg, cal.plan)
     arm_setups[ARM_META] = (phi_hat, mean_sur, v_bar_sq, cal.sigma_sq)
     if cfg.baseline_no_meta:
         arm_setups[ARM_NO_META] = (cfg.phi_init, None, None, None)
     if cfg.baseline_nonprivate_meta:
-        quiet_plan = replace(plan, noise_variance_sigma_sq=0.0)
-        phi_np, sur_np, vb_np = _train_arm(cfg, quiet_plan, inference_cfg)
+        quiet_plan = replace(cal.plan, noise_variance_sigma_sq=0.0)
+        phi_np, sur_np, vb_np = _train_arm(cfg, quiet_plan)
         arm_setups[ARM_NONPRIVATE] = (phi_np, sur_np, vb_np, 0.0)
 
     gaps = {arm: [] for arm in arm_setups}
@@ -201,17 +207,15 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     for e in range(cfg.t_eval):
         task = sample_task(env, substream(cfg.master_seed, "eval-task", e))
         losses = generate_losses(task, env, substream(cfg.master_seed, "eval-losses", e))
-        mc_rng = (None if quadratic
-                  else substream(cfg.master_seed, "eval-risk", e))
         for arm, (phi0, _, _, _) in arm_setups.items():
             out = learners.ogd_run(losses, phi0, inference_cfg, env.domain)
             if quadratic:
                 gap = population_risk_gap(task, out.averaged_iterate)
             else:
+                # a fresh generator per arm: every arm scores the same draws
                 gap = population_risk_gap(task, out.averaged_iterate,
                                           cfg.mc_eval_samples,
-                                          substream(cfg.master_seed, "eval-risk",
-                                                    e, arm))
+                                          substream(cfg.master_seed, "eval-risk", e))
             gaps[arm].append(gap)
 
     arms = {}

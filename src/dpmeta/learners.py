@@ -38,16 +38,13 @@ class OgdConfig:
 @dataclass(frozen=True)
 class LearnerOutput:
     """averaged_iterate is the mean of the visited points; final_iterate is the
-    post-update endpoint; dist_trajectory optionally tracks squared distance
-    from each visited point to a reference."""
+    post-update endpoint."""
 
     averaged_iterate: np.ndarray
     final_iterate: np.ndarray
-    dist_trajectory: tuple[float, ...] | None = None
 
 
-def ogd_run(losses, init, cfg: OgdConfig, dom: ParamDomain,
-            track_dist_to=None) -> LearnerOutput:
+def ogd_run(losses, init, cfg: OgdConfig, dom: ParamDomain) -> LearnerOutput:
     """Projected online gradient descent over the losses in their given order.
 
     Visits theta_1 = init, takes one gradient step per loss, projects after
@@ -62,33 +59,24 @@ def ogd_run(losses, init, cfg: OgdConfig, dom: ParamDomain,
     theta = as_vector(init, dom.dim)
     if not dom.contains(theta):
         raise ValueError("init lies outside the domain")
-    ref = None if track_dist_to is None else as_vector(track_dist_to, dom.dim)
 
     # inner loop avoids the checked geometry helpers; projection is inlined
     center, rad_sq, radius = dom.center, dom.radius**2, dom.radius
     step = cfg.step_size
     running_sum = np.zeros_like(theta)
-    trajectory = [] if ref is not None else None
     for loss in losses:
         running_sum += theta
-        if trajectory is not None:
-            d = theta - ref
-            trajectory.append(float(np.dot(d, d)))
         theta = theta - step * loss.grad(theta)
         offset = theta - center
         nsq = float(np.dot(offset, offset))
         if nsq > rad_sq:
             theta = center + offset * (radius / math.sqrt(nsq))
-    return LearnerOutput(
-        averaged_iterate=running_sum / len(losses),
-        final_iterate=theta,
-        dist_trajectory=None if trajectory is None else tuple(trajectory),
-    )
+    return LearnerOutput(averaged_iterate=running_sum / len(losses),
+                         final_iterate=theta)
 
 
 def noisy_sgd_run(losses, init, plan: NoisySgdPlan, dom: ParamDomain,
-                  rng: np.random.Generator, index_sequence=None,
-                  track_dist_to=None) -> LearnerOutput:
+                  rng: np.random.Generator, index_sequence=None) -> LearnerOutput:
     """Noisy projected SGD: the private within-task learner.
 
     Takes plan.steps_n steps. Each step picks a loss uniformly at random with
@@ -115,7 +103,6 @@ def noisy_sgd_run(losses, init, plan: NoisySgdPlan, dom: ParamDomain,
                 f"index_sequence must have shape ({n},), got {indices.shape}")
         if indices.min() < 0 or indices.max() >= len(losses):
             raise ValueError("index_sequence entries must index into losses")
-    ref = None if track_dist_to is None else as_vector(track_dist_to, dom.dim)
     sigma_sq = plan.noise_variance_sigma_sq
     # one block draw after the indices; zero variance consumes no randomness
     noise = sample_step_noise(rng, dom.dim, sigma_sq, count=n)
@@ -124,12 +111,8 @@ def noisy_sgd_run(losses, init, plan: NoisySgdPlan, dom: ParamDomain,
     step, clip = plan.step_size, plan.clip_bound
     clip_sq = clip**2
     running_sum = np.zeros_like(theta)
-    trajectory = [] if ref is not None else None
     for j in range(n):
         running_sum += theta
-        if trajectory is not None:
-            d = theta - ref
-            trajectory.append(float(np.dot(d, d)))
         g = losses[int(indices[j])].grad(theta)
         gsq = float(np.dot(g, g))
         if gsq > clip_sq:
@@ -139,11 +122,7 @@ def noisy_sgd_run(losses, init, plan: NoisySgdPlan, dom: ParamDomain,
         nsq = float(np.dot(offset, offset))
         if nsq > rad_sq:
             theta = center + offset * (radius / math.sqrt(nsq))
-    return LearnerOutput(
-        averaged_iterate=running_sum / n,
-        final_iterate=theta,
-        dist_trajectory=None if trajectory is None else tuple(trajectory),
-    )
+    return LearnerOutput(averaged_iterate=running_sum / n, final_iterate=theta)
 
 
 def private_step_scale(lipschitz_g: float, growth_alpha: float, dim: int, m: int,

@@ -25,8 +25,6 @@ class QuadraticLoss:
     anchor: np.ndarray
     curvature: float
 
-    family = "quadratic"
-
     def value(self, theta) -> float:
         if np.shape(theta) != self.anchor.shape:
             raise ValueError("theta dimension does not match the anchor")
@@ -46,8 +44,6 @@ class LogisticLoss:
 
     feature: np.ndarray
     label: int
-
-    family = "logistic"
 
     def value(self, theta) -> float:
         if np.shape(theta) != self.feature.shape:

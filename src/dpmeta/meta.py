@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
-from .geometry import ParamDomain, as_vector, dist_sq
-from .learners import NoisySgdPlan, OgdConfig
-from .task_env import EnvSpec, generate_losses, population_risk_gap, sample_task, substream
+from .geometry import as_vector, dist_sq
+from .learners import NoisySgdPlan
+from .task_env import EnvSpec, generate_losses, sample_task, substream
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,12 @@ class MetaState:
 
     phi_current is the initialization the next task will start from;
     phi_running_sum accumulates the phi in force at each past task (for
-    phi_hat); theta_bar_running_sum accumulates the private task outputs.
+    phi_hat).
     """
 
     phi_current: np.ndarray
     task_count: int
     phi_running_sum: np.ndarray
-    theta_bar_running_sum: np.ndarray
 
     def phi_hat(self) -> np.ndarray:
         """Mean of the per-task initializations, the deployed output."""
@@ -48,7 +47,6 @@ def new_state(phi_init) -> MetaState:
         phi_current=phi,
         task_count=0,
         phi_running_sum=np.zeros_like(phi),
-        theta_bar_running_sum=np.zeros_like(phi),
     )
 
 
@@ -65,16 +63,7 @@ def meta_step(state: MetaState, theta_bar) -> MetaState:
         phi_current=(1.0 - 1.0 / t) * state.phi_current + theta_bar / t,
         task_count=t,
         phi_running_sum=state.phi_running_sum + state.phi_current,
-        theta_bar_running_sum=state.theta_bar_running_sum + theta_bar,
     )
-
-
-def meta_step_batched(state: MetaState, theta_bars) -> MetaState:
-    """Fold a batch of task outputs as one logical update, using their mean."""
-    theta_bars = [as_vector(t, state.phi_current.size) for t in theta_bars]
-    if not theta_bars:
-        raise ValueError("meta_step_batched needs at least one theta_bar")
-    return meta_step(state, np.mean(theta_bars, axis=0))
 
 
 def surrogate_loss(phi, theta_bar) -> float:
@@ -87,23 +76,20 @@ def surrogate_loss(phi, theta_bar) -> float:
 class TaskRecord:
     """What one meta-training task leaves behind.
 
-    theta_hat is the non-private OGD output (diagnostics only), theta_bar the
-    private output that fed the meta update. Excess risks are closed-form for
-    quadratic tasks and omitted otherwise.
+    theta_bar is the private output that fed the meta update, the only
+    per-task output that leaves the task; theta_star is the task's population
+    minimizer, kept for the realized task dispersion.
     """
 
     task_index: int
     phi_used: np.ndarray
     theta_bar: np.ndarray
-    theta_hat: np.ndarray
     theta_star: np.ndarray
     surrogate_loss_value: float
-    excess_risk_hat: float | None
-    excess_risk_bar: float | None
 
 
 def run_meta_training(env: EnvSpec, num_tasks: int, plan: NoisySgdPlan,
-                      inference_cfg: OgdConfig, phi_init, master_seed: int,
+                      phi_init, master_seed: int,
                       ) -> tuple[np.ndarray, list[TaskRecord], MetaState]:
     """Train the meta-initialization over num_tasks environment draws.
 
@@ -111,10 +97,10 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plan: NoisySgdPlan,
     (master_seed, "train-task", t) and (master_seed, "train-losses", t), run
     the private learner from phi_t with noise stream
     (master_seed, "train-noise", t), fold its averaged iterate into the meta
-    state, and record diagnostics. Returns (phi_hat, records, final state).
+    state, and record it. Returns (phi_hat, records, final state).
 
-    The non-private theta_hat never touches the meta state; only theta_bar
-    does. Reruns with the same arguments are bit identical.
+    No non-private computation runs on the training tasks; only theta_bar
+    reaches the meta state. Reruns with the same arguments are bit identical.
     """
     if int(num_tasks) != num_tasks or num_tasks < 1:
         raise ValueError(f"num_tasks must be an integer >= 1, got {num_tasks}")
@@ -128,25 +114,18 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plan: NoisySgdPlan,
 
     state = new_state(phi_init)
     records = []
-    quadratic = env.loss_family == "quadratic"
     for t in range(num_tasks):
         task = sample_task(env, substream(master_seed, "train-task", t))
         losses = generate_losses(task, env, substream(master_seed, "train-losses", t))
         phi_t = state.phi_current
-        hat = learners.ogd_run(losses, phi_t, inference_cfg, env.domain)
         bar = learners.noisy_sgd_run(losses, phi_t, plan, env.domain,
                                      substream(master_seed, "train-noise", t))
         records.append(TaskRecord(
             task_index=t,
             phi_used=phi_t,
             theta_bar=bar.averaged_iterate,
-            theta_hat=hat.averaged_iterate,
             theta_star=task.theta_star,
             surrogate_loss_value=surrogate_loss(phi_t, bar.averaged_iterate),
-            excess_risk_hat=(population_risk_gap(task, hat.averaged_iterate)
-                             if quadratic else None),
-            excess_risk_bar=(population_risk_gap(task, bar.averaged_iterate)
-                             if quadratic else None),
         ))
         state = meta_step(state, bar.averaged_iterate)
     return state.phi_hat(), records, state

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dpmeta.learners
 from dpmeta.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from dpmeta.config import (ConfigError, build_config, load_config,
                            parse_config_text)
@@ -157,11 +158,41 @@ def test_run_contains_requested_arms():
         assert arm.mean_excess == pytest.approx(np.mean(arm.excess_risks))
 
 
-def test_single_training_task_meta_equals_no_meta():
+@pytest.mark.parametrize("family_items", [
+    {},
+    {"loss_family": "logistic", "growth_alpha": "0.5"},
+], ids=["quadratic", "logistic"])
+def test_single_training_task_meta_equals_no_meta(family_items):
     # with one training task phi_hat is exactly the initial phi, so the meta
-    # arm evaluates from the same point as the untrained baseline
-    report = run_experiment(make_cfg(t_train=1, baseline_no_meta="true"))
+    # arm evaluates from the same point as the untrained baseline; for logistic
+    # tasks the gaps agree only if both arms score the same Monte Carlo draws
+    report = run_experiment(make_cfg(t_train=1, baseline_no_meta="true",
+                                     **family_items))
     assert report.arms[ARM_META].excess_risks == report.arms[ARM_NO_META].excess_risks
+
+
+def test_learner_runs_the_calibrated_plan(monkeypatch):
+    # every private training run must use the constants the sidecar reports
+    plans = []
+    real_noisy = dpmeta.learners.noisy_sgd_run
+
+    def spy_noisy(losses, init, plan, dom, rng, *args, **kwargs):
+        plans.append(plan)
+        return real_noisy(losses, init, plan, dom, rng, *args, **kwargs)
+
+    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_run", spy_noisy)
+    cfg = make_cfg(baseline_nonprivate_meta="true")
+    cal = run_experiment(cfg).calibration
+    assert len(plans) == 2 * cfg.t_train
+    for plan in plans:
+        assert plan.steps_n == cal.steps_n
+        assert plan.step_size == cal.sgd_step_size
+        assert plan.clip_bound == cal.lipschitz_g
+    # the meta arm trains first, then its zero-noise twin
+    meta_plans, quiet_plans = plans[:cfg.t_train], plans[cfg.t_train:]
+    assert all(p.noise_variance_sigma_sq == cal.sigma_sq for p in meta_plans)
+    assert all(p.noise_variance_sigma_sq == 0.0 for p in quiet_plans)
+    assert cal.sigma_sq > 0.0
 
 
 def test_run_deterministic_and_seed_sensitive():

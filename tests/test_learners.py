@@ -39,23 +39,14 @@ def test_ogd_two_step_hand_rolled():
 
 
 def test_ogd_projection_keeps_iterates_feasible():
+    # step 0.9 at curvature 5 overshoots the anchor every step; the endpoint of
+    # every prefix is that prefix's last iterate, so all of them must be feasible
     dom = ParamDomain(np.zeros(2), 1.0)
     losses = [make_quadratic([0.9, 0.0], 5.0) for _ in range(30)]
-    out = ogd_run(losses, [-0.9, 0.1], OgdConfig(0.9, 30), dom,
-                  track_dist_to=np.zeros(2))
-    for d in out.dist_trajectory:
-        assert d <= dom.radius**2 * (1 + 1e-9)
-    assert np.linalg.norm(out.final_iterate) <= dom.radius * (1 + 1e-12)
-
-
-def test_ogd_average_matches_trajectory_mean():
-    rng = np.random.default_rng(21)
-    losses = [make_quadratic(rng.normal(size=2), 1.0) for _ in range(20)]
-    init = np.array([1.0, 1.0])
-    ref = np.zeros(2)
-    out = ogd_run(losses, init, OgdConfig(0.05, 20), DOM, track_dist_to=ref)
-    assert len(out.dist_trajectory) == 20
-    assert out.dist_trajectory[0] == dist_sq(init, ref)
+    for k in range(1, len(losses) + 1):
+        out = ogd_run(losses[:k], [-0.9, 0.1], OgdConfig(0.9, k), dom)
+        assert np.linalg.norm(out.final_iterate) <= dom.radius * (1 + 1e-12)
+        assert np.linalg.norm(out.averaged_iterate) <= dom.radius * (1 + 1e-12)
 
 
 def test_ogd_validation():

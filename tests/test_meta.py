@@ -5,9 +5,8 @@ import pytest
 
 import dpmeta.learners
 from dpmeta.geometry import ParamDomain
-from dpmeta.learners import OgdConfig
-from dpmeta.meta import (MetaState, TaskRecord, meta_step, meta_step_batched,
-                         new_state, run_meta_training, surrogate_loss)
+from dpmeta.meta import (MetaState, TaskRecord, meta_step, new_state,
+                         run_meta_training, surrogate_loss)
 from dpmeta.privacy import NoisySgdPlan
 from dpmeta.task_env import EnvSpec
 
@@ -54,14 +53,6 @@ def test_meta_step_immutable_inputs():
     assert np.array_equal(state.phi_current, [1.0, 1.0])
 
 
-def test_meta_step_batched_is_one_logical_update():
-    bars = np.array([[1.0, 0.0], [3.0, 2.0]])
-    a = meta_step_batched(new_state(np.array([9.0, 9.0])), bars)
-    b = meta_step(new_state(np.array([9.0, 9.0])), bars.mean(axis=0))
-    assert np.array_equal(a.phi_current, b.phi_current)
-    assert a.task_count == 1
-
-
 def test_surrogate_loss_value():
     assert surrogate_loss(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == 0.5
     assert surrogate_loss(np.zeros(3), np.zeros(3)) == 0.0
@@ -76,10 +67,9 @@ def test_meta_iterates_contract_toward_planted_center():
                   samples_per_task=40, curvature=1.0, sample_noise_std=0.0)
     plan = NoisySgdPlan(steps_n=25, step_size=0.5, noise_variance_sigma_sq=0.0,
                         clip_bound=1e6)
-    cfg = OgdConfig(0.05, 40)
     phi_init = np.array([9.0, 0.0, 0.0])
     T = 50
-    phi_hat, records, state = run_meta_training(env, T, plan, cfg, phi_init, 11)
+    phi_hat, records, state = run_meta_training(env, T, plan, phi_init, 11)
     start = np.linalg.norm(phi_init - center)
     end = np.linalg.norm(phi_hat - center)
     assert end <= start * (1 + math.log(T)) / T * 2
@@ -93,14 +83,12 @@ def test_meta_training_deterministic():
                   sample_noise_std=0.1)
     plan = NoisySgdPlan(steps_n=10, step_size=0.2, noise_variance_sigma_sq=0.3,
                         clip_bound=5.0)
-    cfg = OgdConfig(0.05, 30)
-    a = run_meta_training(env, 12, plan, cfg, np.zeros(2), 77)
-    b = run_meta_training(env, 12, plan, cfg, np.zeros(2), 77)
+    a = run_meta_training(env, 12, plan, np.zeros(2), 77)
+    b = run_meta_training(env, 12, plan, np.zeros(2), 77)
     assert np.array_equal(a[0], b[0])
     for ra, rb in zip(a[1], b[1]):
         assert np.array_equal(ra.theta_bar, rb.theta_bar)
-        assert np.array_equal(ra.theta_hat, rb.theta_hat)
-    c = run_meta_training(env, 12, plan, cfg, np.zeros(2), 78)
+    c = run_meta_training(env, 12, plan, np.zeros(2), 78)
     assert not np.array_equal(a[0], c[0])
 
 
@@ -115,7 +103,7 @@ def test_meta_update_sees_only_private_output(monkeypatch):
         captured.append(np.asarray(out.averaged_iterate).copy())
         return out
 
-    def poisoned_ogd(losses, init, cfg, dom, track_dist_to=None):
+    def poisoned_ogd(losses, init, cfg, dom):
         poisoned = dom.center + dom.radius * 0.9 * np.ones(dom.dim) / math.sqrt(dom.dim)
         return dpmeta.learners.LearnerOutput(
             averaged_iterate=poisoned, final_iterate=poisoned)
@@ -129,8 +117,7 @@ def test_meta_update_sees_only_private_output(monkeypatch):
                   sample_noise_std=0.0)
     plan = NoisySgdPlan(steps_n=8, step_size=0.2, noise_variance_sigma_sq=0.1,
                         clip_bound=5.0)
-    _, records, state = run_meta_training(env, 6, plan, OgdConfig(0.05, 20),
-                                          np.zeros(2), 5)
+    _, records, state = run_meta_training(env, 6, plan, np.zeros(2), 5)
     # replay the meta recursion from the captured private outputs only
     replay = new_state(np.zeros(2))
     for bar in captured:
@@ -148,8 +135,7 @@ def test_single_task_phi_hat_is_initializer():
     plan = NoisySgdPlan(steps_n=4, step_size=0.1, noise_variance_sigma_sq=0.0,
                         clip_bound=1.0)
     phi_init = np.array([2.0, 2.0])
-    phi_hat, _, _ = run_meta_training(env, 1, plan, OgdConfig(0.1, 10),
-                                      phi_init, 3)
+    phi_hat, _, _ = run_meta_training(env, 1, plan, phi_init, 3)
     assert np.array_equal(phi_hat, phi_init)
 
 
@@ -161,9 +147,9 @@ def test_task_budget_enforced():
     plan = NoisySgdPlan(steps_n=4, step_size=0.1, noise_variance_sigma_sq=0.0,
                         clip_bound=1.0)
     with pytest.raises(ValueError):
-        run_meta_training(env, 5, plan, OgdConfig(0.1, 10), np.zeros(2), 3)
+        run_meta_training(env, 5, plan, np.zeros(2), 3)
     # exactly at the budget is fine
-    run_meta_training(env, 4, plan, OgdConfig(0.1, 10), np.zeros(2), 3)
+    run_meta_training(env, 4, plan, np.zeros(2), 3)
 
 
 def test_record_fields_consistent():
@@ -173,15 +159,11 @@ def test_record_fields_consistent():
                   sample_noise_std=0.05)
     plan = NoisySgdPlan(steps_n=6, step_size=0.1, noise_variance_sigma_sq=0.05,
                         clip_bound=5.0)
-    _, records, state = run_meta_training(env, 5, plan, OgdConfig(0.05, 15),
-                                          np.zeros(2), 13)
+    _, records, state = run_meta_training(env, 5, plan, np.zeros(2), 13)
     for i, rec in enumerate(records):
         assert rec.task_index == i
         assert rec.surrogate_loss_value == surrogate_loss(rec.phi_used,
                                                           rec.theta_bar)
-        # closed-form quadratic gaps are nonnegative
-        assert rec.excess_risk_hat >= 0.0
-        assert rec.excess_risk_bar >= 0.0
         assert dom.contains(rec.theta_star)
     assert records[0].phi_used is not records[1].phi_used
 
