@@ -6,10 +6,11 @@ synthetic task environment and harness for measuring excess transfer risk
 against task similarity, sample counts, task counts, and privacy budgets.
 """
 
-from .geometry import ParamDomain, clip_norm, dist_sq, project
-from .losses import (LogisticLoss, QuadraticLoss, RegularityProfile,
-                     certify_smoothness, finite_diff_check, logistic_regularity,
-                     make_logistic, make_quadratic, quadratic_regularity)
+from .geometry import ParamDomain, clip_norm, dist_sq, project, row_dot
+from .losses import (RegularityProfile, TaskSamples, certify_smoothness,
+                     finite_diff_check, logistic_grad, logistic_regularity,
+                     logistic_value, quadratic_grad, quadratic_regularity,
+                     quadratic_value)
 from .privacy import (NoisySgdPlan, PrivacyParams, compose_sequential, group_dp,
                       make_plan, noise_variance, sample_step_noise, step_budget)
 from .learners import (LearnerOutput, OgdConfig, adaptation_step_size,

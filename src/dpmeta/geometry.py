@@ -1,7 +1,8 @@
 """Euclidean ball domains and the vector primitives everything else sits on.
 
-Parameter vectors are plain 1-D float64 numpy arrays. All operations here are
-pure and deterministic; geometric identities are expected to hold to 1e-12
+Parameter vectors are plain 1-D float64 numpy arrays; a batch of them stacks
+vectors along leading axes, shape (..., dim). All operations here are pure
+and deterministic; geometric identities are expected to hold to 1e-12
 relative tolerance, not exactly, because of float rounding.
 """
 
@@ -26,6 +27,19 @@ def as_vector(x, dim=None):
     if dim is not None and v.size != dim:
         raise ValueError(f"expected dimension {dim}, got {v.size}")
     return v.copy()
+
+
+def as_batch(x, dim):
+    """Coerce to a finite float64 array of dim-vectors, shape (..., dim).
+
+    Unlike as_vector this does not copy an array that already qualifies.
+    """
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim == 0 or v.shape[-1] != dim:
+        raise ValueError(f"expected vectors of dimension {dim}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("vector has non-finite coordinates")
+    return v
 
 
 @dataclass(frozen=True)
@@ -53,8 +67,23 @@ class ParamDomain:
         return 2.0 * self.radius
 
     def contains(self, v, rtol=GEOM_RTOL) -> bool:
-        v = as_vector(v, self.dim)
-        return float(np.linalg.norm(v - self.center)) <= self.radius * (1 + rtol) + 1e-300
+        """True when v, or every vector of a batch shaped (..., dim), lies in
+        the ball."""
+        offset = as_batch(v, self.dim) - self.center
+        norms = np.sqrt(row_dot(offset, offset))
+        return bool((norms <= self.radius * (1 + rtol) + 1e-300).all())
+
+
+def row_dot(a, b):
+    """<a, b> over the last axis, broadcasting the leading (batch) axes.
+
+    Each entry equals float(np.dot(a_i, b_i)) bit for bit: matmul of a
+    (1, d) row by a (d, 1) column takes numpy's dot kernel, whereas
+    (a * b).sum(-1) adds the products in another order.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def project(v, dom: ParamDomain):

@@ -22,7 +22,7 @@ import numpy as np
 from . import learners
 from .config import ExperimentConfig
 from .learners import OgdConfig, adaptation_step_size, private_step_scale
-from .losses import certify_smoothness, smoothness_ceiling
+from .losses import TaskSamples, certify_smoothness, smoothness_ceiling
 from .meta import run_meta_training
 from .privacy import NoisySgdPlan, compose_sequential, group_dp, make_plan
 from .task_env import (derive_seed, empirical_task_variance, generate_losses,
@@ -182,10 +182,11 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     Training arms run the noisy-SGD plan of the calibration record (the
     nonprivate arm with its noise variance set to 0). Evaluation draws t_eval
     fresh tasks from eval substreams that are independent of the training
-    substreams, runs OGD at the calibrated adaptation step size from each
-    arm's initialization, and scores the averaged iterate's population excess
-    risk. All arms see identical eval tasks, samples and, for logistic tasks,
-    Monte Carlo draws (the substream (master_seed, "eval-risk", e)).
+    substreams, adapts every arm's initialization to every eval task in one
+    batched OGD run at the calibrated adaptation step size, and scores each
+    averaged iterate's population excess risk. All arms see identical eval
+    tasks, samples and, for logistic tasks, Monte Carlo draws (one sample set
+    per task from the substream (master_seed, "eval-risk", e)).
     """
     start = time.perf_counter()
     cal = calibrate(cfg)
@@ -202,25 +203,39 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
         phi_np, sur_np, vb_np = _train_arm(cfg, quiet_plan)
         arm_setups[ARM_NONPRIVATE] = (phi_np, sur_np, vb_np, 0.0)
 
-    gaps = {arm: [] for arm in arm_setups}
+    # every eval task's samples in one step-major (m, t_eval, d) buffer, filled
+    # task by task from the per-task substreams; no other copy is made
+    m, t_eval = env.samples_per_task, cfg.t_eval
     quadratic = env.loss_family == "quadratic"
-    for e in range(cfg.t_eval):
+    points = np.empty((m, t_eval, env.dim))
+    labels = None if quadratic else np.empty((m, t_eval))
+    tasks = []
+    for e in range(t_eval):
         task = sample_task(env, substream(cfg.master_seed, "eval-task", e))
-        losses = generate_losses(task, env, substream(cfg.master_seed, "eval-losses", e))
-        for arm, (phi0, _, _, _) in arm_setups.items():
-            out = learners.ogd_run(losses, phi0, inference_cfg, env.domain)
-            if quadratic:
-                gap = population_risk_gap(task, out.averaged_iterate)
-            else:
-                # a fresh generator per arm: every arm scores the same draws
-                gap = population_risk_gap(task, out.averaged_iterate,
-                                          cfg.mc_eval_samples,
-                                          substream(cfg.master_seed, "eval-risk", e))
-            gaps[arm].append(gap)
+        samples = generate_losses(task, env, substream(cfg.master_seed, "eval-losses", e))
+        points[:, e] = samples.points
+        if labels is not None:
+            labels[:, e] = samples.labels
+        tasks.append(task)
+    batch = TaskSamples(points, curvature=env.curvature if quadratic else None,
+                        labels=labels)
+    # inits (arms, 1, d) against samples (m, t_eval, d): every arm on every task
+    inits = np.stack([phi0 for phi0, _, _, _ in arm_setups.values()])[:, None, :]
+    averaged = learners.ogd_run(batch, inits, inference_cfg, env.domain).averaged_iterate
+
+    # gaps[a, e]: arm a's excess risk on eval task e; on logistic tasks every
+    # arm is scored against the task's one Monte Carlo sample set
+    gaps = np.empty((len(arm_setups), t_eval))
+    for e, task in enumerate(tasks):
+        if quadratic:
+            gaps[:, e] = population_risk_gap(task, averaged[:, e])
+        else:
+            gaps[:, e] = population_risk_gap(task, averaged[:, e], cfg.mc_eval_samples,
+                                             substream(cfg.master_seed, "eval-risk", e))
 
     arms = {}
-    for arm, (phi0, mean_surrogate, v_bar, sigma_eff) in arm_setups.items():
-        risks = np.array(gaps[arm])
+    for risks, (arm, setup) in zip(gaps, arm_setups.items()):
+        _, mean_surrogate, v_bar, sigma_eff = setup
         arms[arm] = ArmResult(
             arm=arm,
             excess_risks=tuple(float(g) for g in risks),

@@ -1,9 +1,17 @@
 """Within-task learners: plain projected OGD and its noisy private variant.
 
-Both walk a sequence of convex losses over a ball domain and report the
-average of the iterates they actually evaluated gradients at. The average
-includes the start point and excludes the final post-update point, so a
-single-loss run returns its initialization unchanged.
+Both are entry points to one projected-step loop that walks a sequence of
+samples (losses.TaskSamples) over a ball domain and reports the average of
+the iterates it evaluated gradients at. The average includes the start point
+and excludes the final post-update point, so a single-sample run returns its
+initialization unchanged.
+
+The loop steps a whole batch of independent problems at once. Iterates have
+shape (*problems, d): the leading axes of init broadcast against the batch
+axes of the samples, so inits shaped (arms, 1, d) adapted on samples shaped
+(m, tasks, d) run every arm on every task. A single task from a single init
+is the batch of one; there is no separate scalar path, and each problem's
+result is bit-identical whatever batch it runs in.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ import math
 
 import numpy as np
 
-from .geometry import ParamDomain, as_vector
+from .geometry import ParamDomain, as_batch, row_dot
+from .losses import TaskSamples
 from .privacy import NoisySgdPlan, PrivacyParams, sample_step_noise
 
 STEP_SCALE_VARIANTS = ("sqrt_m", "g_sqrt_m")
@@ -38,91 +47,124 @@ class OgdConfig:
 @dataclass(frozen=True)
 class LearnerOutput:
     """averaged_iterate is the mean of the visited points; final_iterate is the
-    post-update endpoint."""
+    post-update endpoint. Both have shape (*problems, d)."""
 
     averaged_iterate: np.ndarray
     final_iterate: np.ndarray
 
 
-def ogd_run(losses, init, cfg: OgdConfig, dom: ParamDomain) -> LearnerOutput:
-    """Projected online gradient descent over the losses in their given order.
+def _start(samples: TaskSamples, init, dom: ParamDomain):
+    """The problem shape, and the first iterate of every problem as a fresh
+    (*problems, d) array; a single problem gets one leading axis of length 1
+    so that per-problem tests in the loop always act on arrays."""
+    if samples.dim != dom.dim:
+        raise ValueError(f"samples have dimension {samples.dim}, the domain {dom.dim}")
+    init = as_batch(init, dom.dim)
+    if not dom.contains(init):
+        raise ValueError("init lies outside the domain")
+    problems = np.broadcast_shapes(init.shape[:-1], samples.batch_shape)
+    theta = np.empty((problems or (1,)) + (dom.dim,))
+    theta[...] = init
+    return problems, theta
 
-    Visits theta_1 = init, takes one gradient step per loss, projects after
+
+def _projected_steps(seq: TaskSamples, theta, step_size: float, dom: ParamDomain,
+                     clip_bound: float | None = None, noise=None):
+    """Take one projected gradient step per sample of seq, in order, and
+    return (average of the visited iterates, final iterate).
+
+    Step j evaluates sample j's gradient at theta (clipped to clip_bound when
+    given), adds noise[j] when given, steps by step_size, and projects onto
+    the ball. Clipping and projection are decided per problem.
+    """
+    center, rad_sq, radius = dom.center, dom.radius**2, dom.radius
+    clip_sq = None if clip_bound is None else clip_bound**2
+    running_sum = np.zeros_like(theta)
+    for j in range(seq.count):
+        running_sum += theta
+        g = seq.grad(theta, j)
+        if clip_bound is not None:
+            gsq = row_dot(g, g)
+            if gsq.max() > clip_sq:
+                over = gsq > clip_sq
+                scale = clip_bound / np.sqrt(np.where(over, gsq, 1.0))
+                g = np.where(over[..., None], g * scale[..., None], g)
+        if noise is not None:
+            g = g + noise[j]
+        theta = theta - step_size * g
+        offset = theta - center
+        nsq = row_dot(offset, offset)
+        if nsq.max() > rad_sq:
+            outside = nsq > rad_sq
+            scale = radius / np.sqrt(np.where(outside, nsq, 1.0))
+            theta = np.where(outside[..., None], center + offset * scale[..., None],
+                             theta)
+    return running_sum / seq.count, theta
+
+
+def _output(problems, averaged, final) -> LearnerOutput:
+    shape = problems + averaged.shape[-1:]
+    return LearnerOutput(averaged_iterate=averaged.reshape(shape),
+                         final_iterate=final.reshape(shape))
+
+
+def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
+            dom: ParamDomain) -> LearnerOutput:
+    """Projected online gradient descent over the samples in their given order.
+
+    Visits theta_1 = init, takes one gradient step per sample, projects after
     every step, and averages the visited iterates theta_1 .. theta_m.
     """
-    losses = list(losses)
-    if not losses:
-        raise ValueError("ogd_run needs at least one loss")
-    if cfg.num_steps is not None and cfg.num_steps != len(losses):
+    if cfg.num_steps is not None and cfg.num_steps != samples.count:
         raise ValueError(
-            f"cfg.num_steps={cfg.num_steps} but {len(losses)} losses were supplied")
-    theta = as_vector(init, dom.dim)
-    if not dom.contains(theta):
-        raise ValueError("init lies outside the domain")
-
-    # inner loop avoids the checked geometry helpers; projection is inlined
-    center, rad_sq, radius = dom.center, dom.radius**2, dom.radius
-    step = cfg.step_size
-    running_sum = np.zeros_like(theta)
-    for loss in losses:
-        running_sum += theta
-        theta = theta - step * loss.grad(theta)
-        offset = theta - center
-        nsq = float(np.dot(offset, offset))
-        if nsq > rad_sq:
-            theta = center + offset * (radius / math.sqrt(nsq))
-    return LearnerOutput(averaged_iterate=running_sum / len(losses),
-                         final_iterate=theta)
+            f"cfg.num_steps={cfg.num_steps} but {samples.count} samples were supplied")
+    problems, theta = _start(samples, init, dom)
+    return _output(problems, *_projected_steps(samples, theta, cfg.step_size, dom))
 
 
-def noisy_sgd_run(losses, init, plan: NoisySgdPlan, dom: ParamDomain,
-                  rng: np.random.Generator, index_sequence=None) -> LearnerOutput:
+def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan, dom: ParamDomain,
+                  rng, index_sequence=None) -> LearnerOutput:
     """Noisy projected SGD: the private within-task learner.
 
-    Takes plan.steps_n steps. Each step picks a loss uniformly at random with
-    replacement, clips its gradient to plan.clip_bound, adds isotropic
+    Takes plan.steps_n steps. Each step picks a sample uniformly at random
+    with replacement, clips its gradient to plan.clip_bound, adds isotropic
     Gaussian noise of per-coordinate variance plan.noise_variance_sigma_sq to
-    the clipped gradient, steps by plan.step_size, and projects. The full
-    index sequence is drawn from rng up front, before any noise, so runs that
-    differ only in noise variance sample identical loss indices; an explicit
-    index_sequence pins the sampling entirely.
-    """
-    losses = list(losses)
-    if not losses:
-        raise ValueError("noisy_sgd_run needs at least one loss")
-    theta = as_vector(init, dom.dim)
-    if not dom.contains(theta):
-        raise ValueError("init lies outside the domain")
-    n = plan.steps_n
-    if index_sequence is None:
-        indices = rng.integers(0, len(losses), size=n)
-    else:
-        indices = np.asarray(index_sequence, dtype=np.int64)
-        if indices.shape != (n,):
-            raise ValueError(
-                f"index_sequence must have shape ({n},), got {indices.shape}")
-        if indices.min() < 0 or indices.max() >= len(losses):
-            raise ValueError("index_sequence entries must index into losses")
-    sigma_sq = plan.noise_variance_sigma_sq
-    # one block draw after the indices; zero variance consumes no randomness
-    noise = sample_step_noise(rng, dom.dim, sigma_sq, count=n)
+    the clipped gradient, steps by plan.step_size, and projects.
 
-    center, rad_sq, radius = dom.center, dom.radius**2, dom.radius
-    step, clip = plan.step_size, plan.clip_bound
-    clip_sq = clip**2
-    running_sum = np.zeros_like(theta)
-    for j in range(n):
-        running_sum += theta
-        g = losses[int(indices[j])].grad(theta)
-        gsq = float(np.dot(g, g))
-        if gsq > clip_sq:
-            g = g * (clip / math.sqrt(gsq))
-        theta = theta - step * (g + noise[j])
-        offset = theta - center
-        nsq = float(np.dot(offset, offset))
-        if nsq > rad_sq:
-            theta = center + offset * (radius / math.sqrt(nsq))
-    return LearnerOutput(averaged_iterate=running_sum / n, final_iterate=theta)
+    rng is one Generator per problem, in C order over the problem axes (a
+    single Generator for a single problem). Each problem draws its full index
+    sequence from its generator up front, then its (steps_n, d) noise block,
+    so runs that differ only in noise variance sample identical indices. An
+    explicit index_sequence of shape (steps_n, *problems) pins the sampling
+    entirely.
+    """
+    problems, theta = _start(samples, init, dom)
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if len(rngs) != math.prod(problems):
+        raise ValueError(
+            f"need one generator per problem: {math.prod(problems)}, got {len(rngs)}")
+    n, m = plan.steps_n, samples.count
+    if index_sequence is not None:
+        indices = np.asarray(index_sequence, dtype=np.int64)
+        if indices.shape != (n,) + problems:
+            raise ValueError(
+                f"index_sequence must have shape {(n,) + problems}, got {indices.shape}")
+        if indices.min() < 0 or indices.max() >= m:
+            raise ValueError("index_sequence entries must index into the samples")
+    else:
+        indices = np.empty((n, len(rngs)), dtype=np.int64)
+    noise = np.empty((n, len(rngs), dom.dim))
+    for p, r in enumerate(rngs):
+        if index_sequence is None:
+            indices[:, p] = r.integers(0, m, size=n)
+        # zero variance returns zeros and consumes no randomness
+        noise[:, p] = sample_step_noise(r, dom.dim, plan.noise_variance_sigma_sq, count=n)
+    indices = indices.reshape((n,) + theta.shape[:-1])
+    noise = noise.reshape((n,) + theta.shape)
+    # sample indices[j] of each problem's own task along the batch axes
+    seq = samples.take((indices,) + np.indices(samples.batch_shape, sparse=True))
+    return _output(problems, *_projected_steps(seq, theta, plan.step_size, dom,
+                                               clip_bound=plan.clip_bound, noise=noise))
 
 
 def private_step_scale(lipschitz_g: float, growth_alpha: float, dim: int, m: int,

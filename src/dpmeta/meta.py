@@ -116,9 +116,10 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plan: NoisySgdPlan,
     records = []
     for t in range(num_tasks):
         task = sample_task(env, substream(master_seed, "train-task", t))
-        losses = generate_losses(task, env, substream(master_seed, "train-losses", t))
+        samples = generate_losses(task, env, substream(master_seed, "train-losses", t))
         phi_t = state.phi_current
-        bar = learners.noisy_sgd_run(losses, phi_t, plan, env.domain,
+        # one task from one init: the learner's batch of one
+        bar = learners.noisy_sgd_run(samples, phi_t, plan, env.domain,
                                      substream(master_seed, "train-noise", t))
         records.append(TaskRecord(
             task_index=t,

@@ -2,9 +2,11 @@
 
 Tasks are drawn around a planted center: each task's population minimizer is
 the center plus an isotropic Gaussian offset scaled so its expected squared
-norm is similarity_v**2 before projection. Per-task samples then scatter
-around the minimizer. Everything is driven by named substreams of a single
-master seed, so any piece of a run can be regenerated independently.
+norm is similarity_v**2 before projection. Each task's m samples then scatter
+around the minimizer and come back as arrays (losses.TaskSamples): quadratic
+anchors, or logistic features plus labels. Everything is driven by named
+substreams of a single master seed, so any piece of a run can be regenerated
+independently.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import zlib
 
 import numpy as np
 
-from .geometry import ParamDomain, as_vector, dist_sq, project
-from .losses import QuadraticLoss, make_logistic, make_quadratic
+from .geometry import ParamDomain, as_batch, as_vector, dist_sq, project, row_dot
+from .losses import TaskSamples
 
 LOSS_FAMILIES = ("quadratic", "logistic")
 
@@ -133,46 +135,53 @@ def sample_task(spec: EnvSpec, rng: np.random.Generator) -> TaskSpec:
     )
 
 
-def generate_losses(task: TaskSpec, spec: EnvSpec, rng: np.random.Generator):
-    """Draw the task's m per-sample losses.
-
-    Quadratic: anchors are project(theta_star + w), w ~ N(0, s^2 I) with
-    s = sample_noise_std, so the empirical minimizer is unbiased for
-    theta_star up to projection. Logistic: features uniform on the sphere of
-    radius feature_norm, labels from the logistic model at theta_star.
-    """
-    m = spec.samples_per_task
-    if task.loss_family == "quadratic":
-        if task.sample_noise_std == 0.0:
-            anchors = np.tile(task.theta_star, (m, 1))
-        else:
-            anchors = task.theta_star + rng.normal(
-                0.0, task.sample_noise_std, size=(m, spec.dim))
-        # vectorized projection of the whole anchor batch
-        offsets = anchors - spec.domain.center
-        norms = np.linalg.norm(offsets, axis=1)
-        outside = norms > spec.domain.radius
-        if outside.any():
-            anchors = anchors.copy()
-            anchors[outside] = (spec.domain.center
-                                + offsets[outside] * (spec.domain.radius
-                                                      / norms[outside])[:, None])
-        curvature = task.curvature
-        return [QuadraticLoss(anchor=a, curvature=curvature) for a in anchors]
-
-    raw = rng.normal(0.0, 1.0, size=(m, spec.dim))
+def _logistic_draw(task: TaskSpec, count: int, rng: np.random.Generator):
+    """count features uniform on the sphere of radius feature_norm, with
+    labels in {-1.0, +1.0} drawn from the logistic model at theta_star."""
+    raw = rng.normal(0.0, 1.0, size=(count, task.theta_star.size))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     features = task.feature_norm * raw / norms
-    margins = features @ task.theta_star
-    p_plus = 1.0 / (1.0 + np.exp(-margins))
-    labels = np.where(rng.random(m) < p_plus, 1, -1)
-    return [make_logistic(f, int(y)) for f, y in zip(features, labels)]
+    star_margins = features @ task.theta_star
+    p_plus = 1.0 / (1.0 + np.exp(-star_margins))
+    labels = np.where(rng.random(count) < p_plus, 1.0, -1.0)
+    return features, labels, star_margins
+
+
+def generate_losses(task: TaskSpec, spec: EnvSpec,
+                    rng: np.random.Generator) -> TaskSamples:
+    """Draw the task's m samples as arrays.
+
+    Quadratic: anchors (m, d) are project(theta_star + w), w ~ N(0, s^2 I)
+    with s = sample_noise_std, so the empirical minimizer is unbiased for
+    theta_star up to projection. Logistic: features (m, d) uniform on the
+    sphere of radius feature_norm, labels (m,) in {-1, +1} from the logistic
+    model at theta_star.
+    """
+    m = spec.samples_per_task
+    if task.loss_family == "logistic":
+        features, labels, _ = _logistic_draw(task, m, rng)
+        return TaskSamples(features, labels=labels)
+    if task.sample_noise_std == 0.0:
+        anchors = np.tile(task.theta_star, (m, 1))
+    else:
+        anchors = task.theta_star + rng.normal(
+            0.0, task.sample_noise_std, size=(m, spec.dim))
+    # vectorized projection of the whole anchor batch
+    offsets = anchors - spec.domain.center
+    norms = np.linalg.norm(offsets, axis=1)
+    outside = norms > spec.domain.radius
+    if outside.any():
+        anchors[outside] = (spec.domain.center
+                            + offsets[outside] * (spec.domain.radius
+                                                  / norms[outside])[:, None])
+    return TaskSamples(anchors, curvature=task.curvature)
 
 
 def population_risk_gap(task: TaskSpec, theta, mc_samples: int | None = None,
-                        rng: np.random.Generator | None = None) -> float:
-    """Population excess risk of theta for the task.
+                        rng: np.random.Generator | None = None):
+    """Population excess risk for the task of theta, or of every vector of a
+    batch shaped (..., d) (a float, or an array shaped (...)).
 
     Quadratic tasks use the exact closed form (curvature/2) ||theta - theta*||^2
     (anchor noise only shifts the risk by a constant, which cancels in the
@@ -180,33 +189,37 @@ def population_risk_gap(task: TaskSpec, theta, mc_samples: int | None = None,
     for the paired estimator and its standard error.
     """
     if task.loss_family == "quadratic":
-        return 0.5 * task.curvature * dist_sq(theta, task.theta_star)
+        diff = as_batch(theta, task.theta_star.size) - task.theta_star
+        return (0.5 * task.curvature * row_dot(diff, diff))[()]
     if mc_samples is None or rng is None:
         raise ValueError("logistic risk gaps need mc_samples and an rng")
     return logistic_risk_gap(task, theta, mc_samples, rng)[0]
 
 
 def logistic_risk_gap(task: TaskSpec, theta, mc_samples: int,
-                      rng: np.random.Generator) -> tuple[float, float]:
+                      rng: np.random.Generator):
     """Paired Monte Carlo estimate of E[loss(theta) - loss(theta_star)].
 
-    Returns (estimate, standard error). The pairing makes the estimate exactly
-    zero at theta == theta_star.
+    Returns (estimate, standard error), floats for one theta and arrays
+    shaped (...) for a batch shaped (..., d). One sample set is drawn and
+    scored against every theta, one mat-vec each, so a batch gives exactly
+    the values of separate calls with identically seeded generators. The
+    pairing makes the estimate exactly zero at theta == theta_star.
     """
     if int(mc_samples) != mc_samples or mc_samples < 2:
         raise ValueError(f"mc_samples must be an integer >= 2, got {mc_samples}")
-    theta = as_vector(theta, task.theta_star.size)
+    thetas = as_batch(theta, task.theta_star.size)
     mc = int(mc_samples)
-    raw = rng.normal(0.0, 1.0, size=(mc, theta.size))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    features = task.feature_norm * raw / norms
-    star_margins = features @ task.theta_star
-    p_plus = 1.0 / (1.0 + np.exp(-star_margins))
-    labels = np.where(rng.random(mc) < p_plus, 1.0, -1.0)
-    diffs = (np.logaddexp(0.0, -labels * (features @ theta))
-             - np.logaddexp(0.0, -labels * star_margins))
-    return float(diffs.mean()), float(diffs.std(ddof=1) / math.sqrt(mc))
+    features, labels, star_margins = _logistic_draw(task, mc, rng)
+    star_losses = np.logaddexp(0.0, -labels * star_margins)
+    flat = thetas.reshape(-1, thetas.shape[-1])
+    est, se = np.empty(len(flat)), np.empty(len(flat))
+    for i, row in enumerate(flat):
+        diffs = np.logaddexp(0.0, -labels * (features @ row)) - star_losses
+        est[i] = diffs.mean()
+        se[i] = diffs.std(ddof=1) / math.sqrt(mc)
+    # [()] turns the 0-d result of a single theta into a float
+    return est.reshape(thetas.shape[:-1])[()], se.reshape(thetas.shape[:-1])[()]
 
 
 def empirical_task_variance(theta_stars, reference) -> float:

@@ -19,7 +19,8 @@ from dpmeta.harness import (ARM_META, ARM_NO_META, calibrate,
                             sweep, write_csv)
 from dpmeta.learners import (OgdConfig, adaptation_step_size, noisy_sgd_run,
                              ogd_run, private_step_scale)
-from dpmeta.losses import QuadraticLoss, RegularityProfile, certify_smoothness
+from dpmeta.losses import (RegularityProfile, TaskSamples, certify_smoothness,
+                           quadratic_value)
 from dpmeta.meta import meta_step, new_state
 from dpmeta.privacy import (NoisySgdPlan, PrivacyParams, group_dp, make_plan,
                             noise_variance, sample_step_noise)
@@ -101,14 +102,15 @@ def test_criterion_03_adaptation_regret_certificate():
         violations = 0
         for t in range(200):
             task = sample_task(env, substream(42, "c3-task", t))
-            losses = generate_losses(task, env, substream(42, "c3-losses", t))
+            samples = generate_losses(task, env, substream(42, "c3-losses", t))
             init_rng = substream(42, "c3-init", t)
             z = init_rng.normal(size=5)
             z = z / np.linalg.norm(z) * init_rng.uniform(0, dom.radius)
-            out = ogd_run(losses, z, OgdConfig(eta, 100), dom)
+            out = ogd_run(samples, z, OgdConfig(eta, 100), dom)
 
             def emp(theta):
-                return float(np.mean([l.value(theta) for l in losses]))
+                return float(np.mean(quadratic_value(theta, samples.points,
+                                                     samples.curvature)))
 
             sub = emp(out.averaged_iterate) - emp(task.theta_star)
             bound = dist_sq(z, task.theta_star) / (2 * eta * 100) + eta * G**2 / 2
@@ -123,7 +125,7 @@ def test_criterion_04_zero_noise_degeneration():
         for seed in range(50):
             rng = np.random.default_rng(5000 + seed)
             anchors = rng.normal(scale=0.5, size=(m, 3))
-            losses = [QuadraticLoss(anchor=a, curvature=2.0) for a in anchors]
+            samples = TaskSamples(anchors, curvature=2.0)
             init = rng.normal(size=3)
             init = init / np.linalg.norm(init) * rng.uniform(0, dom.radius)
             idx = rng.integers(0, m, size=steps)
@@ -145,14 +147,14 @@ def test_criterion_04_zero_noise_degeneration():
                 plan_k = NoisySgdPlan(steps_n=k, step_size=0.15,
                                       noise_variance_sigma_sq=0.0,
                                       clip_bound=2.5)
-                out = noisy_sgd_run(losses, init, plan_k, dom,
+                out = noisy_sgd_run(samples, init, plan_k, dom,
                                     np.random.default_rng(0),
                                     index_sequence=idx[:k])
                 assert np.allclose(out.final_iterate, trajectory[k],
                                    rtol=1e-12, atol=1e-15)
             full = NoisySgdPlan(steps_n=steps, step_size=0.15,
                                 noise_variance_sigma_sq=0.0, clip_bound=2.5)
-            out = noisy_sgd_run(losses, init, full, dom,
+            out = noisy_sgd_run(samples, init, full, dom,
                                 np.random.default_rng(0), index_sequence=idx)
             assert np.allclose(out.averaged_iterate,
                                np.mean(trajectory[:-1], axis=0),
@@ -177,8 +179,8 @@ def test_criterion_05_private_risk_certificate():
         lhs, rhs = [], []
         for t in range(500):
             task = sample_task(env, substream(7, "c5-task", t))
-            losses = generate_losses(task, env, substream(7, "c5-losses", t))
-            bar = noisy_sgd_run(losses, phi, plan, dom,
+            samples = generate_losses(task, env, substream(7, "c5-losses", t))
+            bar = noisy_sgd_run(samples, phi, plan, dom,
                                 substream(7, "c5-noise", t))
             lhs.append(0.5 * env.curvature
                        * dist_sq(bar.averaged_iterate, task.theta_star))

@@ -176,9 +176,9 @@ def test_learner_runs_the_calibrated_plan(monkeypatch):
     plans = []
     real_noisy = dpmeta.learners.noisy_sgd_run
 
-    def spy_noisy(losses, init, plan, dom, rng, *args, **kwargs):
+    def spy_noisy(samples, init, plan, dom, rng, *args, **kwargs):
         plans.append(plan)
-        return real_noisy(losses, init, plan, dom, rng, *args, **kwargs)
+        return real_noisy(samples, init, plan, dom, rng, *args, **kwargs)
 
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_run", spy_noisy)
     cfg = make_cfg(baseline_nonprivate_meta="true")

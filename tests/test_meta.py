@@ -103,7 +103,7 @@ def test_meta_update_sees_only_private_output(monkeypatch):
         captured.append(np.asarray(out.averaged_iterate).copy())
         return out
 
-    def poisoned_ogd(losses, init, cfg, dom):
+    def poisoned_ogd(samples, init, cfg, dom):
         poisoned = dom.center + dom.radius * 0.9 * np.ones(dom.dim) / math.sqrt(dom.dim)
         return dpmeta.learners.LearnerOutput(
             averaged_iterate=poisoned, final_iterate=poisoned)

@@ -58,23 +58,23 @@ def test_sample_task_respects_domain():
 def test_noiseless_anchors_equal_minimizer():
     env = quad_env(similarity_v=0.5, samples_per_task=8)
     task = sample_task(env, substream(1, "a"))
-    losses = generate_losses(task, env, substream(1, "b"))
-    assert len(losses) == 8
-    for loss in losses:
-        assert np.array_equal(loss.anchor, task.theta_star)
-        assert loss.curvature == env.curvature
+    samples = generate_losses(task, env, substream(1, "b"))
+    assert samples.points.shape == (8, 4)
+    for anchor in samples.points:
+        assert np.array_equal(anchor, task.theta_star)
+    assert samples.curvature == env.curvature
 
 
 def test_noisy_anchors_center_on_minimizer():
     env = quad_env(similarity_v=0.0, samples_per_task=4000, sample_noise_std=0.3)
     task = sample_task(env, substream(2, "a"))
-    losses = generate_losses(task, env, substream(2, "b"))
-    anchors = np.array([l.anchor for l in losses])
+    samples = generate_losses(task, env, substream(2, "b"))
+    anchors = samples.points
     mean_anchor = anchors.mean(axis=0)
     se = 0.3 / math.sqrt(4000)
     assert np.all(np.abs(mean_anchor - task.theta_star) < 5 * se)
     # gradient of the empirical loss vanishes exactly at the mean anchor
-    grad_sum = sum(l.grad(mean_anchor) for l in losses)
+    grad_sum = sum(samples.grad(mean_anchor, j) for j in range(samples.count))
     assert np.max(np.abs(grad_sum)) < 1e-9
     assert abs(anchors.std() - 0.3) < 0.02
 
@@ -84,10 +84,10 @@ def test_losses_deterministic_per_stream():
     task = sample_task(env, substream(9, "t"))
     a = generate_losses(task, env, substream(9, "l"))
     b = generate_losses(task, env, substream(9, "l"))
-    for la, lb in zip(a, b):
-        assert np.array_equal(la.anchor, lb.anchor)
+    for la, lb in zip(a.points, b.points):
+        assert np.array_equal(la, lb)
     c = generate_losses(task, env, substream(10, "l"))
-    assert not np.array_equal(a[0].anchor, c[0].anchor)
+    assert not np.array_equal(a.points[0], c.points[0])
 
 
 def test_quadratic_risk_gap_closed_form():
@@ -105,12 +105,13 @@ def test_logistic_generation_shape():
                   similarity_v=0.2, samples_per_task=500,
                   loss_family="logistic", feature_norm=2.5)
     task = sample_task(env, substream(4, "t"))
-    losses = generate_losses(task, env, substream(4, "l"))
-    assert len(losses) == 500
+    samples = generate_losses(task, env, substream(4, "l"))
+    assert samples.points.shape == (500, 3)
+    assert samples.labels.shape == (500,)
     labels = set()
-    for loss in losses:
-        assert abs(np.linalg.norm(loss.feature) - 2.5) < 1e-12
-        labels.add(loss.label)
+    for feature, label in zip(samples.points, samples.labels):
+        assert abs(np.linalg.norm(feature) - 2.5) < 1e-12
+        labels.add(label)
     assert labels == {1.0, -1.0}
 
 
@@ -121,9 +122,9 @@ def test_logistic_labels_follow_model():
                   similarity_v=0.0, samples_per_task=4000,
                   loss_family="logistic", feature_norm=3.0)
     task = sample_task(env, substream(5, "t"))
-    losses = generate_losses(task, env, substream(5, "l"))
-    margins = np.array([loss.label * float(loss.feature @ task.theta_star)
-                        for loss in losses])
+    samples = generate_losses(task, env, substream(5, "l"))
+    margins = np.array([label * float(feature @ task.theta_star)
+                        for feature, label in zip(samples.points, samples.labels)])
     # mean of label*margin is positive and matches E[tanh(|margin|/2)|margin|]
     # well away from zero
     assert margins.mean() > 1.0
@@ -144,6 +145,29 @@ def test_logistic_risk_gap_paired_zero_at_optimum():
     assert se2 > 0.0
     # a 20k-sample estimate should be a few standard errors above zero
     assert est2 > 2 * se2
+
+
+def test_risk_gap_batch_equals_separate_calls():
+    # scoring several points against one draw gives each point exactly what a
+    # separate call with an identically seeded generator gives it
+    dom = ParamDomain(np.zeros(3), 2.0)
+    rng = substream(8, "points")
+    thetas = rng.uniform(-1, 1, size=(2, 3, 3))
+    for family in ("quadratic", "logistic"):
+        env = EnvSpec(domain=dom, planted_center=np.array([1.0, 0.0, 0.0]),
+                      similarity_v=0.3, samples_per_task=5, loss_family=family)
+        task = sample_task(env, substream(8, "t"))
+        mc = dict(mc_samples=500) if family == "logistic" else {}
+        batch = population_risk_gap(task, thetas, rng=substream(8, "mc"), **mc)
+        assert batch.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                one = population_risk_gap(task, thetas[i, j],
+                                          rng=substream(8, "mc"), **mc)
+                assert batch[i, j] == one
+    est, se = logistic_risk_gap(task, thetas, 500, substream(8, "mc"))
+    assert est.shape == se.shape == (2, 3)
+    assert se[1, 2] == logistic_risk_gap(task, thetas[1, 2], 500, substream(8, "mc"))[1]
 
 
 def test_logistic_gap_needs_mc_arguments():
