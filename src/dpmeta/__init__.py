@@ -6,7 +6,7 @@ synthetic task environment and harness for measuring excess transfer risk
 against task similarity, sample counts, task counts, and privacy budgets.
 """
 
-from .geometry import ParamDomain, clip_norm, dist_sq, project, row_dot
+from .geometry import ParamDomain, clip_norm, dist_sq, project
 from .losses import (RegularityProfile, TaskSamples, certify_smoothness,
                      finite_diff_check, logistic_grad, logistic_regularity,
                      logistic_value, quadratic_grad, quadratic_regularity,

@@ -226,6 +226,9 @@ def build_config(items: dict) -> ExperimentConfig:
 
     if delta is not None and delta >= 1.0:
         r.violations.append(f"delta: must be < 1, got {delta}")
+    if None not in (t_train, task_budget) and t_train > task_budget:
+        r.violations.append(f"task_budget: {task_budget} tasks cannot cover "
+                            f"t_train={t_train} training tasks")
 
     env = None
     dom = None
@@ -258,11 +261,11 @@ def build_config(items: dict) -> ExperimentConfig:
         except ValueError as exc:
             r.violations.append(str(exc))
 
+    alpha_override = r.float_("growth_alpha", minimum=0.0, exclusive_min=True)
+    g_override = r.float_("lipschitz_g", minimum=0.0, exclusive_min=True)
+    beta_override = r.float_("smoothness_beta", minimum=0.0, exclusive_min=True)
     regularity = None
     if env is not None:
-        alpha_override = r.float_("growth_alpha", minimum=0.0, exclusive_min=True)
-        g_override = r.float_("lipschitz_g", minimum=0.0, exclusive_min=True)
-        beta_override = r.float_("smoothness_beta", minimum=0.0, exclusive_min=True)
         try:
             if family == "quadratic":
                 base = quadratic_regularity(curvature, dom)

@@ -1,14 +1,19 @@
 """Euclidean ball domains and the vector primitives everything else sits on.
 
-Parameter vectors are plain 1-D float64 numpy arrays; a batch of them stacks
-vectors along leading axes, shape (..., dim). All operations here are pure
-and deterministic; geometric identities are expected to hold to 1e-12
-relative tolerance, not exactly, because of float rounding.
+Parameter vectors are plain 1-D float64 numpy arrays; a batch stacks them
+along leading axes, shape (..., dim), and a bare vector is the batch of one.
+project, clip_norm and dist_sq are the only code that projects, clips or
+measures a squared distance. They act row by row, with squared norms from
+np.vecdot, so each row equals the single-vector call bit for bit; a row is
+rescaled only when its squared norm exceeds the bound squared. Geometric
+identities hold to 1e-12 relative tolerance, not exactly, because of float
+rounding. All operations here are pure and deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -29,14 +34,22 @@ def as_vector(x, dim=None):
     return v.copy()
 
 
+def _vectors(x, dim=None):
+    """x as float64 vectors, shape (..., dim); a shape test, no pass over the
+    data."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim == 0 or v.shape[-1] < 1 or (dim is not None and v.shape[-1] != dim):
+        raise ValueError(f"expected vectors of dimension {dim or '>= 1'}, "
+                         f"got shape {v.shape}")
+    return v
+
+
 def as_batch(x, dim):
     """Coerce to a finite float64 array of dim-vectors, shape (..., dim).
 
     Unlike as_vector this does not copy an array that already qualifies.
     """
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim == 0 or v.shape[-1] != dim:
-        raise ValueError(f"expected vectors of dimension {dim}, got shape {v.shape}")
+    v = _vectors(x, dim)
     if not np.isfinite(v).all():
         raise ValueError("vector has non-finite coordinates")
     return v
@@ -69,49 +82,60 @@ class ParamDomain:
     def contains(self, v, rtol=GEOM_RTOL) -> bool:
         """True when v, or every vector of a batch shaped (..., dim), lies in
         the ball."""
-        offset = as_batch(v, self.dim) - self.center
-        norms = np.sqrt(row_dot(offset, offset))
+        norms = np.sqrt(dist_sq(self.center, v))
         return bool((norms <= self.radius * (1 + rtol) + 1e-300).all())
 
 
-def row_dot(a, b):
-    """<a, b> over the last axis, broadcasting the leading (batch) axes.
+def _sq_norms(offset):
+    """Squared norms of the rows of offset and their maximum, which doubles
+    as the finiteness check: a non-finite row, or one whose squared norm
+    overflows, makes it non-finite."""
+    nsq = np.vecdot(offset, offset)
+    top = nsq.max()
+    if not math.isfinite(top):
+        raise ValueError("vector has non-finite coordinates or a squared norm "
+                         "that overflows")
+    return nsq, top
 
-    Each entry equals float(np.dot(a_i, b_i)) bit for bit: matmul of a
-    (1, d) row by a (d, 1) column takes numpy's dot kernel, whereas
-    (a * b).sum(-1) adds the products in another order.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+def _over(nsq, limit):
+    """Mask of the rows whose squared norm exceeds limit**2, and the factor
+    limit / norm that puts each of them on the sphere, both shaped (..., 1)."""
+    over = nsq > limit**2
+    return over[..., None], (limit / np.sqrt(np.where(over, nsq, 1.0)))[..., None]
 
 
 def project(v, dom: ParamDomain):
-    """Euclidean projection onto the ball: interior points pass through unchanged."""
-    v = as_vector(v, dom.dim)
+    """Euclidean projection onto the ball of v, or of every row of a batch
+    shaped (..., dim): center + offset * (radius / ||offset||) for a row whose
+    squared offset exceeds radius**2; other rows, and v itself when no row
+    is outside, come back unchanged."""
+    v = _vectors(v, dom.dim)
     offset = v - dom.center
-    norm = float(np.linalg.norm(offset))
-    if norm <= dom.radius:
+    nsq, top = _sq_norms(offset)
+    if top <= dom.radius**2:
         return v
-    if norm == 0.0:  # unreachable when radius >= 0, kept for clarity
-        return dom.center.copy()
-    return dom.center + offset * (dom.radius / norm)
+    over, scale = _over(nsq, dom.radius)
+    return np.where(over, dom.center + offset * scale, v)
 
 
 def clip_norm(v, bound):
-    """Scale v down so its norm is at most bound; direction is preserved."""
-    v = as_vector(v)
-    if not np.isfinite(bound) or bound < 0:
+    """Scale down v, or every vector of a batch shaped (..., dim), whose
+    squared norm exceeds bound**2 to norm bound; direction is preserved, and
+    v itself comes back when no row exceeds."""
+    if not math.isfinite(bound) or bound < 0:
         raise ValueError(f"clip bound must be finite and >= 0, got {bound}")
-    norm = float(np.linalg.norm(v))
-    if norm <= bound:
+    v = _vectors(v)
+    nsq, top = _sq_norms(v)
+    if top <= bound**2:
         return v
-    return v * (bound / norm)
+    over, scale = _over(nsq, bound)
+    return np.where(over, v * scale, v)
 
 
 def dist_sq(a, b):
-    """Squared Euclidean distance ||a - b||^2."""
-    a = as_vector(a)
-    b = as_vector(b, a.size)
-    d = a - b
-    return float(np.dot(d, d))
+    """Squared Euclidean distance ||a - b||^2 over the last axis: a float for
+    two vectors, an array shaped (...) when a or b is a batch."""
+    a = _vectors(a)
+    nsq, _ = _sq_norms(a - _vectors(b, a.shape[-1]))
+    return float(nsq) if nsq.ndim == 0 else nsq

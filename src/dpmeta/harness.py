@@ -22,7 +22,7 @@ import numpy as np
 from . import learners
 from .config import ExperimentConfig
 from .learners import OgdConfig, adaptation_step_size, private_step_scale
-from .losses import TaskSamples, certify_smoothness, smoothness_ceiling
+from .losses import TaskSamples, smoothness_ceiling
 from .meta import run_meta_training
 from .privacy import NoisySgdPlan, compose_sequential, group_dp, make_plan
 from .task_env import (derive_seed, empirical_task_variance, generate_losses,
@@ -155,8 +155,7 @@ def calibrate(cfg: ExperimentConfig) -> CalibrationRecord:
         growth_alpha=reg.growth_alpha,
         smoothness_beta=reg.smoothness_beta,
         smoothness_ceiling=ceiling,
-        smoothness_ok=certify_smoothness(reg, env.domain, env.samples_per_task,
-                                         priv, plan.steps_n),
+        smoothness_ok=reg.smoothness_beta <= ceiling,
         step_scale_variant=cfg.step_scale_variant,
     )
 
@@ -236,13 +235,13 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     arms = {}
     for risks, (arm, setup) in zip(gaps, arm_setups.items()):
         _, mean_surrogate, v_bar, sigma_eff = setup
+        std = risks.std(ddof=1) if risks.size > 1 else 0.0
         arms[arm] = ArmResult(
             arm=arm,
             excess_risks=tuple(float(g) for g in risks),
             mean_excess=float(risks.mean()),
-            std_excess=float(risks.std(ddof=1)) if risks.size > 1 else 0.0,
-            stderr_excess=(float(risks.std(ddof=1) / math.sqrt(risks.size))
-                           if risks.size > 1 else 0.0),
+            std_excess=float(std),
+            stderr_excess=float(std / math.sqrt(risks.size)),
             mean_surrogate=mean_surrogate,
             v_bar_sq_realized=v_bar,
             sigma_sq_effective=sigma_eff,

@@ -10,8 +10,9 @@ The loop steps a whole batch of independent problems at once. Iterates have
 shape (*problems, d): the leading axes of init broadcast against the batch
 axes of the samples, so inits shaped (arms, 1, d) adapted on samples shaped
 (m, tasks, d) run every arm on every task. A single task from a single init
-is the batch of one; there is no separate scalar path, and each problem's
-result is bit-identical whatever batch it runs in.
+is the batch of one, with plain (d,) iterates; there is no separate scalar
+path. geometry.clip_norm and geometry.project clip and project row by row,
+so each problem's result is bit-identical whatever batch it runs in.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .geometry import ParamDomain, as_batch, row_dot
+from .geometry import ParamDomain, clip_norm, project
 from .losses import TaskSamples
 from .privacy import NoisySgdPlan, PrivacyParams, sample_step_noise
 
@@ -54,58 +55,38 @@ class LearnerOutput:
 
 
 def _start(samples: TaskSamples, init, dom: ParamDomain):
-    """The problem shape, and the first iterate of every problem as a fresh
-    (*problems, d) array; a single problem gets one leading axis of length 1
-    so that per-problem tests in the loop always act on arrays."""
+    """The first iterate of every problem as a fresh (*problems, d) array: the
+    leading axes of init broadcast against the samples' batch axes."""
     if samples.dim != dom.dim:
         raise ValueError(f"samples have dimension {samples.dim}, the domain {dom.dim}")
-    init = as_batch(init, dom.dim)
     if not dom.contains(init):
         raise ValueError("init lies outside the domain")
-    problems = np.broadcast_shapes(init.shape[:-1], samples.batch_shape)
-    theta = np.empty((problems or (1,)) + (dom.dim,))
+    problems = np.broadcast_shapes(np.shape(init)[:-1], samples.batch_shape)
+    theta = np.empty(problems + (dom.dim,))
     theta[...] = init
-    return problems, theta
+    return theta
 
 
 def _projected_steps(seq: TaskSamples, theta, step_size: float, dom: ParamDomain,
-                     clip_bound: float | None = None, noise=None):
+                     clip_bound: float | None = None, noise=None) -> LearnerOutput:
     """Take one projected gradient step per sample of seq, in order, and
-    return (average of the visited iterates, final iterate).
+    return the average of the visited iterates and the final iterate.
 
     Step j evaluates sample j's gradient at theta (clipped to clip_bound when
     given), adds noise[j] when given, steps by step_size, and projects onto
-    the ball. Clipping and projection are decided per problem.
+    the ball. geometry decides clipping and projection row by row, so each
+    problem is clipped or projected only when its own row is outside.
     """
-    center, rad_sq, radius = dom.center, dom.radius**2, dom.radius
-    clip_sq = None if clip_bound is None else clip_bound**2
     running_sum = np.zeros_like(theta)
     for j in range(seq.count):
         running_sum += theta
         g = seq.grad(theta, j)
         if clip_bound is not None:
-            gsq = row_dot(g, g)
-            if gsq.max() > clip_sq:
-                over = gsq > clip_sq
-                scale = clip_bound / np.sqrt(np.where(over, gsq, 1.0))
-                g = np.where(over[..., None], g * scale[..., None], g)
+            g = clip_norm(g, clip_bound)
         if noise is not None:
             g = g + noise[j]
-        theta = theta - step_size * g
-        offset = theta - center
-        nsq = row_dot(offset, offset)
-        if nsq.max() > rad_sq:
-            outside = nsq > rad_sq
-            scale = radius / np.sqrt(np.where(outside, nsq, 1.0))
-            theta = np.where(outside[..., None], center + offset * scale[..., None],
-                             theta)
-    return running_sum / seq.count, theta
-
-
-def _output(problems, averaged, final) -> LearnerOutput:
-    shape = problems + averaged.shape[-1:]
-    return LearnerOutput(averaged_iterate=averaged.reshape(shape),
-                         final_iterate=final.reshape(shape))
+        theta = project(theta - step_size * g, dom)
+    return LearnerOutput(averaged_iterate=running_sum / seq.count, final_iterate=theta)
 
 
 def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
@@ -118,8 +99,7 @@ def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
     if cfg.num_steps is not None and cfg.num_steps != samples.count:
         raise ValueError(
             f"cfg.num_steps={cfg.num_steps} but {samples.count} samples were supplied")
-    problems, theta = _start(samples, init, dom)
-    return _output(problems, *_projected_steps(samples, theta, cfg.step_size, dom))
+    return _projected_steps(samples, _start(samples, init, dom), cfg.step_size, dom)
 
 
 def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan, dom: ParamDomain,
@@ -138,7 +118,8 @@ def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan, dom: ParamDoma
     explicit index_sequence of shape (steps_n, *problems) pins the sampling
     entirely.
     """
-    problems, theta = _start(samples, init, dom)
+    theta = _start(samples, init, dom)
+    problems = theta.shape[:-1]
     rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     if len(rngs) != math.prod(problems):
         raise ValueError(
@@ -159,12 +140,12 @@ def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan, dom: ParamDoma
             indices[:, p] = r.integers(0, m, size=n)
         # zero variance returns zeros and consumes no randomness
         noise[:, p] = sample_step_noise(r, dom.dim, plan.noise_variance_sigma_sq, count=n)
-    indices = indices.reshape((n,) + theta.shape[:-1])
+    indices = indices.reshape((n,) + problems)
     noise = noise.reshape((n,) + theta.shape)
     # sample indices[j] of each problem's own task along the batch axes
     seq = samples.take((indices,) + np.indices(samples.batch_shape, sparse=True))
-    return _output(problems, *_projected_steps(seq, theta, plan.step_size, dom,
-                                               clip_bound=plan.clip_bound, noise=noise))
+    return _projected_steps(seq, theta, plan.step_size, dom,
+                            clip_bound=plan.clip_bound, noise=noise)
 
 
 def private_step_scale(lipschitz_g: float, growth_alpha: float, dim: int, m: int,

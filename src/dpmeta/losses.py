@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .geometry import ParamDomain, as_vector, row_dot
+from .geometry import ParamDomain, as_vector, dist_sq
 
 
 def _check_dims(theta, points):
@@ -31,9 +31,7 @@ def _check_dims(theta, points):
 def quadratic_value(theta, anchors, curvature):
     """(curvature/2) ||theta - anchor||^2 over the last axis, broadcast over
     the leading ones."""
-    _check_dims(theta, anchors)
-    diff = np.subtract(theta, anchors)
-    return 0.5 * curvature * row_dot(diff, diff)
+    return 0.5 * curvature * dist_sq(anchors, theta)
 
 
 def quadratic_grad(theta, anchors, curvature):
@@ -46,13 +44,13 @@ def logistic_value(theta, features, labels):
     """log(1 + exp(-label <feature, theta>)), computed without overflow on
     either tail; labels carry the leading axes of features."""
     _check_dims(theta, features)
-    return np.logaddexp(0.0, -labels * row_dot(features, theta))
+    return np.logaddexp(0.0, -labels * np.vecdot(features, theta))
 
 
 def logistic_grad(theta, features, labels):
     """-label * sigmoid(-label <feature, theta>) * feature."""
     _check_dims(theta, features)
-    margin = labels * row_dot(features, theta)
+    margin = labels * np.vecdot(features, theta)
     # sigmoid(-margin) from exp(-|margin|) <= 1, so neither branch overflows
     e = np.exp(-np.abs(margin))
     w = np.where(margin >= 0, e / (1.0 + e), 1.0 / (1.0 + e))

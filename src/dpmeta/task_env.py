@@ -17,7 +17,7 @@ import zlib
 
 import numpy as np
 
-from .geometry import ParamDomain, as_batch, as_vector, dist_sq, project, row_dot
+from .geometry import ParamDomain, as_batch, as_vector, dist_sq, project
 from .losses import TaskSamples
 
 LOSS_FAMILIES = ("quadratic", "logistic")
@@ -167,15 +167,7 @@ def generate_losses(task: TaskSpec, spec: EnvSpec,
     else:
         anchors = task.theta_star + rng.normal(
             0.0, task.sample_noise_std, size=(m, spec.dim))
-    # vectorized projection of the whole anchor batch
-    offsets = anchors - spec.domain.center
-    norms = np.linalg.norm(offsets, axis=1)
-    outside = norms > spec.domain.radius
-    if outside.any():
-        anchors[outside] = (spec.domain.center
-                            + offsets[outside] * (spec.domain.radius
-                                                  / norms[outside])[:, None])
-    return TaskSamples(anchors, curvature=task.curvature)
+    return TaskSamples(project(anchors, spec.domain), curvature=task.curvature)
 
 
 def population_risk_gap(task: TaskSpec, theta, mc_samples: int | None = None,
@@ -189,8 +181,7 @@ def population_risk_gap(task: TaskSpec, theta, mc_samples: int | None = None,
     for the paired estimator and its standard error.
     """
     if task.loss_family == "quadratic":
-        diff = as_batch(theta, task.theta_star.size) - task.theta_star
-        return (0.5 * task.curvature * row_dot(diff, diff))[()]
+        return 0.5 * task.curvature * dist_sq(task.theta_star, theta)
     if mc_samples is None or rng is None:
         raise ValueError("logistic risk gaps need mc_samples and an rng")
     return logistic_risk_gap(task, theta, mc_samples, rng)[0]
@@ -228,5 +219,4 @@ def empirical_task_variance(theta_stars, reference) -> float:
     theta_stars = list(theta_stars)
     if not theta_stars:
         raise ValueError("empirical_task_variance needs at least one minimizer")
-    reference = as_vector(reference)
-    return float(np.mean([dist_sq(t, reference) for t in theta_stars]))
+    return float(np.mean(dist_sq(reference, np.stack(theta_stars))))

@@ -1,9 +1,22 @@
+import warnings
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from dpmeta.geometry import ParamDomain, as_vector, clip_norm, dist_sq, project
 
 RTOL = 1e-12
+
+
+def _learner_batch(rng, arms, tasks, dim, center, radius):
+    """Vectors shaped like the learner's iterates, (arms, tasks, dim), at
+    distances from center spread over [0, 2 radius], so some rows lie inside
+    the ball and some outside."""
+    offsets = rng.normal(size=(arms, tasks, dim))
+    offsets *= (2.0 * radius * rng.uniform(0, 1, size=(arms, tasks, 1))
+                / np.linalg.norm(offsets, axis=-1, keepdims=True))
+    return center + offsets
 
 
 def test_project_frozen_examples():
@@ -14,6 +27,10 @@ def test_project_frozen_examples():
     assert np.array_equal(inside, [0.3, -0.4])
     shifted = ParamDomain(np.array([3.0, 0.0]), 1.0)
     assert np.allclose(project([3.0, 4.0], shifted), [3.0, 1.0], rtol=RTOL, atol=0)
+    # a batch: the outside row is projected, the interior row passes through
+    batch = project([[2.0, 0.0], [0.3, -0.4]], unit)
+    assert np.allclose(batch[0], [1.0, 0.0], rtol=RTOL, atol=0)
+    assert np.array_equal(batch[1], [0.3, -0.4])
 
 
 def test_project_idempotent_and_feasible():
@@ -40,8 +57,12 @@ def test_project_nonexpansive():
 def test_zero_radius_domain():
     dom = ParamDomain(np.array([1.0, 2.0]), 0.0)
     assert np.allclose(project([5.0, 5.0], dom), [1.0, 2.0], rtol=RTOL)
+    assert np.allclose(project([[5.0, 5.0], [1.0, 2.0]], dom), [[1.0, 2.0]] * 2,
+                       rtol=RTOL)
     assert dom.contains([1.0, 2.0])
     assert not dom.contains([1.0, 2.1])
+    assert dom.contains([[1.0, 2.0], [1.0, 2.0]])
+    assert not dom.contains([[1.0, 2.0], [1.0, 2.1]])
 
 
 def test_clip_norm_frozen_examples():
@@ -51,6 +72,9 @@ def test_clip_norm_frozen_examples():
     # under the bound: untouched
     assert np.array_equal(clip_norm([0.3, 0.4], 1.0), [0.3, 0.4])
     assert np.array_equal(clip_norm([0.0, 0.0], 1.0), [0.0, 0.0])
+    batch = clip_norm([[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]], 1.0)
+    assert np.allclose(batch[0], [0.6, 0.8], rtol=RTOL)
+    assert np.array_equal(batch[1:], [[0.3, 0.4], [0.0, 0.0]])
 
 
 def test_clip_norm_properties():
@@ -69,11 +93,91 @@ def test_clip_norm_properties():
 
 def test_clip_zero_bound():
     assert np.allclose(clip_norm([1.0, 1.0], 0.0), [0.0, 0.0], atol=1e-300)
+    assert np.allclose(clip_norm([[1.0, 1.0], [0.0, 0.0]], 0.0), 0.0, atol=1e-300)
 
 
 def test_dist_sq_examples():
     assert dist_sq([0.0, 0.0], [3.0, 4.0]) == 25.0
     assert dist_sq([1.0], [1.0]) == 0.0
+    assert type(dist_sq([0.0, 0.0], [3.0, 4.0])) is float
+    # a batch against a vector, and a batch against a batch
+    assert np.array_equal(dist_sq([[0.0, 0.0], [3.0, 5.0]], [3.0, 4.0]), [25.0, 1.0])
+    assert np.array_equal(dist_sq([[0.0, 0.0]], [[1.0, 1.0], [2.0, 0.0]]), [2.0, 4.0])
+
+
+def test_rows_on_the_sphere_are_left_alone():
+    # v sits exactly on the sphere: its squared offset equals radius**2. Were
+    # it rescaled (by exactly 1.0), center + (v - center) would round away
+    # from v, so only the rule "rescale when nsq > radius**2" returns v
+    dom = ParamDomain(np.array([-0.96, 1.6]), 5.24218465909014)
+    v = np.array([0.41, -3.46])
+    assert dist_sq(v, dom.center) == dom.radius**2
+    assert not np.array_equal(dom.center + (v - dom.center), v)
+    batch = np.stack([v, dom.center + 2.0 * (v - dom.center), dom.center])
+    p = project(batch, dom)
+    assert np.array_equal(project(v, dom), v)
+    assert np.array_equal(p[[0, 2]], batch[[0, 2]])
+    assert np.allclose(p[1], v, rtol=RTOL)
+    # the same rule for clip_norm; integer offsets make the norms exact
+    offsets = np.array([[3.0, 4.0], [6.0, 8.0], [0.0, -5.0]])
+    c = clip_norm(offsets, 5.0)
+    assert np.array_equal(c[[0, 2]], offsets[[0, 2]])
+    assert np.allclose(c[1], [3.0, 4.0], rtol=RTOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), arms=st.integers(1, 3), tasks=st.integers(1, 5),
+       dim=st.integers(1, 6), radius=st.floats(0.0, 3.0),
+       bound=st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
+def test_batch_rows_equal_single_vector_calls(seed, arms, tasks, dim, radius, bound):
+    rng = np.random.default_rng(seed)
+    dom = ParamDomain(rng.normal(size=dim), radius)
+    v = _learner_batch(rng, arms, tasks, dim, dom.center, max(radius, 0.5))
+    w = rng.normal(size=v.shape)
+    projected, clipped, dists = project(v, dom), clip_norm(v, bound), dist_sq(v, w)
+    assert projected.shape == clipped.shape == v.shape
+    assert dists.shape == v.shape[:-1]
+    for i in np.ndindex(v.shape[:-1]):
+        assert np.array_equal(projected[i], project(v[i], dom))
+        assert np.array_equal(clipped[i], clip_norm(v[i], bound))
+        assert dists[i] == dist_sq(v[i], w[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), arms=st.integers(1, 3), tasks=st.integers(1, 5),
+       dim=st.integers(1, 6), radius=st.one_of(st.just(0.0), st.floats(0.1, 3.0)))
+def test_batch_projection_properties(seed, arms, tasks, dim, radius):
+    # a positive radius far below the spacing of floats near the center could
+    # not be met to 1e-12 relative: center + offset rounds to that spacing
+    rng = np.random.default_rng(seed)
+    dom = ParamDomain(rng.normal(size=dim), radius)
+    a = _learner_batch(rng, arms, tasks, dim, dom.center, max(radius, 0.5))
+    b = _learner_batch(rng, arms, tasks, dim, dom.center, max(radius, 0.5))
+    pa, pb = project(a, dom), project(b, dom)
+    assert dom.contains(pa)
+    assert np.allclose(project(pa, dom), pa, rtol=RTOL, atol=1e-15)
+    assert (dist_sq(pa, pb) <= dist_sq(a, b) * (1 + 1e-9) + 1e-15).all()
+    inside = dist_sq(a, dom.center) <= radius**2
+    assert np.array_equal(pa[inside], a[inside])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), arms=st.integers(1, 3), tasks=st.integers(1, 5),
+       dim=st.integers(1, 6), bound=st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
+def test_batch_clip_norm_properties(seed, arms, tasks, dim, bound):
+    rng = np.random.default_rng(seed)
+    v = _learner_batch(rng, arms, tasks, dim, np.zeros(dim), max(bound, 0.5))
+    c = clip_norm(v, bound)
+    norms_c = np.linalg.norm(c, axis=-1)
+    norms_v = np.linalg.norm(v, axis=-1)
+    assert (norms_c <= bound * (1 + RTOL)).all()
+    # direction preserved: each row is a nonnegative multiple of its input
+    cos = np.einsum("...i,...i", c, v) / (norms_c * norms_v + 1e-300)
+    assert ((cos >= 1 - 1e-9) | (norms_c == 0)).all()
+    under = dist_sq(v, 0.0 * v) <= bound**2
+    assert np.array_equal(c[under], v[under])
+    if bound == 0.0:
+        assert not c.any()
 
 
 def test_dimension_mismatch_errors():
@@ -82,6 +186,15 @@ def test_dimension_mismatch_errors():
         project([1.0, 2.0], dom)
     with pytest.raises(ValueError):
         dist_sq([1.0, 2.0], [1.0, 2.0, 3.0])
+    # a batch with the wrong last axis
+    with pytest.raises(ValueError):
+        project(np.zeros((4, 2)), dom)
+    with pytest.raises(ValueError):
+        dom.contains(np.zeros((2, 5, 2)))
+    with pytest.raises(ValueError):
+        dist_sq(np.zeros((3, 2)), np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        clip_norm(np.zeros((3, 0)), 1.0)
 
 
 def test_invalid_inputs():
@@ -97,6 +210,26 @@ def test_invalid_inputs():
         as_vector([])
     with pytest.raises(ValueError):
         as_vector([1.0, np.inf])
+    # a non-finite coordinate in one row of a batch
+    dom = ParamDomain(np.zeros(2), 1.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        batch = np.zeros((2, 3, 2))
+        batch[1, 2, 0] = bad
+        with pytest.raises(ValueError):
+            project(batch, dom)
+        with pytest.raises(ValueError):
+            clip_norm(batch, 1.0)
+        with pytest.raises(ValueError):
+            dist_sq(batch, np.zeros(2))
+        with pytest.raises(ValueError):
+            dom.contains(batch)
+    # finite coordinates whose squared norm overflows raise too
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError):
+            project([[0.5, 0.0], [1e200, 0.0]], dom)
+        with pytest.raises(ValueError):
+            clip_norm([[0.5, 0.0], [1e200, 0.0]], 1.0)
 
 
 def test_as_vector_copies():

@@ -75,6 +75,16 @@ def test_build_config_reports_every_violation():
     assert len(exc.value.violations) >= 5
 
 
+def test_build_config_reports_regularity_violations_beside_environment_ones():
+    # similarity_v above the radius keeps the environment from being built;
+    # the malformed regularity override must be reported all the same
+    with pytest.raises(ConfigError) as exc:
+        make_cfg(domain_radius=1.0, similarity_v=5.0, lipschitz_g="abc")
+    msgs = "\n".join(exc.value.violations)
+    assert "similarity_v=5.0 exceeds the domain radius" in msgs
+    assert "lipschitz_g: expected a number, got 'abc'" in msgs
+
+
 def test_config_defaults():
     cfg = build_config(BASE_ITEMS)
     assert cfg.t_eval == 8
@@ -323,6 +333,19 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out",
                  str(tmp_path / "o.csv")]) == EXIT_CONFIG
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_cli_exhausted_task_budget_is_config_error(tmp_path, capsys):
+    cfg_file = write_cfg_file(tmp_path / "c.txt", task_budget=3, t_train=5)
+    for args in (["calibrate"], ["run", "--out", str(tmp_path / "o.csv")]):
+        assert main(args + ["--config", cfg_file]) == EXIT_CONFIG
+        assert "task_budget" in capsys.readouterr().err
+    # a sweep point above the budget fails the whole sweep before any output
+    fits = write_cfg_file(tmp_path / "fits.txt", task_budget=3, t_train=2)
+    assert main(["sweep", "--config", fits, "--out", str(tmp_path / "s.csv"),
+                 "--axis", "T_train", "--values", "2,5"]) == EXIT_CONFIG
+    assert "task_budget" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_cli_missing_out_is_config_error(tmp_path, capsys):
