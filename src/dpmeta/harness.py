@@ -1,11 +1,12 @@
 """Experiment orchestration: calibrate, run, sweep, and the CSV contract.
 
 A run trains the meta-initialization on t_train tasks, then measures excess
-transfer risk on t_eval fresh tasks for each requested arm. Arms share eval
-tasks, eval samples and Monte Carlo risk draws seed for seed, so comparisons
-are paired. The CSV schema is fixed and round-trips every float exactly (17
-significant digits); wall_clock_s is the only column allowed to differ between
-identical runs.
+transfer risk on t_eval fresh tasks for each requested arm. The training arms
+share training tasks, samples and index sequences in one pass, and all arms
+share eval tasks, eval samples and Monte Carlo risk draws seed for seed, so
+comparisons are paired. The CSV schema is fixed and round-trips every float
+exactly (17 significant digits); wall_clock_s is the only column allowed to
+differ between identical runs.
 """
 
 from __future__ import annotations
@@ -165,23 +166,16 @@ def _run_id(cfg: ExperimentConfig, axis_value) -> str:
     return "run-" + hashlib.sha256(canon.encode("utf-8")).hexdigest()[:10]
 
 
-def _train_arm(cfg, plan):
-    phi_hat, records, _ = run_meta_training(
-        cfg.env, cfg.t_train, plan, cfg.phi_init, cfg.master_seed)
-    mean_surrogate = float(np.mean([r.surrogate_loss_value for r in records]))
-    v_bar_sq = empirical_task_variance([r.theta_star for r in records],
-                                       cfg.env.planted_center)
-    return phi_hat, mean_surrogate, v_bar_sq
-
-
 def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
                    ) -> MetricsReport:
     """Train, evaluate, and aggregate one configuration.
 
     Training arms run the noisy-SGD plan of the calibration record (the
-    nonprivate arm with its noise variance set to 0). Evaluation draws t_eval
-    fresh tasks from eval substreams that are independent of the training
-    substreams, adapts every arm's initialization to every eval task in one
+    nonprivate arm with its noise variance set to 0) in one meta-training
+    pass, so they share training tasks, samples and index sequences and
+    report one realized task dispersion. Evaluation draws t_eval fresh tasks
+    from eval substreams that are independent of the training substreams,
+    adapts every arm's initialization to every eval task in one
     batched OGD run at the calibrated adaptation step size, and scores each
     averaged iterate's population excess risk. All arms see identical eval
     tasks, samples and, for logistic tasks, Monte Carlo draws (one sample set
@@ -192,15 +186,23 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     env = cfg.env
     inference_cfg = OgdConfig(step_size=cal.eta, num_steps=env.samples_per_task)
 
-    arm_setups = {}
-    phi_hat, mean_sur, v_bar_sq = _train_arm(cfg, cal.plan)
-    arm_setups[ARM_META] = (phi_hat, mean_sur, v_bar_sq, cal.sigma_sq)
+    # the training arms advance together over the same tasks: the calibrated
+    # plan, and its zero-noise twin when the nonprivate baseline is requested
+    plans = (cal.plan,)
+    if cfg.baseline_nonprivate_meta:
+        plans += (replace(cal.plan, noise_variance_sigma_sq=0.0),)
+    trained = run_meta_training(env, cfg.t_train, plans, cfg.phi_init, cfg.master_seed)
+    # shared tasks, so one realized dispersion serves every training arm
+    v_bar_sq = empirical_task_variance([r.theta_star for r in trained[0][1]],
+                                       env.planted_center)
+    setups = [(phi_hat, float(np.mean([r.surrogate_loss_value for r in records])),
+               v_bar_sq, plan.noise_variance_sigma_sq)
+              for plan, (phi_hat, records, _) in zip(plans, trained)]
+    arm_setups = {ARM_META: setups[0]}
     if cfg.baseline_no_meta:
         arm_setups[ARM_NO_META] = (cfg.phi_init, None, None, None)
     if cfg.baseline_nonprivate_meta:
-        quiet_plan = replace(cal.plan, noise_variance_sigma_sq=0.0)
-        phi_np, sur_np, vb_np = _train_arm(cfg, quiet_plan)
-        arm_setups[ARM_NONPRIVATE] = (phi_np, sur_np, vb_np, 0.0)
+        arm_setups[ARM_NONPRIVATE] = setups[1]
 
     # every eval task's samples in one step-major (m, t_eval, d) buffer, filled
     # task by task from the per-task substreams; no other copy is made

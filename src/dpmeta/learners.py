@@ -12,11 +12,15 @@ axes of the samples, so inits shaped (arms, 1, d) adapted on samples shaped
 (m, tasks, d) run every arm on every task. A single task from a single init
 is the batch of one, with plain (d,) iterates; there is no separate scalar
 path. geometry.clip_norm and geometry.project clip and project row by row,
-so each problem's result is bit-identical whatever batch it runs in.
+so each problem's result is bit-identical whatever batch it runs in. Noisy
+SGD takes one generator, and optionally one plan, per problem, so the
+training arms of a meta-training task (one init each, different noise
+variances) share one call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 import math
 
@@ -102,7 +106,8 @@ def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
     return _projected_steps(samples, _start(samples, init, dom), cfg.step_size, dom)
 
 
-def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan, dom: ParamDomain,
+def noisy_sgd_run(samples: TaskSamples, init,
+                  plan: NoisySgdPlan | Sequence[NoisySgdPlan], dom: ParamDomain,
                   rng, index_sequence=None) -> LearnerOutput:
     """Noisy projected SGD: the private within-task learner.
 
@@ -112,11 +117,14 @@ def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan, dom: ParamDoma
     the clipped gradient, steps by plan.step_size, and projects.
 
     rng is one Generator per problem, in C order over the problem axes (a
-    single Generator for a single problem). Each problem draws its full index
-    sequence from its generator up front, then its (steps_n, d) noise block,
-    so runs that differ only in noise variance sample identical indices. An
-    explicit index_sequence of shape (steps_n, *problems) pins the sampling
-    entirely.
+    single Generator for a single problem). plan is one NoisySgdPlan for every
+    problem, or one per problem in the same order; per-problem plans may
+    differ only in noise variance and raise ValueError otherwise. Each problem
+    draws its full index sequence from its generator up front, then its
+    (steps_n, d) noise block, so problems whose generators are seeded alike
+    sample identical indices whatever their noise variance, and a
+    zero-variance problem draws no noise. An explicit index_sequence of shape
+    (steps_n, *problems) pins the sampling entirely.
     """
     theta = _start(samples, init, dom)
     problems = theta.shape[:-1]
@@ -124,6 +132,13 @@ def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan, dom: ParamDoma
     if len(rngs) != math.prod(problems):
         raise ValueError(
             f"need one generator per problem: {math.prod(problems)}, got {len(rngs)}")
+    plans = [plan] * len(rngs) if isinstance(plan, NoisySgdPlan) else list(plan)
+    if len(plans) != len(rngs):
+        raise ValueError(f"need one plan per problem: {len(rngs)}, got {len(plans)}")
+    plan = plans[0]
+    shared = (plan.steps_n, plan.step_size, plan.clip_bound)
+    if any((p.steps_n, p.step_size, p.clip_bound) != shared for p in plans):
+        raise ValueError("per-problem plans may differ only in noise_variance_sigma_sq")
     n, m = plan.steps_n, samples.count
     if index_sequence is not None:
         indices = np.asarray(index_sequence, dtype=np.int64)
@@ -135,11 +150,12 @@ def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan, dom: ParamDoma
     else:
         indices = np.empty((n, len(rngs)), dtype=np.int64)
     noise = np.empty((n, len(rngs), dom.dim))
-    for p, r in enumerate(rngs):
+    for p, (r, problem_plan) in enumerate(zip(rngs, plans)):
         if index_sequence is None:
             indices[:, p] = r.integers(0, m, size=n)
         # zero variance returns zeros and consumes no randomness
-        noise[:, p] = sample_step_noise(r, dom.dim, plan.noise_variance_sigma_sq, count=n)
+        noise[:, p] = sample_step_noise(r, dom.dim, problem_plan.noise_variance_sigma_sq,
+                                        count=n)
     indices = indices.reshape((n,) + problems)
     noise = noise.reshape((n,) + theta.shape)
     # sample indices[j] of each problem's own task along the batch axes

@@ -7,10 +7,15 @@ surrogates (1/2) ||theta_bar_s - phi||^2 seen so far. The deployed
 initialization is the average of the per-task phi values, phi_hat =
 (1/T) sum_t phi_t. Only the privatized averages theta_bar_t ever enter the
 meta state, so the meta path adds no privacy cost beyond the per-task runs.
+
+Training runs several arms at once, one noisy-SGD plan each (the private
+plan and its zero-noise twin): one pass over the tasks draws each task and
+its samples once and steps every arm's learner in a single batched call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,16 +93,21 @@ class TaskRecord:
     surrogate_loss_value: float
 
 
-def run_meta_training(env: EnvSpec, num_tasks: int, plan: NoisySgdPlan,
+def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan],
                       phi_init, master_seed: int,
-                      ) -> tuple[np.ndarray, list[TaskRecord], MetaState]:
-    """Train the meta-initialization over num_tasks environment draws.
+                      ) -> list[tuple[np.ndarray, list[TaskRecord], MetaState]]:
+    """Train one meta-initialization per plan over num_tasks environment draws.
 
-    Per task t: draw the task and its samples from substreams
-    (master_seed, "train-task", t) and (master_seed, "train-losses", t), run
-    the private learner from phi_t with noise stream
-    (master_seed, "train-noise", t), fold its averaged iterate into the meta
-    state, and record it. Returns (phi_hat, records, final state).
+    plans holds one NoisySgdPlan per training arm (a single arm is a
+    sequence of one); they may differ only in noise variance. All arms
+    advance together in one pass. Per task t: draw the task and its samples
+    once from substreams (master_seed, "train-task", t) and
+    (master_seed, "train-losses", t), run the private learner once for every
+    arm from that arm's phi_t, each arm with its own generator on the noise
+    stream (master_seed, "train-noise", t), fold each arm's averaged iterate
+    into its meta state, and record it. The arms therefore share tasks,
+    samples and index sequences, and each arm is bit-identical to training it
+    alone. Returns one (phi_hat, records, final state) per plan, in order.
 
     No non-private computation runs on the training tasks; only theta_bar
     reaches the meta state. Reruns with the same arguments are bit identical.
@@ -108,25 +118,31 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plan: NoisySgdPlan,
     if env.task_budget is not None and num_tasks > env.task_budget:
         raise ValueError(
             f"environment is exhausted: task_budget={env.task_budget} < num_tasks={num_tasks}")
+    plans = tuple(plans)
+    if not plans:
+        raise ValueError("need at least one plan")
     phi_init = as_vector(phi_init, env.dim)
     if not env.domain.contains(phi_init):
         raise ValueError("phi_init lies outside the domain")
 
-    state = new_state(phi_init)
-    records = []
+    states = [new_state(phi_init)] * len(plans)
+    records = [[] for _ in plans]
     for t in range(num_tasks):
         task = sample_task(env, substream(master_seed, "train-task", t))
         samples = generate_losses(task, env, substream(master_seed, "train-losses", t))
-        phi_t = state.phi_current
-        # one task from one init: the learner's batch of one
-        bar = learners.noisy_sgd_run(samples, phi_t, plan, env.domain,
-                                     substream(master_seed, "train-noise", t))
-        records.append(TaskRecord(
-            task_index=t,
-            phi_used=phi_t,
-            theta_bar=bar.averaged_iterate,
-            theta_star=task.theta_star,
-            surrogate_loss_value=surrogate_loss(phi_t, bar.averaged_iterate),
-        ))
-        state = meta_step(state, bar.averaged_iterate)
-    return state.phi_hat(), records, state
+        # every arm's phi_t on the one task: inits (arms, d), one problem per arm
+        phis = np.stack([state.phi_current for state in states])
+        rngs = [substream(master_seed, "train-noise", t) for _ in plans]
+        bars = learners.noisy_sgd_run(samples, phis, plans, env.domain,
+                                      rngs).averaged_iterate
+        for a, bar in enumerate(bars):
+            phi_t = states[a].phi_current
+            records[a].append(TaskRecord(
+                task_index=t,
+                phi_used=phi_t,
+                theta_bar=bar,
+                theta_star=task.theta_star,
+                surrogate_loss_value=surrogate_loss(phi_t, bar),
+            ))
+            states[a] = meta_step(states[a], bar)
+    return [(state.phi_hat(), recs, state) for state, recs in zip(states, records)]

@@ -183,26 +183,64 @@ def test_single_training_task_meta_equals_no_meta(family_items):
 
 def test_learner_runs_the_calibrated_plan(monkeypatch):
     # every private training run must use the constants the sidecar reports
-    plans = []
+    calls = []
     real_noisy = dpmeta.learners.noisy_sgd_run
 
     def spy_noisy(samples, init, plan, dom, rng, *args, **kwargs):
-        plans.append(plan)
+        calls.append(tuple(plan))
         return real_noisy(samples, init, plan, dom, rng, *args, **kwargs)
 
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_run", spy_noisy)
     cfg = make_cfg(baseline_nonprivate_meta="true")
     cal = run_experiment(cfg).calibration
-    assert len(plans) == 2 * cfg.t_train
-    for plan in plans:
-        assert plan.steps_n == cal.steps_n
-        assert plan.step_size == cal.sgd_step_size
-        assert plan.clip_bound == cal.lipschitz_g
-    # the meta arm trains first, then its zero-noise twin
-    meta_plans, quiet_plans = plans[:cfg.t_train], plans[cfg.t_train:]
-    assert all(p.noise_variance_sigma_sq == cal.sigma_sq for p in meta_plans)
-    assert all(p.noise_variance_sigma_sq == 0.0 for p in quiet_plans)
+    # one learner call per training task, carrying one plan per training arm
+    assert len(calls) == cfg.t_train
+    for meta_plan, quiet_plan in calls:
+        for plan in (meta_plan, quiet_plan):
+            assert plan.steps_n == cal.steps_n
+            assert plan.step_size == cal.sgd_step_size
+            assert plan.clip_bound == cal.lipschitz_g
+        # the meta arm runs the calibrated plan, beside it its zero-noise twin
+        assert meta_plan.noise_variance_sigma_sq == cal.sigma_sq
+        assert quiet_plan.noise_variance_sigma_sq == 0.0
     assert cal.sigma_sq > 0.0
+
+
+def test_training_arms_report_one_task_dispersion():
+    # the training arms share their tasks, so they realize one dispersion
+    report = run_experiment(make_cfg(baseline_no_meta="true",
+                                     baseline_nonprivate_meta="true"))
+    v_bar = report.arms[ARM_META].v_bar_sq_realized
+    assert v_bar is not None and v_bar > 0.0
+    assert report.arms[ARM_NONPRIVATE].v_bar_sq_realized == v_bar
+    assert report.arms[ARM_NO_META].v_bar_sq_realized is None
+
+
+@pytest.mark.parametrize("family_items", [
+    {},
+    {"loss_family": "logistic", "growth_alpha": "0.5"},
+], ids=["quadratic", "logistic"])
+def test_clipping_is_inactive_when_smoothness_ok(family_items, monkeypatch):
+    # the calibration's smoothness certificate promises that no private
+    # gradient is ever clipped; clip_norm returns its input object when no
+    # row is over the bound, so every call must hand back what it was given
+    calls = []
+    real_clip = dpmeta.learners.clip_norm
+
+    def spy_clip(g, bound):
+        before = np.array(g, copy=True)
+        out = real_clip(g, bound)
+        calls.append(out is g and np.array_equal(out, before))
+        return out
+
+    monkeypatch.setattr(dpmeta.learners, "clip_norm", spy_clip)
+    cfg = make_cfg(samples_per_task=80, delta=0.1, baseline_nonprivate_meta="true",
+                   **family_items)
+    cal = calibrate(cfg)
+    assert cal.smoothness_ok
+    run_experiment(cfg)
+    assert len(calls) == cfg.t_train * cal.steps_n
+    assert all(calls)
 
 
 def test_run_deterministic_and_seed_sensitive():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -298,6 +299,40 @@ def test_noisy_sgd_batch_matches_batch_of_one_calls(family):
             one = noisy_sgd_run(singles[t], inits[a, t], quiet, dom,
                                 np.random.default_rng(0), index_sequence=idx[:, a, t])
             assert np.array_equal(out.final_iterate[a, t], one.final_iterate)
+
+    # one plan per problem: each problem runs its own noise variance and
+    # equals its single call under that plan; seeding the problems of a
+    # task alike makes them visit the same samples
+    variances = [[0.3, 0.0, 1.1], [0.0, 0.05, 0.3]]
+    plans = [NoisySgdPlan(steps_n=14, step_size=0.6, noise_variance_sigma_sq=v,
+                          clip_bound=0.5) for row in variances for v in row]
+    out = noisy_sgd_run(batch, inits, plans, dom,
+                        [np.random.default_rng(t) for _ in range(2) for t in range(3)])
+    for a in range(2):
+        for t in range(3):
+            one = noisy_sgd_run(singles[t], inits[a, t], plans[3 * a + t], dom,
+                                np.random.default_rng(t))
+            assert np.array_equal(out.averaged_iterate[a, t], one.averaged_iterate)
+            assert np.array_equal(out.final_iterate[a, t], one.final_iterate)
+
+
+def test_noisy_sgd_per_problem_plans_must_agree_on_the_schedule():
+    samples = quad(np.zeros((3, 2)))
+    plan = NoisySgdPlan(steps_n=4, step_size=0.1, noise_variance_sigma_sq=0.5,
+                        clip_bound=1.0)
+    inits = [[0.0, 0.0]] * 2
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ValueError):
+        noisy_sgd_run(samples, inits, [plan], DOM, rngs)  # one plan short
+    with pytest.raises(ValueError):
+        noisy_sgd_run(samples, inits, [plan] * 3, DOM, rngs)  # one plan over
+    for field, value in (("steps_n", 5), ("step_size", 0.2), ("clip_bound", 2.0)):
+        with pytest.raises(ValueError):
+            noisy_sgd_run(samples, inits, [plan, replace(plan, **{field: value})],
+                          DOM, rngs)
+    # plans that differ in noise variance alone are fine
+    noisy_sgd_run(samples, inits, [plan, replace(plan, noise_variance_sigma_sq=0.0)],
+                  DOM, rngs)
 
 
 def _oracle_ogd(points, labels, curvature, init, eta, center, radius):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -69,7 +70,7 @@ def test_meta_iterates_contract_toward_planted_center():
                         clip_bound=1e6)
     phi_init = np.array([9.0, 0.0, 0.0])
     T = 50
-    phi_hat, records, state = run_meta_training(env, T, plan, phi_init, 11)
+    [(phi_hat, records, state)] = run_meta_training(env, T, (plan,), phi_init, 11)
     start = np.linalg.norm(phi_init - center)
     end = np.linalg.norm(phi_hat - center)
     assert end <= start * (1 + math.log(T)) / T * 2
@@ -83,18 +84,19 @@ def test_meta_training_deterministic():
                   sample_noise_std=0.1)
     plan = NoisySgdPlan(steps_n=10, step_size=0.2, noise_variance_sigma_sq=0.3,
                         clip_bound=5.0)
-    a = run_meta_training(env, 12, plan, np.zeros(2), 77)
-    b = run_meta_training(env, 12, plan, np.zeros(2), 77)
+    [a] = run_meta_training(env, 12, (plan,), np.zeros(2), 77)
+    [b] = run_meta_training(env, 12, (plan,), np.zeros(2), 77)
     assert np.array_equal(a[0], b[0])
     for ra, rb in zip(a[1], b[1]):
         assert np.array_equal(ra.theta_bar, rb.theta_bar)
-    c = run_meta_training(env, 12, plan, np.zeros(2), 78)
+    [c] = run_meta_training(env, 12, (plan,), np.zeros(2), 78)
     assert not np.array_equal(a[0], c[0])
 
 
 def test_meta_update_sees_only_private_output(monkeypatch):
     # the state that leaves a task must be a function of the noisy learner's
-    # averaged iterate alone; the exact per-task adaptation must not leak in
+    # averaged iterate alone; the exact per-task adaptation must not leak in.
+    # Each learner call returns one (arms, d) row per training arm.
     captured = []
     real_noisy = dpmeta.learners.noisy_sgd_run
 
@@ -117,15 +119,59 @@ def test_meta_update_sees_only_private_output(monkeypatch):
                   sample_noise_std=0.0)
     plan = NoisySgdPlan(steps_n=8, step_size=0.2, noise_variance_sigma_sq=0.1,
                         clip_bound=5.0)
-    _, records, state = run_meta_training(env, 6, plan, np.zeros(2), 5)
-    # replay the meta recursion from the captured private outputs only
-    replay = new_state(np.zeros(2))
-    for bar in captured:
-        replay = meta_step(replay, bar)
-    assert np.array_equal(replay.phi_current, state.phi_current)
-    assert np.array_equal(replay.phi_hat(), state.phi_hat())
-    for rec, bar in zip(records, captured):
-        assert np.array_equal(rec.theta_bar, bar)
+    quiet = replace(plan, noise_variance_sigma_sq=0.0)
+    arms = run_meta_training(env, 6, (plan, quiet), np.zeros(2), 5)
+    assert len(captured) == 6
+    assert all(rows.shape == (2, 2) for rows in captured)
+    # replay each arm's meta recursion from its captured private outputs only
+    for a, (_, records, state) in enumerate(arms):
+        replay = new_state(np.zeros(2))
+        for rows in captured:
+            replay = meta_step(replay, rows[a])
+        assert np.array_equal(replay.phi_current, state.phi_current)
+        assert np.array_equal(replay.phi_hat(), state.phi_hat())
+        for rec, rows in zip(records, captured):
+            assert np.array_equal(rec.theta_bar, rows[a])
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_shared_training_equals_separate_passes(family, monkeypatch):
+    # training a private arm and its zero-noise twin in one pass must give
+    # each arm exactly what training it alone gives; clip bound 0.3 and
+    # radius 0.8 make clipping and projection bind on some steps, not all
+    binds = {"clip_norm": [], "project": []}
+    for name, calls in binds.items():
+        real = getattr(dpmeta.learners, name)
+
+        def spy(v, *args, real=real, calls=calls):
+            out = real(v, *args)
+            calls.append(out is not v)
+            return out
+
+        monkeypatch.setattr(dpmeta.learners, name, spy)
+    dom = ParamDomain(np.array([0.1, -0.2]), 0.8)
+    env = EnvSpec(domain=dom, planted_center=np.array([0.4, -0.2]),
+                  similarity_v=0.3, samples_per_task=12, loss_family=family,
+                  sample_noise_std=0.5, feature_norm=2.0)
+    plan = NoisySgdPlan(steps_n=7, step_size=0.5, noise_variance_sigma_sq=0.2,
+                        clip_bound=0.3)
+    quiet = replace(plan, noise_variance_sigma_sq=0.0)
+    phi_init = np.array([0.7, -0.5])
+    shared = run_meta_training(env, 15, (plan, quiet), phi_init, 21)
+    for calls in binds.values():
+        assert 0 < sum(calls) < len(calls)
+    for arm_plan, (phi_hat, records, state) in zip((plan, quiet), shared):
+        [(alone_hat, alone_records, alone_state)] = run_meta_training(
+            env, 15, (arm_plan,), phi_init, 21)
+        assert np.array_equal(phi_hat, alone_hat)
+        assert np.array_equal(state.phi_current, alone_state.phi_current)
+        assert len(records) == len(alone_records) == 15
+        for rec, alone in zip(records, alone_records):
+            assert np.array_equal(rec.theta_bar, alone.theta_bar)
+            assert rec.surrogate_loss_value == alone.surrogate_loss_value
+            assert np.array_equal(rec.theta_star, alone.theta_star)
+    # the noise reaches the private arm only
+    assert not np.array_equal(shared[0][0], shared[1][0])
 
 
 def test_single_task_phi_hat_is_initializer():
@@ -135,7 +181,7 @@ def test_single_task_phi_hat_is_initializer():
     plan = NoisySgdPlan(steps_n=4, step_size=0.1, noise_variance_sigma_sq=0.0,
                         clip_bound=1.0)
     phi_init = np.array([2.0, 2.0])
-    phi_hat, _, _ = run_meta_training(env, 1, plan, phi_init, 3)
+    [(phi_hat, _, _)] = run_meta_training(env, 1, (plan,), phi_init, 3)
     assert np.array_equal(phi_hat, phi_init)
 
 
@@ -147,9 +193,9 @@ def test_task_budget_enforced():
     plan = NoisySgdPlan(steps_n=4, step_size=0.1, noise_variance_sigma_sq=0.0,
                         clip_bound=1.0)
     with pytest.raises(ValueError):
-        run_meta_training(env, 5, plan, np.zeros(2), 3)
+        run_meta_training(env, 5, (plan,), np.zeros(2), 3)
     # exactly at the budget is fine
-    run_meta_training(env, 4, plan, np.zeros(2), 3)
+    run_meta_training(env, 4, (plan,), np.zeros(2), 3)
 
 
 def test_record_fields_consistent():
@@ -159,7 +205,7 @@ def test_record_fields_consistent():
                   sample_noise_std=0.05)
     plan = NoisySgdPlan(steps_n=6, step_size=0.1, noise_variance_sigma_sq=0.05,
                         clip_bound=5.0)
-    _, records, state = run_meta_training(env, 5, plan, np.zeros(2), 13)
+    [(_, records, state)] = run_meta_training(env, 5, (plan,), np.zeros(2), 13)
     for i, rec in enumerate(records):
         assert rec.task_index == i
         assert rec.surrogate_loss_value == surrogate_loss(rec.phi_used,
