@@ -7,7 +7,8 @@ measures a squared distance. They act row by row, with squared norms from
 np.vecdot, so each row equals the single-vector call bit for bit; a row is
 rescaled only when its squared norm exceeds the bound squared. Geometric
 identities hold to 1e-12 relative tolerance, not exactly, because of float
-rounding. All operations here are pure and deterministic.
+rounding; ball membership also allows the few ulps by which center + offset
+rounds. All operations here are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -70,6 +71,15 @@ class ParamDomain:
         if not np.isfinite(self.radius) or self.radius < 0:
             raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
         object.__setattr__(self, "radius", float(self.radius))
+        # how far rounding can carry a point of the ball outside it: each
+        # coordinate of center + offset rounds by up to an ulp of the largest
+        # center coordinate, however small the radius; radius 0 allows none,
+        # so that ball stays the singleton {center}
+        slack = 1e-300
+        if self.radius > 0.0:
+            ulp = float(np.spacing(np.abs(self.center).max()))
+            slack += 4.0 * math.sqrt(self.dim) * ulp
+        object.__setattr__(self, "_rounding_slack", slack)
 
     @property
     def dim(self) -> int:
@@ -81,9 +91,10 @@ class ParamDomain:
 
     def contains(self, v, rtol=GEOM_RTOL) -> bool:
         """True when v, or every vector of a batch shaped (..., dim), lies in
-        the ball."""
+        the ball, up to rtol of the radius plus the rounding of the center's
+        coordinates."""
         norms = np.sqrt(dist_sq(self.center, v))
-        return bool((norms <= self.radius * (1 + rtol) + 1e-300).all())
+        return bool((norms <= self.radius * (1 + rtol) + self._rounding_slack).all())
 
 
 def _sq_norms(offset):

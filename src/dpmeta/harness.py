@@ -4,7 +4,9 @@ A run trains the meta-initialization on t_train tasks, then measures excess
 transfer risk on t_eval fresh tasks for each requested arm. The training arms
 share training tasks, samples and index sequences in one pass, and all arms
 share eval tasks, eval samples and Monte Carlo risk draws seed for seed, so
-comparisons are paired. The CSV schema is fixed and round-trips every float
+comparisons are paired. Logistic eval tasks are scored concurrently, one thread
+per usable CPU; each draws from its own substream, so results do not depend on
+the thread count. The CSV schema is fixed and round-trips every float
 exactly (17 significant digits); wall_clock_s is the only column allowed to
 differ between identical runs.
 """
@@ -179,7 +181,9 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     batched OGD run at the calibrated adaptation step size, and scores each
     averaged iterate's population excess risk. All arms see identical eval
     tasks, samples and, for logistic tasks, Monte Carlo draws (one sample set
-    per task from the substream (master_seed, "eval-risk", e)).
+    per task from the substream (master_seed, "eval-risk", e)). One
+    population_risk_gap call from this thread scores every eval task; it
+    spreads logistic tasks over a thread pool without changing a value.
     """
     start = time.perf_counter()
     cal = calibrate(cfg)
@@ -225,14 +229,13 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     averaged = learners.ogd_run(batch, inits, inference_cfg, env.domain).averaged_iterate
 
     # gaps[a, e]: arm a's excess risk on eval task e; on logistic tasks every
-    # arm is scored against the task's one Monte Carlo sample set
-    gaps = np.empty((len(arm_setups), t_eval))
-    for e, task in enumerate(tasks):
-        if quadratic:
-            gaps[:, e] = population_risk_gap(task, averaged[:, e])
-        else:
-            gaps[:, e] = population_risk_gap(task, averaged[:, e], cfg.mc_eval_samples,
-                                             substream(cfg.master_seed, "eval-risk", e))
+    # arm is scored against the task's one Monte Carlo sample set, and the
+    # tasks are scored concurrently, each from its own substream
+    if quadratic:
+        gaps = population_risk_gap(tasks, averaged)
+    else:
+        risk_rngs = [substream(cfg.master_seed, "eval-risk", e) for e in range(t_eval)]
+        gaps = population_risk_gap(tasks, averaged, cfg.mc_eval_samples, risk_rngs)
 
     arms = {}
     for risks, (arm, setup) in zip(gaps, arm_setups.items()):

@@ -6,13 +6,16 @@ norm is similarity_v**2 before projection. Each task's m samples then scatter
 around the minimizer and come back as arrays (losses.TaskSamples): quadratic
 anchors, or logistic features plus labels. Everything is driven by named
 substreams of a single master seed, so any piece of a run can be regenerated
-independently.
+independently. Logistic risk over a sequence of eval tasks is scored on one
+thread per usable CPU, each task from its own generator, so the values do not
+depend on the thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import os
 import zlib
 
 import numpy as np
@@ -138,10 +141,12 @@ def sample_task(spec: EnvSpec, rng: np.random.Generator) -> TaskSpec:
 def _logistic_draw(task: TaskSpec, count: int, rng: np.random.Generator):
     """count features uniform on the sphere of radius feature_norm, with
     labels in {-1.0, +1.0} drawn from the logistic model at theta_star."""
-    raw = rng.normal(0.0, 1.0, size=(count, task.theta_star.size))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    features = rng.standard_normal((count, task.theta_star.size))
+    # np.linalg.norm's formula for real rows, without its conj() copy
+    norms = np.sqrt(np.add.reduce(features * features, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
-    features = task.feature_norm * raw / norms
+    features *= task.feature_norm
+    features /= norms
     star_margins = features @ task.theta_star
     p_plus = 1.0 / (1.0 + np.exp(-star_margins))
     labels = np.where(rng.random(count) < p_plus, 1.0, -1.0)
@@ -170,21 +175,76 @@ def generate_losses(task: TaskSpec, spec: EnvSpec,
     return TaskSamples(project(anchors, spec.domain), curvature=task.curvature)
 
 
-def population_risk_gap(task: TaskSpec, theta, mc_samples: int | None = None,
-                        rng: np.random.Generator | None = None):
-    """Population excess risk for the task of theta, or of every vector of a
-    batch shaped (..., d) (a float, or an array shaped (...)).
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _mc_count(mc_samples, rng) -> int:
+    if mc_samples is None or rng is None:
+        raise ValueError("logistic risk gaps need mc_samples and an rng")
+    if int(mc_samples) != mc_samples or mc_samples < 2:
+        raise ValueError(f"mc_samples must be an integer >= 2, got {mc_samples}")
+    return int(mc_samples)
+
+
+def population_risk_gap(task, theta, mc_samples: int | None = None, rng=None):
+    """Population excess risk of theta for one task, or for a sequence of
+    eval tasks.
+
+    One TaskSpec: theta is a vector or a batch shaped (..., d), rng one
+    generator, and the result a float or an array shaped (...). A sequence
+    of tasks: theta is shaped (..., tasks, d), rng holds one generator per
+    task, and the result is shaped (..., tasks); column e is exactly what a
+    call for task e alone with rng[e] returns.
 
     Quadratic tasks use the exact closed form (curvature/2) ||theta - theta*||^2
     (anchor noise only shifts the risk by a constant, which cancels in the
     gap). Logistic tasks are estimated by Monte Carlo; see logistic_risk_gap
-    for the paired estimator and its standard error.
+    for the paired estimator and its standard error. The tasks of a logistic
+    sequence are scored concurrently, one thread per usable CPU: each task
+    draws only from its own generator and each thread writes only its own
+    column, so the values do not depend on the thread count or scheduling.
     """
-    if task.loss_family == "quadratic":
-        return 0.5 * task.curvature * dist_sq(task.theta_star, theta)
-    if mc_samples is None or rng is None:
-        raise ValueError("logistic risk gaps need mc_samples and an rng")
-    return logistic_risk_gap(task, theta, mc_samples, rng)[0]
+    if isinstance(task, TaskSpec):
+        if task.loss_family == "quadratic":
+            return 0.5 * task.curvature * dist_sq(task.theta_star, theta)
+        return logistic_risk_gap(task, theta, mc_samples, rng)[0]
+    tasks = tuple(task)
+    families = {t.loss_family for t in tasks}
+    if len(families) != 1:
+        raise ValueError(f"a batch of tasks needs one loss family, got {families}")
+    thetas = np.asarray(theta, dtype=np.float64)
+    if thetas.ndim < 2 or thetas.shape[-2] != len(tasks):
+        raise ValueError(f"expected theta shaped (..., {len(tasks)}, d), "
+                         f"got {thetas.shape}")
+    if families == {"quadratic"}:
+        stars = np.stack([t.theta_star for t in tasks])
+        return 0.5 * np.array([t.curvature for t in tasks]) * dist_sq(stars, thetas)
+    mc = _mc_count(mc_samples, rng)
+    rngs = tuple(rng)
+    if len(rngs) != len(tasks):
+        raise ValueError(f"expected one generator per task ({len(tasks)}), "
+                         f"got {len(rngs)}")
+    # imported here: concurrent.futures imports logging, which every start-up
+    # of the CLI would otherwise pay for
+    from concurrent.futures import ThreadPoolExecutor
+
+    gaps = np.empty(thetas.shape[:-1])
+
+    def score(e):
+        gaps[..., e] = logistic_risk_gap(tasks[e], thetas[..., e, :], mc, rngs[e])[0]
+
+    with ThreadPoolExecutor(min(len(tasks), _usable_cpus())) as pool:
+        # draining the results re-raises the first failure and cancels the
+        # tasks not yet started; leaving the block waits for the running ones
+        for _ in pool.map(score, range(len(tasks))):
+            pass
+    return gaps
 
 
 def logistic_risk_gap(task: TaskSpec, theta, mc_samples: int,
@@ -197,10 +257,8 @@ def logistic_risk_gap(task: TaskSpec, theta, mc_samples: int,
     the values of separate calls with identically seeded generators. The
     pairing makes the estimate exactly zero at theta == theta_star.
     """
-    if int(mc_samples) != mc_samples or mc_samples < 2:
-        raise ValueError(f"mc_samples must be an integer >= 2, got {mc_samples}")
+    mc = _mc_count(mc_samples, rng)
     thetas = as_batch(theta, task.theta_star.size)
-    mc = int(mc_samples)
     features, labels, star_margins = _logistic_draw(task, mc, rng)
     star_losses = np.logaddexp(0.0, -labels * star_margins)
     flat = thetas.reshape(-1, thetas.shape[-1])

@@ -147,8 +147,10 @@ def test_batch_rows_equal_single_vector_calls(seed, arms, tasks, dim, radius, bo
 @given(seed=st.integers(0, 2**32 - 1), arms=st.integers(1, 3), tasks=st.integers(1, 5),
        dim=st.integers(1, 6), radius=st.one_of(st.just(0.0), st.floats(0.1, 3.0)))
 def test_batch_projection_properties(seed, arms, tasks, dim, radius):
-    # a positive radius far below the spacing of floats near the center could
-    # not be met to 1e-12 relative: center + offset rounds to that spacing
+    # idempotence and non-expansiveness are checked relative to the radius,
+    # which the rounding of center + offset cannot meet when the radius is far
+    # below the float spacing near the center; membership at every scale is
+    # test_projection_is_contained_at_any_scale
     rng = np.random.default_rng(seed)
     dom = ParamDomain(rng.normal(size=dim), radius)
     a = _learner_batch(rng, arms, tasks, dim, dom.center, max(radius, 0.5))
@@ -159,6 +161,33 @@ def test_batch_projection_properties(seed, arms, tasks, dim, radius):
     assert (dist_sq(pa, pb) <= dist_sq(a, b) * (1 + 1e-9) + 1e-15).all()
     inside = dist_sq(a, dom.center) <= radius**2
     assert np.array_equal(pa[inside], a[inside])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tasks=st.integers(1, 5), dim=st.integers(1, 6),
+       center_norm=st.floats(0.0, 1e3),
+       log_radius=st.one_of(st.none(), st.floats(-12.0, 1.0)),
+       log_spread=st.floats(-13.0, 3.0))
+def test_projection_is_contained_at_any_scale(seed, tasks, dim, center_norm,
+                                              log_radius, log_spread):
+    # center + offset rounds each coordinate to the spacing of floats near the
+    # center, which a radius of 1e-12 next to a center of norm 1e3 is far below
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=dim)
+    center = direction * (center_norm / np.linalg.norm(direction))
+    radius = 0.0 if log_radius is None else 10.0**log_radius
+    dom = ParamDomain(center, radius)
+    v = center + rng.normal(size=(tasks, dim)) * 10.0**log_spread
+    projected = project(v, dom)
+    assert dom.contains(projected)
+    for row in projected:
+        assert dom.contains(row)
+    if radius == 0.0:
+        # the zero ball stays the singleton {center}: one ulp away is outside,
+        # or 1e-150 away where squared distances would underflow
+        assert np.array_equal(projected, np.broadcast_to(center, v.shape))
+        step = np.maximum(np.nextafter(center, np.inf) - center, 1e-150)
+        assert not dom.contains(center + step)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,16 @@
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import dpmeta
 import dpmeta.learners
+import dpmeta.task_env
 from dpmeta.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from dpmeta.config import (ConfigError, build_config, load_config,
                            parse_config_text)
@@ -13,6 +20,7 @@ from dpmeta.harness import (ARM_META, ARM_NO_META, ARM_NONPRIVATE,
                             calibrate, csv_bytes_excluding_wall_clock,
                             read_csv_rows, run_experiment, sweep, write_csv)
 from dpmeta.learners import adaptation_step_size
+from dpmeta.task_env import sample_task, substream
 
 BASE_ITEMS = {
     "dim": "2",
@@ -281,6 +289,56 @@ def test_csv_round_trip_exact(tmp_path):
     for row in (r for r in rows if r["arm"] == ARM_NO_META):
         assert row["sigma_sq"] == ""
         assert row["surrogate_loss"] == ""
+
+
+def test_logistic_csv_does_not_depend_on_worker_count(tmp_path, monkeypatch):
+    # eval tasks' Monte Carlo risk is scored on one thread per usable CPU;
+    # each task draws from its own substream, so the CSV cannot depend on it
+    cfg = make_cfg(loss_family="logistic", growth_alpha="0.5", t_eval=9,
+                   mc_eval_samples=400, baseline_no_meta="true",
+                   baseline_nonprivate_meta="true")
+    digests = []
+    for workers in (None, 1, 3):
+        if workers is not None:
+            monkeypatch.setattr(dpmeta.task_env, "_usable_cpus", lambda n=workers: n)
+        out = tmp_path / f"workers-{workers}.csv"
+        write_csv(run_experiment(cfg), str(out))
+        digests.append(csv_bytes_excluding_wall_clock(str(out)))
+    assert digests[0] == digests[1] == digests[2]
+    assert len(read_csv_rows(str(out))) == 3 * 9
+
+
+def test_risk_failure_on_one_eval_task_fails_the_run(monkeypatch, finishes_with):
+    cfg = make_cfg(loss_family="logistic", growth_alpha="0.5", t_eval=6,
+                   mc_eval_samples=200, baseline_no_meta="true")
+    star_3 = sample_task(cfg.env, substream(cfg.master_seed, "eval-task", 3)).theta_star
+    real = dpmeta.task_env.logistic_risk_gap
+
+    def flaky(task, theta, mc_samples, rng):
+        if np.array_equal(task.theta_star, star_3):
+            raise RuntimeError("injected failure on eval task 3")
+        return real(task, theta, mc_samples, rng)
+
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    monkeypatch.setattr(dpmeta.task_env, "logistic_risk_gap", flaky)
+    monkeypatch.setattr(dpmeta.task_env, "_usable_cpus", lambda: 2)
+    error = finishes_with(lambda: run_experiment(cfg))
+    assert isinstance(error, RuntimeError)
+    assert "eval task 3" in str(error)
+    assert unhandled == []
+
+
+def test_cli_import_keeps_thread_pools_off_the_start_up_path():
+    # the risk thread pool is imported where it is used: concurrent.futures
+    # imports logging, and every `dpmeta calibrate` would pay for both
+    src = str(Path(dpmeta.__file__).resolve().parents[1])
+    probe = ("import dpmeta.cli, sys; "
+             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_csv_read_rejects_foreign_header(tmp_path):

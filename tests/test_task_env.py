@@ -1,8 +1,14 @@
+import concurrent.futures
+import copy
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from dpmeta import task_env
 from dpmeta.geometry import ParamDomain
 from dpmeta.task_env import (EnvSpec, derive_seed, empirical_task_variance,
                              generate_losses, logistic_risk_gap,
@@ -168,6 +174,140 @@ def test_risk_gap_batch_equals_separate_calls():
     est, se = logistic_risk_gap(task, thetas, 500, substream(8, "mc"))
     assert est.shape == se.shape == (2, 3)
     assert se[1, 2] == logistic_risk_gap(task, thetas[1, 2], 500, substream(8, "mc"))[1]
+
+
+def _eval_tasks(family, count):
+    dom = ParamDomain(np.zeros(3), 2.0)
+    env = EnvSpec(domain=dom, planted_center=np.array([1.0, 0.0, 0.0]),
+                  similarity_v=0.5, samples_per_task=5, loss_family=family,
+                  curvature=1.5)
+    return [sample_task(env, substream(21, "t", e)) for e in range(count)]
+
+
+def _count_pools(monkeypatch):
+    """Record the worker count of every thread pool population_risk_gap opens."""
+    sizes = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("arms", [1, 3])
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_task_batch_equals_separate_calls(family, arms, workers, monkeypatch):
+    # logistic tasks are scored on up to `workers` threads, quadratic ones in
+    # closed form on the calling thread; either way column e is exactly the
+    # call for task e alone with an identically seeded generator
+    monkeypatch.setattr(task_env, "_usable_cpus", lambda: workers)
+    sizes = _count_pools(monkeypatch)
+    tasks = _eval_tasks(family, 7)
+    thetas = substream(21, "points").uniform(-1, 1, size=(arms, 7, 3))
+    mc = dict(mc_samples=400) if family == "logistic" else {}
+    batch = population_risk_gap(tasks, thetas,
+                                rng=[substream(21, "mc", e) for e in range(7)], **mc)
+    assert batch.shape == (arms, 7)
+    for e, task in enumerate(tasks):
+        one = population_risk_gap(task, thetas[:, e], rng=substream(21, "mc", e), **mc)
+        assert np.array_equal(batch[:, e], one)
+    assert sizes == ([min(7, workers)] if family == "logistic" else [])
+
+
+def test_task_batch_under_thread_switch_stress(monkeypatch, finishes_with):
+    # more workers than CPUs, switching threads every microsecond: a lost or
+    # misplaced column write would leave a column unlike its separate call
+    monkeypatch.setattr(task_env, "_usable_cpus", lambda: 8)
+    tasks = _eval_tasks("logistic", 24)
+    thetas = substream(21, "points").uniform(-1, 1, size=(2, 24, 3))
+    expected = np.stack([
+        population_risk_gap(task, thetas[:, e], 300, substream(21, "mc", e))
+        for e, task in enumerate(tasks)], axis=-1)
+    batches = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert finishes_with(lambda: batches.append(population_risk_gap(
+                tasks, thetas, 300, [substream(21, "mc", e) for e in range(24)]))) is None
+    finally:
+        sys.setswitchinterval(interval)
+    for batch in batches:
+        assert np.array_equal(batch, expected)
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert task_env._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert task_env._usable_cpus() == (os.cpu_count() or 1)
+
+
+def test_task_batch_validation():
+    tasks = _eval_tasks("logistic", 6)
+    thetas = np.zeros((2, 6, 3))
+    rngs = [substream(0, "mc", e) for e in range(6)]
+    with pytest.raises(ValueError):
+        population_risk_gap(tasks, thetas, 1, rngs)
+    with pytest.raises(ValueError):
+        population_risk_gap(tasks, thetas)
+    with pytest.raises(ValueError):
+        population_risk_gap(tasks, thetas, 100, rngs[:5])
+    with pytest.raises(ValueError):
+        population_risk_gap(tasks, thetas[:, :5], 100, rngs)
+    with pytest.raises(ValueError):
+        population_risk_gap(tasks[:5] + _eval_tasks("quadratic", 1), thetas, 100, rngs)
+
+
+def test_task_failure_propagates_from_the_pool(monkeypatch, finishes_with):
+    tasks = _eval_tasks("logistic", 6)
+    real = task_env.logistic_risk_gap
+
+    def flaky(task, theta, mc_samples, rng):
+        if task is tasks[3]:
+            raise RuntimeError("injected failure on task 3")
+        return real(task, theta, mc_samples, rng)
+
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    monkeypatch.setattr(task_env, "logistic_risk_gap", flaky)
+    monkeypatch.setattr(task_env, "_usable_cpus", lambda: 2)
+    error = finishes_with(lambda: population_risk_gap(
+        tasks, np.zeros((2, 6, 3)), 500, [substream(0, "mc", e) for e in range(6)]))
+    assert isinstance(error, RuntimeError)
+    assert "task 3" in str(error)
+    assert unhandled == []
+
+
+@pytest.mark.parametrize("feature_norm", [1.0, 2.5])
+def test_logistic_draw_matches_the_reference_formula(feature_norm):
+    # the draw uses standard_normal, an unrolled norm and in-place scaling;
+    # it must equal the plain formula on the same stream bit for bit
+    dom = ParamDomain(np.zeros(4), 2.0)
+    env = EnvSpec(domain=dom, planted_center=np.array([1.0, -0.5, 0.0, 0.3]),
+                  similarity_v=0.4, samples_per_task=5, loss_family="logistic",
+                  feature_norm=feature_norm)
+    task = sample_task(env, substream(12, "t"))
+    rng = substream(12, "draw")
+    ref_rng = copy.deepcopy(rng)
+    features, labels, star_margins = task_env._logistic_draw(task, 3000, rng)
+    raw = ref_rng.normal(0.0, 1.0, size=(3000, 4))
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    ref_features = feature_norm * raw / norms
+    ref_margins = ref_features @ task.theta_star
+    p_plus = 1.0 / (1.0 + np.exp(-ref_margins))
+    ref_labels = np.where(ref_rng.random(3000) < p_plus, 1.0, -1.0)
+    assert features.tobytes() == ref_features.tobytes()
+    assert star_margins.tobytes() == ref_margins.tobytes()
+    assert labels.tobytes() == ref_labels.tobytes()
+    assert set(labels) == {1.0, -1.0}
+    # both generators consumed the same number of draws
+    assert rng.random() == ref_rng.random()
 
 
 def test_logistic_gap_needs_mc_arguments():
