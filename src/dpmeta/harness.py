@@ -4,11 +4,11 @@ A run trains the meta-initialization on t_train tasks, then measures excess
 transfer risk on t_eval fresh tasks for each requested arm. The training arms
 share training tasks, samples and index sequences in one pass, and all arms
 share eval tasks, eval samples and Monte Carlo risk draws seed for seed, so
-comparisons are paired. Logistic eval tasks are scored concurrently, one thread
-per usable CPU; each draws from its own substream, so results do not depend on
-the thread count. The CSV schema is fixed and round-trips every float
-exactly (17 significant digits); wall_clock_s is the only column allowed to
-differ between identical runs.
+comparisons are paired. Arms and tasks are array axes: training returns one
+row per training arm, and evaluation stacks every eval task's samples and
+minimizer and scores every arm on every task in one risk call. The CSV schema
+is fixed and round-trips every float exactly (17 significant digits);
+wall_clock_s is the only column allowed to differ between identical runs.
 """
 
 from __future__ import annotations
@@ -176,14 +176,12 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     nonprivate arm with its noise variance set to 0) in one meta-training
     pass, so they share training tasks, samples and index sequences and
     report one realized task dispersion. Evaluation draws t_eval fresh tasks
-    from eval substreams that are independent of the training substreams,
-    adapts every arm's initialization to every eval task in one
-    batched OGD run at the calibrated adaptation step size, and scores each
-    averaged iterate's population excess risk. All arms see identical eval
-    tasks, samples and, for logistic tasks, Monte Carlo draws (one sample set
-    per task from the substream (master_seed, "eval-risk", e)). One
-    population_risk_gap call from this thread scores every eval task; it
-    spreads logistic tasks over a thread pool without changing a value.
+    from eval substreams independent of the training ones, adapts every
+    arm's initialization to every eval task in one batched OGD run at the
+    calibrated adaptation step size, and scores every averaged iterate in one
+    population_risk_gap call. All arms see identical eval tasks, samples and,
+    for logistic tasks, Monte Carlo draws (one sample set per task from the
+    substream (master_seed, "eval-risk", e)).
     """
     start = time.perf_counter()
     cal = calibrate(cfg)
@@ -192,64 +190,65 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
 
     # the training arms advance together over the same tasks: the calibrated
     # plan, and its zero-noise twin when the nonprivate baseline is requested
-    plans = (cal.plan,)
+    plans = {ARM_META: cal.plan}
     if cfg.baseline_nonprivate_meta:
-        plans += (replace(cal.plan, noise_variance_sigma_sq=0.0),)
-    trained = run_meta_training(env, cfg.t_train, plans, cfg.phi_init, cfg.master_seed)
+        plans[ARM_NONPRIVATE] = replace(cal.plan, noise_variance_sigma_sq=0.0)
+    trained = run_meta_training(env, cfg.t_train, tuple(plans.values()),
+                                cfg.phi_init, cfg.master_seed)
     # shared tasks, so one realized dispersion serves every training arm
-    v_bar_sq = empirical_task_variance([r.theta_star for r in trained[0][1]],
-                                       env.planted_center)
-    setups = [(phi_hat, float(np.mean([r.surrogate_loss_value for r in records])),
-               v_bar_sq, plan.noise_variance_sigma_sq)
-              for plan, (phi_hat, records, _) in zip(plans, trained)]
-    arm_setups = {ARM_META: setups[0]}
+    v_bar_sq = empirical_task_variance(trained.theta_stars, env.planted_center)
+    # each arm's mean over its own contiguous row, as a loop over tasks sums
+    mean_surrogates = {arm: float(losses.mean())
+                       for arm, losses in zip(plans, trained.surrogate_losses)}
+    # arm -> initialization, in the report's fixed arm order
+    inits = {ARM_META: trained.phi_hat[0]}
     if cfg.baseline_no_meta:
-        arm_setups[ARM_NO_META] = (cfg.phi_init, None, None, None)
+        inits[ARM_NO_META] = cfg.phi_init
     if cfg.baseline_nonprivate_meta:
-        arm_setups[ARM_NONPRIVATE] = setups[1]
+        inits[ARM_NONPRIVATE] = trained.phi_hat[1]
 
-    # every eval task's samples in one step-major (m, t_eval, d) buffer, filled
-    # task by task from the per-task substreams; no other copy is made
+    # every eval task's samples in one step-major (m, t_eval, d) buffer and its
+    # minimizer in a (t_eval, d) array, filled task by task from its substreams
     m, t_eval = env.samples_per_task, cfg.t_eval
     quadratic = env.loss_family == "quadratic"
     points = np.empty((m, t_eval, env.dim))
     labels = None if quadratic else np.empty((m, t_eval))
-    tasks = []
+    stars = np.empty((t_eval, env.dim))
     for e in range(t_eval):
         task = sample_task(env, substream(cfg.master_seed, "eval-task", e))
         samples = generate_losses(task, env, substream(cfg.master_seed, "eval-losses", e))
         points[:, e] = samples.points
         if labels is not None:
             labels[:, e] = samples.labels
-        tasks.append(task)
+        stars[e] = task.theta_star
     batch = TaskSamples(points, curvature=env.curvature if quadratic else None,
                         labels=labels)
     # inits (arms, 1, d) against samples (m, t_eval, d): every arm on every task
-    inits = np.stack([phi0 for phi0, _, _, _ in arm_setups.values()])[:, None, :]
-    averaged = learners.ogd_run(batch, inits, inference_cfg, env.domain).averaged_iterate
+    averaged = learners.ogd_run(batch, np.stack(list(inits.values()))[:, None, :],
+                                inference_cfg, env.domain).averaged_iterate
 
     # gaps[a, e]: arm a's excess risk on eval task e; on logistic tasks every
     # arm is scored against the task's one Monte Carlo sample set, and the
     # tasks are scored concurrently, each from its own substream
     if quadratic:
-        gaps = population_risk_gap(tasks, averaged)
+        gaps = population_risk_gap(env, stars, averaged)
     else:
         risk_rngs = [substream(cfg.master_seed, "eval-risk", e) for e in range(t_eval)]
-        gaps = population_risk_gap(tasks, averaged, cfg.mc_eval_samples, risk_rngs)
+        gaps = population_risk_gap(env, stars, averaged, cfg.mc_eval_samples, risk_rngs)
 
     arms = {}
-    for risks, (arm, setup) in zip(gaps, arm_setups.items()):
-        _, mean_surrogate, v_bar, sigma_eff = setup
+    for arm, risks in zip(inits, gaps):
         std = risks.std(ddof=1) if risks.size > 1 else 0.0
+        plan = plans.get(arm)  # None for no_meta, which trains nothing
         arms[arm] = ArmResult(
             arm=arm,
             excess_risks=tuple(float(g) for g in risks),
             mean_excess=float(risks.mean()),
             std_excess=float(std),
             stderr_excess=float(std / math.sqrt(risks.size)),
-            mean_surrogate=mean_surrogate,
-            v_bar_sq_realized=v_bar,
-            sigma_sq_effective=sigma_eff,
+            mean_surrogate=mean_surrogates.get(arm),
+            v_bar_sq_realized=None if plan is None else v_bar_sq,
+            sigma_sq_effective=None if plan is None else plan.noise_variance_sigma_sq,
         )
 
     mc_tol = 1e-9

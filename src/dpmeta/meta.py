@@ -9,8 +9,9 @@ initialization is the average of the per-task phi values, phi_hat =
 meta state, so the meta path adds no privacy cost beyond the per-task runs.
 
 Training runs several arms at once, one noisy-SGD plan each (the private
-plan and its zero-noise twin): one pass over the tasks draws each task and
-its samples once and steps every arm's learner in a single batched call.
+plan and its zero-noise twin), with the arm as an array axis: one pass over
+the tasks draws each task and its samples once, steps every arm's learner in
+one batched call and folds every arm's output in one meta step.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
-from .geometry import as_vector, dist_sq
+from .geometry import as_batch, as_vector, dist_sq
 from .learners import NoisySgdPlan
 from .task_env import EnvSpec, generate_losses, sample_task, substream
 
@@ -30,9 +31,9 @@ from .task_env import EnvSpec, generate_losses, sample_task, substream
 class MetaState:
     """Immutable meta-learner state after task_count updates.
 
-    phi_current is the initialization the next task will start from;
-    phi_running_sum accumulates the phi in force at each past task (for
-    phi_hat).
+    phi_current is the initialization the next task will start from, (d,)
+    or one row per arm (arms, d); phi_running_sum, of the same shape,
+    accumulates the phi in force at each past task (for phi_hat).
     """
 
     phi_current: np.ndarray
@@ -47,7 +48,8 @@ class MetaState:
 
 
 def new_state(phi_init) -> MetaState:
-    phi = as_vector(phi_init)
+    """The state before any task: phi_init shaped (d,), or (arms, d)."""
+    phi = as_batch(phi_init, None).copy()
     return MetaState(
         phi_current=phi,
         task_count=0,
@@ -56,13 +58,17 @@ def new_state(phi_init) -> MetaState:
 
 
 def meta_step(state: MetaState, theta_bar) -> MetaState:
-    """Fold one private task output into the state.
+    """Fold one private task output per arm into the state.
 
-    With t the new task count, phi moves to (1 - 1/t) phi + theta_bar / t.
-    After t updates phi_current equals mean(theta_bar_1 .. theta_bar_t)
-    regardless of the starting point, which is wiped out at t = 1.
+    theta_bar has the shape of state.phi_current. With t the new task count,
+    phi moves to (1 - 1/t) phi + theta_bar / t, row by row. After t updates
+    phi_current equals mean(theta_bar_1 .. theta_bar_t) regardless of the
+    starting point, which is wiped out at t = 1.
     """
-    theta_bar = as_vector(theta_bar, state.phi_current.size)
+    theta_bar = as_batch(theta_bar, None)
+    if theta_bar.shape != state.phi_current.shape:
+        raise ValueError(f"theta_bar shaped {theta_bar.shape} does not match the "
+                         f"state's {state.phi_current.shape}")
     t = state.task_count + 1
     return MetaState(
         phi_current=(1.0 - 1.0 / t) * state.phi_current + theta_bar / t,
@@ -71,31 +77,30 @@ def meta_step(state: MetaState, theta_bar) -> MetaState:
     )
 
 
-def surrogate_loss(phi, theta_bar) -> float:
+def surrogate_loss(phi, theta_bar):
     """(1/2) ||theta_bar - phi||^2, the per-task objective the meta-learner
-    descends in place of the unobservable task risk."""
+    descends in place of the unobservable task risk; one value per row of a
+    batch."""
     return 0.5 * dist_sq(theta_bar, phi)
 
 
 @dataclass(frozen=True)
-class TaskRecord:
-    """What one meta-training task leaves behind.
+class MetaTraining:
+    """What meta-training leaves behind, one row per training arm: phi_hat
+    (arms, d), the deployed initializations; theta_bars (arms, tasks, d), the
+    private outputs, the only per-task outputs that leave a task;
+    surrogate_losses (arms, tasks), each output against the phi its task
+    started from; theta_stars (tasks, d), the shared tasks' minimizers, for
+    the realized task dispersion."""
 
-    theta_bar is the private output that fed the meta update, the only
-    per-task output that leaves the task; theta_star is the task's population
-    minimizer, kept for the realized task dispersion.
-    """
-
-    task_index: int
-    phi_used: np.ndarray
-    theta_bar: np.ndarray
-    theta_star: np.ndarray
-    surrogate_loss_value: float
+    phi_hat: np.ndarray
+    theta_bars: np.ndarray
+    surrogate_losses: np.ndarray
+    theta_stars: np.ndarray
 
 
 def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan],
-                      phi_init, master_seed: int,
-                      ) -> list[tuple[np.ndarray, list[TaskRecord], MetaState]]:
+                      phi_init, master_seed: int) -> MetaTraining:
     """Train one meta-initialization per plan over num_tasks environment draws.
 
     plans holds one NoisySgdPlan per training arm (a single arm is a
@@ -104,10 +109,10 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     once from substreams (master_seed, "train-task", t) and
     (master_seed, "train-losses", t), run the private learner once for every
     arm from that arm's phi_t, each arm with its own generator on the noise
-    stream (master_seed, "train-noise", t), fold each arm's averaged iterate
-    into its meta state, and record it. The arms therefore share tasks,
-    samples and index sequences, and each arm is bit-identical to training it
-    alone. Returns one (phi_hat, records, final state) per plan, in order.
+    stream (master_seed, "train-noise", t), and fold every arm's averaged
+    iterate into the batched meta state in one step. The arms therefore share
+    tasks, samples and index sequences, and each arm's row is bit-identical
+    to training it alone.
 
     No non-private computation runs on the training tasks; only theta_bar
     reaches the meta state. Reruns with the same arguments are bit identical.
@@ -125,24 +130,20 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     if not env.domain.contains(phi_init):
         raise ValueError("phi_init lies outside the domain")
 
-    states = [new_state(phi_init)] * len(plans)
-    records = [[] for _ in plans]
+    state = new_state(np.tile(phi_init, (len(plans), 1)))
+    theta_bars = np.empty((len(plans), num_tasks, env.dim))
+    # (arms, tasks), so each arm's losses are one contiguous row
+    surrogate_losses = np.empty((len(plans), num_tasks))
+    theta_stars = np.empty((num_tasks, env.dim))
     for t in range(num_tasks):
         task = sample_task(env, substream(master_seed, "train-task", t))
         samples = generate_losses(task, env, substream(master_seed, "train-losses", t))
-        # every arm's phi_t on the one task: inits (arms, d), one problem per arm
-        phis = np.stack([state.phi_current for state in states])
         rngs = [substream(master_seed, "train-noise", t) for _ in plans]
-        bars = learners.noisy_sgd_run(samples, phis, plans, env.domain,
+        # every arm's phi_t on the one task: inits (arms, d), one problem per arm
+        bars = learners.noisy_sgd_run(samples, state.phi_current, plans, env.domain,
                                       rngs).averaged_iterate
-        for a, bar in enumerate(bars):
-            phi_t = states[a].phi_current
-            records[a].append(TaskRecord(
-                task_index=t,
-                phi_used=phi_t,
-                theta_bar=bar,
-                theta_star=task.theta_star,
-                surrogate_loss_value=surrogate_loss(phi_t, bar),
-            ))
-            states[a] = meta_step(states[a], bar)
-    return [(state.phi_hat(), recs, state) for state, recs in zip(states, records)]
+        theta_stars[t] = task.theta_star
+        theta_bars[:, t] = bars
+        surrogate_losses[:, t] = surrogate_loss(state.phi_current, bars)
+        state = meta_step(state, bars)
+    return MetaTraining(state.phi_hat(), theta_bars, surrogate_losses, theta_stars)

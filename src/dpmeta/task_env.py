@@ -6,9 +6,10 @@ norm is similarity_v**2 before projection. Each task's m samples then scatter
 around the minimizer and come back as arrays (losses.TaskSamples): quadratic
 anchors, or logistic features plus labels. Everything is driven by named
 substreams of a single master seed, so any piece of a run can be regenerated
-independently. Logistic risk over a sequence of eval tasks is scored on one
-thread per usable CPU, each task from its own generator, so the values do not
-depend on the thread count.
+independently. A task is only its minimizer; the sample model is the
+environment's. Risk is scored for a sequence of tasks at once, logistic tasks
+on one thread per usable CPU, each from its own generator, so the values do
+not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class EnvSpec:
     similarity_v controls how far task minimizers scatter from the planted
     center: offsets are N(0, (V^2/d) I), so E||offset||^2 = V^2 before
     projection. sample_noise_std scatters quadratic anchors around each task
-    minimizer. task_budget, when set, caps how many tasks may be drawn.
+    minimizer. task_budget, when set, caps how many training tasks may be
+    drawn.
     """
 
     domain: ParamDomain
@@ -110,14 +112,10 @@ class EnvSpec:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One drawn task: its population minimizer plus the sample model it
-    inherits from the environment. Not serialized; regenerate from the seed."""
+    """One drawn task: its population minimizer. The sample model is the
+    environment's. Not serialized; regenerate from the seed."""
 
     theta_star: np.ndarray
-    loss_family: str
-    curvature: float
-    sample_noise_std: float
-    feature_norm: float
 
 
 def sample_task(spec: EnvSpec, rng: np.random.Generator) -> TaskSpec:
@@ -128,26 +126,19 @@ def sample_task(spec: EnvSpec, rng: np.random.Generator) -> TaskSpec:
     """
     z = rng.normal(0.0, 1.0, size=spec.dim)
     scale = spec.similarity_v / math.sqrt(spec.dim)
-    theta_star = project(spec.planted_center + scale * z, spec.domain)
-    return TaskSpec(
-        theta_star=theta_star,
-        loss_family=spec.loss_family,
-        curvature=spec.curvature,
-        sample_noise_std=spec.sample_noise_std,
-        feature_norm=spec.feature_norm,
-    )
+    return TaskSpec(theta_star=project(spec.planted_center + scale * z, spec.domain))
 
 
-def _logistic_draw(task: TaskSpec, count: int, rng: np.random.Generator):
+def _logistic_draw(spec: EnvSpec, theta_star, count: int, rng: np.random.Generator):
     """count features uniform on the sphere of radius feature_norm, with
     labels in {-1.0, +1.0} drawn from the logistic model at theta_star."""
-    features = rng.standard_normal((count, task.theta_star.size))
+    features = rng.standard_normal((count, spec.dim))
     # np.linalg.norm's formula for real rows, without its conj() copy
     norms = np.sqrt(np.add.reduce(features * features, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
-    features *= task.feature_norm
+    features *= spec.feature_norm
     features /= norms
-    star_margins = features @ task.theta_star
+    star_margins = features @ theta_star
     p_plus = 1.0 / (1.0 + np.exp(-star_margins))
     labels = np.where(rng.random(count) < p_plus, 1.0, -1.0)
     return features, labels, star_margins
@@ -155,7 +146,8 @@ def _logistic_draw(task: TaskSpec, count: int, rng: np.random.Generator):
 
 def generate_losses(task: TaskSpec, spec: EnvSpec,
                     rng: np.random.Generator) -> TaskSamples:
-    """Draw the task's m samples as arrays.
+    """Draw the task's m samples as arrays, from the environment's sample
+    model around the task's minimizer.
 
     Quadratic: anchors (m, d) are project(theta_star + w), w ~ N(0, s^2 I)
     with s = sample_noise_std, so the empirical minimizer is unbiased for
@@ -164,15 +156,15 @@ def generate_losses(task: TaskSpec, spec: EnvSpec,
     model at theta_star.
     """
     m = spec.samples_per_task
-    if task.loss_family == "logistic":
-        features, labels, _ = _logistic_draw(task, m, rng)
+    if spec.loss_family == "logistic":
+        features, labels, _ = _logistic_draw(spec, task.theta_star, m, rng)
         return TaskSamples(features, labels=labels)
-    if task.sample_noise_std == 0.0:
+    if spec.sample_noise_std == 0.0:
         anchors = np.tile(task.theta_star, (m, 1))
     else:
         anchors = task.theta_star + rng.normal(
-            0.0, task.sample_noise_std, size=(m, spec.dim))
-    return TaskSamples(project(anchors, spec.domain), curvature=task.curvature)
+            0.0, spec.sample_noise_std, size=(m, spec.dim))
+    return TaskSamples(project(anchors, spec.domain), curvature=spec.curvature)
 
 
 def _usable_cpus() -> int:
@@ -184,51 +176,36 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_count(mc_samples, rng) -> int:
+def population_risk_gap(spec: EnvSpec, theta_stars, theta,
+                        mc_samples: int | None = None, rng=None):
+    """Population excess risk of theta, shaped (..., tasks, d), on tasks of
+    the environment spec with minimizers theta_stars (tasks, d); the result
+    is shaped (..., tasks). Quadratic tasks use
+    the exact closed form (curvature/2) ||theta - theta*||^2 (anchor noise
+    only shifts the risk by a constant, which cancels in the gap).
+
+    Logistic tasks are estimated by Monte Carlo with mc_samples draws per
+    task, and rng holds one generator per task; see _logistic_risk_gap for
+    the paired estimator. The tasks are scored concurrently, one thread per
+    usable CPU: each task draws only from its own generator and each thread
+    writes only its own column, so column e is exactly what a call for task
+    e alone with rng[e] returns, whatever the thread count or scheduling.
+    """
+    stars = as_batch(theta_stars, spec.dim)
+    thetas = as_batch(theta, spec.dim)
+    if stars.ndim != 2 or thetas.shape[-2:] != stars.shape:
+        raise ValueError(f"expected minimizers (tasks, {spec.dim}) and theta (..., "
+                         f"tasks, {spec.dim}), got {stars.shape} and {thetas.shape}")
+    if spec.loss_family == "quadratic":
+        return 0.5 * spec.curvature * dist_sq(stars, thetas)
     if mc_samples is None or rng is None:
         raise ValueError("logistic risk gaps need mc_samples and an rng")
     if int(mc_samples) != mc_samples or mc_samples < 2:
         raise ValueError(f"mc_samples must be an integer >= 2, got {mc_samples}")
-    return int(mc_samples)
-
-
-def population_risk_gap(task, theta, mc_samples: int | None = None, rng=None):
-    """Population excess risk of theta for one task, or for a sequence of
-    eval tasks.
-
-    One TaskSpec: theta is a vector or a batch shaped (..., d), rng one
-    generator, and the result a float or an array shaped (...). A sequence
-    of tasks: theta is shaped (..., tasks, d), rng holds one generator per
-    task, and the result is shaped (..., tasks); column e is exactly what a
-    call for task e alone with rng[e] returns.
-
-    Quadratic tasks use the exact closed form (curvature/2) ||theta - theta*||^2
-    (anchor noise only shifts the risk by a constant, which cancels in the
-    gap). Logistic tasks are estimated by Monte Carlo; see logistic_risk_gap
-    for the paired estimator and its standard error. The tasks of a logistic
-    sequence are scored concurrently, one thread per usable CPU: each task
-    draws only from its own generator and each thread writes only its own
-    column, so the values do not depend on the thread count or scheduling.
-    """
-    if isinstance(task, TaskSpec):
-        if task.loss_family == "quadratic":
-            return 0.5 * task.curvature * dist_sq(task.theta_star, theta)
-        return logistic_risk_gap(task, theta, mc_samples, rng)[0]
-    tasks = tuple(task)
-    families = {t.loss_family for t in tasks}
-    if len(families) != 1:
-        raise ValueError(f"a batch of tasks needs one loss family, got {families}")
-    thetas = np.asarray(theta, dtype=np.float64)
-    if thetas.ndim < 2 or thetas.shape[-2] != len(tasks):
-        raise ValueError(f"expected theta shaped (..., {len(tasks)}, d), "
-                         f"got {thetas.shape}")
-    if families == {"quadratic"}:
-        stars = np.stack([t.theta_star for t in tasks])
-        return 0.5 * np.array([t.curvature for t in tasks]) * dist_sq(stars, thetas)
-    mc = _mc_count(mc_samples, rng)
+    mc = int(mc_samples)
     rngs = tuple(rng)
-    if len(rngs) != len(tasks):
-        raise ValueError(f"expected one generator per task ({len(tasks)}), "
+    if len(rngs) != len(stars):
+        raise ValueError(f"expected one generator per task ({len(stars)}), "
                          f"got {len(rngs)}")
     # imported here: concurrent.futures imports logging, which every start-up
     # of the CLI would otherwise pay for
@@ -237,44 +214,36 @@ def population_risk_gap(task, theta, mc_samples: int | None = None, rng=None):
     gaps = np.empty(thetas.shape[:-1])
 
     def score(e):
-        gaps[..., e] = logistic_risk_gap(tasks[e], thetas[..., e, :], mc, rngs[e])[0]
+        gaps[..., e] = _logistic_risk_gap(spec, stars[e], thetas[..., e, :], mc,
+                                          rngs[e])
 
-    with ThreadPoolExecutor(min(len(tasks), _usable_cpus())) as pool:
+    with ThreadPoolExecutor(min(len(stars), _usable_cpus())) as pool:
         # draining the results re-raises the first failure and cancels the
         # tasks not yet started; leaving the block waits for the running ones
-        for _ in pool.map(score, range(len(tasks))):
+        for _ in pool.map(score, range(len(stars))):
             pass
     return gaps
 
 
-def logistic_risk_gap(task: TaskSpec, theta, mc_samples: int,
-                      rng: np.random.Generator):
-    """Paired Monte Carlo estimate of E[loss(theta) - loss(theta_star)].
-
-    Returns (estimate, standard error), floats for one theta and arrays
-    shaped (...) for a batch shaped (..., d). One sample set is drawn and
+def _logistic_risk_gap(spec: EnvSpec, theta_star, thetas, mc_samples: int,
+                       rng: np.random.Generator):
+    """Paired Monte Carlo estimates of E[loss(theta) - loss(theta_star)],
+    shaped (...), for thetas shaped (..., d): one sample set is drawn and
     scored against every theta, one mat-vec each, so a batch gives exactly
-    the values of separate calls with identically seeded generators. The
-    pairing makes the estimate exactly zero at theta == theta_star.
-    """
-    mc = _mc_count(mc_samples, rng)
-    thetas = as_batch(theta, task.theta_star.size)
-    features, labels, star_margins = _logistic_draw(task, mc, rng)
+    the values of separate calls with identically seeded generators, and the
+    estimate is exactly zero at theta == theta_star."""
+    features, labels, star_margins = _logistic_draw(spec, theta_star, mc_samples, rng)
     star_losses = np.logaddexp(0.0, -labels * star_margins)
     flat = thetas.reshape(-1, thetas.shape[-1])
-    est, se = np.empty(len(flat)), np.empty(len(flat))
+    est = np.empty(len(flat))
     for i, row in enumerate(flat):
-        diffs = np.logaddexp(0.0, -labels * (features @ row)) - star_losses
-        est[i] = diffs.mean()
-        se[i] = diffs.std(ddof=1) / math.sqrt(mc)
-    # [()] turns the 0-d result of a single theta into a float
-    return est.reshape(thetas.shape[:-1])[()], se.reshape(thetas.shape[:-1])[()]
+        est[i] = (np.logaddexp(0.0, -labels * (features @ row)) - star_losses).mean()
+    return est.reshape(thetas.shape[:-1])
 
 
 def empirical_task_variance(theta_stars, reference) -> float:
-    """Mean squared distance of task minimizers from a reference point: the
-    realized analogue of similarity_v**2."""
-    theta_stars = list(theta_stars)
-    if not theta_stars:
+    """Mean squared distance of task minimizers, shaped (tasks, d), from a
+    reference point: the realized analogue of similarity_v**2."""
+    if len(theta_stars) == 0:
         raise ValueError("empirical_task_variance needs at least one minimizer")
-    return float(np.mean(dist_sq(reference, np.stack(theta_stars))))
+    return float(np.mean(dist_sq(reference, np.asarray(theta_stars))))

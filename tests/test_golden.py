@@ -1,0 +1,60 @@
+"""Golden outputs: `dpmeta run` on two small configs must keep its bytes.
+
+Each case pins the SHA-256 of the CSV with the wall-clock column blanked
+(csv_bytes_excluding_wall_clock) and of the `.calibration` sidecar. A refactor
+that claims byte-identical outputs is checked here, not by hand. The digests
+may change only in a change that says so, and why, in CHANGES.md; update them
+then by running this file and copying the digests from the failure message.
+The digests were recorded with numpy 2.4 on x86-64; another numpy or BLAS
+build may round differently.
+"""
+
+import hashlib
+
+import pytest
+
+from dpmeta.cli import EXIT_OK, main
+from dpmeta.harness import csv_bytes_excluding_wall_clock
+
+# tens of training tasks, so that summing a mean surrogate loss in another
+# order changes its last bit
+QUADRATIC_ITEMS = {
+    "dim": "3", "domain_radius": "2.0", "similarity_v": "0.3",
+    "samples_per_task": "50", "sample_noise_std": "0.2", "t_train": "100",
+    "t_eval": "10", "epsilon": "1.0", "delta": "1e-5",
+    "phi_init": "1,0,0", "baseline_no_meta": "true",
+    "baseline_nonprivate_meta": "true", "master_seed": "11",
+}
+
+LOGISTIC_ITEMS = {
+    "dim": "3", "domain_radius": "2.0", "loss_family": "logistic",
+    "growth_alpha": "0.1", "similarity_v": "0.2", "samples_per_task": "60",
+    "t_train": "40", "t_eval": "6", "epsilon": "2.0", "delta": "1e-5",
+    "planted_center": "1,0,0", "feature_norm": "1.5",
+    "mc_eval_samples": "2000", "baseline_no_meta": "true",
+    "baseline_nonprivate_meta": "true", "master_seed": "7",
+}
+
+# case -> (items, csv digest, sidecar digest)
+GOLDEN = {
+    "quadratic": (
+        QUADRATIC_ITEMS,
+        "6c12ca60963732e933193ab9afb3bf2e0e1ce69433eb5abf7583af9f31f1609c",
+        "e9e4d9ae7ee51c53c3e484e6bf96441210d46e1c571e9ff8d9380d6f8d7e8a81"),
+    "logistic": (
+        LOGISTIC_ITEMS,
+        "0b644134b5d2950d36d6c018a092e1a5315dbe2591fc826d3a83544360c091a6",
+        "0d3fc76df9ed68c7b39053e2203d047531b5b50da787c4253966a840018ef12d"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_run_outputs_match_golden_digests(case, tmp_path):
+    items, csv_digest, sidecar_digest = GOLDEN[case]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in items.items()))
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    got = (hashlib.sha256(csv_bytes_excluding_wall_clock(str(out))).hexdigest(),
+           hashlib.sha256((tmp_path / "run.csv.calibration").read_bytes()).hexdigest())
+    assert got == (csv_digest, sidecar_digest), f"{case} digests are now {got}"

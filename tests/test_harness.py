@@ -312,16 +312,16 @@ def test_risk_failure_on_one_eval_task_fails_the_run(monkeypatch, finishes_with)
     cfg = make_cfg(loss_family="logistic", growth_alpha="0.5", t_eval=6,
                    mc_eval_samples=200, baseline_no_meta="true")
     star_3 = sample_task(cfg.env, substream(cfg.master_seed, "eval-task", 3)).theta_star
-    real = dpmeta.task_env.logistic_risk_gap
+    real = dpmeta.task_env._logistic_risk_gap
 
-    def flaky(task, theta, mc_samples, rng):
-        if np.array_equal(task.theta_star, star_3):
+    def flaky(spec, theta_star, thetas, mc_samples, rng):
+        if np.array_equal(theta_star, star_3):
             raise RuntimeError("injected failure on eval task 3")
-        return real(task, theta, mc_samples, rng)
+        return real(spec, theta_star, thetas, mc_samples, rng)
 
     unhandled = []
     monkeypatch.setattr(threading, "excepthook", unhandled.append)
-    monkeypatch.setattr(dpmeta.task_env, "logistic_risk_gap", flaky)
+    monkeypatch.setattr(dpmeta.task_env, "_logistic_risk_gap", flaky)
     monkeypatch.setattr(dpmeta.task_env, "_usable_cpus", lambda: 2)
     error = finishes_with(lambda: run_experiment(cfg))
     assert isinstance(error, RuntimeError)

@@ -1,13 +1,13 @@
 from dataclasses import replace
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 import dpmeta.learners
 from dpmeta.geometry import ParamDomain
-from dpmeta.meta import (MetaState, TaskRecord, meta_step, new_state,
-                         run_meta_training, surrogate_loss)
+from dpmeta.meta import meta_step, new_state, run_meta_training, surrogate_loss
 from dpmeta.privacy import NoisySgdPlan
 from dpmeta.task_env import EnvSpec
 
@@ -54,6 +54,34 @@ def test_meta_step_immutable_inputs():
     assert np.array_equal(state.phi_current, [1.0, 1.0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), arms=st.integers(1, 4),
+       dim=st.integers(1, 5), steps=st.integers(1, 12))
+def test_batched_state_rows_equal_single_states(seed, arms, dim, steps):
+    # an (arms, d) state steps every row exactly as a (d,) state steps alone
+    rng = np.random.default_rng(seed)
+    batch = new_state(rng.normal(size=(arms, dim)) * 10.0 ** rng.integers(-3, 4))
+    singles = [new_state(row) for row in batch.phi_current]
+    for _ in range(steps):
+        bars = rng.normal(size=(arms, dim)) * 10.0 ** rng.integers(-3, 4)
+        batch = meta_step(batch, bars)
+        singles = [meta_step(one, bar) for one, bar in zip(singles, bars)]
+    for a, one in enumerate(singles):
+        assert batch.task_count == one.task_count == steps
+        assert batch.phi_current[a].tobytes() == one.phi_current.tobytes()
+        assert batch.phi_running_sum[a].tobytes() == one.phi_running_sum.tobytes()
+        assert batch.phi_hat()[a].tobytes() == one.phi_hat().tobytes()
+
+
+def test_meta_step_rejects_a_mismatched_output():
+    batch = new_state(np.zeros((3, 2)))
+    for bad in (np.ones(2), np.ones((2, 2)), np.ones((3, 3)), np.ones((1, 3, 2))):
+        with pytest.raises(ValueError):
+            meta_step(batch, bad)
+    with pytest.raises(ValueError):
+        meta_step(new_state(np.zeros(2)), np.ones((1, 2)))
+
+
 def test_surrogate_loss_value():
     assert surrogate_loss(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == 0.5
     assert surrogate_loss(np.zeros(3), np.zeros(3)) == 0.0
@@ -70,11 +98,14 @@ def test_meta_iterates_contract_toward_planted_center():
                         clip_bound=1e6)
     phi_init = np.array([9.0, 0.0, 0.0])
     T = 50
-    [(phi_hat, records, state)] = run_meta_training(env, T, (plan,), phi_init, 11)
+    trained = run_meta_training(env, T, (plan,), phi_init, 11)
     start = np.linalg.norm(phi_init - center)
-    end = np.linalg.norm(phi_hat - center)
+    end = np.linalg.norm(trained.phi_hat[0] - center)
     assert end <= start * (1 + math.log(T)) / T * 2
-    assert len(records) == T
+    assert trained.phi_hat.shape == (1, 3)
+    assert trained.theta_bars.shape == (1, T, 3)
+    assert trained.surrogate_losses.shape == (1, T)
+    assert trained.theta_stars.shape == (T, 3)
 
 
 def test_meta_training_deterministic():
@@ -84,13 +115,12 @@ def test_meta_training_deterministic():
                   sample_noise_std=0.1)
     plan = NoisySgdPlan(steps_n=10, step_size=0.2, noise_variance_sigma_sq=0.3,
                         clip_bound=5.0)
-    [a] = run_meta_training(env, 12, (plan,), np.zeros(2), 77)
-    [b] = run_meta_training(env, 12, (plan,), np.zeros(2), 77)
-    assert np.array_equal(a[0], b[0])
-    for ra, rb in zip(a[1], b[1]):
-        assert np.array_equal(ra.theta_bar, rb.theta_bar)
-    [c] = run_meta_training(env, 12, (plan,), np.zeros(2), 78)
-    assert not np.array_equal(a[0], c[0])
+    a = run_meta_training(env, 12, (plan,), np.zeros(2), 77)
+    b = run_meta_training(env, 12, (plan,), np.zeros(2), 77)
+    assert np.array_equal(a.phi_hat, b.phi_hat)
+    assert np.array_equal(a.theta_bars, b.theta_bars)
+    c = run_meta_training(env, 12, (plan,), np.zeros(2), 78)
+    assert not np.array_equal(a.phi_hat, c.phi_hat)
 
 
 def test_meta_update_sees_only_private_output(monkeypatch):
@@ -120,18 +150,18 @@ def test_meta_update_sees_only_private_output(monkeypatch):
     plan = NoisySgdPlan(steps_n=8, step_size=0.2, noise_variance_sigma_sq=0.1,
                         clip_bound=5.0)
     quiet = replace(plan, noise_variance_sigma_sq=0.0)
-    arms = run_meta_training(env, 6, (plan, quiet), np.zeros(2), 5)
+    trained = run_meta_training(env, 6, (plan, quiet), np.zeros(2), 5)
     assert len(captured) == 6
     assert all(rows.shape == (2, 2) for rows in captured)
     # replay each arm's meta recursion from its captured private outputs only
-    for a, (_, records, state) in enumerate(arms):
+    for a in range(2):
         replay = new_state(np.zeros(2))
-        for rows in captured:
+        for t, rows in enumerate(captured):
+            assert np.array_equal(trained.theta_bars[a, t], rows[a])
+            assert trained.surrogate_losses[a, t] == surrogate_loss(
+                replay.phi_current, rows[a])
             replay = meta_step(replay, rows[a])
-        assert np.array_equal(replay.phi_current, state.phi_current)
-        assert np.array_equal(replay.phi_hat(), state.phi_hat())
-        for rec, rows in zip(records, captured):
-            assert np.array_equal(rec.theta_bar, rows[a])
+        assert np.array_equal(replay.phi_hat(), trained.phi_hat[a])
 
 
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
@@ -160,18 +190,15 @@ def test_shared_training_equals_separate_passes(family, monkeypatch):
     shared = run_meta_training(env, 15, (plan, quiet), phi_init, 21)
     for calls in binds.values():
         assert 0 < sum(calls) < len(calls)
-    for arm_plan, (phi_hat, records, state) in zip((plan, quiet), shared):
-        [(alone_hat, alone_records, alone_state)] = run_meta_training(
-            env, 15, (arm_plan,), phi_init, 21)
-        assert np.array_equal(phi_hat, alone_hat)
-        assert np.array_equal(state.phi_current, alone_state.phi_current)
-        assert len(records) == len(alone_records) == 15
-        for rec, alone in zip(records, alone_records):
-            assert np.array_equal(rec.theta_bar, alone.theta_bar)
-            assert rec.surrogate_loss_value == alone.surrogate_loss_value
-            assert np.array_equal(rec.theta_star, alone.theta_star)
+    assert shared.theta_bars.shape == (2, 15, 2)
+    for a, arm_plan in enumerate((plan, quiet)):
+        alone = run_meta_training(env, 15, (arm_plan,), phi_init, 21)
+        assert np.array_equal(shared.phi_hat[a], alone.phi_hat[0])
+        assert np.array_equal(shared.theta_bars[a], alone.theta_bars[0])
+        assert np.array_equal(shared.surrogate_losses[a], alone.surrogate_losses[0])
+        assert np.array_equal(shared.theta_stars, alone.theta_stars)
     # the noise reaches the private arm only
-    assert not np.array_equal(shared[0][0], shared[1][0])
+    assert not np.array_equal(shared.phi_hat[0], shared.phi_hat[1])
 
 
 def test_single_task_phi_hat_is_initializer():
@@ -181,8 +208,8 @@ def test_single_task_phi_hat_is_initializer():
     plan = NoisySgdPlan(steps_n=4, step_size=0.1, noise_variance_sigma_sq=0.0,
                         clip_bound=1.0)
     phi_init = np.array([2.0, 2.0])
-    [(phi_hat, _, _)] = run_meta_training(env, 1, (plan,), phi_init, 3)
-    assert np.array_equal(phi_hat, phi_init)
+    trained = run_meta_training(env, 1, (plan,), phi_init, 3)
+    assert np.array_equal(trained.phi_hat, [phi_init])
 
 
 def test_task_budget_enforced():
@@ -205,13 +232,15 @@ def test_record_fields_consistent():
                   sample_noise_std=0.05)
     plan = NoisySgdPlan(steps_n=6, step_size=0.1, noise_variance_sigma_sq=0.05,
                         clip_bound=5.0)
-    [(_, records, state)] = run_meta_training(env, 5, (plan,), np.zeros(2), 13)
-    for i, rec in enumerate(records):
-        assert rec.task_index == i
-        assert rec.surrogate_loss_value == surrogate_loss(rec.phi_used,
-                                                          rec.theta_bar)
-        assert dom.contains(rec.theta_star)
-    assert records[0].phi_used is not records[1].phi_used
+    trained = run_meta_training(env, 5, (plan,), np.zeros(2), 13)
+    # each surrogate scores the task's output against the phi it started from
+    state = new_state(np.zeros(2))
+    for bar, loss, star in zip(trained.theta_bars[0], trained.surrogate_losses[0],
+                               trained.theta_stars):
+        assert loss == surrogate_loss(state.phi_current, bar)
+        assert dom.contains(star)
+        state = meta_step(state, bar)
+    assert np.array_equal(trained.phi_hat[0], state.phi_hat())
 
 
 def test_hindsight_initializer_beats_surrogate_average():

@@ -11,8 +11,8 @@ import pytest
 from dpmeta import task_env
 from dpmeta.geometry import ParamDomain
 from dpmeta.task_env import (EnvSpec, derive_seed, empirical_task_variance,
-                             generate_losses, logistic_risk_gap,
-                             population_risk_gap, sample_task, substream)
+                             generate_losses, population_risk_gap, sample_task,
+                             substream)
 
 BIG_DOM = ParamDomain(np.zeros(4), 50.0)
 
@@ -99,10 +99,11 @@ def test_losses_deterministic_per_stream():
 def test_quadratic_risk_gap_closed_form():
     env = quad_env(similarity_v=0.0, curvature=2.0,
                    planted_center=np.array([1.0, 0.0, 0.0, 0.0]))
-    task = sample_task(env, substream(0, "t"))
-    assert population_risk_gap(task, task.theta_star) == 0.0
-    gap = population_risk_gap(task, np.array([3.0, 0.0, 0.0, 0.0]))
-    assert abs(gap - 0.5 * 2.0 * 4.0) < 1e-12
+    stars = np.stack([sample_task(env, substream(0, "t")).theta_star])
+    assert np.array_equal(population_risk_gap(env, stars, stars), [0.0])
+    gap = population_risk_gap(env, stars, np.array([[3.0, 0.0, 0.0, 0.0]]))
+    assert gap.shape == (1,)
+    assert abs(gap[0] - 0.5 * 2.0 * 4.0) < 1e-12
 
 
 def test_logistic_generation_shape():
@@ -141,47 +142,41 @@ def test_logistic_risk_gap_paired_zero_at_optimum():
     env = EnvSpec(domain=dom, planted_center=np.array([1.0, 1.0]),
                   similarity_v=0.0, samples_per_task=5,
                   loss_family="logistic")
-    task = sample_task(env, substream(6, "t"))
-    est, se = logistic_risk_gap(task, task.theta_star, 100, substream(6, "mc"))
-    assert est == 0.0
-    assert se == 0.0
-    est2, se2 = logistic_risk_gap(task, np.array([0.0, 0.0]), 20000,
-                                  substream(6, "mc2"))
-    assert est2 > 0.0
-    assert se2 > 0.0
-    # a 20k-sample estimate should be a few standard errors above zero
-    assert est2 > 2 * se2
+    stars = np.stack([sample_task(env, substream(6, "t")).theta_star])
+    est = population_risk_gap(env, stars, stars, 100, [substream(6, "mc")])
+    assert np.array_equal(est, [0.0])
+    est2 = population_risk_gap(env, stars, np.zeros((1, 2)), 20000,
+                               [substream(6, "mc2")])
+    assert est2[0] > 0.0
 
 
 def test_risk_gap_batch_equals_separate_calls():
     # scoring several points against one draw gives each point exactly what a
     # separate call with an identically seeded generator gives it
     dom = ParamDomain(np.zeros(3), 2.0)
-    rng = substream(8, "points")
-    thetas = rng.uniform(-1, 1, size=(2, 3, 3))
+    thetas = substream(8, "points").uniform(-1, 1, size=(2, 3, 1, 3))
     for family in ("quadratic", "logistic"):
         env = EnvSpec(domain=dom, planted_center=np.array([1.0, 0.0, 0.0]),
                       similarity_v=0.3, samples_per_task=5, loss_family=family)
-        task = sample_task(env, substream(8, "t"))
+        stars = np.stack([sample_task(env, substream(8, "t")).theta_star])
         mc = dict(mc_samples=500) if family == "logistic" else {}
-        batch = population_risk_gap(task, thetas, rng=substream(8, "mc"), **mc)
-        assert batch.shape == (2, 3)
+        batch = population_risk_gap(env, stars, thetas, rng=[substream(8, "mc")], **mc)
+        assert batch.shape == (2, 3, 1)
         for i in range(2):
             for j in range(3):
-                one = population_risk_gap(task, thetas[i, j],
-                                          rng=substream(8, "mc"), **mc)
+                one = population_risk_gap(env, stars, thetas[i, j],
+                                          rng=[substream(8, "mc")], **mc)
                 assert batch[i, j] == one
-    est, se = logistic_risk_gap(task, thetas, 500, substream(8, "mc"))
-    assert est.shape == se.shape == (2, 3)
-    assert se[1, 2] == logistic_risk_gap(task, thetas[1, 2], 500, substream(8, "mc"))[1]
 
 
 def _eval_tasks(family, count):
+    """An environment and the minimizers of count tasks drawn from it."""
     dom = ParamDomain(np.zeros(3), 2.0)
     env = EnvSpec(domain=dom, planted_center=np.array([1.0, 0.0, 0.0]),
                   similarity_v=0.5, samples_per_task=5, loss_family=family,
                   curvature=1.5)
-    return [sample_task(env, substream(21, "t", e)) for e in range(count)]
+    return env, np.stack([sample_task(env, substream(21, "t", e)).theta_star
+                          for e in range(count)])
 
 
 def _count_pools(monkeypatch):
@@ -206,34 +201,37 @@ def test_task_batch_equals_separate_calls(family, arms, workers, monkeypatch):
     # call for task e alone with an identically seeded generator
     monkeypatch.setattr(task_env, "_usable_cpus", lambda: workers)
     sizes = _count_pools(monkeypatch)
-    tasks = _eval_tasks(family, 7)
+    env, stars = _eval_tasks(family, 7)
     thetas = substream(21, "points").uniform(-1, 1, size=(arms, 7, 3))
     mc = dict(mc_samples=400) if family == "logistic" else {}
-    batch = population_risk_gap(tasks, thetas,
+    batch = population_risk_gap(env, stars, thetas,
                                 rng=[substream(21, "mc", e) for e in range(7)], **mc)
     assert batch.shape == (arms, 7)
-    for e, task in enumerate(tasks):
-        one = population_risk_gap(task, thetas[:, e], rng=substream(21, "mc", e), **mc)
-        assert np.array_equal(batch[:, e], one)
     assert sizes == ([min(7, workers)] if family == "logistic" else [])
+    for e in range(7):
+        one = population_risk_gap(env, stars[e:e + 1], thetas[:, e:e + 1],
+                                  rng=[substream(21, "mc", e)], **mc)
+        assert np.array_equal(batch[:, e:e + 1], one)
 
 
 def test_task_batch_under_thread_switch_stress(monkeypatch, finishes_with):
     # more workers than CPUs, switching threads every microsecond: a lost or
     # misplaced column write would leave a column unlike its separate call
     monkeypatch.setattr(task_env, "_usable_cpus", lambda: 8)
-    tasks = _eval_tasks("logistic", 24)
+    env, stars = _eval_tasks("logistic", 24)
     thetas = substream(21, "points").uniform(-1, 1, size=(2, 24, 3))
-    expected = np.stack([
-        population_risk_gap(task, thetas[:, e], 300, substream(21, "mc", e))
-        for e, task in enumerate(tasks)], axis=-1)
+    expected = np.concatenate([
+        population_risk_gap(env, stars[e:e + 1], thetas[:, e:e + 1], 300,
+                            [substream(21, "mc", e)])
+        for e in range(24)], axis=-1)
     batches = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             assert finishes_with(lambda: batches.append(population_risk_gap(
-                tasks, thetas, 300, [substream(21, "mc", e) for e in range(24)]))) is None
+                env, stars, thetas, 300,
+                [substream(21, "mc", e) for e in range(24)]))) is None
     finally:
         sys.setswitchinterval(interval)
     for batch in batches:
@@ -248,36 +246,44 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
 
 
 def test_task_batch_validation():
-    tasks = _eval_tasks("logistic", 6)
+    env, stars = _eval_tasks("logistic", 6)
     thetas = np.zeros((2, 6, 3))
     rngs = [substream(0, "mc", e) for e in range(6)]
     with pytest.raises(ValueError):
-        population_risk_gap(tasks, thetas, 1, rngs)
+        population_risk_gap(env, stars, thetas, 1, rngs)
     with pytest.raises(ValueError):
-        population_risk_gap(tasks, thetas)
+        population_risk_gap(env, stars, thetas, 2.5, rngs)
     with pytest.raises(ValueError):
-        population_risk_gap(tasks, thetas, 100, rngs[:5])
+        population_risk_gap(env, stars, thetas)
     with pytest.raises(ValueError):
-        population_risk_gap(tasks, thetas[:, :5], 100, rngs)
+        population_risk_gap(env, stars, thetas, 100)
     with pytest.raises(ValueError):
-        population_risk_gap(tasks[:5] + _eval_tasks("quadratic", 1), thetas, 100, rngs)
+        population_risk_gap(env, stars, thetas, 100, rngs[:5])
+    with pytest.raises(ValueError):
+        population_risk_gap(env, stars, thetas[:, :5], 100, rngs)
+    with pytest.raises(ValueError):
+        population_risk_gap(env, stars[:5], thetas, 100, rngs)
+    with pytest.raises(ValueError):
+        population_risk_gap(env, stars[:, :2], thetas[..., :2], 100, rngs)
+    with pytest.raises(ValueError):
+        population_risk_gap(env, stars[0], thetas[:, 0], 100, rngs[:1])
 
 
 def test_task_failure_propagates_from_the_pool(monkeypatch, finishes_with):
-    tasks = _eval_tasks("logistic", 6)
-    real = task_env.logistic_risk_gap
+    env, stars = _eval_tasks("logistic", 6)
+    real = task_env._logistic_risk_gap
 
-    def flaky(task, theta, mc_samples, rng):
-        if task is tasks[3]:
+    def flaky(spec, theta_star, thetas, mc_samples, rng):
+        if np.array_equal(theta_star, stars[3]):
             raise RuntimeError("injected failure on task 3")
-        return real(task, theta, mc_samples, rng)
+        return real(spec, theta_star, thetas, mc_samples, rng)
 
     unhandled = []
     monkeypatch.setattr(threading, "excepthook", unhandled.append)
-    monkeypatch.setattr(task_env, "logistic_risk_gap", flaky)
+    monkeypatch.setattr(task_env, "_logistic_risk_gap", flaky)
     monkeypatch.setattr(task_env, "_usable_cpus", lambda: 2)
     error = finishes_with(lambda: population_risk_gap(
-        tasks, np.zeros((2, 6, 3)), 500, [substream(0, "mc", e) for e in range(6)]))
+        env, stars, np.zeros((2, 6, 3)), 500, [substream(0, "mc", e) for e in range(6)]))
     assert isinstance(error, RuntimeError)
     assert "task 3" in str(error)
     assert unhandled == []
@@ -294,7 +300,8 @@ def test_logistic_draw_matches_the_reference_formula(feature_norm):
     task = sample_task(env, substream(12, "t"))
     rng = substream(12, "draw")
     ref_rng = copy.deepcopy(rng)
-    features, labels, star_margins = task_env._logistic_draw(task, 3000, rng)
+    features, labels, star_margins = task_env._logistic_draw(env, task.theta_star,
+                                                             3000, rng)
     raw = ref_rng.normal(0.0, 1.0, size=(3000, 4))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
@@ -314,11 +321,13 @@ def test_logistic_gap_needs_mc_arguments():
     dom = ParamDomain(np.zeros(2), 2.0)
     env = EnvSpec(domain=dom, planted_center=np.zeros(2), similarity_v=0.0,
                   samples_per_task=5, loss_family="logistic")
-    task = sample_task(env, substream(0, "t"))
+    stars = np.stack([sample_task(env, substream(0, "t")).theta_star])
     with pytest.raises(ValueError):
-        population_risk_gap(task, np.zeros(2))
+        population_risk_gap(env, stars, np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        logistic_risk_gap(task, np.zeros(2), 1, substream(0, "mc"))
+        population_risk_gap(env, stars, np.zeros((1, 2)), rng=[substream(0, "mc")])
+    with pytest.raises(ValueError):
+        population_risk_gap(env, stars, np.zeros((1, 2)), 1, [substream(0, "mc")])
 
 
 def test_empirical_task_variance_examples():
