@@ -6,7 +6,7 @@
 
 Exit codes: 0 success, 2 config validation failure, 3 I/O failure, 4 internal
 invariant violation. The seed comes from --seed if given, else the DPMETA_SEED
-environment variable, else the config's master_seed.
+environment variable, else the config's master_seed; it must lie in [0, 2^64).
 """
 
 from __future__ import annotations

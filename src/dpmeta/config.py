@@ -2,12 +2,13 @@
 
 One setting per line, ``#`` starts a comment, blank lines are ignored.
 Vector-valued keys take comma-separated floats. Validation is collective: a
-bad config reports every violation at once, not just the first.
+bad config reports every violation at once, not just the first. ``KEYS`` is
+the one place a key is declared: its reader, bounds and default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 import math
 
 import numpy as np
@@ -30,22 +31,97 @@ class ConfigError(ValueError):
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
-KNOWN_KEYS = {
-    "dim", "domain_radius", "domain_center", "planted_center", "similarity_v",
-    "samples_per_task", "loss_family", "curvature", "sample_noise_std",
-    "feature_norm", "t_train", "t_eval", "epsilon", "delta", "group_size",
-    "visits_per_task", "lipschitz_g", "smoothness_beta", "growth_alpha",
-    "step_scale_variant", "master_seed", "phi_init", "baseline_no_meta",
-    "baseline_nonprivate_meta", "mc_eval_samples", "output_path", "task_budget",
-}
 
-REQUIRED_KEYS = ("dim", "domain_radius", "similarity_v", "samples_per_task",
-                 "t_train", "epsilon", "delta", "master_seed")
+# Readers turn one raw value into a typed one, or raise ValueError saying
+# why; build_config prefixes the key.
+
+def _scalar(kind, lo, strict=False, below=None):
+    """Reads an int or a finite float v with v >= lo (v > lo when strict)
+    and v < below."""
+    expected = "an integer" if kind is int else "a number"
+
+    def read(raw):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ValueError(f"expected {expected}, got {raw!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        if value <= lo if strict else value < lo:
+            raise ValueError(f"must be {'>' if strict else '>='} {lo}, got {value}")
+        if below is not None and value >= below:
+            raise ValueError(f"must be < {below}, got {value}")
+        return value
+    return read
+
+
+def _boolean(raw):
+    if raw.lower() not in _BOOL_WORDS:
+        raise ValueError(f"expected true/false, got {raw!r}")
+    return _BOOL_WORDS[raw.lower()]
+
+
+def _one_of(choices):
+    def read(raw):
+        if raw not in choices:
+            raise ValueError(f"must be one of {sorted(choices)}, got {raw!r}")
+        return raw
+    return read
+
+
+def _vector(raw):
+    """Comma-separated floats; build_config checks their count and
+    finiteness once dim is known."""
+    try:
+        return np.array([float(p) for p in raw.split(",")])
+    except ValueError:
+        raise ValueError(f"expected comma-separated numbers, got {raw!r}") from None
+
+
+_COUNT = _scalar(int, 1)
+_NONNEGATIVE = _scalar(float, 0.0)
+_POSITIVE = _scalar(float, 0.0, strict=True)
+REQUIRED = object()
+
+# key -> (reader, default). A None default stands for: the origin for
+# domain_center, the domain center for phi_init and planted_center, the
+# derived constant for a regularity override, no cap for task_budget, and no
+# default --out for output_path.
+KEYS = {
+    "dim": (_COUNT, REQUIRED),
+    "domain_radius": (_POSITIVE, REQUIRED),
+    "domain_center": (_vector, None),
+    "similarity_v": (_NONNEGATIVE, REQUIRED),
+    "samples_per_task": (_COUNT, REQUIRED),
+    "loss_family": (_one_of(LOSS_FAMILIES), "quadratic"),
+    "curvature": (_POSITIVE, 1.0),
+    "sample_noise_std": (_NONNEGATIVE, 0.0),
+    "feature_norm": (_POSITIVE, 1.0),
+    "t_train": (_COUNT, REQUIRED),
+    "t_eval": (_COUNT, 500),
+    "epsilon": (_POSITIVE, REQUIRED),
+    "delta": (_scalar(float, 0.0, strict=True, below=1), REQUIRED),
+    "group_size": (_COUNT, 1),
+    "visits_per_task": (_COUNT, 1),
+    "lipschitz_g": (_POSITIVE, None),
+    "smoothness_beta": (_POSITIVE, None),
+    "growth_alpha": (_POSITIVE, None),
+    "step_scale_variant": (_one_of(STEP_SCALE_VARIANTS), "sqrt_m"),
+    "master_seed": (_scalar(int, 0, below=1 << 64), REQUIRED),
+    "phi_init": (_vector, None),
+    "planted_center": (_vector, None),
+    "baseline_no_meta": (_boolean, False),
+    "baseline_nonprivate_meta": (_boolean, False),
+    "mc_eval_samples": (_scalar(int, 2), 2000),
+    "task_budget": (_scalar(int, 0), None),
+    "output_path": (str, None),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully validated experiment: environment, budgets, learner constants."""
+    """A validated experiment, built by build_config: environment, budgets,
+    learner constants."""
 
     env: EnvSpec
     regularity: RegularityProfile
@@ -54,13 +130,13 @@ class ExperimentConfig:
     t_eval: int
     master_seed: int
     phi_init: np.ndarray
-    step_scale_variant: str = "sqrt_m"
-    visits_per_task: int = 1
-    baseline_no_meta: bool = False
-    baseline_nonprivate_meta: bool = False
-    mc_eval_samples: int = 2000
-    output_path: str | None = None
-    raw_items: tuple = field(default=(), compare=False)
+    step_scale_variant: str
+    visits_per_task: int
+    baseline_no_meta: bool
+    baseline_nonprivate_meta: bool
+    mc_eval_samples: int
+    output_path: str | None
+    raw_items: tuple = field(compare=False)
 
     def replace_value(self, key: str, value) -> "ExperimentConfig":
         """Rebuild the config with one raw setting changed (used by sweeps)."""
@@ -104,195 +180,102 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path}: not UTF-8 text (byte offset {exc.start})"]) from None
     return build_config(parse_config_text(text))
-
-
-class _Reader:
-    """Typed accessors that record violations instead of raising."""
-
-    def __init__(self, items):
-        self.items = dict(items)
-        self.violations = []
-
-    def _get(self, key, default=None):
-        return self.items.get(key, default)
-
-    def int_(self, key, default=None, minimum=None):
-        raw = self._get(key)
-        if raw is None:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            self.violations.append(f"{key}: expected an integer, got {raw!r}")
-            return default
-        if minimum is not None and value < minimum:
-            self.violations.append(f"{key}: must be >= {minimum}, got {value}")
-            return default
-        return value
-
-    def float_(self, key, default=None, minimum=None, exclusive_min=False):
-        raw = self._get(key)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            self.violations.append(f"{key}: expected a number, got {raw!r}")
-            return default
-        if not math.isfinite(value):
-            self.violations.append(f"{key}: must be finite, got {value}")
-            return default
-        if minimum is not None:
-            if exclusive_min and value <= minimum:
-                self.violations.append(f"{key}: must be > {minimum}, got {value}")
-                return default
-            if not exclusive_min and value < minimum:
-                self.violations.append(f"{key}: must be >= {minimum}, got {value}")
-                return default
-        return value
-
-    def bool_(self, key, default=False):
-        raw = self._get(key)
-        if raw is None:
-            return default
-        word = raw.lower()
-        if word not in _BOOL_WORDS:
-            self.violations.append(f"{key}: expected true/false, got {raw!r}")
-            return default
-        return _BOOL_WORDS[word]
-
-    def choice(self, key, choices, default):
-        raw = self._get(key, default)
-        if raw not in choices:
-            self.violations.append(f"{key}: must be one of {sorted(choices)}, got {raw!r}")
-            return default
-        return raw
-
-    def vector(self, key, dim, default=None):
-        raw = self._get(key)
-        if raw is None:
-            return default
-        parts = [p.strip() for p in raw.split(",")]
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            self.violations.append(f"{key}: expected comma-separated numbers, got {raw!r}")
-            return default
-        if dim is not None and len(values) != dim:
-            self.violations.append(f"{key}: expected {dim} coordinates, got {len(values)}")
-            return default
-        if not all(math.isfinite(v) for v in values):
-            self.violations.append(f"{key}: coordinates must be finite")
-            return default
-        return np.array(values, dtype=np.float64)
 
 
 def build_config(items: dict) -> ExperimentConfig:
     """Validate parsed settings and assemble an ExperimentConfig.
 
+    Every present key is read before any cross-key check; a malformed value
+    is reported and replaced by its default so the later checks still run.
     Raises ConfigError carrying every violation found.
     """
-    r = _Reader(items)
-    for key in items:
-        if key not in KNOWN_KEYS:
-            r.violations.append(f"unknown key {key!r}")
-    for key in REQUIRED_KEYS:
-        if key not in items:
-            r.violations.append(f"missing required key {key!r}")
+    violations = [f"unknown key {key!r}" for key in sorted(items.keys() - KEYS)]
+    v = {}
+    for key, (read, default) in KEYS.items():
+        v[key] = None if default is REQUIRED else default
+        if key in items:
+            try:
+                v[key] = read(items[key])
+            except ValueError as exc:
+                violations.append(f"{key}: {exc}")
+        elif default is REQUIRED:
+            violations.append(f"missing required key {key!r}")
 
-    dim = r.int_("dim", minimum=1)
-    radius = r.float_("domain_radius", minimum=0.0, exclusive_min=True)
-    center = r.vector("domain_center", dim)
-    similarity_v = r.float_("similarity_v", minimum=0.0)
-    m = r.int_("samples_per_task", minimum=1)
-    family = r.choice("loss_family", LOSS_FAMILIES, "quadratic")
-    curvature = r.float_("curvature", default=1.0, minimum=0.0, exclusive_min=True)
-    sample_noise_std = r.float_("sample_noise_std", default=0.0, minimum=0.0)
-    feature_norm = r.float_("feature_norm", default=1.0, minimum=0.0, exclusive_min=True)
-    t_train = r.int_("t_train", minimum=1)
-    t_eval = r.int_("t_eval", default=500, minimum=1)
-    epsilon = r.float_("epsilon", minimum=0.0, exclusive_min=True)
-    delta = r.float_("delta", minimum=0.0, exclusive_min=True)
-    group_size = r.int_("group_size", default=1, minimum=1)
-    visits = r.int_("visits_per_task", default=1, minimum=1)
-    variant = r.choice("step_scale_variant", STEP_SCALE_VARIANTS, "sqrt_m")
-    master_seed = r.int_("master_seed")
-    mc_eval = r.int_("mc_eval_samples", default=2000, minimum=2)
-    task_budget = r.int_("task_budget", minimum=0)
-    output_path = items.get("output_path")
+    dim, radius, family = v["dim"], v["domain_radius"], v["loss_family"]
+    for key in [k for k, (read, _) in KEYS.items() if read is _vector]:
+        vec = v[key]
+        if vec is None:
+            continue
+        if dim is not None and vec.size != dim:
+            violations.append(f"{key}: expected {dim} coordinates, got {vec.size}")
+            v[key] = None
+        elif not np.isfinite(vec).all():
+            violations.append(f"{key}: coordinates must be finite")
+            v[key] = None
 
-    if delta is not None and delta >= 1.0:
-        r.violations.append(f"delta: must be < 1, got {delta}")
+    t_train, task_budget = v["t_train"], v["task_budget"]
     if None not in (t_train, task_budget) and t_train > task_budget:
-        r.violations.append(f"task_budget: {task_budget} tasks cannot cover "
-                            f"t_train={t_train} training tasks")
+        violations.append(f"task_budget: {task_budget} tasks cannot cover "
+                          f"t_train={t_train} training tasks")
 
-    env = None
-    dom = None
-    if dim is not None and radius is not None:
-        if center is None:
-            center = np.zeros(dim)
-        dom = ParamDomain(center=center, radius=radius)
-    planted = r.vector("planted_center", dim,
-                       default=None if dom is None else dom.center.copy())
-    phi_init = r.vector("phi_init", dim,
-                        default=None if dom is None else dom.center.copy())
-
-    if dom is not None and None not in (similarity_v, m):
+    env = dom = None
+    if None not in (dim, radius):
+        center = v["domain_center"]
+        dom = ParamDomain(center=np.zeros(dim) if center is None else center,
+                          radius=radius)
+        if v["phi_init"] is None:
+            v["phi_init"] = dom.center.copy()
+        if not dom.contains(v["phi_init"]):
+            violations.append("phi_init lies outside the domain")
+    if dom is not None and None not in (v["similarity_v"], v["samples_per_task"]):
+        planted = v["planted_center"]
         try:
             env = EnvSpec(
-                domain=dom, planted_center=planted, similarity_v=similarity_v,
-                samples_per_task=m, loss_family=family, curvature=curvature,
-                sample_noise_std=sample_noise_std, feature_norm=feature_norm,
-                task_budget=task_budget,
+                domain=dom, similarity_v=v["similarity_v"],
+                planted_center=dom.center.copy() if planted is None else planted,
+                samples_per_task=v["samples_per_task"], loss_family=family,
+                curvature=v["curvature"], sample_noise_std=v["sample_noise_std"],
+                feature_norm=v["feature_norm"], task_budget=task_budget,
             )
         except ValueError as exc:
-            r.violations.append(str(exc))
-    if dom is not None and phi_init is not None and not dom.contains(phi_init):
-        r.violations.append("phi_init lies outside the domain")
+            violations.append(str(exc))
 
     privacy = None
-    if None not in (epsilon, delta) and delta < 1.0:
+    if None not in (v["epsilon"], v["delta"]):
         try:
-            privacy = PrivacyParams(epsilon=epsilon, delta=delta, group_size=group_size)
+            privacy = PrivacyParams(epsilon=v["epsilon"], delta=v["delta"],
+                                    group_size=v["group_size"])
         except ValueError as exc:
-            r.violations.append(str(exc))
+            violations.append(str(exc))
 
-    alpha_override = r.float_("growth_alpha", minimum=0.0, exclusive_min=True)
-    g_override = r.float_("lipschitz_g", minimum=0.0, exclusive_min=True)
-    beta_override = r.float_("smoothness_beta", minimum=0.0, exclusive_min=True)
     regularity = None
     if env is not None:
+        overrides = {name: v[name] for name in
+                     ("lipschitz_g", "smoothness_beta", "growth_alpha")
+                     if v[name] is not None}
         try:
             if family == "quadratic":
-                base = quadratic_regularity(curvature, dom)
+                base = quadratic_regularity(v["curvature"], dom)
+            elif "growth_alpha" not in overrides:
+                raise ValueError("growth_alpha is required for logistic tasks "
+                                 "(no closed form)")
             else:
-                if alpha_override is None:
-                    raise ValueError("growth_alpha is required for logistic tasks "
-                                     "(no closed form)")
-                base = logistic_regularity(feature_norm, alpha_override)
-            regularity = RegularityProfile(
-                lipschitz_g=g_override if g_override is not None else base.lipschitz_g,
-                smoothness_beta=(beta_override if beta_override is not None
-                                 else base.smoothness_beta),
-                growth_alpha=(alpha_override if alpha_override is not None
-                              else base.growth_alpha),
-            )
+                base = logistic_regularity(v["feature_norm"], v["growth_alpha"])
+            regularity = replace(base, **overrides)
         except ValueError as exc:
-            r.violations.append(str(exc))
+            violations.append(str(exc))
 
-    if r.violations:
-        raise ConfigError(r.violations)
+    if violations:
+        raise ConfigError(violations)
 
+    # every field named after a key takes that key's value
     return ExperimentConfig(
         env=env, regularity=regularity, privacy=privacy,
-        t_train=t_train, t_eval=t_eval, master_seed=master_seed,
-        phi_init=phi_init, step_scale_variant=variant, visits_per_task=visits,
-        baseline_no_meta=r.bool_("baseline_no_meta"),
-        baseline_nonprivate_meta=r.bool_("baseline_nonprivate_meta"),
-        mc_eval_samples=mc_eval, output_path=output_path,
         raw_items=tuple(sorted(items.items())),
-    )
+        **{f.name: v[f.name] for f in fields(ExperimentConfig) if f.name in KEYS})

@@ -23,15 +23,9 @@ GEOM_RTOL = 1e-12
 
 def as_vector(x, dim=None):
     """Coerce to a finite 1-D float64 array, copying so callers can't mutate it."""
-    v = np.asarray(x, dtype=np.float64)
+    v = as_batch(x, dim)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError("expected a vector with at least one coordinate")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite coordinates")
-    if dim is not None and v.size != dim:
-        raise ValueError(f"expected dimension {dim}, got {v.size}")
     return v.copy()
 
 

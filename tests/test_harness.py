@@ -1,6 +1,7 @@
 import math
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 import threading
@@ -12,8 +13,8 @@ import dpmeta
 import dpmeta.learners
 import dpmeta.task_env
 from dpmeta.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from dpmeta.config import (ConfigError, build_config, load_config,
-                           parse_config_text)
+from dpmeta.config import (KEYS, REQUIRED, ConfigError, build_config,
+                           load_config, parse_config_text)
 from dpmeta.harness import (ARM_META, ARM_NO_META, ARM_NONPRIVATE,
                             CSV_COLUMNS, CalibrationRecord,
                             InternalInvariantError, MetricsReport,
@@ -134,6 +135,64 @@ def test_config_validates_geometry():
         make_cfg(phi_init="1,2,3")  # wrong dimension
     with pytest.raises(ConfigError):
         make_cfg(similarity_v="3.0")  # exceeds radius
+
+
+def test_malformed_baseline_flags_are_violations(tmp_path, capsys):
+    bad = {"baseline_no_meta": "maybe", "baseline_nonprivate_meta": "maybe"}
+    with pytest.raises(ConfigError) as exc:
+        make_cfg(**bad)
+    msgs = "\n".join(exc.value.violations)
+    assert "baseline_no_meta: expected true/false, got 'maybe'" in msgs
+    assert "baseline_nonprivate_meta: expected true/false, got 'maybe'" in msgs
+    cfg_file = write_cfg_file(tmp_path / "c.txt", **bad)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg_file, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "baseline_no_meta" in err and "baseline_nonprivate_meta" in err
+    assert not out.exists()
+
+
+def test_master_seed_must_fit_64_bits(tmp_path, capsys, monkeypatch):
+    assert make_cfg(master_seed=0).master_seed == 0
+    assert make_cfg(master_seed=2**64 - 1).master_seed == 2**64 - 1
+    for seed, why in ((-1, "must be >= 0"), (2**64, f"must be < {2**64}")):
+        with pytest.raises(ConfigError) as exc:
+            make_cfg(master_seed=seed)
+        assert exc.value.violations == [f"master_seed: {why}, got {seed}"]
+    # --seed and DPMETA_SEED are held to the same range
+    cfg_file = write_cfg_file(tmp_path / "c.txt")
+    out = str(tmp_path / "o.csv")
+    assert main(["run", "--config", cfg_file, "--out", out,
+                 "--seed", "-1"]) == EXIT_CONFIG
+    monkeypatch.setenv("DPMETA_SEED", str(2**64))
+    assert main(["run", "--config", cfg_file, "--out", out]) == EXIT_CONFIG
+    assert "master_seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_readme_config_table_matches_keys():
+    readme_path = Path(__file__).resolve().parents[1] / "README.md"
+    readme = readme_path.read_text(encoding="utf-8")
+    table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    names, required, literals = [], set(), {}
+    for row in table.splitlines()[2:]:
+        key_cell, required_cell, default_cell = row.split("|")[1:4]
+        row_names = re.findall(r"`([^`]+)`", key_cell)
+        names += row_names
+        if required_cell.strip() == "yes":
+            required.update(row_names)
+        literal = re.fullmatch(r"`([^`]+)`", default_cell.strip())
+        for name in row_names:
+            literals[name] = literal and literal.group(1)
+    assert sorted(names) == sorted(KEYS)
+    assert required == {k for k, (_, default) in KEYS.items() if default is REQUIRED}
+    for name, literal in literals.items():
+        read, default = KEYS[name]
+        if literal is None:
+            # a concrete default must be written in the table
+            assert default is None or default is REQUIRED, name
+        else:
+            assert read(literal) == default and type(read(literal)) is type(default), name
 
 
 def test_calibrate_reference_point():
@@ -442,6 +501,20 @@ def test_cli_exhausted_task_budget_is_config_error(tmp_path, capsys):
                  "--axis", "T_train", "--values", "2,5"]) == EXIT_CONFIG
     assert "task_budget" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_cli_undecodable_config_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"dim = 2\xff\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(bad))
+    assert exc.value.violations == [f"{bad}: not UTF-8 text (byte offset 7)"]
+    for args in (["calibrate"], ["run", "--out", str(tmp_path / "o.csv")],
+                 ["sweep", "--out", str(tmp_path / "o.csv"), "--axis", "V",
+                  "--values", "0"]):
+        assert main(args + ["--config", str(bad)]) == EXIT_CONFIG
+        assert f"{bad}: not UTF-8 text (byte offset 7)" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_missing_out_is_config_error(tmp_path, capsys):
