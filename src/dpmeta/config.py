@@ -1,6 +1,7 @@
 """Flat ``key = value`` experiment configs.
 
-One setting per line, ``#`` starts a comment, blank lines are ignored.
+One setting per line, blank lines ignored; a ``#`` at a line's start or after
+whitespace starts a comment (as in configparser), so a value may hold ``#``.
 Vector-valued keys take comma-separated floats. Validation is collective: a
 bad config reports every violation at once, not just the first. ``KEYS`` is
 the one place a key is declared: its reader, bounds and default.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 import math
+import re
 
 import numpy as np
 
@@ -158,7 +160,7 @@ def parse_config_text(text: str) -> dict:
     violations = []
     items = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw_line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -1,7 +1,9 @@
 """Experiment orchestration: calibrate, run, sweep, and the CSV contract.
 
 A run trains the meta-initialization on t_train tasks, then measures excess
-transfer risk on t_eval fresh tasks for each requested arm. The training arms
+transfer risk on t_eval fresh tasks for each requested arm. The arm table in
+run_experiment (arm -> training plan, in report order) is the one place a run's
+arms are declared; a sweep is validated whole before it runs. The training arms
 share training tasks, samples and index sequences in one pass, and all arms
 share eval tasks, eval samples and Monte Carlo risk draws seed for seed, so
 comparisons are paired. Arms and tasks are array axes: training returns one
@@ -23,7 +25,7 @@ import time
 import numpy as np
 
 from . import learners
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig, build_config
 from .learners import OgdConfig, adaptation_step_size, private_step_scale
 from .losses import TaskSamples, smoothness_ceiling
 from .meta import run_meta_training
@@ -188,24 +190,20 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     env = cfg.env
     inference_cfg = OgdConfig(step_size=cal.eta, num_steps=env.samples_per_task)
 
-    # the training arms advance together over the same tasks: the calibrated
-    # plan, and its zero-noise twin when the nonprivate baseline is requested
-    plans = {ARM_META: cal.plan}
+    # arm -> training plan, in report order: the one place a run's arms are
+    # declared. None trains nothing and adapts from phi_init; the other arms
+    # (the calibrated plan and its zero-noise twin) share one training pass
+    arms = {ARM_META: cal.plan}
+    if cfg.baseline_no_meta:
+        arms[ARM_NO_META] = None
     if cfg.baseline_nonprivate_meta:
-        plans[ARM_NONPRIVATE] = replace(cal.plan, noise_variance_sigma_sq=0.0)
-    trained = run_meta_training(env, cfg.t_train, tuple(plans.values()),
+        arms[ARM_NONPRIVATE] = replace(cal.plan, noise_variance_sigma_sq=0.0)
+    # trained arm -> its row in every training output
+    rows = {arm: i for i, arm in enumerate(a for a, p in arms.items() if p is not None)}
+    trained = run_meta_training(env, cfg.t_train, [arms[arm] for arm in rows],
                                 cfg.phi_init, cfg.master_seed)
     # shared tasks, so one realized dispersion serves every training arm
     v_bar_sq = empirical_task_variance(trained.theta_stars, env.planted_center)
-    # each arm's mean over its own contiguous row, as a loop over tasks sums
-    mean_surrogates = {arm: float(losses.mean())
-                       for arm, losses in zip(plans, trained.surrogate_losses)}
-    # arm -> initialization, in the report's fixed arm order
-    inits = {ARM_META: trained.phi_hat[0]}
-    if cfg.baseline_no_meta:
-        inits[ARM_NO_META] = cfg.phi_init
-    if cfg.baseline_nonprivate_meta:
-        inits[ARM_NONPRIVATE] = trained.phi_hat[1]
 
     # every eval task's samples in one step-major (m, t_eval, d) buffer and its
     # minimizer in a (t_eval, d) array, filled task by task from its substreams
@@ -223,9 +221,11 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
         stars[e] = task.theta_star
     batch = TaskSamples(points, curvature=env.curvature if quadratic else None,
                         labels=labels)
-    # inits (arms, 1, d) against samples (m, t_eval, d): every arm on every task
-    averaged = learners.ogd_run(batch, np.stack(list(inits.values()))[:, None, :],
-                                inference_cfg, env.domain).averaged_iterate
+    # arm starts (arms, 1, d) against samples (m, t_eval, d): every arm, every task
+    starts = np.stack([cfg.phi_init if plan is None else trained.phi_hat[rows[arm]]
+                       for arm, plan in arms.items()])
+    averaged = learners.ogd_run(batch, starts[:, None, :], inference_cfg,
+                                env.domain).averaged_iterate
 
     # gaps[a, e]: arm a's excess risk on eval task e; on logistic tasks every
     # arm is scored against the task's one Monte Carlo sample set, and the
@@ -236,19 +236,20 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
         risk_rngs = [substream(cfg.master_seed, "eval-risk", e) for e in range(t_eval)]
         gaps = population_risk_gap(env, stars, averaged, cfg.mc_eval_samples, risk_rngs)
 
-    arms = {}
-    for arm, risks in zip(inits, gaps):
+    results = {}
+    for (arm, plan), risks in zip(arms.items(), gaps):
         std = risks.std(ddof=1) if risks.size > 1 else 0.0
-        plan = plans.get(arm)  # None for no_meta, which trains nothing
-        arms[arm] = ArmResult(
+        trains = plan is not None
+        results[arm] = ArmResult(
             arm=arm,
             excess_risks=tuple(float(g) for g in risks),
             mean_excess=float(risks.mean()),
             std_excess=float(std),
             stderr_excess=float(std / math.sqrt(risks.size)),
-            mean_surrogate=mean_surrogates.get(arm),
-            v_bar_sq_realized=None if plan is None else v_bar_sq,
-            sigma_sq_effective=None if plan is None else plan.noise_variance_sigma_sq,
+            # over the arm's own contiguous row, as a loop over tasks sums
+            mean_surrogate=float(trained.surrogate_losses[rows[arm]].mean()) if trains else None,
+            v_bar_sq_realized=v_bar_sq if trains else None,
+            sigma_sq_effective=plan.noise_variance_sigma_sq if trains else None,
         )
 
     mc_tol = 1e-9
@@ -259,7 +260,7 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
         axis_value=axis_value,
         master_seed=cfg.master_seed,
         calibration=cal,
-        arms=arms,
+        arms=results,
         wall_clock_s=time.perf_counter() - start,
     )
     report.validate(mc_tolerance=mc_tol)
@@ -270,22 +271,26 @@ def sweep(cfg_base: ExperimentConfig, axis: str, values) -> list[MetricsReport]:
     """Run the base config once per axis value with a per-value derived seed.
 
     The derived seed folds (master_seed, axis, value) together, so sweep
-    points are independent draws while remaining reproducible.
+    points are independent draws while remaining reproducible. Every point's
+    config is built first, and one ConfigError names every bad point's faults.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one axis value")
-    key = SWEEP_AXES[axis]
-    reports = []
+    points, violations = [], []
     for value in values:
-        cfg_v = cfg_base.replace_value(key, value)
-        cfg_v = cfg_v.replace_value(
-            "master_seed", derive_seed(cfg_base.master_seed, "sweep", axis,
-                                       format(float(value), ".17g")))
-        reports.append(run_experiment(cfg_v, axis_value=float(value)))
-    return reports
+        seed = derive_seed(cfg_base.master_seed, "sweep", axis, format(float(value), ".17g"))
+        items = dict(cfg_base.raw_items)
+        items.update({SWEEP_AXES[axis]: _fmt(value), "master_seed": _fmt(seed)})
+        try:
+            points.append((build_config(items), float(value)))
+        except ConfigError as exc:
+            violations += [f"{axis}={float(value):g}: {v}" for v in exc.violations]
+    if violations:
+        raise ConfigError(violations)
+    return [run_experiment(cfg, axis_value=value) for cfg, value in points]
 
 
 def _fmt(value) -> str:
@@ -301,31 +306,17 @@ def _fmt(value) -> str:
 
 
 def report_rows(report: MetricsReport) -> list[list[str]]:
-    """Flatten a report into CSV rows, one per (arm, eval task)."""
+    """Flatten a report into CSV rows: per arm in report order, per eval task."""
     cal = report.calibration
     rows = []
-    for arm_name in (ARM_META, ARM_NO_META, ARM_NONPRIVATE):
-        arm = report.arms.get(arm_name)
-        if arm is None:
-            continue
-        for idx, gap in enumerate(arm.excess_risks):
-            rows.append([
-                report.run_id,
-                _fmt(report.axis_value),
-                arm.arm,
-                str(idx),
-                _fmt(float(gap)),
-                _fmt(arm.mean_surrogate),
-                _fmt(arm.v_bar_sq_realized),
-                str(cal.steps_n),
-                _fmt(arm.sigma_sq_effective),
-                _fmt(cal.step_scale),
-                _fmt(cal.eta),
-                _fmt(cal.epsilon),
-                _fmt(cal.delta),
-                str(report.master_seed),
-                _fmt(report.wall_clock_s),
-            ])
+    for arm in report.arms.values():
+        head = [report.run_id, _fmt(report.axis_value), arm.arm]
+        tail = [_fmt(arm.mean_surrogate), _fmt(arm.v_bar_sq_realized), str(cal.steps_n),
+                _fmt(arm.sigma_sq_effective), _fmt(cal.step_scale), _fmt(cal.eta),
+                _fmt(cal.epsilon), _fmt(cal.delta), str(report.master_seed),
+                _fmt(report.wall_clock_s)]
+        rows += [head + [str(idx), _fmt(float(gap))] + tail
+                 for idx, gap in enumerate(arm.excess_risks)]
     return rows
 
 
@@ -350,8 +341,6 @@ def read_csv_rows(path: str) -> list[dict]:
 
 def write_calibration_sidecar(reports, path: str):
     """Write `<out>.calibration` echoing each report's calibration record."""
-    if isinstance(reports, MetricsReport):
-        reports = [reports]
     lines = []
     for report in reports:
         lines.append(f"[{report.run_id}]")

@@ -1,4 +1,5 @@
-"""Golden outputs: `dpmeta run` on two small configs must keep its bytes.
+"""Golden outputs: `dpmeta run` on two small configs, and `dpmeta sweep` on
+one of them, must keep their bytes.
 
 Each case pins the SHA-256 of the CSV with the wall-clock column blanked
 (csv_bytes_excluding_wall_clock) and of the `.calibration` sidecar. A refactor
@@ -35,26 +36,31 @@ LOGISTIC_ITEMS = {
     "baseline_nonprivate_meta": "true", "master_seed": "7",
 }
 
-# case -> (items, csv digest, sidecar digest)
+# case -> (command, items, csv digest, sidecar digest); the sweep case also
+# pins axis_value, the derived seeds, the run_ids and a multi-section sidecar
 GOLDEN = {
     "quadratic": (
-        QUADRATIC_ITEMS,
+        ["run"], QUADRATIC_ITEMS,
         "6c12ca60963732e933193ab9afb3bf2e0e1ce69433eb5abf7583af9f31f1609c",
         "e9e4d9ae7ee51c53c3e484e6bf96441210d46e1c571e9ff8d9380d6f8d7e8a81"),
     "logistic": (
-        LOGISTIC_ITEMS,
+        ["run"], LOGISTIC_ITEMS,
         "0b644134b5d2950d36d6c018a092e1a5315dbe2591fc826d3a83544360c091a6",
         "0d3fc76df9ed68c7b39053e2203d047531b5b50da787c4253966a840018ef12d"),
+    "sweep": (
+        ["sweep", "--axis", "V", "--values", "0.1,0.3"], QUADRATIC_ITEMS,
+        "4805552a8b32f2d23e90c5f51ad9e736aaab03d83abb56fea47ade01fc8584f3",
+        "9a04ffef405a838731b0d4e83601f561bc7bb02b67669ffbdaf85b90d2c4deee"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_run_outputs_match_golden_digests(case, tmp_path):
-    items, csv_digest, sidecar_digest = GOLDEN[case]
+    command, items, csv_digest, sidecar_digest = GOLDEN[case]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in items.items()))
     out = tmp_path / "run.csv"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_OK
     got = (hashlib.sha256(csv_bytes_excluding_wall_clock(str(out))).hexdigest(),
            hashlib.sha256((tmp_path / "run.csv.calibration").read_bytes()).hexdigest())
     assert got == (csv_digest, sidecar_digest), f"{case} digests are now {got}"

@@ -60,8 +60,15 @@ def test_parse_config_text():
         "# leading comment\n"
         "dim = 3   # trailing comment\n"
         "\n"
-        "epsilon=0.5\n")
-    assert items == {"dim": "3", "epsilon": "0.5"}
+        "epsilon=0.5\n"
+        "  # indented comment\n"
+        "output_path = runs/v#2.csv\n")
+    assert items == {"dim": "3", "epsilon": "0.5", "output_path": "runs/v#2.csv"}
+    # '#' starts a comment only at a line's start or after whitespace, so a
+    # '#' glued to a value stays in it and is judged with it
+    with pytest.raises(ConfigError) as exc:
+        build_config(dict(BASE_ITEMS, **parse_config_text("dim = 5#x\n")))
+    assert exc.value.violations == ["dim: expected an integer, got '5#x'"]
 
 
 def test_parse_config_rejects_garbage_and_duplicates():
@@ -221,18 +228,36 @@ def test_calibrate_group_and_composition():
     assert cal.composed_delta == pytest.approx(2e-5, rel=1e-12)
 
 
-def test_run_contains_requested_arms():
-    report = run_experiment(make_cfg())
-    assert set(report.arms) == {ARM_META}
-    report = run_experiment(make_cfg(baseline_no_meta="true",
-                                     baseline_nonprivate_meta="true"))
-    assert set(report.arms) == {ARM_META, ARM_NO_META, ARM_NONPRIVATE}
+@pytest.mark.parametrize("no_meta,nonprivate", [
+    (False, False), (True, False), (False, True), (True, True),
+], ids=["meta_only", "with_no_meta", "with_nonprivate", "all_arms"])
+def test_run_contains_requested_arms(no_meta, nonprivate, tmp_path):
+    # m = 50 gives 3 private steps; with 1 step both training arms would
+    # return phi_init and a row mix-up would go unseen
+    report = run_experiment(make_cfg(samples_per_task=50,
+                                     baseline_no_meta=str(no_meta).lower(),
+                                     baseline_nonprivate_meta=str(nonprivate).lower()))
+    expected = tuple(arm for arm, on in ((ARM_META, True), (ARM_NO_META, no_meta),
+                                         (ARM_NONPRIVATE, nonprivate)) if on)
+    assert tuple(report.arms) == expected
+    out = tmp_path / "arms.csv"
+    write_csv(report, str(out))
+    csv_arms = [row["arm"] for row in read_csv_rows(str(out))]
+    assert csv_arms == [arm for arm in expected for _ in range(8)]
     assert report.arms[ARM_META].sigma_sq_effective == report.calibration.sigma_sq
-    assert report.arms[ARM_NONPRIVATE].sigma_sq_effective == 0.0
-    assert report.arms[ARM_NO_META].sigma_sq_effective is None
     for arm in report.arms.values():
+        training = (arm.mean_surrogate, arm.v_bar_sq_realized, arm.sigma_sq_effective)
+        if arm.arm == ARM_NO_META:
+            assert training == (None, None, None)
+        else:
+            assert None not in training
         assert len(arm.excess_risks) == 8
         assert arm.mean_excess == pytest.approx(np.mean(arm.excess_risks))
+    if nonprivate:
+        # the zero-noise arm reads its own training row, not the private one
+        assert report.arms[ARM_NONPRIVATE].sigma_sq_effective == 0.0
+        assert (report.arms[ARM_NONPRIVATE].excess_risks
+                != report.arms[ARM_META].excess_risks)
 
 
 @pytest.mark.parametrize("family_items", [
@@ -562,6 +587,28 @@ def test_cli_sweep(tmp_path, capsys):
     assert {row["axis_value"] for row in rows} == {"0", "0.5"}
     assert len({row["run_id"] for row in rows}) == 2
     capsys.readouterr()
+
+
+def test_cli_sweep_reports_every_bad_point_before_running_any(tmp_path, capsys,
+                                                               monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return run_experiment(*args, **kwargs)
+
+    monkeypatch.setattr(dpmeta.harness, "run_experiment", spy)
+    cfg_file = write_cfg_file(tmp_path / "c.txt", domain_radius=3.0, t_train=3,
+                              t_eval=4)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg_file, "--out", str(out),
+                 "--axis", "V", "--values", "0,5,7"]) == EXIT_CONFIG
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "V=5: similarity_v=5.0 exceeds" in err
+    assert "V=7: similarity_v=7.0 exceeds" in err
+    assert "V=0:" not in err
+    assert not out.exists()
 
 
 def test_load_config_file_round_trip(tmp_path):
