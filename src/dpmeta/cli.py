@@ -6,7 +6,9 @@
 
 Exit codes: 0 success, 2 config validation failure, 3 I/O failure, 4 internal
 invariant violation. The seed comes from --seed if given, else the DPMETA_SEED
-environment variable, else the config's master_seed; it must lie in [0, 2^64).
+environment variable, else the config's master_seed. An override replaces the
+file's master_seed before the config is validated, so the file need not set
+one; only the seed in use must lie in [0, 2^64).
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> "ExperimentConfig":
-    cfg = load_config(args.config)
     seed = args.seed
     if seed is None and "DPMETA_SEED" in os.environ:
         try:
@@ -63,9 +64,9 @@ def _load(args) -> "ExperimentConfig":
         except ValueError:
             raise ConfigError([f"DPMETA_SEED must be an integer, got "
                                f"{os.environ['DPMETA_SEED']!r}"])
-    if seed is not None:
-        cfg = cfg.replace_value("master_seed", int(seed))
-    return cfg
+    if seed is None:
+        return load_config(args.config)
+    return load_config(args.config, master_seed=seed)
 
 
 def _resolve_out(args, cfg) -> str:

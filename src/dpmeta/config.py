@@ -140,16 +140,17 @@ class ExperimentConfig:
     output_path: str | None
     raw_items: tuple = field(compare=False)
 
-    def replace_value(self, key: str, value) -> "ExperimentConfig":
-        """Rebuild the config with one raw setting changed (used by sweeps)."""
-        items = dict(self.raw_items)
-        items[key] = _format_raw(value)
-        return build_config(items)
 
-
-def _format_raw(value) -> str:
+def format_value(value) -> str:
+    """The one value-to-text rule, for settings, CSV cells and the sidecar:
+    None is empty, bools are true/false, ints are digits and floats take 17
+    significant digits, so every float round-trips exactly."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -181,13 +182,23 @@ def parse_config_text(text: str) -> dict:
     return items
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> ExperimentConfig:
+    """Read a config file, apply overrides, and validate once.
+
+    Each override (key=value) replaces or adds that key's setting, written
+    with format_value, before build_config judges the settings; so a
+    replaced value is never read and an override may supply a key the file
+    omits. Raises ConfigError with every violation, or OSError when the file
+    cannot be read.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{path}: not UTF-8 text (byte offset {exc.start})"]) from None
-    return build_config(parse_config_text(text))
+    items = parse_config_text(text)
+    items.update({key: format_value(value) for key, value in overrides.items()})
+    return build_config(items)
 
 
 def build_config(items: dict) -> ExperimentConfig:

@@ -83,12 +83,12 @@ class ParamDomain:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def contains(self, v, rtol=GEOM_RTOL) -> bool:
+    def contains(self, v) -> bool:
         """True when v, or every vector of a batch shaped (..., dim), lies in
-        the ball, up to rtol of the radius plus the rounding of the center's
-        coordinates."""
+        the ball, up to GEOM_RTOL of the radius plus the rounding of the
+        center's coordinates."""
         norms = np.sqrt(dist_sq(self.center, v))
-        return bool((norms <= self.radius * (1 + rtol) + self._rounding_slack).all())
+        return bool((norms <= self.radius * (1 + GEOM_RTOL) + self._rounding_slack).all())
 
 
 def _sq_norms(offset):

@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import learners
-from .config import ConfigError, ExperimentConfig, build_config
+from .config import ConfigError, ExperimentConfig, build_config, format_value
 from .learners import OgdConfig, adaptation_step_size, private_step_scale
 from .losses import TaskSamples, smoothness_ceiling
 from .meta import run_meta_training
@@ -281,9 +281,10 @@ def sweep(cfg_base: ExperimentConfig, axis: str, values) -> list[MetricsReport]:
         raise ValueError("sweep needs at least one axis value")
     points, violations = [], []
     for value in values:
-        seed = derive_seed(cfg_base.master_seed, "sweep", axis, format(float(value), ".17g"))
+        seed = derive_seed(cfg_base.master_seed, "sweep", axis, format_value(float(value)))
         items = dict(cfg_base.raw_items)
-        items.update({SWEEP_AXES[axis]: _fmt(value), "master_seed": _fmt(seed)})
+        items.update({SWEEP_AXES[axis]: format_value(value),
+                      "master_seed": format_value(seed)})
         try:
             points.append((build_config(items), float(value)))
         except ConfigError as exc:
@@ -293,29 +294,17 @@ def sweep(cfg_base: ExperimentConfig, axis: str, values) -> list[MetricsReport]:
     return [run_experiment(cfg, axis_value=value) for cfg, value in points]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def report_rows(report: MetricsReport) -> list[list[str]]:
     """Flatten a report into CSV rows: per arm in report order, per eval task."""
     cal = report.calibration
     rows = []
     for arm in report.arms.values():
-        head = [report.run_id, _fmt(report.axis_value), arm.arm]
-        tail = [_fmt(arm.mean_surrogate), _fmt(arm.v_bar_sq_realized), str(cal.steps_n),
-                _fmt(arm.sigma_sq_effective), _fmt(cal.step_scale), _fmt(cal.eta),
-                _fmt(cal.epsilon), _fmt(cal.delta), str(report.master_seed),
-                _fmt(report.wall_clock_s)]
-        rows += [head + [str(idx), _fmt(float(gap))] + tail
+        head = [format_value(v) for v in (report.run_id, report.axis_value, arm.arm)]
+        tail = [format_value(v) for v in (
+            arm.mean_surrogate, arm.v_bar_sq_realized, cal.steps_n,
+            arm.sigma_sq_effective, cal.step_scale, cal.eta, cal.epsilon,
+            cal.delta, report.master_seed, report.wall_clock_s)]
+        rows += [head + [format_value(idx), format_value(gap)] + tail
                  for idx, gap in enumerate(arm.excess_risks)]
     return rows
 
@@ -345,10 +334,10 @@ def write_calibration_sidecar(reports, path: str):
     for report in reports:
         lines.append(f"[{report.run_id}]")
         if report.axis_value is not None:
-            lines.append(f"axis_value = {_fmt(report.axis_value)}")
-        lines.append(f"master_seed = {report.master_seed}")
+            lines.append(f"axis_value = {format_value(report.axis_value)}")
+        lines.append(f"master_seed = {format_value(report.master_seed)}")
         for name, value in report.calibration.as_items():
-            lines.append(f"{name} = {_fmt(value)}")
+            lines.append(f"{name} = {format_value(value)}")
         lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))

@@ -87,14 +87,12 @@ def surrogate_loss(phi, theta_bar):
 @dataclass(frozen=True)
 class MetaTraining:
     """What meta-training leaves behind, one row per training arm: phi_hat
-    (arms, d), the deployed initializations; theta_bars (arms, tasks, d), the
-    private outputs, the only per-task outputs that leave a task;
-    surrogate_losses (arms, tasks), each output against the phi its task
-    started from; theta_stars (tasks, d), the shared tasks' minimizers, for
-    the realized task dispersion."""
+    (arms, d), the deployed initializations; surrogate_losses (arms, tasks),
+    each private output against the phi its task started from; theta_stars
+    (tasks, d), the shared tasks' minimizers, for the realized task
+    dispersion."""
 
     phi_hat: np.ndarray
-    theta_bars: np.ndarray
     surrogate_losses: np.ndarray
     theta_stars: np.ndarray
 
@@ -131,7 +129,6 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
         raise ValueError("phi_init lies outside the domain")
 
     state = new_state(np.tile(phi_init, (len(plans), 1)))
-    theta_bars = np.empty((len(plans), num_tasks, env.dim))
     # (arms, tasks), so each arm's losses are one contiguous row
     surrogate_losses = np.empty((len(plans), num_tasks))
     theta_stars = np.empty((num_tasks, env.dim))
@@ -143,7 +140,6 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
         bars = learners.noisy_sgd_run(samples, state.phi_current, plans, env.domain,
                                       rngs).averaged_iterate
         theta_stars[t] = task.theta_star
-        theta_bars[:, t] = bars
         surrogate_losses[:, t] = surrogate_loss(state.phi_current, bars)
         state = meta_step(state, bars)
-    return MetaTraining(state.phi_hat(), theta_bars, surrogate_losses, theta_stars)
+    return MetaTraining(state.phi_hat(), surrogate_losses, theta_stars)

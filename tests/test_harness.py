@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 from pathlib import Path
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import dpmeta
+import dpmeta.config
 import dpmeta.learners
 import dpmeta.task_env
-from dpmeta.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from dpmeta.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from dpmeta.config import (KEYS, REQUIRED, ConfigError, build_config,
                            load_config, parse_config_text)
 from dpmeta.harness import (ARM_META, ARM_NO_META, ARM_NONPRIVATE,
@@ -23,11 +25,14 @@ from dpmeta.harness import (ARM_META, ARM_NO_META, ARM_NONPRIVATE,
 from dpmeta.learners import adaptation_step_size
 from dpmeta.task_env import sample_task, substream
 
+# m = 50 gives 3 private steps; with 1 step a training pass returns its start,
+# so a training arm's surrogate losses would all be 0 and a row mix-up between
+# training arms would go unseen
 BASE_ITEMS = {
     "dim": "2",
     "domain_radius": "2.0",
     "similarity_v": "0.3",
-    "samples_per_task": "30",
+    "samples_per_task": "50",
     "sample_noise_std": "0.1",
     "t_train": "6",
     "t_eval": "8",
@@ -99,6 +104,12 @@ def test_build_config_reports_regularity_violations_beside_environment_ones():
     msgs = "\n".join(exc.value.violations)
     assert "similarity_v=5.0 exceeds the domain radius" in msgs
     assert "lipschitz_g: expected a number, got 'abc'" in msgs
+    # logistic tasks have no closed-form growth constant to fall back on
+    with pytest.raises(ConfigError) as exc:
+        make_cfg(loss_family="logistic", lipschitz_g="abc")
+    assert exc.value.violations == [
+        "lipschitz_g: expected a number, got 'abc'",
+        "growth_alpha is required for logistic tasks (no closed form)"]
 
 
 def test_config_defaults():
@@ -114,16 +125,6 @@ def test_config_defaults():
     assert cfg.regularity.growth_alpha == 1.0
     items = {k: v for k, v in BASE_ITEMS.items() if k != "t_eval"}
     assert build_config(items).t_eval == 500
-
-
-def test_config_replace_value_roundtrip():
-    cfg = make_cfg()
-    cfg2 = cfg.replace_value("epsilon", 0.25)
-    assert cfg2.privacy.epsilon == 0.25
-    assert cfg.privacy.epsilon == 1.0
-    assert cfg2.env.samples_per_task == cfg.env.samples_per_task
-    cfg3 = cfg2.replace_value("master_seed", 999)
-    assert cfg3.master_seed == 999
 
 
 def test_config_overrides_regularity():
@@ -142,6 +143,9 @@ def test_config_validates_geometry():
         make_cfg(phi_init="1,2,3")  # wrong dimension
     with pytest.raises(ConfigError):
         make_cfg(similarity_v="3.0")  # exceeds radius
+    with pytest.raises(ConfigError) as exc:
+        make_cfg(phi_init="nan,0")
+    assert exc.value.violations == ["phi_init: coordinates must be finite"]
 
 
 def test_malformed_baseline_flags_are_violations(tmp_path, capsys):
@@ -232,10 +236,7 @@ def test_calibrate_group_and_composition():
     (False, False), (True, False), (False, True), (True, True),
 ], ids=["meta_only", "with_no_meta", "with_nonprivate", "all_arms"])
 def test_run_contains_requested_arms(no_meta, nonprivate, tmp_path):
-    # m = 50 gives 3 private steps; with 1 step both training arms would
-    # return phi_init and a row mix-up would go unseen
-    report = run_experiment(make_cfg(samples_per_task=50,
-                                     baseline_no_meta=str(no_meta).lower(),
+    report = run_experiment(make_cfg(baseline_no_meta=str(no_meta).lower(),
                                      baseline_nonprivate_meta=str(nonprivate).lower()))
     expected = tuple(arm for arm, on in ((ARM_META, True), (ARM_NO_META, no_meta),
                                          (ARM_NONPRIVATE, nonprivate)) if on)
@@ -251,6 +252,8 @@ def test_run_contains_requested_arms(no_meta, nonprivate, tmp_path):
             assert training == (None, None, None)
         else:
             assert None not in training
+            # training moved every task's output off the phi it started from
+            assert arm.mean_surrogate > 0.0
         assert len(arm.excess_risks) == 8
         assert arm.mean_excess == pytest.approx(np.mean(arm.excess_risks))
     if nonprivate:
@@ -577,6 +580,62 @@ def test_cli_seed_precedence(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_seed_override_replaces_the_file_master_seed(tmp_path, capsys, monkeypatch):
+    # --seed and DPMETA_SEED replace master_seed before the config is judged,
+    # once: a file without one, or with one that is malformed, runs byte for
+    # byte as the file that sets the seed in use
+    builds = []
+    real_build = dpmeta.config.build_config
+    monkeypatch.setattr(dpmeta.config, "build_config",
+                        lambda items: builds.append(items) or real_build(items))
+
+    def run(cfg_file, *extra):
+        out = tmp_path / "out.csv"
+        builds.clear()
+        assert main(["run", "--config", cfg_file, "--out", str(out), *extra]) == EXIT_OK
+        assert len(builds) == 1
+        capsys.readouterr()
+        return (csv_bytes_excluding_wall_clock(str(out)),
+                (tmp_path / "out.csv.calibration").read_bytes())
+
+    reference = run(write_cfg_file(tmp_path / "seeded.txt", master_seed=5))
+    unseeded = tmp_path / "unseeded.txt"
+    unseeded.write_text("".join(f"{k} = {v}\n" for k, v in BASE_ITEMS.items()
+                                if k != "master_seed"))
+    malformed = write_cfg_file(tmp_path / "malformed.txt", master_seed="abc")
+    for cfg_file in (str(unseeded), malformed):
+        assert run(cfg_file, "--seed", "5") == reference
+        monkeypatch.setenv("DPMETA_SEED", "5")
+        assert run(cfg_file) == reference
+        monkeypatch.delenv("DPMETA_SEED")
+
+
+def test_load_config_overrides_replace_file_settings(tmp_path):
+    cfg_file = write_cfg_file(tmp_path / "c.txt")
+    cfg = load_config(cfg_file, epsilon=0.25, master_seed=999,
+                      baseline_no_meta=True)
+    assert cfg.privacy.epsilon == 0.25
+    assert cfg.master_seed == 999
+    assert cfg.baseline_no_meta
+    assert cfg.env.samples_per_task == load_config(cfg_file).env.samples_per_task
+    assert dict(cfg.raw_items)["epsilon"] == "0.25"
+    with pytest.raises(ConfigError) as exc:
+        load_config(cfg_file, master_seed=-1)
+    assert exc.value.violations == ["master_seed: must be >= 0, got -1"]
+
+
+def test_cli_internal_invariant_exit(tmp_path, capsys, monkeypatch):
+    # a report that fails validate is a harness bug: exit 4 and no output
+    real = dpmeta.harness.population_risk_gap
+    monkeypatch.setattr(dpmeta.harness, "population_risk_gap",
+                        lambda *args: real(*args) - 1.0)
+    cfg_file = write_cfg_file(tmp_path / "c.txt")
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg_file, "--out", str(out)]) == EXIT_INTERNAL
+    assert "internal invariant violated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep(tmp_path, capsys):
     cfg_file = write_cfg_file(tmp_path / "c.txt", t_train=3, t_eval=4)
     out = tmp_path / "sweep.csv"
@@ -616,3 +675,24 @@ def test_load_config_file_round_trip(tmp_path):
     cfg = load_config(cfg_file)
     assert np.array_equal(cfg.phi_init, [0.5, 0.5])
     assert cfg.master_seed == 123
+
+
+def test_readme_determinism_names_every_substream_tag():
+    # every string tag passed to substream or derive_seed names a stream of
+    # the master seed, and README's "Determinism" section lists them all
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Determinism", 1)[1].split("\n## ", 1)[0]
+    tags = set()
+    for path in sorted((root / "src" / "dpmeta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("substream", "derive_seed"):
+                tags.update(arg.value for arg in node.args
+                            if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+    assert {"train-task", "train-losses", "train-noise", "eval-task",
+            "eval-losses", "eval-risk", "sweep"} <= tags
+    assert [tag for tag in sorted(tags) if f'"{tag}"' not in section] == []

@@ -103,7 +103,6 @@ def test_meta_iterates_contract_toward_planted_center():
     end = np.linalg.norm(trained.phi_hat[0] - center)
     assert end <= start * (1 + math.log(T)) / T * 2
     assert trained.phi_hat.shape == (1, 3)
-    assert trained.theta_bars.shape == (1, T, 3)
     assert trained.surrogate_losses.shape == (1, T)
     assert trained.theta_stars.shape == (T, 3)
 
@@ -118,7 +117,7 @@ def test_meta_training_deterministic():
     a = run_meta_training(env, 12, (plan,), np.zeros(2), 77)
     b = run_meta_training(env, 12, (plan,), np.zeros(2), 77)
     assert np.array_equal(a.phi_hat, b.phi_hat)
-    assert np.array_equal(a.theta_bars, b.theta_bars)
+    assert np.array_equal(a.surrogate_losses, b.surrogate_losses)
     c = run_meta_training(env, 12, (plan,), np.zeros(2), 78)
     assert not np.array_equal(a.phi_hat, c.phi_hat)
 
@@ -157,7 +156,6 @@ def test_meta_update_sees_only_private_output(monkeypatch):
     for a in range(2):
         replay = new_state(np.zeros(2))
         for t, rows in enumerate(captured):
-            assert np.array_equal(trained.theta_bars[a, t], rows[a])
             assert trained.surrogate_losses[a, t] == surrogate_loss(
                 replay.phi_current, rows[a])
             replay = meta_step(replay, rows[a])
@@ -179,6 +177,16 @@ def test_shared_training_equals_separate_passes(family, monkeypatch):
             return out
 
         monkeypatch.setattr(dpmeta.learners, name, spy)
+    # every learner call's private outputs, one (arms, d) row set per task
+    bars = []
+    real_noisy = dpmeta.learners.noisy_sgd_run
+
+    def spy_noisy(*args, **kwargs):
+        out = real_noisy(*args, **kwargs)
+        bars.append(np.array(out.averaged_iterate, copy=True))
+        return out
+
+    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_run", spy_noisy)
     dom = ParamDomain(np.array([0.1, -0.2]), 0.8)
     env = EnvSpec(domain=dom, planted_center=np.array([0.4, -0.2]),
                   similarity_v=0.3, samples_per_task=12, loss_family=family,
@@ -188,13 +196,15 @@ def test_shared_training_equals_separate_passes(family, monkeypatch):
     quiet = replace(plan, noise_variance_sigma_sq=0.0)
     phi_init = np.array([0.7, -0.5])
     shared = run_meta_training(env, 15, (plan, quiet), phi_init, 21)
+    shared_bars = np.stack(bars)
     for calls in binds.values():
         assert 0 < sum(calls) < len(calls)
-    assert shared.theta_bars.shape == (2, 15, 2)
+    assert shared_bars.shape == (15, 2, 2)
     for a, arm_plan in enumerate((plan, quiet)):
+        bars.clear()
         alone = run_meta_training(env, 15, (arm_plan,), phi_init, 21)
         assert np.array_equal(shared.phi_hat[a], alone.phi_hat[0])
-        assert np.array_equal(shared.theta_bars[a], alone.theta_bars[0])
+        assert np.array_equal(shared_bars[:, a], np.stack(bars)[:, 0])
         assert np.array_equal(shared.surrogate_losses[a], alone.surrogate_losses[0])
         assert np.array_equal(shared.theta_stars, alone.theta_stars)
     # the noise reaches the private arm only
@@ -225,7 +235,16 @@ def test_task_budget_enforced():
     run_meta_training(env, 4, (plan,), np.zeros(2), 3)
 
 
-def test_record_fields_consistent():
+def test_record_fields_consistent(monkeypatch):
+    bars = []
+    real_noisy = dpmeta.learners.noisy_sgd_run
+
+    def spy_noisy(*args, **kwargs):
+        out = real_noisy(*args, **kwargs)
+        bars.append(np.asarray(out.averaged_iterate)[0].copy())
+        return out
+
+    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_run", spy_noisy)
     dom = ParamDomain(np.zeros(2), 5.0)
     env = EnvSpec(domain=dom, planted_center=np.array([0.5, 0.5]),
                   similarity_v=0.2, samples_per_task=15, curvature=2.0,
@@ -235,8 +254,8 @@ def test_record_fields_consistent():
     trained = run_meta_training(env, 5, (plan,), np.zeros(2), 13)
     # each surrogate scores the task's output against the phi it started from
     state = new_state(np.zeros(2))
-    for bar, loss, star in zip(trained.theta_bars[0], trained.surrogate_losses[0],
-                               trained.theta_stars):
+    for bar, loss, star in zip(bars, trained.surrogate_losses[0],
+                               trained.theta_stars, strict=True):
         assert loss == surrogate_loss(state.phi_current, bar)
         assert dom.contains(star)
         state = meta_step(state, bar)
