@@ -11,8 +11,8 @@ from .losses import (RegularityProfile, TaskSamples, certify_smoothness,
                      finite_diff_check, logistic_grad, logistic_regularity,
                      logistic_value, quadratic_grad, quadratic_regularity,
                      quadratic_value)
-from .privacy import (NoisySgdPlan, PrivacyParams, compose_sequential, group_dp,
-                      make_plan, noise_variance, sample_step_noise, step_budget)
+from .privacy import (NoisySgdPlan, PrivacyParams, group_dp, make_plan,
+                      noise_variance, sample_step_noise, step_budget)
 from .learners import (LearnerOutput, OgdConfig, adaptation_step_size,
                        noisy_sgd_run, ogd_run, private_step_scale)
 from .meta import (MetaState, MetaTraining, meta_step, new_state,

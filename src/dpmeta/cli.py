@@ -86,13 +86,26 @@ def _parse_values(raw: str) -> list[float]:
     return values
 
 
+def _warn(cal, tag: str) -> None:
+    """Flag on stderr a private plan that is unstable or does nothing; the
+    run goes on and its exit code does not change."""
+    if cal.step_times_beta > 2:
+        print(f"warning: {tag}step_times_beta = {cal.step_times_beta:.3g} > 2: "
+              "the private step is unstable", file=sys.stderr)
+    if cal.training_is_noop:
+        print(f"warning: {tag}training_is_noop: steps_n = 1, so private "
+              "training returns its start", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args)
         if args.command == "calibrate":
-            for name, value in calibrate(cfg).as_items():
-                print(f"{name} = {value}")
+            cal = calibrate(cfg)
+            for line in cal.lines():
+                print(line)
+            _warn(cal, "")
             return EXIT_OK
 
         out = _resolve_out(args, cfg)
@@ -103,9 +116,10 @@ def main(argv=None) -> int:
         write_csv(reports, out)
         write_calibration_sidecar(reports, out + ".calibration")
         for report in reports:
+            tag = ("" if report.axis_value is None
+                   else f"{args.axis}={report.axis_value:g} ")
+            _warn(report.calibration, tag)
             for arm in report.arms.values():
-                tag = ("" if report.axis_value is None
-                       else f"{args.axis}={report.axis_value:g} ")
                 print(f"{tag}{arm.arm}: mean excess risk "
                       f"{arm.mean_excess:.6g} +/- {arm.stderr_excess:.2g}")
         print(f"wrote {out}")

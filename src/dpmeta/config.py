@@ -104,7 +104,6 @@ KEYS = {
     "epsilon": (_POSITIVE, REQUIRED),
     "delta": (_scalar(float, 0.0, strict=True, below=1), REQUIRED),
     "group_size": (_COUNT, 1),
-    "visits_per_task": (_COUNT, 1),
     "lipschitz_g": (_POSITIVE, None),
     "smoothness_beta": (_POSITIVE, None),
     "growth_alpha": (_POSITIVE, None),
@@ -133,7 +132,6 @@ class ExperimentConfig:
     master_seed: int
     phi_init: np.ndarray
     step_scale_variant: str
-    visits_per_task: int
     baseline_no_meta: bool
     baseline_nonprivate_meta: bool
     mc_eval_samples: int

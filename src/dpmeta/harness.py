@@ -15,7 +15,7 @@ wall_clock_s is the only column allowed to differ between identical runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 import csv
 import hashlib
 import io
@@ -29,7 +29,7 @@ from .config import ConfigError, ExperimentConfig, build_config, format_value
 from .learners import OgdConfig, adaptation_step_size, private_step_scale
 from .losses import TaskSamples, smoothness_ceiling
 from .meta import run_meta_training
-from .privacy import NoisySgdPlan, compose_sequential, group_dp, make_plan
+from .privacy import NoisySgdPlan, group_dp, make_plan
 from .task_env import (derive_seed, empirical_task_variance, generate_losses,
                        population_risk_gap, sample_task, substream)
 
@@ -73,18 +73,21 @@ class CalibrationRecord:
     group_size: int
     group_epsilon: float
     group_delta: float
-    visits_per_task: int
-    composed_epsilon: float
-    composed_delta: float
     lipschitz_g: float
     growth_alpha: float
     smoothness_beta: float
     smoothness_ceiling: float
     smoothness_ok: bool
+    step_times_beta: float
+    training_is_noop: bool
     step_scale_variant: str
 
-    def as_items(self):
-        return [(name, getattr(self, name)) for name in self.__dataclass_fields__]
+    def lines(self) -> list[str]:
+        """The record as `name = value` lines in field order, each value
+        written by format_value: what `dpmeta calibrate` prints and the
+        sidecar echoes."""
+        return [f"{f.name} = {format_value(getattr(self, f.name))}"
+                for f in fields(self)]
 
     @property
     def plan(self) -> NoisySgdPlan:
@@ -137,7 +140,6 @@ def calibrate(cfg: ExperimentConfig) -> CalibrationRecord:
     eta = adaptation_step_size(env.similarity_v, reg.growth_alpha,
                                reg.lipschitz_g, env.samples_per_task)
     group_eps, group_delta = group_dp(priv)
-    composed = compose_sequential([(priv.epsilon, priv.delta)] * cfg.visits_per_task)
     ceiling = smoothness_ceiling(reg.lipschitz_g, env.domain,
                                  env.samples_per_task, priv, plan.steps_n)
     return CalibrationRecord(
@@ -153,14 +155,15 @@ def calibrate(cfg: ExperimentConfig) -> CalibrationRecord:
         group_size=priv.group_size,
         group_epsilon=group_eps,
         group_delta=group_delta,
-        visits_per_task=cfg.visits_per_task,
-        composed_epsilon=composed[0],
-        composed_delta=composed[1],
         lipschitz_g=reg.lipschitz_g,
         growth_alpha=reg.growth_alpha,
         smoothness_beta=reg.smoothness_beta,
         smoothness_ceiling=ceiling,
         smoothness_ok=reg.smoothness_beta <= ceiling,
+        # gradient steps on a beta-smooth loss are non-expansive only up to 2
+        step_times_beta=plan.step_size * reg.smoothness_beta,
+        # the average of theta_1 alone is the start: training changes nothing
+        training_is_noop=plan.steps_n == 1,
         step_scale_variant=cfg.step_scale_variant,
     )
 
@@ -336,8 +339,7 @@ def write_calibration_sidecar(reports, path: str):
         if report.axis_value is not None:
             lines.append(f"axis_value = {format_value(report.axis_value)}")
         lines.append(f"master_seed = {format_value(report.master_seed)}")
-        for name, value in report.calibration.as_items():
-            lines.append(f"{name} = {format_value(value)}")
+        lines += report.calibration.lines()
         lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))

@@ -113,23 +113,6 @@ def group_dp(privacy: PrivacyParams) -> tuple[float, float]:
     return eps_g, delta_g
 
 
-def compose_sequential(budgets) -> tuple[float, float]:
-    """Basic sequential composition: sum the epsilons, sum the deltas."""
-    budgets = list(budgets)
-    if not budgets:
-        raise ValueError("compose_sequential needs at least one budget")
-    eps_total = 0.0
-    delta_total = 0.0
-    for eps, delta in budgets:
-        if not math.isfinite(eps) or eps <= 0:
-            raise ValueError(f"epsilon must be finite and > 0, got {eps}")
-        if not (0.0 <= delta < 1.0):
-            raise ValueError(f"delta must lie in [0, 1), got {delta}")
-        eps_total += eps
-        delta_total += delta
-    return eps_total, delta_total
-
-
 def make_plan(m: int, privacy: PrivacyParams, dim: int, clip_bound: float,
               step_scale: float) -> NoisySgdPlan:
     """Assemble the calibrated plan: n from the step budget, sigma^2 from the

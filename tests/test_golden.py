@@ -42,15 +42,15 @@ GOLDEN = {
     "quadratic": (
         ["run"], QUADRATIC_ITEMS,
         "6c12ca60963732e933193ab9afb3bf2e0e1ce69433eb5abf7583af9f31f1609c",
-        "e9e4d9ae7ee51c53c3e484e6bf96441210d46e1c571e9ff8d9380d6f8d7e8a81"),
+        "9d7e0664097a4fef284248c4454ce31d4a710eb334c7aa4b15b5ca2ac14f48d9"),
     "logistic": (
         ["run"], LOGISTIC_ITEMS,
         "0b644134b5d2950d36d6c018a092e1a5315dbe2591fc826d3a83544360c091a6",
-        "0d3fc76df9ed68c7b39053e2203d047531b5b50da787c4253966a840018ef12d"),
+        "47104ce57c49e31103da1bf26243e134399128be513af8264ab6a4f172809955"),
     "sweep": (
         ["sweep", "--axis", "V", "--values", "0.1,0.3"], QUADRATIC_ITEMS,
         "4805552a8b32f2d23e90c5f51ad9e736aaab03d83abb56fea47ade01fc8584f3",
-        "9a04ffef405a838731b0d4e83601f561bc7bb02b67669ffbdaf85b90d2c4deee"),
+        "bf184da2bda673e6e833828260b49c854aa304b646f23fdb8e9018b619af7ff7"),
 }
 
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -118,7 +119,6 @@ def test_config_defaults():
     assert np.array_equal(cfg.env.planted_center, np.zeros(2))
     assert np.array_equal(cfg.phi_init, np.zeros(2))
     assert cfg.step_scale_variant == "sqrt_m"
-    assert cfg.visits_per_task == 1
     assert not cfg.baseline_no_meta
     # quadratic regularity is derived from curvature and diameter
     assert cfg.regularity.lipschitz_g == 1.0 * cfg.env.domain.diameter
@@ -181,13 +181,17 @@ def test_master_seed_must_fit_64_bits(tmp_path, capsys, monkeypatch):
     assert not os.path.exists(out)
 
 
-def test_readme_config_table_matches_keys():
+def readme_table_rows(heading):
+    """The cells of each body row of the README table under heading."""
     readme_path = Path(__file__).resolve().parents[1] / "README.md"
     readme = readme_path.read_text(encoding="utf-8")
-    table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    table = readme.split(heading, 1)[1].split("\n\n", 2)[1]
+    return [row.split("|")[1:-1] for row in table.splitlines()[2:]]
+
+
+def test_readme_config_table_matches_keys():
     names, required, literals = [], set(), {}
-    for row in table.splitlines()[2:]:
-        key_cell, required_cell, default_cell = row.split("|")[1:4]
+    for key_cell, required_cell, default_cell, _ in readme_table_rows("### Config keys"):
         row_names = re.findall(r"`([^`]+)`", key_cell)
         names += row_names
         if required_cell.strip() == "yes":
@@ -206,6 +210,13 @@ def test_readme_config_table_matches_keys():
             assert read(literal) == default and type(read(literal)) is type(default), name
 
 
+def test_readme_calibration_table_matches_record():
+    rows = readme_table_rows("### Calibration record")
+    assert [re.fullmatch(r" `(\w+)` ", name).group(1) for name, _ in rows] == [
+        f.name for f in dataclasses.fields(CalibrationRecord)]
+    assert all(meaning.strip() for _, meaning in rows)
+
+
 def test_calibrate_reference_point():
     cfg = make_cfg(dim=10, domain_radius=1.0, samples_per_task=800,
                    similarity_v=0.5, lipschitz_g=1.0, growth_alpha=1.0)
@@ -220,16 +231,114 @@ def test_calibrate_reference_point():
     assert cal.smoothness_ok  # quadratic beta = 1 sits under the ceiling
     assert cal.group_size == 1
     assert cal.group_epsilon == 1.0
-    assert cal.composed_epsilon == 1.0
 
 
-def test_calibrate_group_and_composition():
-    cfg = make_cfg(group_size=3, visits_per_task=2)
-    cal = calibrate(cfg)
+def test_calibrate_group_privacy():
+    cal = calibrate(make_cfg(group_size=3))
     assert cal.group_epsilon == 3.0
     assert cal.group_delta == pytest.approx(3 * math.exp(2.0) * 1e-5, rel=1e-12)
-    assert cal.composed_epsilon == 2.0
-    assert cal.composed_delta == pytest.approx(2e-5, rel=1e-12)
+
+
+def test_visits_per_task_is_an_unknown_key(tmp_path, capsys):
+    # every task is visited once, so there is no sequential composition to set
+    with pytest.raises(ConfigError) as exc:
+        make_cfg(visits_per_task=1)
+    assert exc.value.violations == ["unknown key 'visits_per_task'"]
+    cfg_file = write_cfg_file(tmp_path / "c.txt", visits_per_task=1)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg_file, "--out", str(out)]) == EXIT_CONFIG
+    assert "unknown key 'visits_per_task'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# criterion 07's items (criteria 08 and the train_heavy bench shape share its
+# plan), criterion 01's and criterion 09's
+CRITERION_07_ITEMS = {
+    "dim": "5", "domain_radius": "3.0", "similarity_v": "0.0",
+    "samples_per_task": "100", "t_train": "400", "t_eval": "500",
+    "epsilon": "1.0", "delta": "1e-5", "sample_noise_std": "0.2",
+    "baseline_no_meta": "true", "phi_init": "1.5,0,0,0,0", "master_seed": "101",
+}
+CRITERION_01_ITEMS = {
+    "dim": "10", "domain_radius": "1.0", "similarity_v": "0.5",
+    "samples_per_task": "800", "t_train": "1", "epsilon": "1.0",
+    "delta": "1e-5", "master_seed": "0", "lipschitz_g": "1.0",
+    "growth_alpha": "1.0",
+}
+CRITERION_09_ITEMS = {
+    "dim": "2", "domain_radius": "1.0", "similarity_v": "0.0",
+    "samples_per_task": "1900", "t_train": "25", "t_eval": "500",
+    "epsilon": "1.0", "delta": "0.1", "sample_noise_std": "0.05",
+    "master_seed": "101",
+}
+
+
+@pytest.mark.parametrize("items,step_times_beta,noop", [
+    (CRITERION_07_ITEMS, 5.366563145999495, False),
+    (dict(CRITERION_07_ITEMS, epsilon="0.5"), 18.209125552621757, True),
+    (CRITERION_01_ITEMS, 0.42426406871192845, False),
+    (CRITERION_09_ITEMS, 0.17882583951826908, False),
+], ids=["criterion_07", "criterion_07_eps_0.5", "criterion_01", "criterion_09"])
+def test_calibrate_flags_unstable_and_noop_plans(items, step_times_beta, noop,
+                                                  tmp_path, capsys):
+    cal = calibrate(build_config(items))
+    assert cal.step_times_beta == pytest.approx(step_times_beta, rel=1e-12)
+    assert cal.step_times_beta == cal.sgd_step_size * cal.smoothness_beta
+    assert cal.training_is_noop == noop == (cal.steps_n == 1)
+    cfg_file = tmp_path / "c.txt"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in items.items()))
+    assert main(["calibrate", "--config", str(cfg_file)]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    expected = []
+    if step_times_beta > 2:
+        expected.append(f"warning: step_times_beta = {step_times_beta:.3g} > 2: "
+                        "the private step is unstable")
+    if noop:
+        expected.append("warning: training_is_noop: steps_n = 1, so private "
+                        "training returns its start")
+    assert err == expected
+
+
+def test_run_and_sweep_warn_on_flagged_plans_and_still_succeed(tmp_path, capsys):
+    # BASE_ITEMS take 3 private steps of 9.8 at beta = 1; m = 30 takes one
+    cfg_file = write_cfg_file(tmp_path / "c.txt", t_train=3, t_eval=4)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg_file, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ("warning: step_times_beta = 9.8 > 2: "
+                                       "the private step is unstable\n")
+    assert main(["sweep", "--config", cfg_file, "--out", str(out), "--axis", "m",
+                 "--values", "30,50"]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: m=30 step_times_beta = 21.9 > 2: the private step is unstable",
+        "warning: m=30 training_is_noop: steps_n = 1, so private training "
+        "returns its start",
+        "warning: m=50 step_times_beta = 9.8 > 2: the private step is unstable"]
+    assert out.exists()
+
+
+@pytest.mark.parametrize("family_items", [
+    {},
+    {"loss_family": "logistic", "growth_alpha": "0.5"},
+], ids=["quadratic", "logistic"])
+def test_calibrate_prints_the_sidecar_record_lines(family_items, tmp_path, capsys):
+    cfg_file = write_cfg_file(tmp_path / "c.txt", t_train=3, t_eval=4,
+                              **family_items)
+    assert main(["calibrate", "--config", cfg_file]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg_file, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    # the sidecar's one section: [run_id], master_seed, then the record
+    sidecar = (tmp_path / "o.csv.calibration").read_text().splitlines()
+    assert sidecar[1] == "master_seed = 123"
+    assert sidecar[2:] == printed
+    record = calibrate(load_config(cfg_file))
+    names = [f.name for f in dataclasses.fields(CalibrationRecord)]
+    assert [line.split(" = ", 1)[0] for line in printed] == names
+    for line, name in zip(printed, names):
+        value = getattr(record, name)
+        if isinstance(value, float):
+            assert float(line.split(" = ", 1)[1]) == value, line
 
 
 @pytest.mark.parametrize("no_meta,nonprivate", [

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dpmeta.privacy import (NoisySgdPlan, PrivacyParams, compose_sequential,
-                            group_dp, make_plan, noise_variance,
-                            sample_step_noise, step_budget)
+from dpmeta.privacy import (NoisySgdPlan, PrivacyParams, group_dp, make_plan,
+                            noise_variance, sample_step_noise, step_budget)
 
 
 def test_step_budget_frozen_examples():
@@ -64,17 +63,6 @@ def test_group_dp_frozen_examples():
 def test_group_dp_vacuous_warning():
     with pytest.warns(RuntimeWarning):
         group_dp(PrivacyParams(5.0, 0.5, group_size=10))
-
-
-def test_compose_sequential():
-    assert compose_sequential([(1.0, 1e-5)]) == (1.0, 1e-5)
-    eps, delta = compose_sequential([(0.5, 1e-6), (0.5, 1e-6), (1.0, 0.0)])
-    assert abs(eps - 2.0) < 1e-15
-    assert abs(delta - 2e-6) < 1e-20
-    with pytest.raises(ValueError):
-        compose_sequential([])
-    with pytest.raises(ValueError):
-        compose_sequential([(-1.0, 1e-5)])
 
 
 def test_privacy_params_validation():
