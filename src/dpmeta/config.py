@@ -87,8 +87,9 @@ REQUIRED = object()
 
 # key -> (reader, default). A None default stands for: the origin for
 # domain_center, the domain center for phi_init and planted_center, the
-# derived constant for a regularity override, no cap for task_budget, and no
-# default --out for output_path.
+# derived constant for a regularity override, and no default --out for
+# output_path. Every key but output_path changes a run's CSV; the smoothness
+# constant is always derived.
 KEYS = {
     "dim": (_COUNT, REQUIRED),
     "domain_radius": (_POSITIVE, REQUIRED),
@@ -103,9 +104,7 @@ KEYS = {
     "t_eval": (_COUNT, 500),
     "epsilon": (_POSITIVE, REQUIRED),
     "delta": (_scalar(float, 0.0, strict=True, below=1), REQUIRED),
-    "group_size": (_COUNT, 1),
     "lipschitz_g": (_POSITIVE, None),
-    "smoothness_beta": (_POSITIVE, None),
     "growth_alpha": (_POSITIVE, None),
     "step_scale_variant": (_one_of(STEP_SCALE_VARIANTS), "sqrt_m"),
     "master_seed": (_scalar(int, 0, below=1 << 64), REQUIRED),
@@ -114,7 +113,6 @@ KEYS = {
     "baseline_no_meta": (_boolean, False),
     "baseline_nonprivate_meta": (_boolean, False),
     "mc_eval_samples": (_scalar(int, 2), 2000),
-    "task_budget": (_scalar(int, 0), None),
     "output_path": (str, None),
 }
 
@@ -230,11 +228,6 @@ def build_config(items: dict) -> ExperimentConfig:
             violations.append(f"{key}: coordinates must be finite")
             v[key] = None
 
-    t_train, task_budget = v["t_train"], v["task_budget"]
-    if None not in (t_train, task_budget) and t_train > task_budget:
-        violations.append(f"task_budget: {task_budget} tasks cannot cover "
-                          f"t_train={t_train} training tasks")
-
     env = dom = None
     if None not in (dim, radius):
         center = v["domain_center"]
@@ -252,7 +245,7 @@ def build_config(items: dict) -> ExperimentConfig:
                 planted_center=dom.center.copy() if planted is None else planted,
                 samples_per_task=v["samples_per_task"], loss_family=family,
                 curvature=v["curvature"], sample_noise_std=v["sample_noise_std"],
-                feature_norm=v["feature_norm"], task_budget=task_budget,
+                feature_norm=v["feature_norm"],
             )
         except ValueError as exc:
             violations.append(str(exc))
@@ -260,15 +253,13 @@ def build_config(items: dict) -> ExperimentConfig:
     privacy = None
     if None not in (v["epsilon"], v["delta"]):
         try:
-            privacy = PrivacyParams(epsilon=v["epsilon"], delta=v["delta"],
-                                    group_size=v["group_size"])
+            privacy = PrivacyParams(epsilon=v["epsilon"], delta=v["delta"])
         except ValueError as exc:
             violations.append(str(exc))
 
     regularity = None
     if env is not None:
-        overrides = {name: v[name] for name in
-                     ("lipschitz_g", "smoothness_beta", "growth_alpha")
+        overrides = {name: v[name] for name in ("lipschitz_g", "growth_alpha")
                      if v[name] is not None}
         try:
             if family == "quadratic":

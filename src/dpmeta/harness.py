@@ -29,7 +29,7 @@ from .config import ConfigError, ExperimentConfig, build_config, format_value
 from .learners import OgdConfig, adaptation_step_size, private_step_scale
 from .losses import TaskSamples, smoothness_ceiling
 from .meta import run_meta_training
-from .privacy import NoisySgdPlan, group_dp, make_plan
+from .privacy import NoisySgdPlan, make_plan
 from .task_env import (derive_seed, empirical_task_variance, generate_losses,
                        population_risk_gap, sample_task, substream)
 
@@ -70,9 +70,6 @@ class CalibrationRecord:
     eta: float
     epsilon: float
     delta: float
-    group_size: int
-    group_epsilon: float
-    group_delta: float
     lipschitz_g: float
     growth_alpha: float
     smoothness_beta: float
@@ -102,7 +99,6 @@ class ArmResult:
     arm: str
     excess_risks: tuple[float, ...]
     mean_excess: float
-    std_excess: float
     stderr_excess: float
     mean_surrogate: float | None
     v_bar_sq_realized: float | None
@@ -139,7 +135,6 @@ def calibrate(cfg: ExperimentConfig) -> CalibrationRecord:
                      step_scale)
     eta = adaptation_step_size(env.similarity_v, reg.growth_alpha,
                                reg.lipschitz_g, env.samples_per_task)
-    group_eps, group_delta = group_dp(priv)
     ceiling = smoothness_ceiling(reg.lipschitz_g, env.domain,
                                  env.samples_per_task, priv, plan.steps_n)
     return CalibrationRecord(
@@ -152,9 +147,6 @@ def calibrate(cfg: ExperimentConfig) -> CalibrationRecord:
         eta=eta,
         epsilon=priv.epsilon,
         delta=priv.delta,
-        group_size=priv.group_size,
-        group_epsilon=group_eps,
-        group_delta=group_delta,
         lipschitz_g=reg.lipschitz_g,
         growth_alpha=reg.growth_alpha,
         smoothness_beta=reg.smoothness_beta,
@@ -247,7 +239,6 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
             arm=arm,
             excess_risks=tuple(float(g) for g in risks),
             mean_excess=float(risks.mean()),
-            std_excess=float(std),
             stderr_excess=float(std / math.sqrt(risks.size)),
             # over the arm's own contiguous row, as a loop over tasks sums
             mean_surrogate=float(trained.surrogate_losses[rows[arm]].mean()) if trains else None,

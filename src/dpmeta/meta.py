@@ -118,9 +118,6 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     if int(num_tasks) != num_tasks or num_tasks < 1:
         raise ValueError(f"num_tasks must be an integer >= 1, got {num_tasks}")
     num_tasks = int(num_tasks)
-    if env.task_budget is not None and num_tasks > env.task_budget:
-        raise ValueError(
-            f"environment is exhausted: task_budget={env.task_budget} < num_tasks={num_tasks}")
     plans = tuple(plans)
     if not plans:
         raise ValueError("need at least one plan")

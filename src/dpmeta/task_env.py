@@ -62,8 +62,7 @@ class EnvSpec:
     similarity_v controls how far task minimizers scatter from the planted
     center: offsets are N(0, (V^2/d) I), so E||offset||^2 = V^2 before
     projection. sample_noise_std scatters quadratic anchors around each task
-    minimizer. task_budget, when set, caps how many training tasks may be
-    drawn.
+    minimizer.
     """
 
     domain: ParamDomain
@@ -74,7 +73,6 @@ class EnvSpec:
     curvature: float = 1.0
     sample_noise_std: float = 0.0
     feature_norm: float = 1.0
-    task_budget: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "planted_center",
@@ -101,9 +99,6 @@ class EnvSpec:
                 f"sample_noise_std must be finite and >= 0, got {self.sample_noise_std}")
         if not math.isfinite(self.feature_norm) or self.feature_norm <= 0:
             raise ValueError(f"feature_norm must be finite and > 0, got {self.feature_norm}")
-        if self.task_budget is not None and (int(self.task_budget) != self.task_budget
-                                             or self.task_budget < 0):
-            raise ValueError(f"task_budget must be an integer >= 0, got {self.task_budget}")
 
     @property
     def dim(self) -> int:

@@ -1,4 +1,4 @@
-"""Golden outputs: `dpmeta run` on two small configs, and `dpmeta sweep` on
+"""Golden outputs: `dpmeta run` on three small configs, and `dpmeta sweep` on
 one of them, must keep their bytes.
 
 Each case pins the SHA-256 of the CSV with the wall-clock column blanked
@@ -15,7 +15,8 @@ import hashlib
 import pytest
 
 from dpmeta.cli import EXIT_OK, main
-from dpmeta.harness import csv_bytes_excluding_wall_clock
+from dpmeta.config import build_config
+from dpmeta.harness import calibrate, csv_bytes_excluding_wall_clock
 
 # tens of training tasks, so that summing a mean surrogate loss in another
 # order changes its last bit
@@ -36,21 +37,37 @@ LOGISTIC_ITEMS = {
     "baseline_nonprivate_meta": "true", "master_seed": "7",
 }
 
+# criterion 09's shape (m = 1900, d = 2, delta = 0.1) with tens of training
+# tasks: 237 private steps at step x beta = 0.18, so, unlike the cases above,
+# training runs a stable plan that moves its start
+STABLE_ITEMS = {
+    "dim": "2", "domain_radius": "1.0", "similarity_v": "0.1",
+    "samples_per_task": "1900", "t_train": "25", "t_eval": "10",
+    "epsilon": "1.0", "delta": "0.1", "curvature": "1.0",
+    "sample_noise_std": "0.05", "phi_init": "0.5,0",
+    "baseline_no_meta": "true", "baseline_nonprivate_meta": "true",
+    "master_seed": "101",
+}
+
 # case -> (command, items, csv digest, sidecar digest); the sweep case also
 # pins axis_value, the derived seeds, the run_ids and a multi-section sidecar
 GOLDEN = {
     "quadratic": (
         ["run"], QUADRATIC_ITEMS,
         "6c12ca60963732e933193ab9afb3bf2e0e1ce69433eb5abf7583af9f31f1609c",
-        "9d7e0664097a4fef284248c4454ce31d4a710eb334c7aa4b15b5ca2ac14f48d9"),
+        "2e3e5dc38880568a9ef5480947c54f2a4ec71dbccb59c2f1a1ac8784b43650ba"),
     "logistic": (
         ["run"], LOGISTIC_ITEMS,
         "0b644134b5d2950d36d6c018a092e1a5315dbe2591fc826d3a83544360c091a6",
-        "47104ce57c49e31103da1bf26243e134399128be513af8264ab6a4f172809955"),
+        "5e8c1b967955a2558523f0c76a07cd54874aef4c86c0ef2082f2b207e6e931c3"),
+    "stable": (
+        ["run"], STABLE_ITEMS,
+        "ca0983f7f2d9e6b16cc1b3b5ea6d1deebf604f152f5b0078cfaa57afab90e34d",
+        "40732ac2f77db955c3eab708fe6276f4fd28c045b34eae6ddb39aca5a6f5bbd5"),
     "sweep": (
         ["sweep", "--axis", "V", "--values", "0.1,0.3"], QUADRATIC_ITEMS,
         "4805552a8b32f2d23e90c5f51ad9e736aaab03d83abb56fea47ade01fc8584f3",
-        "bf184da2bda673e6e833828260b49c854aa304b646f23fdb8e9018b619af7ff7"),
+        "11696d0deb5a312a1e477ed688c12310f3af10f4f9c2ef1d6bccbedb9c189e9c"),
 }
 
 
@@ -64,3 +81,9 @@ def test_run_outputs_match_golden_digests(case, tmp_path):
     got = (hashlib.sha256(csv_bytes_excluding_wall_clock(str(out))).hexdigest(),
            hashlib.sha256((tmp_path / "run.csv.calibration").read_bytes()).hexdigest())
     assert got == (csv_digest, sidecar_digest), f"{case} digests are now {got}"
+
+
+def test_stable_case_runs_a_stable_plan():
+    cal = calibrate(build_config(STABLE_ITEMS))
+    assert cal.step_times_beta <= 2
+    assert not cal.training_is_noop

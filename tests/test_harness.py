@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import math
 import os
 from pathlib import Path
 import re
@@ -21,9 +20,11 @@ from dpmeta.config import (KEYS, REQUIRED, ConfigError, build_config,
 from dpmeta.harness import (ARM_META, ARM_NO_META, ARM_NONPRIVATE,
                             CSV_COLUMNS, CalibrationRecord,
                             InternalInvariantError, MetricsReport,
-                            calibrate, csv_bytes_excluding_wall_clock,
-                            read_csv_rows, run_experiment, sweep, write_csv)
+                            WALL_CLOCK_COLUMN, calibrate,
+                            csv_bytes_excluding_wall_clock, read_csv_rows,
+                            report_rows, run_experiment, sweep, write_csv)
 from dpmeta.learners import adaptation_step_size
+from dpmeta.meta import run_meta_training
 from dpmeta.task_env import sample_task, substream
 
 # m = 50 gives 3 private steps; with 1 step a training pass returns its start,
@@ -128,10 +129,9 @@ def test_config_defaults():
 
 
 def test_config_overrides_regularity():
-    cfg = make_cfg(lipschitz_g=1.0, growth_alpha=2.0, smoothness_beta=0.5)
+    cfg = make_cfg(lipschitz_g=1.0, growth_alpha=2.0)
     assert cfg.regularity.lipschitz_g == 1.0
     assert cfg.regularity.growth_alpha == 2.0
-    assert cfg.regularity.smoothness_beta == 0.5
 
 
 def test_config_validates_geometry():
@@ -217,6 +217,56 @@ def test_readme_calibration_table_matches_record():
     assert all(meaning.strip() for _, meaning in rows)
 
 
+LOGISTIC_BASE_ITEMS = dict(BASE_ITEMS, loss_family="logistic", growth_alpha="0.5")
+# domain_center moves against a fixed phi_init and planted_center, so the run
+# changes shape and not only position
+CENTERED_BASE_ITEMS = dict(BASE_ITEMS, phi_init="0,0", planted_center="0,0")
+
+# key -> (base items, a second legal value)
+KEY_ALTERNATIVES = {
+    "dim": (BASE_ITEMS, "3"),
+    "domain_radius": (BASE_ITEMS, "3.0"),
+    "domain_center": (CENTERED_BASE_ITEMS, "1,0"),
+    "similarity_v": (BASE_ITEMS, "0.5"),
+    "samples_per_task": (BASE_ITEMS, "60"),
+    "loss_family": (LOGISTIC_BASE_ITEMS, "quadratic"),
+    "curvature": (BASE_ITEMS, "2.0"),
+    "sample_noise_std": (BASE_ITEMS, "0.2"),
+    "feature_norm": (LOGISTIC_BASE_ITEMS, "2.0"),
+    "t_train": (BASE_ITEMS, "7"),
+    "t_eval": (BASE_ITEMS, "9"),
+    "epsilon": (BASE_ITEMS, "2.0"),
+    "delta": (BASE_ITEMS, "1e-4"),
+    "lipschitz_g": (BASE_ITEMS, "5.0"),
+    "growth_alpha": (BASE_ITEMS, "2.0"),
+    "step_scale_variant": (BASE_ITEMS, "g_sqrt_m"),
+    "master_seed": (BASE_ITEMS, "124"),
+    "phi_init": (BASE_ITEMS, "0.5,0.5"),
+    "planted_center": (BASE_ITEMS, "0.5,0"),
+    "baseline_no_meta": (BASE_ITEMS, "true"),
+    "baseline_nonprivate_meta": (BASE_ITEMS, "true"),
+    "mc_eval_samples": (LOGISTIC_BASE_ITEMS, "100"),
+}
+
+
+def test_every_config_key_changes_the_run():
+    # a key that leaves every CSV value as it was is a knob with no effect;
+    # output_path only says where the CSV goes
+    assert set(KEY_ALTERNATIVES) == set(KEYS) - {"output_path"}
+
+    def csv_rows(items):
+        # run_id hashes the raw settings, so it differs whenever they do
+        rows = report_rows(run_experiment(build_config(items)))
+        return [row[1:WALL_CLOCK_COLUMN] for row in rows]
+
+    base_rows = {}
+    for key, (base, value) in KEY_ALTERNATIVES.items():
+        assert base.get(key) != value, key
+        if id(base) not in base_rows:
+            base_rows[id(base)] = csv_rows(base)
+        assert csv_rows(dict(base, **{key: value})) != base_rows[id(base)], key
+
+
 def test_calibrate_reference_point():
     cfg = make_cfg(dim=10, domain_radius=1.0, samples_per_task=800,
                    similarity_v=0.5, lipschitz_g=1.0, growth_alpha=1.0)
@@ -229,25 +279,22 @@ def test_calibrate_reference_point():
     assert cal.eta == adaptation_step_size(0.5, 1.0, 1.0, 800)
     assert cal.smoothness_ceiling == pytest.approx(1.6475255724556521, abs=1e-12)
     assert cal.smoothness_ok  # quadratic beta = 1 sits under the ceiling
-    assert cal.group_size == 1
-    assert cal.group_epsilon == 1.0
 
 
-def test_calibrate_group_privacy():
-    cal = calibrate(make_cfg(group_size=3))
-    assert cal.group_epsilon == 3.0
-    assert cal.group_delta == pytest.approx(3 * math.exp(2.0) * 1e-5, rel=1e-12)
-
-
-def test_visits_per_task_is_an_unknown_key(tmp_path, capsys):
-    # every task is visited once, so there is no sequential composition to set
+# keys that could change no CSV value: every task is visited once (no
+# sequential composition), group privacy is library arithmetic
+# (privacy.group_dp), the environment serves any number of tasks, and the
+# smoothness constant is always derived
+@pytest.mark.parametrize("key", ["visits_per_task", "group_size", "task_budget",
+                                 "smoothness_beta"])
+def test_deleted_key_is_an_unknown_key(key, tmp_path, capsys):
     with pytest.raises(ConfigError) as exc:
-        make_cfg(visits_per_task=1)
-    assert exc.value.violations == ["unknown key 'visits_per_task'"]
-    cfg_file = write_cfg_file(tmp_path / "c.txt", visits_per_task=1)
+        make_cfg(**{key: 1})
+    assert exc.value.violations == [f"unknown key {key!r}"]
+    cfg_file = write_cfg_file(tmp_path / "c.txt", **{key: 1})
     out = tmp_path / "o.csv"
     assert main(["run", "--config", cfg_file, "--out", str(out)]) == EXIT_CONFIG
-    assert "unknown key 'visits_per_task'" in capsys.readouterr().err
+    assert f"unknown key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -271,6 +318,41 @@ CRITERION_09_ITEMS = {
     "epsilon": "1.0", "delta": "0.1", "sample_noise_std": "0.05",
     "master_seed": "101",
 }
+
+
+@pytest.mark.parametrize("items", [
+    dict(CRITERION_07_ITEMS, similarity_v=v, t_train="100", t_eval="100",
+         baseline_nonprivate_meta="true") for v in ("0", "0.5", "1")
+] + [dict(CRITERION_09_ITEMS, epsilon="0.5", t_eval="100", phi_init="0.5,0",
+          baseline_no_meta="true", baseline_nonprivate_meta="true"),
+      dict(BASE_ITEMS, dim="3", loss_family="logistic", growth_alpha="0.1",
+           similarity_v="0.2", samples_per_task="60", t_train="40", t_eval="30",
+           epsilon="2.0", planted_center="1,0,0", feature_norm="1.5",
+           baseline_no_meta="true", baseline_nonprivate_meta="true")],
+    ids=["criterion_07_V0", "criterion_07_V0.5", "criterion_07_V1", "criterion_09",
+         "logistic"])
+def test_every_arm_meets_the_online_to_batch_certificate(items):
+    # OGD at step eta for m steps from start phi on G-Lipschitz convex losses
+    # leaves an averaged iterate with expected excess risk at most
+    # ||phi - theta*||^2 / (2 eta m) + eta G^2 / 2; averaged over the eval
+    # tasks, each arm's mean excess must sit under the mean bound, up to
+    # three standard errors
+    cfg = build_config(items)
+    report = run_experiment(cfg)
+    cal, env = report.calibration, cfg.env
+    quiet = dataclasses.replace(cal.plan, noise_variance_sigma_sq=0.0)
+    phi_hat = run_meta_training(env, cfg.t_train, [cal.plan, quiet], cfg.phi_init,
+                                cfg.master_seed).phi_hat
+    starts = {ARM_META: phi_hat[0], ARM_NO_META: cfg.phi_init,
+              ARM_NONPRIVATE: phi_hat[1]}
+    stars = np.array([sample_task(env, substream(cfg.master_seed, "eval-task", e)).theta_star
+                      for e in range(cfg.t_eval)])
+    m = env.samples_per_task
+    assert set(report.arms) == set(starts)
+    for arm, result in report.arms.items():
+        dist_sq = ((stars - starts[arm]) ** 2).sum(axis=1)
+        bound = dist_sq.mean() / (2 * cal.eta * m) + cal.eta * cal.lipschitz_g**2 / 2
+        assert result.mean_excess <= bound + 3 * result.stderr_excess, arm
 
 
 @pytest.mark.parametrize("items,step_times_beta,noop", [
@@ -581,9 +663,8 @@ def test_sweep_axis_actually_varies_config():
 def test_validate_flags_negative_risk():
     base = run_experiment(make_cfg())
     bad_arm = base.arms[ARM_META].__class__(
-        arm=ARM_META, excess_risks=(-1.0,), mean_excess=-1.0, std_excess=0.0,
-        stderr_excess=0.0, mean_surrogate=None, v_bar_sq_realized=None,
-        sigma_sq_effective=None)
+        arm=ARM_META, excess_risks=(-1.0,), mean_excess=-1.0, stderr_excess=0.0,
+        mean_surrogate=None, v_bar_sq_realized=None, sigma_sq_effective=None)
     bad = MetricsReport(run_id="x", axis_value=None, master_seed=0,
                         calibration=base.calibration, arms={ARM_META: bad_arm},
                         wall_clock_s=0.0)
@@ -625,19 +706,6 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out",
                  str(tmp_path / "o.csv")]) == EXIT_CONFIG
     assert "unknown key" in capsys.readouterr().err
-
-
-def test_cli_exhausted_task_budget_is_config_error(tmp_path, capsys):
-    cfg_file = write_cfg_file(tmp_path / "c.txt", task_budget=3, t_train=5)
-    for args in (["calibrate"], ["run", "--out", str(tmp_path / "o.csv")]):
-        assert main(args + ["--config", cfg_file]) == EXIT_CONFIG
-        assert "task_budget" in capsys.readouterr().err
-    # a sweep point above the budget fails the whole sweep before any output
-    fits = write_cfg_file(tmp_path / "fits.txt", task_budget=3, t_train=2)
-    assert main(["sweep", "--config", fits, "--out", str(tmp_path / "s.csv"),
-                 "--axis", "T_train", "--values", "2,5"]) == EXIT_CONFIG
-    assert "task_budget" in capsys.readouterr().err
-    assert not (tmp_path / "s.csv").exists()
 
 
 def test_cli_undecodable_config_is_config_error(tmp_path, capsys):

@@ -222,19 +222,6 @@ def test_single_task_phi_hat_is_initializer():
     assert np.array_equal(trained.phi_hat, [phi_init])
 
 
-def test_task_budget_enforced():
-    dom = ParamDomain(np.zeros(2), 5.0)
-    env = EnvSpec(domain=dom, planted_center=np.zeros(2), similarity_v=0.0,
-                  samples_per_task=10, curvature=1.0, sample_noise_std=0.0,
-                  task_budget=4)
-    plan = NoisySgdPlan(steps_n=4, step_size=0.1, noise_variance_sigma_sq=0.0,
-                        clip_bound=1.0)
-    with pytest.raises(ValueError):
-        run_meta_training(env, 5, (plan,), np.zeros(2), 3)
-    # exactly at the budget is fine
-    run_meta_training(env, 4, (plan,), np.zeros(2), 3)
-
-
 def test_record_fields_consistent(monkeypatch):
     bars = []
     real_noisy = dpmeta.learners.noisy_sgd_run

@@ -374,5 +374,3 @@ def test_env_spec_validation():
         quad_env(loss_family="linear")
     with pytest.raises(ValueError):
         quad_env(planted_center=np.full(4, 40.0))  # norm 80 > radius 50
-    with pytest.raises(ValueError):
-        quad_env(task_budget=-1)
