@@ -139,14 +139,12 @@ class ExperimentConfig:
 
 def format_value(value) -> str:
     """The one value-to-text rule, for settings, CSV cells and the sidecar:
-    None is empty, bools are true/false, ints are digits and floats take 17
-    significant digits, so every float round-trips exactly."""
+    None is empty, bools are true/false, floats take 17 significant digits,
+    so every float round-trips exactly, and ints and strings are str()."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)

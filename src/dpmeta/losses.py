@@ -47,14 +47,18 @@ def logistic_value(theta, features, labels):
     return np.logaddexp(0.0, -labels * np.vecdot(features, theta))
 
 
+def sigmoid(z):
+    """1 / (1 + exp(-z)), elementwise, from exp(-|z|) <= 1, so neither
+    branch overflows whatever the magnitude of z."""
+    e = np.exp(-np.abs(z))
+    return np.where(z > 0, 1.0, e) / (1.0 + e)
+
+
 def logistic_grad(theta, features, labels):
     """-label * sigmoid(-label <feature, theta>) * feature."""
     _check_dims(theta, features)
     margin = labels * np.vecdot(features, theta)
-    # sigmoid(-margin) from exp(-|margin|) <= 1, so neither branch overflows
-    e = np.exp(-np.abs(margin))
-    w = np.where(margin >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
-    return (-labels * w)[..., None] * features
+    return (-labels * sigmoid(-margin))[..., None] * features
 
 
 @dataclass(frozen=True)

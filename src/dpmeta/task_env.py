@@ -7,9 +7,10 @@ around the minimizer and come back as arrays (losses.TaskSamples): quadratic
 anchors, or logistic features plus labels. Everything is driven by named
 substreams of a single master seed, so any piece of a run can be regenerated
 independently. A task is only its minimizer; the sample model is the
-environment's. Risk is scored for a sequence of tasks at once, logistic tasks
-on one thread per usable CPU, each from its own generator, so the values do
-not depend on the thread count.
+environment's. Risk is scored for a sequence of tasks at once, in one call
+for either family: quadratic tasks in closed form, logistic tasks on one
+thread per usable CPU, each from its own generator, so the values do not
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import zlib
 import numpy as np
 
 from .geometry import ParamDomain, as_batch, as_vector, dist_sq, project
-from .losses import TaskSamples
+from .losses import TaskSamples, quadratic_value, sigmoid
 
 LOSS_FAMILIES = ("quadratic", "logistic")
 
@@ -134,8 +135,7 @@ def _logistic_draw(spec: EnvSpec, theta_star, count: int, rng: np.random.Generat
     features *= spec.feature_norm
     features /= norms
     star_margins = features @ theta_star
-    p_plus = 1.0 / (1.0 + np.exp(-star_margins))
-    labels = np.where(rng.random(count) < p_plus, 1.0, -1.0)
+    labels = np.where(rng.random(count) < sigmoid(star_margins), 1.0, -1.0)
     return features, labels, star_margins
 
 
@@ -175,16 +175,19 @@ def population_risk_gap(spec: EnvSpec, theta_stars, theta,
                         mc_samples: int | None = None, rng=None):
     """Population excess risk of theta, shaped (..., tasks, d), on tasks of
     the environment spec with minimizers theta_stars (tasks, d); the result
-    is shaped (..., tasks). Quadratic tasks use
-    the exact closed form (curvature/2) ||theta - theta*||^2 (anchor noise
-    only shifts the risk by a constant, which cancels in the gap).
+    is shaped (..., tasks). One call serves either family. Quadratic tasks
+    use the exact closed form losses.quadratic_value(theta, theta*,
+    curvature) (anchor noise only shifts the risk by a constant, which
+    cancels in the gap) and never touch mc_samples or rng.
 
     Logistic tasks are estimated by Monte Carlo with mc_samples draws per
-    task, and rng holds one generator per task; see _logistic_risk_gap for
-    the paired estimator. The tasks are scored concurrently, one thread per
-    usable CPU: each task draws only from its own generator and each thread
-    writes only its own column, so column e is exactly what a call for task
-    e alone with rng[e] returns, whatever the thread count or scheduling.
+    task, and rng is an iterable of one generator per task, iterated once on
+    the calling thread, so a lazy generator expression creates no generator
+    for a quadratic call; see _logistic_risk_gap for the paired estimator.
+    The tasks are scored concurrently, one thread per usable CPU: each task
+    draws only from its own generator and each thread writes only its own
+    column, so column e is exactly what a call for task e alone with its
+    generator returns, whatever the thread count or scheduling.
     """
     stars = as_batch(theta_stars, spec.dim)
     thetas = as_batch(theta, spec.dim)
@@ -192,7 +195,7 @@ def population_risk_gap(spec: EnvSpec, theta_stars, theta,
         raise ValueError(f"expected minimizers (tasks, {spec.dim}) and theta (..., "
                          f"tasks, {spec.dim}), got {stars.shape} and {thetas.shape}")
     if spec.loss_family == "quadratic":
-        return 0.5 * spec.curvature * dist_sq(stars, thetas)
+        return quadratic_value(thetas, stars, spec.curvature)
     if mc_samples is None or rng is None:
         raise ValueError("logistic risk gaps need mc_samples and an rng")
     if int(mc_samples) != mc_samples or mc_samples < 2:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import json
 import os
 from pathlib import Path
 import re
@@ -23,9 +24,10 @@ from dpmeta.harness import (ARM_META, ARM_NO_META, ARM_NONPRIVATE,
                             WALL_CLOCK_COLUMN, calibrate,
                             csv_bytes_excluding_wall_clock, read_csv_rows,
                             report_rows, run_experiment, sweep, write_csv)
-from dpmeta.learners import adaptation_step_size
+from dpmeta.learners import OgdConfig, adaptation_step_size, ogd_run
 from dpmeta.meta import run_meta_training
-from dpmeta.task_env import sample_task, substream
+from dpmeta.task_env import (generate_losses, population_risk_gap, sample_task,
+                             substream)
 
 # m = 50 gives 3 private steps; with 1 step a training pass returns its start,
 # so a training arm's surrogate losses would all be 0 and a row mix-up between
@@ -355,6 +357,45 @@ def test_every_arm_meets_the_online_to_batch_certificate(items):
         assert result.mean_excess <= bound + 3 * result.stderr_excess, arm
 
 
+@pytest.mark.parametrize("items", [
+    dict(CRITERION_07_ITEMS, similarity_v="1", t_train="100", t_eval="10",
+         baseline_nonprivate_meta="true"),
+    dict(CRITERION_09_ITEMS, epsilon="0.5", t_eval="10", phi_init="0.5,0",
+         baseline_no_meta="true", baseline_nonprivate_meta="true"),
+    dict(BASE_ITEMS, dim="3", loss_family="logistic", growth_alpha="0.1",
+         similarity_v="0.2", samples_per_task="60", t_train="40", t_eval="6",
+         epsilon="2.0", planted_center="1,0,0", feature_norm="1.5",
+         mc_eval_samples="2000", baseline_no_meta="true",
+         baseline_nonprivate_meta="true", master_seed="7"),
+], ids=["criterion_07_V1", "criterion_09", "logistic"])
+def test_eval_adaptation_matches_a_separate_run_per_task(items):
+    # the certificate above cannot tell the averaged iterate from the final
+    # one, nor eta from a multiple of it; this pins both: each arm's excess
+    # risk on an eval task is exactly the risk of the averaged iterate of OGD
+    # at the calibrated eta, run from the arm's start on that task alone
+    cfg = build_config(items)
+    report = run_experiment(cfg)
+    cal, env, seed = report.calibration, cfg.env, cfg.master_seed
+    quiet = dataclasses.replace(cal.plan, noise_variance_sigma_sq=0.0)
+    phi_hat = run_meta_training(env, cfg.t_train, [cal.plan, quiet], cfg.phi_init,
+                                seed).phi_hat
+    starts = {ARM_META: phi_hat[0], ARM_NO_META: cfg.phi_init,
+              ARM_NONPRIVATE: phi_hat[1]}
+    assert set(report.arms) == set(starts)
+    step = OgdConfig(step_size=cal.eta, num_steps=env.samples_per_task)
+    expected = {arm: [] for arm in starts}
+    for e in range(3):
+        task = sample_task(env, substream(seed, "eval-task", e))
+        samples = generate_losses(task, env, substream(seed, "eval-losses", e))
+        for arm, start in starts.items():
+            theta = ogd_run(samples, start, step, env.domain).averaged_iterate
+            gap = population_risk_gap(env, task.theta_star[None], theta[None],
+                                      cfg.mc_eval_samples,
+                                      [substream(seed, "eval-risk", e)])
+            expected[arm].append(float(gap[0]))
+    assert {arm: list(report.arms[arm].excess_risks[:3]) for arm in starts} == expected
+
+
 @pytest.mark.parametrize("items,step_times_beta,noop", [
     (CRITERION_07_ITEMS, 5.366563145999495, False),
     (dict(CRITERION_07_ITEMS, epsilon="0.5"), 18.209125552621757, True),
@@ -617,6 +658,32 @@ def test_cli_import_keeps_thread_pools_off_the_start_up_path():
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_each_module_imports_alone_and_below_the_harness():
+    # the package re-exports nothing, so importing a library module loads
+    # only what it uses: none of the lower layers pulls in the config
+    # reader, the harness or the CLI
+    src = str(Path(dpmeta.__file__).resolve().parents[1])
+    modules = ("geometry", "losses", "privacy", "learners", "task_env", "meta",
+               "config", "harness", "cli")
+    probe = ("import importlib, json, sys\n"
+             "loaded = {}\n"
+             f"for name in {modules!r}:\n"
+             "    for key in [k for k in sys.modules if k.split('.')[0] == 'dpmeta']:\n"
+             "        del sys.modules[key]\n"
+             "    importlib.import_module('dpmeta.' + name)\n"
+             "    loaded[name] = sorted(k for k in sys.modules if k.startswith('dpmeta.'))\n"
+             "print(json.dumps(loaded))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert list(loaded) == list(modules)
+    upper = {"dpmeta.config", "dpmeta.harness", "dpmeta.cli"}
+    for name in modules[:6]:
+        assert upper.isdisjoint(loaded[name]), name
+    assert loaded["geometry"] == ["dpmeta.geometry"]
 
 
 def test_csv_read_rejects_foreign_header(tmp_path):

@@ -137,6 +137,21 @@ def test_logistic_labels_follow_model():
     assert margins.mean() > 1.0
 
 
+def test_logistic_labels_saturate_without_overflow():
+    # margins past 710 overflow exp(-margin); the label draw must still read
+    # sigmoid(margin) as 0 or 1 there, with no RuntimeWarning (an error here)
+    dom = ParamDomain(np.zeros(2), 10.0)
+    env = EnvSpec(domain=dom, planted_center=np.array([9.0, 0.0]),
+                  similarity_v=0.5, samples_per_task=400,
+                  loss_family="logistic", feature_norm=100.0)
+    task = sample_task(env, substream(8, "t"))
+    samples = generate_losses(task, env, substream(8, "l"))
+    margins = samples.points @ task.theta_star
+    assert (np.abs(margins) > 710).any()
+    far = np.abs(margins) > 40
+    assert np.array_equal(samples.labels[far], np.sign(margins[far]))
+
+
 def test_logistic_risk_gap_paired_zero_at_optimum():
     dom = ParamDomain(np.zeros(2), 2.0)
     env = EnvSpec(domain=dom, planted_center=np.array([1.0, 1.0]),
