@@ -20,6 +20,8 @@ import numpy as np
 
 GEOM_RTOL = 1e-12
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 def as_vector(x, dim=None):
     """Coerce to a finite 1-D float64 array, copying so callers can't mutate it."""
@@ -31,8 +33,10 @@ def as_vector(x, dim=None):
 
 def _vectors(x, dim=None):
     """x as float64 vectors, shape (..., dim); a shape test, no pass over the
-    data."""
-    v = np.asarray(x, dtype=np.float64)
+    data. A float64 ndarray comes back as it is, anything else is coerced."""
+    v = x
+    if type(v) is not np.ndarray or v.dtype is not _FLOAT64:
+        v = np.asarray(x, dtype=np.float64)
     if v.ndim == 0 or v.shape[-1] < 1 or (dim is not None and v.shape[-1] != dim):
         raise ValueError(f"expected vectors of dimension {dim or '>= 1'}, "
                          f"got shape {v.shape}")
@@ -74,6 +78,7 @@ class ParamDomain:
             ulp = float(np.spacing(np.abs(self.center).max()))
             slack += 4.0 * math.sqrt(self.dim) * ulp
         object.__setattr__(self, "_rounding_slack", slack)
+        object.__setattr__(self, "_radius_sq", self.radius**2)
 
     @property
     def dim(self) -> int:
@@ -96,7 +101,7 @@ def _sq_norms(offset):
     as the finiteness check: a non-finite row, or one whose squared norm
     overflows, makes it non-finite."""
     nsq = np.vecdot(offset, offset)
-    top = nsq.max()
+    top = np.maximum.reduce(nsq, None)
     if not math.isfinite(top):
         raise ValueError("vector has non-finite coordinates or a squared norm "
                          "that overflows")
@@ -118,7 +123,7 @@ def project(v, dom: ParamDomain):
     v = _vectors(v, dom.dim)
     offset = v - dom.center
     nsq, top = _sq_norms(offset)
-    if top <= dom.radius**2:
+    if top <= dom._radius_sq:
         return v
     over, scale = _over(nsq, dom.radius)
     return np.where(over, dom.center + offset * scale, v)
@@ -128,7 +133,7 @@ def clip_norm(v, bound):
     """Scale down v, or every vector of a batch shaped (..., dim), whose
     squared norm exceeds bound**2 to norm bound; direction is preserved, and
     v itself comes back when no row exceeds."""
-    if not math.isfinite(bound) or bound < 0:
+    if not 0.0 <= bound < math.inf:
         raise ValueError(f"clip bound must be finite and >= 0, got {bound}")
     v = _vectors(v)
     nsq, top = _sq_norms(v)

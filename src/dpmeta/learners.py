@@ -80,16 +80,28 @@ def _projected_steps(seq: TaskSamples, theta, step_size: float, dom: ParamDomain
     given), adds noise[j] when given, steps by step_size, and projects onto
     the ball. geometry decides clipping and projection row by row, so each
     problem is clipped or projected only when its own row is outside.
+
+    theta must be a fresh array that _start checked against the domain: it
+    is stepped in place, and the gradient reuses one buffer of its shape, so
+    the caller's inputs are never written and no per-step check repeats a
+    per-call one.
     """
     running_sum = np.zeros_like(theta)
+    buffer = np.empty_like(theta)
+    # a 0-d array operand spares numpy converting a Python float on every
+    # step; the products are the same
+    step = np.asarray(step_size, dtype=np.float64)
     for j in range(seq.count):
         running_sum += theta
-        g = seq.grad(theta, j)
+        g = seq.grad(theta, j, out=buffer)
         if clip_bound is not None:
             g = clip_norm(g, clip_bound)
+        # g is the buffer or clip_norm's fresh array, so it is ours to write
         if noise is not None:
-            g = g + noise[j]
-        theta = project(theta - step_size * g, dom)
+            g += noise[j]
+        g *= step
+        theta -= g
+        theta = project(theta, dom)
     return LearnerOutput(averaged_iterate=running_sum / seq.count, final_iterate=theta)
 
 

@@ -37,14 +37,27 @@ def quadratic_value(theta, anchors, curvature):
 def quadratic_grad(theta, anchors, curvature):
     """curvature * (theta - anchor), broadcast over the leading axes."""
     _check_dims(theta, anchors)
-    return curvature * np.subtract(theta, anchors)
+    return _quadratic_grad(theta, anchors, curvature)
+
+
+def _quadratic_grad(theta, anchors, curvature, out=None):
+    """quadratic_grad without the dimension check, into out when given."""
+    out = np.subtract(theta, anchors, out=out)
+    out *= curvature
+    return out
+
+
+def logistic_loss(margins, labels):
+    """log(1 + exp(-label * margin)) for margins <feature, theta>, computed
+    without overflow on either tail."""
+    return np.logaddexp(0.0, -labels * margins)
 
 
 def logistic_value(theta, features, labels):
-    """log(1 + exp(-label <feature, theta>)), computed without overflow on
-    either tail; labels carry the leading axes of features."""
+    """The logistic loss at theta; labels carry the leading axes of
+    features."""
     _check_dims(theta, features)
-    return np.logaddexp(0.0, -labels * np.vecdot(features, theta))
+    return logistic_loss(np.vecdot(features, theta), labels)
 
 
 def sigmoid(z):
@@ -57,8 +70,15 @@ def sigmoid(z):
 def logistic_grad(theta, features, labels):
     """-label * sigmoid(-label <feature, theta>) * feature."""
     _check_dims(theta, features)
-    margin = labels * np.vecdot(features, theta)
-    return (-labels * sigmoid(-margin))[..., None] * features
+    return _logistic_grad(theta, features, labels)
+
+
+def _logistic_grad(theta, features, labels, out=None):
+    """logistic_grad without the dimension check, into out when given."""
+    # -(label * x) == (-label) * x exactly, so one negation serves both uses
+    neg_labels = -labels
+    weight = neg_labels * sigmoid(neg_labels * np.vecdot(features, theta))
+    return np.multiply(weight[..., None], features, out=out)
 
 
 @dataclass(frozen=True)
@@ -92,6 +112,9 @@ class TaskSamples:
             if not math.isfinite(self.curvature) or self.curvature <= 0:
                 raise ValueError(f"curvature must be finite and > 0, got {self.curvature}")
             object.__setattr__(self, "curvature", float(self.curvature))
+            # the gradient's multiplier as a 0-d array, which numpy takes
+            # without converting a Python float on every call
+            object.__setattr__(self, "_curvature", np.asarray(self.curvature))
         else:
             labels = np.asarray(self.labels, dtype=np.float64)
             if labels.shape != points.shape[:-1]:
@@ -114,11 +137,13 @@ class TaskSamples:
     def dim(self) -> int:
         return self.points.shape[-1]
 
-    def grad(self, theta, j):
-        """Gradient at theta of sample j of every task in the batch."""
+    def grad(self, theta, j, out=None):
+        """Gradient at theta of sample j of every task in the batch, written
+        into out when given. theta's last axis is not checked against the
+        samples' here: the learners check it once per call."""
         if self.labels is None:
-            return quadratic_grad(theta, self.points[j], self.curvature)
-        return logistic_grad(theta, self.points[j], self.labels[j])
+            return _quadratic_grad(theta, self.points[j], self._curvature, out)
+        return _logistic_grad(theta, self.points[j], self.labels[j], out)
 
     def take(self, where) -> "TaskSamples":
         """The samples at the index tuple `where` into (m, *batch): the

@@ -23,21 +23,28 @@ import zlib
 import numpy as np
 
 from .geometry import ParamDomain, as_batch, as_vector, dist_sq, project
-from .losses import TaskSamples, quadratic_value, sigmoid
+from .losses import TaskSamples, logistic_loss, quadratic_value, sigmoid
 
 LOSS_FAMILIES = ("quadratic", "logistic")
 
 _SEED_MASK = (1 << 64) - 1
+_WORD_MASK = (1 << 32) - 1
 
 
 def _mix_tags(master_seed: int, tags):
-    words = [int(master_seed) & _SEED_MASK]
-    for tag in tags:
+    """The seed and each tag as a 64-bit value (strings by crc32), in the
+    uint32 words SeedSequence would make of that list of ints itself: each
+    value splits into little-endian 32-bit words, and 0 is the one word 0."""
+    words = []
+    for tag in (int(master_seed), *tags):
         if isinstance(tag, str):
-            words.append(zlib.crc32(tag.encode("utf-8")))
+            value = zlib.crc32(tag.encode("utf-8"))
         else:
-            words.append(int(tag) & _SEED_MASK)
-    return words
+            value = int(tag) & _SEED_MASK
+        words.append(value & _WORD_MASK)
+        if value > _WORD_MASK:
+            words.append(value >> 32)
+    return np.array(words, dtype=np.uint32)
 
 
 def substream(master_seed: int, *tags) -> np.random.Generator:
@@ -231,11 +238,11 @@ def _logistic_risk_gap(spec: EnvSpec, theta_star, thetas, mc_samples: int,
     the values of separate calls with identically seeded generators, and the
     estimate is exactly zero at theta == theta_star."""
     features, labels, star_margins = _logistic_draw(spec, theta_star, mc_samples, rng)
-    star_losses = np.logaddexp(0.0, -labels * star_margins)
+    star_losses = logistic_loss(star_margins, labels)
     flat = thetas.reshape(-1, thetas.shape[-1])
     est = np.empty(len(flat))
     for i, row in enumerate(flat):
-        est[i] = (np.logaddexp(0.0, -labels * (features @ row)) - star_losses).mean()
+        est[i] = (logistic_loss(features @ row, labels) - star_losses).mean()
     return est.reshape(thetas.shape[:-1])
 
 

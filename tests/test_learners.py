@@ -335,6 +335,64 @@ def test_noisy_sgd_per_problem_plans_must_agree_on_the_schedule():
                   DOM, rngs)
 
 
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_learners_leave_caller_arrays_untouched(family):
+    # the step loop writes its iterate and gradient buffer in place; none of
+    # that may reach init (a bare vector, an (arms, 1, d) stack or a full
+    # (arms, tasks, d) one), the samples or a pinned index sequence. Radius
+    # 0.7, step 0.6 and clip bound 0.5 make projection and clipping bind
+    rng = np.random.default_rng(33)
+    dom = ParamDomain(np.zeros(2), 0.7)
+    batch, _ = _batch_and_singles(family, rng, 3, 9, 2)
+    plan = NoisySgdPlan(steps_n=14, step_size=0.6, noise_variance_sigma_sq=0.3,
+                        clip_bound=0.5)
+    index_sequence = rng.integers(0, 9, size=(14, 2, 3))
+    inputs = [batch.points, index_sequence]
+    if batch.labels is not None:
+        inputs.append(batch.labels)
+    for init in (np.array([0.3, -0.2]), 0.4 * rng.uniform(-1, 1, size=(2, 1, 2)),
+                 0.4 * rng.uniform(-1, 1, size=(2, 3, 2))):
+        problems = np.broadcast_shapes(init.shape[:-1], (3,))
+        before = [a.copy() for a in inputs + [init]]
+        outputs = [ogd_run(batch, init, OgdConfig(0.6), dom)]
+        if problems == (2, 3):
+            rngs = [np.random.default_rng(p) for p in range(6)]
+            outputs.append(noisy_sgd_run(batch, init, plan, dom, rngs))
+            outputs.append(noisy_sgd_run(batch, init, plan, dom, rngs,
+                                         index_sequence=index_sequence))
+        else:
+            rngs = [np.random.default_rng(p) for p in range(3)]
+            outputs.append(noisy_sgd_run(batch, init, plan, dom, rngs))
+        for a, b in zip(inputs + [init], before):
+            assert np.array_equal(a, b)
+        for out in outputs:
+            for result in (out.averaged_iterate, out.final_iterate):
+                assert result.shape == problems + (2,)
+                assert not any(np.shares_memory(result, a) for a in inputs + [init])
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_overflowing_step_raises(family):
+    # curvature 1e300 makes the first step's squared norm overflow: both
+    # learners must raise, not project the overflowed point onto the ball
+    m = 4
+    if family == "quadratic":
+        samples = TaskSamples(np.full((m, 2), 0.5), curvature=1e300)
+        init = np.array([-0.5, 0.0])
+    else:
+        # logistic gradients are bounded by the feature norm, so a finite
+        # overflowing step needs features near float max
+        samples = TaskSamples(np.full((m, 2), 1e300), labels=np.ones(m))
+        init = np.zeros(2)
+    plan = NoisySgdPlan(steps_n=3, step_size=1.0, noise_variance_sigma_sq=0.0,
+                        clip_bound=1e300)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError):
+            ogd_run(samples, init, OgdConfig(1.0), DOM)
+        with pytest.raises(ValueError):
+            noisy_sgd_run(samples, init, plan, DOM, np.random.default_rng(0))
+
+
 def _oracle_ogd(points, labels, curvature, init, eta, center, radius):
     """Projected OGD on one task, coded from the definitions with scalars."""
     theta = [float(v) for v in init]

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -372,6 +373,22 @@ def test_derive_seed_stable_and_distinct():
     assert 0 <= s1 < 2**64
     assert s1 != derive_seed(42, "sweep", "V", "1.0")
     assert s1 != derive_seed(43, "sweep", "V", "0.5")
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("tags", [(), ("train-noise", 17), ("eval-risk", 2**32 + 5),
+                                  ("t", -3), ("t", 0, 2**64 - 1)])
+def test_substreams_equal_seed_sequences_of_python_ints(master_seed, tags):
+    # the uint32 words handed to SeedSequence seed exactly the streams of the
+    # Python ints [master_seed, *tags], strings taken by crc32 and ints mod
+    # 2**64, as SeedSequence splits them itself
+    ints = [master_seed] + [zlib.crc32(t.encode("utf-8")) if isinstance(t, str)
+                            else t % 2**64 for t in tags]
+    expected = np.random.default_rng(np.random.SeedSequence(ints))
+    assert substream(master_seed, *tags).bit_generator.state == \
+        expected.bit_generator.state
+    assert derive_seed(master_seed, *tags) == int(
+        np.random.SeedSequence(ints).generate_state(1, np.uint64)[0])
 
 
 def test_env_spec_validation():
