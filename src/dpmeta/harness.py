@@ -27,11 +27,11 @@ import numpy as np
 from . import learners
 from .config import ConfigError, ExperimentConfig, build_config, format_value
 from .learners import OgdConfig, adaptation_step_size, private_step_scale
-from .losses import TaskSamples, smoothness_ceiling
+from .losses import smoothness_ceiling
 from .meta import run_meta_training
 from .privacy import NoisySgdPlan, make_plan
-from .task_env import (derive_seed, empirical_task_variance, generate_losses,
-                       population_risk_gap, sample_task, substream)
+from .task_env import (derive_seed, draw_tasks, empirical_task_variance,
+                       population_risk_gap, substream)
 
 CSV_COLUMNS = (
     "run_id", "axis_value", "arm", "task_index", "excess_risk",
@@ -200,22 +200,12 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     # shared tasks, so one realized dispersion serves every training arm
     v_bar_sq = empirical_task_variance(trained.theta_stars, env.planted_center)
 
-    # every eval task's samples in one step-major (m, t_eval, d) buffer and its
-    # minimizer in a (t_eval, d) array, filled task by task from its substreams
-    m, t_eval = env.samples_per_task, cfg.t_eval
-    quadratic = env.loss_family == "quadratic"
-    points = np.empty((m, t_eval, env.dim))
-    labels = None if quadratic else np.empty((m, t_eval))
-    stars = np.empty((t_eval, env.dim))
-    for e in range(t_eval):
-        task = sample_task(env, substream(cfg.master_seed, "eval-task", e))
-        samples = generate_losses(task, env, substream(cfg.master_seed, "eval-losses", e))
-        points[:, e] = samples.points
-        if labels is not None:
-            labels[:, e] = samples.labels
-        stars[e] = task.theta_star
-    batch = TaskSamples(points, curvature=env.curvature if quadratic else None,
-                        labels=labels)
+    # every eval task's minimizer (t_eval, d) and samples, step-major
+    # (m, t_eval, d), in one draw, each task from its own substreams
+    stars, batch = draw_tasks(
+        env, (substream(cfg.master_seed, "eval-task", e) for e in range(cfg.t_eval)),
+        (substream(cfg.master_seed, "eval-losses", e) for e in range(cfg.t_eval)),
+        None)
     # arm starts (arms, 1, d) against samples (m, t_eval, d): every arm, every task
     starts = np.stack([cfg.phi_init if plan is None else trained.phi_hat[rows[arm]]
                        for arm, plan in arms.items()])
@@ -225,7 +215,7 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     # gaps[a, e]: arm a's excess risk on eval task e; on logistic tasks every
     # arm is scored against the task's one Monte Carlo sample set, and the
     # tasks are scored concurrently, each from its own lazy substream
-    risk_rngs = (substream(cfg.master_seed, "eval-risk", e) for e in range(t_eval))
+    risk_rngs = (substream(cfg.master_seed, "eval-risk", e) for e in range(cfg.t_eval))
     gaps = population_risk_gap(env, stars, averaged, cfg.mc_eval_samples, risk_rngs)
 
     results = {}
@@ -244,7 +234,7 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
         )
 
     mc_tol = 1e-9
-    if not quadratic:
+    if env.loss_family != "quadratic":
         mc_tol = 1.0  # paired MC estimates can dip below zero by sampling error
     report = MetricsReport(
         run_id=_run_id(cfg, axis_value),

@@ -1,6 +1,6 @@
 """Within-task learners: plain projected OGD and its noisy private variant.
 
-Both are entry points to one projected-step loop that walks a sequence of
+All are entry points to one projected-step loop that walks a sequence of
 samples (losses.TaskSamples) over a ball domain and reports the average of
 the iterates it evaluated gradients at. The average includes the start point
 and excludes the final post-update point, so a single-sample run returns its
@@ -13,9 +13,10 @@ axes of the samples, so inits shaped (arms, 1, d) adapted on samples shaped
 is the batch of one, with plain (d,) iterates; there is no separate scalar
 path. geometry.clip_norm and geometry.project clip and project row by row,
 so each problem's result is bit-identical whatever batch it runs in. Noisy
-SGD takes one generator, and optionally one plan, per problem, so the
-training arms of a meta-training task (one init each, different noise
-variances) share one call.
+SGD has two entry points: noisy_sgd_run checks its inputs and draws indices
+and noise from one generator, and optionally one plan, per problem;
+noisy_sgd_steps takes visits and noise drawn ahead, so meta-training checks
+and draws once per pass and steps every training arm in one call per task.
 """
 
 from __future__ import annotations
@@ -58,17 +59,23 @@ class LearnerOutput:
     final_iterate: np.ndarray
 
 
-def _start(samples: TaskSamples, init, dom: ParamDomain):
+def _iterates(samples: TaskSamples, init):
     """The first iterate of every problem as a fresh (*problems, d) array: the
     leading axes of init broadcast against the samples' batch axes."""
+    problems = np.broadcast_shapes(np.shape(init)[:-1], samples.batch_shape)
+    theta = np.empty(problems + (samples.dim,))
+    theta[...] = init
+    return theta
+
+
+def _start(samples: TaskSamples, init, dom: ParamDomain):
+    """_iterates, after checking the samples' dimension and that init lies in
+    the domain."""
     if samples.dim != dom.dim:
         raise ValueError(f"samples have dimension {samples.dim}, the domain {dom.dim}")
     if not dom.contains(init):
         raise ValueError("init lies outside the domain")
-    problems = np.broadcast_shapes(np.shape(init)[:-1], samples.batch_shape)
-    theta = np.empty(problems + (dom.dim,))
-    theta[...] = init
-    return theta
+    return _iterates(samples, init)
 
 
 def _projected_steps(seq: TaskSamples, theta, step_size: float, dom: ParamDomain,
@@ -118,6 +125,29 @@ def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
     return _projected_steps(samples, _start(samples, init, dom), cfg.step_size, dom)
 
 
+def common_plan(plans: Sequence[NoisySgdPlan]) -> NoisySgdPlan:
+    """The first of plans, after checking that they share steps_n, step_size
+    and clip_bound: plans stepped together may differ only in noise
+    variance."""
+    plan = plans[0]
+    shared = (plan.steps_n, plan.step_size, plan.clip_bound)
+    if any((p.steps_n, p.step_size, p.clip_bound) != shared for p in plans):
+        raise ValueError("per-problem plans may differ only in noise_variance_sigma_sq")
+    return plan
+
+
+def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan,
+                    dom: ParamDomain, noise) -> LearnerOutput:
+    """Noisy projected SGD on visits (steps_n, *batch, d) and noise
+    (steps_n, *problems, d) drawn ahead: step j clips sample j's gradient to
+    plan.clip_bound, adds noise[j], steps by plan.step_size and projects.
+    init broadcasts as in noisy_sgd_run and is not written. Nothing is
+    checked: the caller makes noisy_sgd_run's checks once per pass of tasks.
+    """
+    return _projected_steps(visits, _iterates(visits, init), plan.step_size, dom,
+                            clip_bound=plan.clip_bound, noise=noise)
+
+
 def noisy_sgd_run(samples: TaskSamples, init,
                   plan: NoisySgdPlan | Sequence[NoisySgdPlan], dom: ParamDomain,
                   rng, index_sequence=None) -> LearnerOutput:
@@ -147,10 +177,7 @@ def noisy_sgd_run(samples: TaskSamples, init,
     plans = [plan] * len(rngs) if isinstance(plan, NoisySgdPlan) else list(plan)
     if len(plans) != len(rngs):
         raise ValueError(f"need one plan per problem: {len(rngs)}, got {len(plans)}")
-    plan = plans[0]
-    shared = (plan.steps_n, plan.step_size, plan.clip_bound)
-    if any((p.steps_n, p.step_size, p.clip_bound) != shared for p in plans):
-        raise ValueError("per-problem plans may differ only in noise_variance_sigma_sq")
+    plan = common_plan(plans)
     n, m = plan.steps_n, samples.count
     if index_sequence is not None:
         indices = np.asarray(index_sequence, dtype=np.int64)

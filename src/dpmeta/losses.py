@@ -60,11 +60,17 @@ def logistic_value(theta, features, labels):
     return logistic_loss(np.vecdot(features, theta), labels)
 
 
+# sigmoid's constants as 0-d arrays, which numpy takes without converting a
+# Python scalar on every call; the results are the same
+_ZERO = np.zeros(())
+_ONE = np.ones(())
+
+
 def sigmoid(z):
     """1 / (1 + exp(-z)), elementwise, from exp(-|z|) <= 1, so neither
     branch overflows whatever the magnitude of z."""
     e = np.exp(-np.abs(z))
-    return np.where(z > 0, 1.0, e) / (1.0 + e)
+    return np.where(z > _ZERO, _ONE, e) / (_ONE + e)
 
 
 def logistic_grad(theta, features, labels):
@@ -147,10 +153,18 @@ class TaskSamples:
 
     def take(self, where) -> "TaskSamples":
         """The samples at the index tuple `where` into (m, *batch): the
-        sequence a stochastic learner visits."""
-        if self.labels is None:
-            return TaskSamples(self.points[where], curvature=self.curvature)
-        return TaskSamples(self.points[where], labels=self.labels[where])
+        sequence a stochastic learner visits, or one task out of a batch.
+        Values taken out of validated arrays are valid, so only the shape of
+        the result is checked."""
+        points = self.points[where]
+        if points.ndim < 2 or points.shape[0] < 1 or points.shape[-1] != self.dim:
+            raise ValueError(f"taking {where!r} leaves points shaped {points.shape}, "
+                             f"not (m, *batch, {self.dim}) with m >= 1")
+        taken = object.__new__(TaskSamples)
+        taken.__dict__.update(self.__dict__, points=points)
+        if self.labels is not None:
+            taken.__dict__["labels"] = self.labels[where]
+        return taken
 
 
 @dataclass(frozen=True)

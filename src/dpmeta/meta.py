@@ -9,9 +9,11 @@ initialization is the average of the per-task phi values, phi_hat =
 meta state, so the meta path adds no privacy cost beyond the per-task runs.
 
 Training runs several arms at once, one noisy-SGD plan each (the private
-plan and its zero-noise twin), with the arm as an array axis: one pass over
-the tasks draws each task and its samples once, steps every arm's learner in
-one batched call and folds every arm's output in one meta step.
+plan and its zero-noise twin), with the arm as an array axis. Only the fold
+phi_t -> theta_bar_t -> phi_{t+1} is sequential, so a pass first draws every
+task, its visited samples, its index sequence and its noise, and then, per
+task, steps every arm's learner in one batched call and folds every arm's
+output in one meta step.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import learners
 from .geometry import as_batch, as_vector, dist_sq
 from .learners import NoisySgdPlan
-from .task_env import EnvSpec, generate_losses, sample_task, substream
+from .task_env import EnvSpec, draw_tasks, substream
 
 
 @dataclass(frozen=True)
@@ -103,14 +105,20 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
 
     plans holds one NoisySgdPlan per training arm (a single arm is a
     sequence of one); they may differ only in noise variance. All arms
-    advance together in one pass. Per task t: draw the task and its samples
-    once from substreams (master_seed, "train-task", t) and
-    (master_seed, "train-losses", t), run the private learner once for every
-    arm from that arm's phi_t, each arm with its own generator on the noise
-    stream (master_seed, "train-noise", t), and fold every arm's averaged
-    iterate into the batched meta state in one step. The arms therefore share
-    tasks, samples and index sequences, and each arm's row is bit-identical
-    to training it alone.
+    advance together in one pass of two phases.
+
+    The draw phase draws everything phi does not enter. Task t's index
+    sequence comes from one generator on (master_seed, "train-noise", t)
+    shared by all arms, then, if any arm is noisy, one standard-normal block
+    that each arm scales by its own noise standard deviation (held for all
+    tasks: num_tasks * steps_n * arms * d floats). One task_env.draw_tasks
+    call draws every task from (master_seed, "train-task", t) and
+    (master_seed, "train-losses", t) and keeps the samples it visits.
+
+    The fold phase is sequential: per task, one learners.noisy_sgd_steps
+    call steps every arm from its phi_t, and one meta step folds every
+    arm's averaged iterate. The arms share tasks, samples and index
+    sequences, and each arm's row is bit-identical to training it alone.
 
     No non-private computation runs on the training tasks; only theta_bar
     reaches the meta state. Reruns with the same arguments are bit identical.
@@ -121,22 +129,39 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     plans = tuple(plans)
     if not plans:
         raise ValueError("need at least one plan")
+    plan = learners.common_plan(plans)
     phi_init = as_vector(phi_init, env.dim)
     if not env.domain.contains(phi_init):
         raise ValueError("phi_init lies outside the domain")
 
+    n, m, dim = plan.steps_n, env.samples_per_task, env.dim
+    std = np.sqrt([p.noise_variance_sigma_sq for p in plans])
+    noisy = std.any()
+    indices = np.empty((num_tasks, n), dtype=np.int64)
+    normals = np.zeros((num_tasks, n, dim))
+    for t in range(num_tasks):
+        rng = substream(master_seed, "train-noise", t)
+        indices[t] = rng.integers(0, m, size=n)
+        if noisy:
+            normals[t] = rng.standard_normal((n, dim))
+    # Generator.normal(0.0, s) returns 0.0 + s * z for the standard normals z
+    # it draws, and s * z + 0.0 is the same sum: each arm gets the bits its
+    # own generator would give, and a zero-variance arm exact zeros.
+    # noise[t, j, a] is task t's noise at step j for arm a
+    noise = std[:, None] * normals[:, :, None, :]
+    noise += 0.0
+    theta_stars, visits = draw_tasks(
+        env, (substream(master_seed, "train-task", t) for t in range(num_tasks)),
+        (substream(master_seed, "train-losses", t) for t in range(num_tasks)),
+        indices)
+
     state = new_state(np.tile(phi_init, (len(plans), 1)))
     # (arms, tasks), so each arm's losses are one contiguous row
     surrogate_losses = np.empty((len(plans), num_tasks))
-    theta_stars = np.empty((num_tasks, env.dim))
     for t in range(num_tasks):
-        task = sample_task(env, substream(master_seed, "train-task", t))
-        samples = generate_losses(task, env, substream(master_seed, "train-losses", t))
-        rngs = [substream(master_seed, "train-noise", t) for _ in plans]
-        # every arm's phi_t on the one task: inits (arms, d), one problem per arm
-        bars = learners.noisy_sgd_run(samples, state.phi_current, plans, env.domain,
-                                      rngs).averaged_iterate
-        theta_stars[t] = task.theta_star
+        # every arm's phi_t on task t's visits: inits (arms, d), one problem per arm
+        bars = learners.noisy_sgd_steps(visits.take((slice(None), t)), state.phi_current,
+                                        plan, env.domain, noise[t]).averaged_iterate
         surrogate_losses[:, t] = surrogate_loss(state.phi_current, bars)
         state = meta_step(state, bars)
     return MetaTraining(state.phi_hat(), surrogate_losses, theta_stars)

@@ -125,11 +125,16 @@ def sample_task(spec: EnvSpec, rng: np.random.Generator) -> TaskSpec:
     """Draw a task minimizer: project(center + z), z ~ N(0, (V^2/d) I).
 
     V == 0 yields the planted center exactly; the Gaussian draw still happens
-    so stream layout does not depend on V.
+    so stream layout does not depend on V. The batch of one of draw_tasks.
     """
-    z = rng.normal(0.0, 1.0, size=spec.dim)
+    return TaskSpec(theta_star=_draw_minimizers(spec, (rng,))[0])
+
+
+def _draw_minimizers(spec: EnvSpec, rngs) -> np.ndarray:
+    """One minimizer per generator, shaped (tasks, d), in one projection."""
+    z = np.array([rng.normal(0.0, 1.0, size=spec.dim) for rng in rngs])
     scale = spec.similarity_v / math.sqrt(spec.dim)
-    return TaskSpec(theta_star=project(spec.planted_center + scale * z, spec.domain))
+    return project(spec.planted_center + scale * z.reshape(-1, spec.dim), spec.domain)
 
 
 def _logistic_draw(spec: EnvSpec, theta_star, count: int, rng: np.random.Generator):
@@ -155,18 +160,57 @@ def generate_losses(task: TaskSpec, spec: EnvSpec,
     with s = sample_noise_std, so the empirical minimizer is unbiased for
     theta_star up to projection. Logistic: features (m, d) uniform on the
     sphere of radius feature_norm, labels (m,) in {-1, +1} from the logistic
-    model at theta_star.
+    model at theta_star. The batch of one of draw_tasks.
     """
-    m = spec.samples_per_task
+    batch = _draw_samples(spec, task.theta_star[None], (rng,), None)
+    return batch.take((slice(None), 0))
+
+
+def _draw_samples(spec: EnvSpec, theta_stars, rngs, keep) -> TaskSamples:
+    """draw_tasks' samples, validated once. rngs is iterated only when the
+    sample model draws, so a noise-free quadratic pass creates no generator."""
+    m, dim = spec.samples_per_task, spec.dim
+    tasks = len(theta_stars)
+    rows = [slice(None)] * tasks if keep is None else np.asarray(keep)
+    count = m if keep is None else rows.shape[-1]
+    if keep is not None and (rows.shape != (tasks, count) or count < 1
+                             or rows.min() < 0 or rows.max() >= m):
+        raise ValueError(f"keep must be indices into the {m} samples, shaped "
+                         f"({tasks}, k >= 1), got {rows.shape}")
+    points = np.empty((count, tasks, dim))
     if spec.loss_family == "logistic":
-        features, labels, _ = _logistic_draw(spec, task.theta_star, m, rng)
-        return TaskSamples(features, labels=labels)
+        labels = np.empty((count, tasks))
+        for t, rng in zip(range(tasks), rngs, strict=True):
+            features, task_labels, _ = _logistic_draw(spec, theta_stars[t], m, rng)
+            points[:, t] = features[rows[t]]
+            labels[:, t] = task_labels[rows[t]]
+        return TaskSamples(points, labels=labels)
     if spec.sample_noise_std == 0.0:
-        anchors = np.tile(task.theta_star, (m, 1))
+        # a minimizer projected onto the sphere can round an ulp outside it,
+        # so its anchors are projected again, as any anchor is
+        points[...] = project(theta_stars, spec.domain)
     else:
-        anchors = task.theta_star + rng.normal(
-            0.0, spec.sample_noise_std, size=(m, spec.dim))
-    return TaskSamples(project(anchors, spec.domain), curvature=spec.curvature)
+        for t, rng in zip(range(tasks), rngs, strict=True):
+            offsets = rng.normal(0.0, spec.sample_noise_std, size=(m, dim))
+            points[:, t] = project(theta_stars[t] + offsets[rows[t]], spec.domain)
+    return TaskSamples(points, curvature=spec.curvature)
+
+
+def draw_tasks(spec: EnvSpec, task_rngs, sample_rngs, keep):
+    """Draw a pass of tasks: the minimizers (tasks, d), one per generator of
+    task_rngs, and their samples as one step-major TaskSamples (k, tasks, d),
+    task t's from the t-th generator of sample_rngs. keep is None, which
+    keeps all m samples, or indices shaped (tasks, k): task t keeps its
+    samples keep[t], in that order, repeats allowed.
+
+    Each generator is consumed as sample_task or generate_losses consumes
+    it, and projection acts row by row, so every value is bit-identical to
+    those calls task by task. The minimizers are projected in one call, each
+    task's anchors as they are drawn, so no temporary outgrows one task.
+    Each sequence of generators is iterated once, so either may be lazy.
+    """
+    theta_stars = _draw_minimizers(spec, task_rngs)
+    return theta_stars, _draw_samples(spec, theta_stars, sample_rngs, keep)
 
 
 def _usable_cpus() -> int:

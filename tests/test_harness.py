@@ -26,6 +26,7 @@ from dpmeta.harness import (ARM_META, ARM_NO_META, ARM_NONPRIVATE,
                             report_rows, run_experiment, sweep, write_csv)
 from dpmeta.learners import OgdConfig, adaptation_step_size, ogd_run
 from dpmeta.meta import run_meta_training
+from dpmeta.privacy import sample_step_noise
 from dpmeta.task_env import (generate_losses, population_risk_gap, sample_task,
                              substream)
 
@@ -511,25 +512,31 @@ def test_single_training_task_meta_equals_no_meta(family_items):
 def test_learner_runs_the_calibrated_plan(monkeypatch):
     # every private training run must use the constants the sidecar reports
     calls = []
-    real_noisy = dpmeta.learners.noisy_sgd_run
+    real_steps = dpmeta.learners.noisy_sgd_steps
 
-    def spy_noisy(samples, init, plan, dom, rng, *args, **kwargs):
-        calls.append(tuple(plan))
-        return real_noisy(samples, init, plan, dom, rng, *args, **kwargs)
+    def spy_steps(visits, init, plan, dom, noise):
+        calls.append((visits, np.shape(init), plan, noise))
+        return real_steps(visits, init, plan, dom, noise)
 
-    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_run", spy_noisy)
+    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_steps)
     cfg = make_cfg(baseline_nonprivate_meta="true")
     cal = run_experiment(cfg).calibration
-    # one learner call per training task, carrying one plan per training arm
+    n, m, d = cal.steps_n, cfg.env.samples_per_task, cfg.env.dim
+    # one private step call per training task, stepping both training arms
     assert len(calls) == cfg.t_train
-    for meta_plan, quiet_plan in calls:
-        for plan in (meta_plan, quiet_plan):
-            assert plan.steps_n == cal.steps_n
-            assert plan.step_size == cal.sgd_step_size
-            assert plan.clip_bound == cal.lipschitz_g
-        # the meta arm runs the calibrated plan, beside it its zero-noise twin
-        assert meta_plan.noise_variance_sigma_sq == cal.sigma_sq
-        assert quiet_plan.noise_variance_sigma_sq == 0.0
+    for t, (visits, init_shape, plan, noise) in enumerate(calls):
+        assert plan.steps_n == cal.steps_n
+        assert plan.step_size == cal.sgd_step_size
+        assert plan.clip_bound == cal.lipschitz_g
+        assert visits.count == n and init_shape == (2, d)
+        # the meta arm's noise is the calibrated variance's draw from the
+        # task's noise generator, after its index sequence; beside it the
+        # zero-noise twin steps without noise
+        rng = substream(cfg.master_seed, "train-noise", t)
+        rng.integers(0, m, size=n)
+        assert noise.shape == (n, 2, d)
+        assert np.array_equal(noise[:, 0], sample_step_noise(rng, d, cal.sigma_sq, count=n))
+        assert not noise[:, 1].any()
     assert cal.sigma_sq > 0.0
 
 
@@ -551,13 +558,14 @@ def test_clipping_is_inactive_when_smoothness_ok(family_items, monkeypatch):
     # the calibration's smoothness certificate promises that no private
     # gradient is ever clipped; clip_norm returns its input object when no
     # row is over the bound, so every call must hand back what it was given
-    calls = []
+    calls, shapes = [], set()
     real_clip = dpmeta.learners.clip_norm
 
     def spy_clip(g, bound):
         before = np.array(g, copy=True)
         out = real_clip(g, bound)
         calls.append(out is g and np.array_equal(out, before))
+        shapes.add(g.shape)
         return out
 
     monkeypatch.setattr(dpmeta.learners, "clip_norm", spy_clip)
@@ -566,8 +574,10 @@ def test_clipping_is_inactive_when_smoothness_ok(family_items, monkeypatch):
     cal = calibrate(cfg)
     assert cal.smoothness_ok
     run_experiment(cfg)
+    # one clip per private step, each over both training arms' gradients
     assert len(calls) == cfg.t_train * cal.steps_n
     assert all(calls)
+    assert shapes == {(2, cfg.env.dim)}
 
 
 def test_run_deterministic_and_seed_sensitive():

@@ -7,9 +7,10 @@ import pytest
 
 import dpmeta.learners
 from dpmeta.geometry import ParamDomain
+from dpmeta.learners import noisy_sgd_run
 from dpmeta.meta import meta_step, new_state, run_meta_training, surrogate_loss
 from dpmeta.privacy import NoisySgdPlan
-from dpmeta.task_env import EnvSpec
+from dpmeta.task_env import EnvSpec, generate_losses, sample_task, substream
 
 
 def test_first_step_replaces_initializer():
@@ -125,9 +126,9 @@ def test_meta_training_deterministic():
 def test_meta_update_sees_only_private_output(monkeypatch):
     # the state that leaves a task must be a function of the noisy learner's
     # averaged iterate alone; the exact per-task adaptation must not leak in.
-    # Each learner call returns one (arms, d) row per training arm.
+    # Each per-task private step call returns one (arms, d) row per arm.
     captured = []
-    real_noisy = dpmeta.learners.noisy_sgd_run
+    real_noisy = dpmeta.learners.noisy_sgd_steps
 
     def spy_noisy(*args, **kwargs):
         out = real_noisy(*args, **kwargs)
@@ -139,7 +140,7 @@ def test_meta_update_sees_only_private_output(monkeypatch):
         return dpmeta.learners.LearnerOutput(
             averaged_iterate=poisoned, final_iterate=poisoned)
 
-    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_run", spy_noisy)
+    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_noisy)
     monkeypatch.setattr(dpmeta.learners, "ogd_run", poisoned_ogd)
 
     dom = ParamDomain(np.zeros(2), 5.0)
@@ -177,16 +178,16 @@ def test_shared_training_equals_separate_passes(family, monkeypatch):
             return out
 
         monkeypatch.setattr(dpmeta.learners, name, spy)
-    # every learner call's private outputs, one (arms, d) row set per task
+    # every private step call's outputs, one (arms, d) row set per task
     bars = []
-    real_noisy = dpmeta.learners.noisy_sgd_run
+    real_noisy = dpmeta.learners.noisy_sgd_steps
 
     def spy_noisy(*args, **kwargs):
         out = real_noisy(*args, **kwargs)
         bars.append(np.array(out.averaged_iterate, copy=True))
         return out
 
-    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_run", spy_noisy)
+    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_noisy)
     dom = ParamDomain(np.array([0.1, -0.2]), 0.8)
     env = EnvSpec(domain=dom, planted_center=np.array([0.4, -0.2]),
                   similarity_v=0.3, samples_per_task=12, loss_family=family,
@@ -211,6 +212,43 @@ def test_shared_training_equals_separate_passes(family, monkeypatch):
     assert not np.array_equal(shared.phi_hat[0], shared.phi_hat[1])
 
 
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_noisy_arms_share_one_noise_generator(family):
+    # the arms of a pass draw each task's indices and noise from one shared
+    # generator, so two noisy arms of different variances must still each
+    # get exactly the noise that training alone gives them, and the pass
+    # must equal the task-by-task reference: generate_losses, then
+    # noisy_sgd_run with one identically seeded generator per arm
+    dom = ParamDomain(np.array([0.1, -0.2]), 0.8)
+    env = EnvSpec(domain=dom, planted_center=np.array([0.4, -0.2]),
+                  similarity_v=0.3, samples_per_task=12, loss_family=family,
+                  sample_noise_std=0.5, feature_norm=2.0)
+    plan = NoisySgdPlan(steps_n=7, step_size=0.5, noise_variance_sigma_sq=0.2,
+                        clip_bound=0.3)
+    plans = (plan, replace(plan, noise_variance_sigma_sq=0.0),
+             replace(plan, noise_variance_sigma_sq=0.05))
+    phi_init = np.array([0.7, -0.5])
+    shared = run_meta_training(env, 9, plans, phi_init, 21)
+    for a, arm_plan in enumerate(plans):
+        alone = run_meta_training(env, 9, (arm_plan,), phi_init, 21)
+        assert np.array_equal(shared.phi_hat[a], alone.phi_hat[0])
+        assert np.array_equal(shared.surrogate_losses[a], alone.surrogate_losses[0])
+    assert len({tuple(row) for row in shared.phi_hat}) == 3
+
+    state = new_state(np.tile(phi_init, (3, 1)))
+    for t in range(9):
+        task = sample_task(env, substream(21, "train-task", t))
+        samples = generate_losses(task, env, substream(21, "train-losses", t))
+        rngs = [substream(21, "train-noise", t) for _ in plans]
+        bars = noisy_sgd_run(samples, state.phi_current, plans, dom,
+                             rngs).averaged_iterate
+        assert np.array_equal(shared.theta_stars[t], task.theta_star)
+        assert np.array_equal(shared.surrogate_losses[:, t],
+                              surrogate_loss(state.phi_current, bars))
+        state = meta_step(state, bars)
+    assert np.array_equal(shared.phi_hat, state.phi_hat())
+
+
 def test_single_task_phi_hat_is_initializer():
     dom = ParamDomain(np.zeros(2), 5.0)
     env = EnvSpec(domain=dom, planted_center=np.zeros(2), similarity_v=0.0,
@@ -224,14 +262,14 @@ def test_single_task_phi_hat_is_initializer():
 
 def test_record_fields_consistent(monkeypatch):
     bars = []
-    real_noisy = dpmeta.learners.noisy_sgd_run
+    real_noisy = dpmeta.learners.noisy_sgd_steps
 
     def spy_noisy(*args, **kwargs):
         out = real_noisy(*args, **kwargs)
         bars.append(np.asarray(out.averaged_iterate)[0].copy())
         return out
 
-    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_run", spy_noisy)
+    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_noisy)
     dom = ParamDomain(np.zeros(2), 5.0)
     env = EnvSpec(domain=dom, planted_center=np.array([0.5, 0.5]),
                   similarity_v=0.2, samples_per_task=15, curvature=2.0,

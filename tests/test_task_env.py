@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from dpmeta import task_env
-from dpmeta.geometry import ParamDomain
-from dpmeta.task_env import (EnvSpec, derive_seed, empirical_task_variance,
-                             generate_losses, population_risk_gap, sample_task,
+from dpmeta.geometry import ParamDomain, dist_sq, project
+from dpmeta.task_env import (EnvSpec, derive_seed, draw_tasks,
+                             empirical_task_variance, generate_losses, population_risk_gap, sample_task,
                              substream)
 
 BIG_DOM = ParamDomain(np.zeros(4), 50.0)
@@ -95,6 +95,54 @@ def test_losses_deterministic_per_stream():
         assert np.array_equal(la, lb)
     c = generate_losses(task, env, substream(10, "l"))
     assert not np.array_equal(a.points[0], c.points[0])
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+@pytest.mark.parametrize("noise_std", [0.0, 0.7])
+@pytest.mark.parametrize("kept", [False, True])
+def test_draw_tasks_equals_single_task_draws(family, noise_std, kept):
+    # a pass of tasks drawn at once must equal sample_task and
+    # generate_losses task by task, bit for bit; radius 1 and anchor noise
+    # 0.7 make the projection bind on some minimizers and anchors, not all
+    dom = ParamDomain(np.array([0.2, 0.0, -0.1]), 1.0)
+    env = EnvSpec(domain=dom, planted_center=np.array([0.6, 0.1, -0.1]),
+                  similarity_v=0.9, samples_per_task=9, loss_family=family,
+                  sample_noise_std=noise_std, feature_norm=1.5)
+    tasks = 6
+    keep = np.random.default_rng(3).integers(0, 9, size=(tasks, 4)) if kept else None
+    stars, batch = draw_tasks(env, (substream(5, "t", t) for t in range(tasks)),
+                              (substream(5, "s", t) for t in range(tasks)), keep)
+    assert stars.shape == (tasks, 3)
+    assert batch.points.shape == (4 if kept else 9, tasks, 3)
+    for t in range(tasks):
+        task = sample_task(env, substream(5, "t", t))
+        one = generate_losses(task, env, substream(5, "s", t))
+        rows = slice(None) if keep is None else keep[t]
+        assert stars[t].tobytes() == task.theta_star.tobytes()
+        assert batch.points[:, t].tobytes() == one.points[rows].tobytes()
+        if family == "logistic":
+            assert batch.labels[:, t].tobytes() == one.labels[rows].tobytes()
+            continue
+        assert batch.curvature == one.curvature == env.curvature
+        # the quadratic model written out, one task at a time
+        rng = substream(5, "t", t)
+        star = project(env.planted_center + 0.9 / math.sqrt(3) * rng.normal(size=3), dom)
+        rng = substream(5, "s", t)
+        offsets = rng.normal(0.0, noise_std, size=(9, 3)) if noise_std else 0.0
+        anchors = project(np.broadcast_to(star + offsets, (9, 3)), dom)
+        assert star.tobytes() == stars[t].tobytes()
+        assert anchors[rows].tobytes() == batch.points[:, t].tobytes()
+    if family == "quadratic" and noise_std:
+        on_sphere = np.isclose(np.sqrt(dist_sq(dom.center, batch.points)), dom.radius,
+                               rtol=1e-12, atol=0.0)
+        assert 0 < on_sphere.sum() < on_sphere.size
+
+
+def test_draw_tasks_validates_kept_indices():
+    env = quad_env(samples_per_task=5)
+    for keep in ([[0, 5]], [[-1, 0]], [[0, 1], [1, 2]], [[]], [0, 1]):
+        with pytest.raises(ValueError):
+            draw_tasks(env, [substream(0, "t")], [substream(0, "s")], keep)
 
 
 def test_quadratic_risk_gap_closed_form():
