@@ -31,7 +31,7 @@ from .losses import smoothness_ceiling
 from .meta import run_meta_training
 from .privacy import NoisySgdPlan, make_plan
 from .task_env import (derive_seed, draw_tasks, empirical_task_variance,
-                       population_risk_gap, substream)
+                       population_risk_gap, substreams)
 
 CSV_COLUMNS = (
     "run_id", "axis_value", "arm", "task_index", "excess_risk",
@@ -203,9 +203,8 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     # every eval task's minimizer (t_eval, d) and samples, step-major
     # (m, t_eval, d), in one draw, each task from its own substreams
     stars, batch = draw_tasks(
-        env, (substream(cfg.master_seed, "eval-task", e) for e in range(cfg.t_eval)),
-        (substream(cfg.master_seed, "eval-losses", e) for e in range(cfg.t_eval)),
-        None)
+        env, substreams(cfg.master_seed, "eval-task", count=cfg.t_eval),
+        substreams(cfg.master_seed, "eval-losses", count=cfg.t_eval), None)
     # arm starts (arms, 1, d) against samples (m, t_eval, d): every arm, every task
     starts = np.stack([cfg.phi_init if plan is None else trained.phi_hat[rows[arm]]
                        for arm, plan in arms.items()])
@@ -215,7 +214,7 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     # gaps[a, e]: arm a's excess risk on eval task e; on logistic tasks every
     # arm is scored against the task's one Monte Carlo sample set, and the
     # tasks are scored concurrently, each from its own lazy substream
-    risk_rngs = (substream(cfg.master_seed, "eval-risk", e) for e in range(cfg.t_eval))
+    risk_rngs = substreams(cfg.master_seed, "eval-risk", count=cfg.t_eval)
     gaps = population_risk_gap(env, stars, averaged, cfg.mc_eval_samples, risk_rngs)
 
     results = {}

@@ -26,7 +26,7 @@ import numpy as np
 from . import learners
 from .geometry import as_batch, as_vector, dist_sq
 from .learners import NoisySgdPlan
-from .task_env import EnvSpec, draw_tasks, substream
+from .task_env import EnvSpec, draw_tasks, substreams
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,7 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     noisy = std.any()
     indices = np.empty((num_tasks, n), dtype=np.int64)
     normals = np.zeros((num_tasks, n, dim))
-    for t in range(num_tasks):
-        rng = substream(master_seed, "train-noise", t)
+    for t, rng in enumerate(substreams(master_seed, "train-noise", count=num_tasks)):
         indices[t] = rng.integers(0, m, size=n)
         if noisy:
             normals[t] = rng.standard_normal((n, dim))
@@ -151,9 +150,8 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     noise = std[:, None] * normals[:, :, None, :]
     noise += 0.0
     theta_stars, visits = draw_tasks(
-        env, (substream(master_seed, "train-task", t) for t in range(num_tasks)),
-        (substream(master_seed, "train-losses", t) for t in range(num_tasks)),
-        indices)
+        env, substreams(master_seed, "train-task", count=num_tasks),
+        substreams(master_seed, "train-losses", count=num_tasks), indices)
 
     state = new_state(np.tile(phi_init, (len(plans), 1)))
     # (arms, tasks), so each arm's losses are one contiguous row

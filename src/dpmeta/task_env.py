@@ -6,16 +6,18 @@ norm is similarity_v**2 before projection. Each task's m samples then scatter
 around the minimizer and come back as arrays (losses.TaskSamples): quadratic
 anchors, or logistic features plus labels. Everything is driven by named
 substreams of a single master seed, so any piece of a run can be regenerated
-independently. A task is only its minimizer; the sample model is the
-environment's. Risk is scored for a sequence of tasks at once, in one call
-for either family: quadratic tasks in closed form, logistic tasks on one
-thread per usable CPU, each from its own generator, so the values do not
-depend on the thread count.
+independently. A pass's streams are seeded in one batch (substreams),
+bit-identical to separate substream calls. A task is only its minimizer;
+the sample model is the environment's. Risk is scored for a sequence of
+tasks at once, in one call for either family: quadratic tasks in closed
+form, logistic tasks on one thread per usable CPU, each from its own
+generator, so the values do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 import os
 import zlib
@@ -61,6 +63,111 @@ def derive_seed(master_seed: int, *tags) -> int:
     """Collapse (master_seed, *tags) to a fresh 64-bit master seed."""
     seq = np.random.SeedSequence(_mix_tags(master_seed, tags))
     return int(seq.generate_state(1, np.uint64)[0])
+
+
+# numpy's SeedSequence with its default pool of 4 words, as numpy documents
+# it (numpy/random/bit_generator.pyx): every hashmix steps a hash constant
+# through a fixed sequence, whatever the data, so many seeds mix in step
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # (start, multiplier) while mixing entropy
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # the same in generate_state
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+
+
+def _hash_sequence(start: int, mult: int, count: int) -> list[int]:
+    values = [start]
+    for _ in range(count):
+        values.append(values[-1] * mult & _WORD_MASK)
+    return values
+
+
+@functools.cache
+def _hash_constants(width: int):
+    """SeedSequence's (xor, multiply) hash constants for entropy of width >=
+    4 words, one (2, 4) uint32 pair per step of _seed_states, stacked
+    (width + 1, 2, 4), then generate_state(4, uint64)'s (2, 8) pair. Step 0
+    hashes the pool's four words; step w + 1 hashes word w into each pool
+    slot it mixes into."""
+    a = _hash_sequence(*_HASH_A, 4 * width)
+    steps = [(a[:4], a[1:5])]
+    for w in range(width):
+        if w < 4:  # pool word w mixes into the other three slots
+            k = 4 + 3 * w
+            xor, mul = [0] * 4, [0] * 4
+            for j, slot in enumerate(s for s in range(4) if s != w):
+                xor[slot], mul[slot] = a[k + j], a[k + j + 1]
+        else:  # entropy word w mixes into all four
+            xor, mul = a[4 * w:4 * w + 4], a[4 * w + 1:4 * w + 5]
+        steps.append((xor, mul))
+    b = _hash_sequence(*_HASH_B, 8)
+    return np.array(steps, dtype=np.uint32), np.array([b[:8], b[1:]], dtype=np.uint32)
+
+
+def _hashmix(words, xor, mul):
+    mixed = words ^ xor
+    mixed *= mul
+    mixed ^= mixed >> 16
+    return mixed
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for every row of the
+    uint32 entropy (seeds, width >= 4), shaped (seeds, 4). Rows of fewer
+    words are padded with zeros to 4, which SeedSequence does itself."""
+    width = entropy.shape[1]
+    steps, out = _hash_constants(width)
+    pool = _hashmix(entropy[:, :4], *steps[0])
+    for w in range(width):
+        source = pool if w < 4 else entropy
+        mixed = pool * _MIX_L
+        mixed -= _hashmix(source[:, w, None], *steps[w + 1]) * _MIX_R
+        mixed ^= mixed >> 16
+        if w < 4:
+            mixed[:, w] = pool[:, w]  # a pool word does not mix into itself
+        pool = mixed
+    state = _hashmix(np.concatenate((pool, pool), axis=1), *out)
+    # SeedSequence reads pairs of 32-bit words as little-endian 64-bit ones
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedState:
+    """Stands in for one stream's SeedSequence where PCG64 seeds from it:
+    generate_state(4, np.uint64) returns the words _seed_states computed."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only generate_state(4, np.uint64) is precomputed")
+        return self._words
+
+
+def substreams(master_seed: int, *tags, count: int):
+    """Lazily yield substream(master_seed, *tags, i) for i in range(count),
+    bit for bit.
+
+    A generator function: the first next() seeds every stream of the batch
+    at once, by numpy's SeedSequence arithmetic on uint32 arrays, and each
+    next() then builds one generator; nothing runs if none is asked for.
+    """
+    if int(count) != count or not 0 <= count <= 1 << 32:
+        raise ValueError(f"count must be an integer in [0, 2**32], got {count}")
+    count = int(count)
+    # registered here, not at import: numpy.random stays out of a start-up
+    # that draws nothing
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_SeedState)
+    prefix = _mix_tags(master_seed, tags)
+    # row i is _mix_tags(master_seed, tags + (i,)): an index below 2**32 is
+    # the one word i
+    entropy = np.zeros((count, max(len(prefix) + 1, 4)), dtype=np.uint32)
+    entropy[:, :len(prefix)] = prefix
+    entropy[:, len(prefix)] = np.arange(count)
+    for words in _seed_states(entropy):
+        yield np.random.Generator(np.random.PCG64(_SeedState(words)))
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,14 @@ build may round differently.
 """
 
 import hashlib
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import dpmeta
 from dpmeta.cli import EXIT_OK, main
 from dpmeta.config import build_config
 from dpmeta.harness import calibrate, csv_bytes_excluding_wall_clock
@@ -87,3 +92,20 @@ def test_stable_case_runs_a_stable_plan():
     cal = calibrate(build_config(STABLE_ITEMS))
     assert cal.step_times_beta <= 2
     assert not cal.training_is_noop
+
+
+@pytest.mark.parametrize("case", ["quadratic", "logistic"])
+def test_calibrate_leaves_numpy_random_unimported(case, tmp_path):
+    # `dpmeta calibrate` draws nothing, so its start-up must not pay for
+    # importing numpy.random, say to register a seed class at import
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in GOLDEN[case][1].items()))
+    src = str(Path(dpmeta.__file__).resolve().parents[1])
+    probe = ("import sys\n"
+             "from dpmeta.cli import main\n"
+             f"code = main(['calibrate', '--config', {str(cfg)!r}])\n"
+             "print(code, 'numpy.random' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"

@@ -397,6 +397,42 @@ def test_eval_adaptation_matches_a_separate_run_per_task(items):
     assert {arm: list(report.arms[arm].excess_risks[:3]) for arm in starts} == expected
 
 
+@pytest.mark.parametrize("items", [
+    dict(CRITERION_09_ITEMS, epsilon="0.5", phi_init="0.5,0", similarity_v=v,
+         baseline_no_meta="true", baseline_nonprivate_meta="true") for v in ("0", "0.05", "0.2")
+] + [dict(CRITERION_09_ITEMS, epsilon="0.5", phi_init="0.5,0", similarity_v="0.1",
+          curvature="3.0", sample_noise_std="0.1", baseline_no_meta="true",
+          baseline_nonprivate_meta="true")],
+    ids=["criterion_09_V0", "criterion_09_V0.05", "criterion_09_V0.2", "curvature_3"])
+def test_every_arm_matches_the_closed_form_expected_risk(items):
+    # on a stable quadratic plan whose iterates stay well inside the ball,
+    # nothing is projected, so OGD at step eta from phi is linear in the
+    # draws: with r = 1 - eta c, the averaged iterate theta_1 .. theta_m is
+    # theta* + A (phi - theta*) + eta c sum_{j=1}^{m-1} B_j w_j, where
+    # A = (1/m) sum_{k<m} r^k and B_j = (1/m) sum_{l<=m-1-j} r^l. Over
+    # theta* = c0 + N(0, V^2/d I) and anchor noise w_j ~ N(0, s^2 I):
+    #   E[excess | phi] = (c/2)[A^2 (||phi - c0||^2 + V^2) + (eta c)^2 s^2 d sum_j B_j^2]
+    cfg = build_config(items)
+    report = run_experiment(cfg)
+    cal, env = report.calibration, cfg.env
+    quiet = dataclasses.replace(cal.plan, noise_variance_sigma_sq=0.0)
+    phi_hat = run_meta_training(env, cfg.t_train, [cal.plan, quiet], cfg.phi_init,
+                                cfg.master_seed).phi_hat
+    starts = {ARM_META: phi_hat[0], ARM_NO_META: cfg.phi_init,
+              ARM_NONPRIVATE: phi_hat[1]}
+    assert set(report.arms) == set(starts)
+    c, m, d = env.curvature, env.samples_per_task, env.dim
+    v, s = env.similarity_v, env.sample_noise_std
+    # partial[k] = (1/m) sum_{l<=k} r^l, so A = partial[m-1] and B_j = partial[m-1-j]
+    partial = np.cumsum((1.0 - cal.eta * c) ** np.arange(m)) / m
+    a, b = partial[m - 1], partial[:m - 1]
+    noise = (cal.eta * c) ** 2 * s**2 * d * (b**2).sum()
+    for arm, result in report.arms.items():
+        offset_sq = ((np.asarray(starts[arm]) - env.planted_center) ** 2).sum()
+        expected = c / 2 * (a**2 * (offset_sq + v**2) + noise)
+        assert abs(result.mean_excess - expected) <= 4 * result.stderr_excess, arm
+
+
 @pytest.mark.parametrize("items,step_times_beta,noop", [
     (CRITERION_07_ITEMS, 5.366563145999495, False),
     (dict(CRITERION_07_ITEMS, epsilon="0.5"), 18.209125552621757, True),
@@ -932,8 +968,9 @@ def test_load_config_file_round_trip(tmp_path):
 
 
 def test_readme_determinism_names_every_substream_tag():
-    # every string tag passed to substream or derive_seed names a stream of
-    # the master seed, and README's "Determinism" section lists them all
+    # every string tag passed to substream, substreams or derive_seed names
+    # a stream of the master seed, and README's "Determinism" section lists
+    # them all
     root = Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Determinism", 1)[1].split("\n## ", 1)[0]
@@ -944,7 +981,7 @@ def test_readme_determinism_names_every_substream_tag():
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("substream", "derive_seed"):
+            if name in ("substream", "substreams", "derive_seed"):
                 tags.update(arg.value for arg in node.args
                             if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
     assert {"train-task", "train-losses", "train-noise", "eval-task",

@@ -13,7 +13,7 @@ from dpmeta import task_env
 from dpmeta.geometry import ParamDomain, dist_sq, project
 from dpmeta.task_env import (EnvSpec, derive_seed, draw_tasks,
                              empirical_task_variance, generate_losses, population_risk_gap, sample_task,
-                             substream)
+                             substream, substreams)
 
 BIG_DOM = ParamDomain(np.zeros(4), 50.0)
 
@@ -437,6 +437,35 @@ def test_substreams_equal_seed_sequences_of_python_ints(master_seed, tags):
         expected.bit_generator.state
     assert derive_seed(master_seed, *tags) == int(
         np.random.SeedSequence(ints).generate_state(1, np.uint64)[0])
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 13])
+@pytest.mark.parametrize("tags", [("train-noise",), ("sweep", "V"), (7,), (2**40, "x"),
+                                  ("a", "b", "c", 2**50)])
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_batched_substreams_equal_substream_calls(master_seed, tags, count):
+    # the batch mixes SeedSequence's arithmetic on uint32 arrays; the last
+    # two tag tuples make the entropy wider than SeedSequence's 4-word pool
+    batch = [g.bit_generator.state for g in substreams(master_seed, *tags, count=count)]
+    assert batch == [substream(master_seed, *tags, i).bit_generator.state
+                     for i in range(count)]
+
+
+def test_batched_substreams_are_lazy_and_checked(monkeypatch):
+    def unexpected(entropy):
+        raise AssertionError("seeded before the first next()")
+
+    monkeypatch.setattr(task_env, "_seed_states", unexpected)
+    substreams(3, "eval-risk", count=5)  # a generator: nothing runs yet
+    with pytest.raises(AssertionError):
+        next(substreams(3, "eval-risk", count=5))
+    monkeypatch.undo()
+    for count in (-1, 1.5, 2**32 + 1):
+        with pytest.raises(ValueError):
+            next(substreams(3, "eval-risk", count=count))
+    rng = next(substreams(3, "eval-risk", count=1))
+    with pytest.raises(ValueError):
+        rng.bit_generator.seed_seq.generate_state(8)
 
 
 def test_env_spec_validation():
