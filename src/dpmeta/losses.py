@@ -50,7 +50,7 @@ def _quadratic_grad(theta, anchors, curvature, out=None):
 def logistic_loss(margins, labels):
     """log(1 + exp(-label * margin)) for margins <feature, theta>, computed
     without overflow on either tail."""
-    return np.logaddexp(0.0, -labels * margins)
+    return softplus(-labels * margins)
 
 
 def logistic_value(theta, features, labels):
@@ -71,6 +71,26 @@ def sigmoid(z):
     branch overflows whatever the magnitude of z."""
     e = np.exp(-np.abs(z))
     return np.where(z > _ZERO, _ONE, e) / (_ONE + e)
+
+
+def softplus(z):
+    """log(1 + exp(z)), elementwise, as max(z, 0) + log1p(exp(-|z|)), so
+    exp never overflows whatever the magnitude of z."""
+    return np.maximum(z, _ZERO) + np.log1p(np.exp(-np.abs(z)))
+
+
+def logistic_excess(margins, star_margins):
+    """E[loss(margin) - loss(star_margin)] over a label drawn from the
+    logistic model at star_margin: the Bernoulli KL divergence
+    KL(Bern(sigmoid(z*)) || Bern(sigmoid(z))), which is exactly 0 where
+    z == z*. The arguments broadcast, so a star margin of a smaller shape is
+    run through sigmoid and softplus only once."""
+    gap = (softplus(margins) - softplus(star_margins)
+           - sigmoid(star_margins) * (margins - star_margins))
+    # the divergence is never negative; where z is near z* the difference
+    # cancels and can round to about -1e-16 times the margins, so it is
+    # clamped at 0
+    return np.maximum(gap, _ZERO)
 
 
 def logistic_grad(theta, features, labels):

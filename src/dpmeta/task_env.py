@@ -10,8 +10,8 @@ independently. A pass's streams are seeded in one batch (substreams),
 bit-identical to separate substream calls. A task is only its minimizer;
 the sample model is the environment's. Risk is scored for a sequence of
 tasks at once, in one call for either family: quadratic tasks in closed
-form, logistic tasks on one thread per usable CPU, each from its own
-generator, so the values do not depend on the thread count.
+form, logistic tasks with the label integrated out exactly, over one
+feature sample that every task and every scored point share.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 import functools
 import math
-import os
 import zlib
 
 import numpy as np
 
 from .geometry import ParamDomain, as_batch, as_vector, dist_sq, project
-from .losses import TaskSamples, logistic_loss, quadratic_value, sigmoid
+from .losses import TaskSamples, logistic_excess, quadratic_value, sigmoid
 
 LOSS_FAMILIES = ("quadratic", "logistic")
 
@@ -244,15 +243,22 @@ def _draw_minimizers(spec: EnvSpec, rngs) -> np.ndarray:
     return project(spec.planted_center + scale * z.reshape(-1, spec.dim), spec.domain)
 
 
-def _logistic_draw(spec: EnvSpec, theta_star, count: int, rng: np.random.Generator):
-    """count features uniform on the sphere of radius feature_norm, with
-    labels in {-1.0, +1.0} drawn from the logistic model at theta_star."""
+def _sphere_features(spec: EnvSpec, count: int, rng: np.random.Generator):
+    """count features (count, d) uniform on the sphere of radius
+    feature_norm."""
     features = rng.standard_normal((count, spec.dim))
     # np.linalg.norm's formula for real rows, without its conj() copy
     norms = np.sqrt(np.add.reduce(features * features, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
     features *= spec.feature_norm
     features /= norms
+    return features
+
+
+def _logistic_draw(spec: EnvSpec, theta_star, count: int, rng: np.random.Generator):
+    """count features uniform on the sphere of radius feature_norm, with
+    labels in {-1.0, +1.0} drawn from the logistic model at theta_star."""
+    features = _sphere_features(spec, count, rng)
     star_margins = features @ theta_star
     labels = np.where(rng.random(count) < sigmoid(star_margins), 1.0, -1.0)
     return features, labels, star_margins
@@ -320,17 +326,9 @@ def draw_tasks(spec: EnvSpec, task_rngs, sample_rngs, keep):
     return theta_stars, _draw_samples(spec, theta_stars, sample_rngs, keep)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has
-    one, else os.cpu_count()."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def population_risk_gap(spec: EnvSpec, theta_stars, theta,
-                        mc_samples: int | None = None, rng=None):
+                        mc_samples: int | None = None,
+                        rng: np.random.Generator | None = None):
     """Population excess risk of theta, shaped (..., tasks, d), on tasks of
     the environment spec with minimizers theta_stars (tasks, d); the result
     is shaped (..., tasks). One call serves either family. Quadratic tasks
@@ -338,14 +336,15 @@ def population_risk_gap(spec: EnvSpec, theta_stars, theta,
     curvature) (anchor noise only shifts the risk by a constant, which
     cancels in the gap) and never touch mc_samples or rng.
 
-    Logistic tasks are estimated by Monte Carlo with mc_samples draws per
-    task, and rng is an iterable of one generator per task, iterated once on
-    the calling thread, so a lazy generator expression creates no generator
-    for a quadratic call; see _logistic_risk_gap for the paired estimator.
-    The tasks are scored concurrently, one thread per usable CPU: each task
-    draws only from its own generator and each thread writes only its own
-    column, so column e is exactly what a call for task e alone with its
-    generator returns, whatever the thread count or scheduling.
+    Logistic tasks integrate the label out exactly: given a feature x, the
+    expected loss gap is losses.logistic_excess of the margins <x, theta>
+    and <x, theta*>, a Bernoulli KL divergence, so no estimate is negative
+    and each is exactly zero at theta == theta*. The feature expectation is
+    a Monte Carlo mean over one block of mc_samples features drawn from the
+    generator rng, shared by every task and every point. Tasks are scored
+    one at a time, each on its own (points + 1, mc_samples) margins, so no
+    temporary grows with the task count, and column e is exactly what a
+    call for task e alone with an identically seeded generator returns.
     """
     stars = as_batch(theta_stars, spec.dim)
     thetas = as_batch(theta, spec.dim)
@@ -358,43 +357,15 @@ def population_risk_gap(spec: EnvSpec, theta_stars, theta,
         raise ValueError("logistic risk gaps need mc_samples and an rng")
     if int(mc_samples) != mc_samples or mc_samples < 2:
         raise ValueError(f"mc_samples must be an integer >= 2, got {mc_samples}")
-    mc = int(mc_samples)
-    rngs = tuple(rng)
-    if len(rngs) != len(stars):
-        raise ValueError(f"expected one generator per task ({len(stars)}), "
-                         f"got {len(rngs)}")
-    # imported here: concurrent.futures imports logging, which every start-up
-    # of the CLI would otherwise pay for
-    from concurrent.futures import ThreadPoolExecutor
-
-    gaps = np.empty(thetas.shape[:-1])
-
-    def score(e):
-        gaps[..., e] = _logistic_risk_gap(spec, stars[e], thetas[..., e, :], mc,
-                                          rngs[e])
-
-    with ThreadPoolExecutor(min(len(stars), _usable_cpus())) as pool:
-        # draining the results re-raises the first failure and cancels the
-        # tasks not yet started; leaving the block waits for the running ones
-        for _ in pool.map(score, range(len(stars))):
-            pass
-    return gaps
-
-
-def _logistic_risk_gap(spec: EnvSpec, theta_star, thetas, mc_samples: int,
-                       rng: np.random.Generator):
-    """Paired Monte Carlo estimates of E[loss(theta) - loss(theta_star)],
-    shaped (...), for thetas shaped (..., d): one sample set is drawn and
-    scored against every theta, one mat-vec each, so a batch gives exactly
-    the values of separate calls with identically seeded generators, and the
-    estimate is exactly zero at theta == theta_star."""
-    features, labels, star_margins = _logistic_draw(spec, theta_star, mc_samples, rng)
-    star_losses = logistic_loss(star_margins, labels)
-    flat = thetas.reshape(-1, thetas.shape[-1])
-    est = np.empty(len(flat))
-    for i, row in enumerate(flat):
-        est[i] = (logistic_loss(features @ row, labels) - star_losses).mean()
-    return est.reshape(thetas.shape[:-1])
+    # the features as columns (d, mc_samples), so that one product per task
+    # gives the margins of its minimizer (row 0) and of each of its points
+    columns = np.ascontiguousarray(_sphere_features(spec, int(mc_samples), rng).T)
+    points = np.moveaxis(thetas, -2, 0).reshape(len(stars), -1, spec.dim)
+    gaps = np.empty(points.shape[:2])
+    for e, star in enumerate(stars):
+        margins = np.vstack((star, points[e])) @ columns
+        gaps[e] = logistic_excess(margins[1:], margins[0]).mean(axis=-1)
+    return np.moveaxis(gaps.reshape(len(stars), *thetas.shape[:-2]), 0, -1)
 
 
 def empirical_task_variance(theta_stars, reference) -> float:

@@ -63,7 +63,7 @@ GOLDEN = {
         "2e3e5dc38880568a9ef5480947c54f2a4ec71dbccb59c2f1a1ac8784b43650ba"),
     "logistic": (
         ["run"], LOGISTIC_ITEMS,
-        "0b644134b5d2950d36d6c018a092e1a5315dbe2591fc826d3a83544360c091a6",
+        "bf558c5142f307a64d689a5e103150811a3c8a5d292f0f39e0ac37d94a9a8d0d",
         "5e8c1b967955a2558523f0c76a07cd54874aef4c86c0ef2082f2b207e6e931c3"),
     "stable": (
         ["run"], STABLE_ITEMS,

@@ -6,7 +6,6 @@ from pathlib import Path
 import re
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ import pytest
 import dpmeta
 import dpmeta.config
 import dpmeta.learners
-import dpmeta.task_env
 from dpmeta.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from dpmeta.config import (KEYS, REQUIRED, ConfigError, build_config,
                            load_config, parse_config_text)
@@ -392,7 +390,7 @@ def test_eval_adaptation_matches_a_separate_run_per_task(items):
             theta = ogd_run(samples, start, step, env.domain).averaged_iterate
             gap = population_risk_gap(env, task.theta_star[None], theta[None],
                                       cfg.mc_eval_samples,
-                                      [substream(seed, "eval-risk", e)])
+                                      substream(seed, "eval-risk"))
             expected[arm].append(float(gap[0]))
     assert {arm: list(report.arms[arm].excess_risks[:3]) for arm in starts} == expected
 
@@ -656,47 +654,24 @@ def test_csv_round_trip_exact(tmp_path):
         assert row["surrogate_loss"] == ""
 
 
-def test_logistic_csv_does_not_depend_on_worker_count(tmp_path, monkeypatch):
-    # eval tasks' Monte Carlo risk is scored on one thread per usable CPU;
-    # each task draws from its own substream, so the CSV cannot depend on it
-    cfg = make_cfg(loss_family="logistic", growth_alpha="0.5", t_eval=9,
-                   mc_eval_samples=400, baseline_no_meta="true",
-                   baseline_nonprivate_meta="true")
-    digests = []
-    for workers in (None, 1, 3):
-        if workers is not None:
-            monkeypatch.setattr(dpmeta.task_env, "_usable_cpus", lambda n=workers: n)
-        out = tmp_path / f"workers-{workers}.csv"
-        write_csv(run_experiment(cfg), str(out))
-        digests.append(csv_bytes_excluding_wall_clock(str(out)))
-    assert digests[0] == digests[1] == digests[2]
-    assert len(read_csv_rows(str(out))) == 3 * 9
-
-
-def test_risk_failure_on_one_eval_task_fails_the_run(monkeypatch, finishes_with):
-    cfg = make_cfg(loss_family="logistic", growth_alpha="0.5", t_eval=6,
-                   mc_eval_samples=200, baseline_no_meta="true")
-    star_3 = sample_task(cfg.env, substream(cfg.master_seed, "eval-task", 3)).theta_star
-    real = dpmeta.task_env._logistic_risk_gap
-
-    def flaky(spec, theta_star, thetas, mc_samples, rng):
-        if np.array_equal(theta_star, star_3):
-            raise RuntimeError("injected failure on eval task 3")
-        return real(spec, theta_star, thetas, mc_samples, rng)
-
-    unhandled = []
-    monkeypatch.setattr(threading, "excepthook", unhandled.append)
-    monkeypatch.setattr(dpmeta.task_env, "_logistic_risk_gap", flaky)
-    monkeypatch.setattr(dpmeta.task_env, "_usable_cpus", lambda: 2)
-    error = finishes_with(lambda: run_experiment(cfg))
-    assert isinstance(error, RuntimeError)
-    assert "eval task 3" in str(error)
-    assert unhandled == []
+@pytest.mark.parametrize("seed", [1, 2])
+def test_logistic_gaps_are_not_negative_near_the_optimum(seed):
+    # V = 0 and a generous budget put every arm near the minimizer, where
+    # label-sampling Monte Carlo read per-task gaps down to -1.9e-3 here;
+    # with the label integrated out a gap is a mean of KL divergences
+    cfg = make_cfg(dim=5, domain_radius=2.0, loss_family="logistic",
+                   growth_alpha=0.1, similarity_v=0.0, samples_per_task=400,
+                   t_train=20, t_eval=40, epsilon=8.0, mc_eval_samples=2000,
+                   baseline_no_meta="true", master_seed=seed)
+    report = run_experiment(cfg)
+    gaps = [gap for arm in report.arms.values() for gap in arm.excess_risks]
+    assert len(gaps) == 2 * 40
+    assert min(gaps) >= -1e-12
 
 
 def test_cli_import_keeps_thread_pools_off_the_start_up_path():
-    # the risk thread pool is imported where it is used: concurrent.futures
-    # imports logging, and every `dpmeta calibrate` would pay for both
+    # concurrent.futures imports logging, and every `dpmeta calibrate` would
+    # pay for both; nothing on the start-up path needs either
     src = str(Path(dpmeta.__file__).resolve().parents[1])
     probe = ("import dpmeta.cli, sys; "
              "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")

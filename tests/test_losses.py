@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from dpmeta.geometry import ParamDomain
 from dpmeta.losses import (RegularityProfile, TaskSamples, certify_smoothness,
-                           finite_diff_check, logistic_grad,
-                           logistic_regularity, logistic_value, quadratic_grad,
-                           quadratic_regularity, quadratic_value,
-                           smoothness_ceiling)
+                           finite_diff_check, logistic_excess, logistic_grad,
+                           logistic_loss, logistic_regularity, logistic_value,
+                           quadratic_grad, quadratic_regularity,
+                           quadratic_value, sigmoid, smoothness_ceiling,
+                           softplus)
 from dpmeta.privacy import PrivacyParams
 
 
@@ -36,6 +38,46 @@ def test_logistic_extreme_margins_stable():
     assert logistic_value([800.0], feature, 1.0) == 0.0  # underflows to exactly zero, fine
     g = logistic_grad([-800.0], feature, 1.0)
     assert abs(g[0] + 1.0) < 1e-12
+
+
+# margins from -800 to 800, past where exp(800) overflows, with a dense
+# stretch near 0 where the logistic loss is curved
+MARGIN_GRID = np.unique(np.concatenate([
+    np.linspace(-800.0, 800.0, 321), np.geomspace(1e-6, 800.0, 60),
+    -np.geomspace(1e-6, 800.0, 60), [0.0]]))
+
+
+def test_softplus_matches_logaddexp():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = softplus(MARGIN_GRID)
+    assert np.allclose(values, np.logaddexp(0.0, MARGIN_GRID), rtol=1e-15, atol=1e-300)
+    assert softplus(0.0) == math.log(2.0)
+    assert softplus(-800.0) == 0.0 and softplus(800.0) == 800.0
+
+
+def test_logistic_excess_is_the_label_expectation_and_never_negative():
+    # every pair (z, z*) of the grid, with RuntimeWarnings as errors
+    z, z_star = MARGIN_GRID[:, None], MARGIN_GRID[None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        excess = logistic_excess(z, z_star)
+    assert excess.shape == (len(MARGIN_GRID), len(MARGIN_GRID))
+    assert np.isfinite(excess).all()
+    assert (excess >= 0.0).all()
+    assert np.array_equal(np.diag(excess), np.zeros(len(MARGIN_GRID)))
+    # the Bernoulli KL written with log-sigmoids: log p = -log(1 + exp(-z))
+    log_p = -np.logaddexp(0.0, -MARGIN_GRID)
+    log_q = -np.logaddexp(0.0, MARGIN_GRID)
+    p_star = 1.0 / (1.0 + np.exp(-np.clip(MARGIN_GRID, -700, 700)))
+    kl = (p_star * (log_p[None, :] - log_p[:, None])
+          + (1.0 - p_star) * (log_q[None, :] - log_q[:, None]))
+    assert np.allclose(excess, np.maximum(kl, 0.0), rtol=1e-9, atol=1e-12)
+    # and the expected loss gap over a label y = +1 with probability
+    # sigmoid(z*), from the loss itself
+    label_mean = (sigmoid(z_star) * (logistic_loss(z, 1.0) - logistic_loss(z_star, 1.0))
+                  + sigmoid(-z_star) * (logistic_loss(z, -1.0) - logistic_loss(z_star, -1.0)))
+    assert np.allclose(excess, np.maximum(label_mean, 0.0), rtol=1e-9, atol=1e-12)
 
 
 def test_quadratic_convexity_random():

@@ -1,9 +1,5 @@
-import concurrent.futures
 import copy
 import math
-import os
-import sys
-import threading
 import zlib
 
 import numpy as np
@@ -11,6 +7,7 @@ import pytest
 
 from dpmeta import task_env
 from dpmeta.geometry import ParamDomain, dist_sq, project
+from dpmeta.losses import logistic_excess
 from dpmeta.task_env import (EnvSpec, derive_seed, draw_tasks,
                              empirical_task_variance, generate_losses, population_risk_gap, sample_task,
                              substream, substreams)
@@ -207,10 +204,16 @@ def test_logistic_risk_gap_paired_zero_at_optimum():
                   similarity_v=0.0, samples_per_task=5,
                   loss_family="logistic")
     stars = np.stack([sample_task(env, substream(6, "t")).theta_star])
-    est = population_risk_gap(env, stars, stars, 100, [substream(6, "mc")])
+    est = population_risk_gap(env, stars, stars, 100, substream(6, "mc"))
     assert np.array_equal(est, [0.0])
+    # the minimizer among other points, at any row of the product
+    points = np.stack([np.zeros((1, 2)), stars, [[1.0, -1.0]], -stars, stars,
+                       np.full((1, 2), 0.5)])
+    est = population_risk_gap(env, stars, points, 100, substream(6, "mc"))
+    assert np.array_equal(est[[1, 4]], [[0.0], [0.0]])
+    assert (np.delete(est, [1, 4]) > 0.0).all()
     est2 = population_risk_gap(env, stars, np.zeros((1, 2)), 20000,
-                               [substream(6, "mc2")])
+                               substream(6, "mc2"))
     assert est2[0] > 0.0
 
 
@@ -224,12 +227,12 @@ def test_risk_gap_batch_equals_separate_calls():
                       similarity_v=0.3, samples_per_task=5, loss_family=family)
         stars = np.stack([sample_task(env, substream(8, "t")).theta_star])
         mc = dict(mc_samples=500) if family == "logistic" else {}
-        batch = population_risk_gap(env, stars, thetas, rng=[substream(8, "mc")], **mc)
+        batch = population_risk_gap(env, stars, thetas, rng=substream(8, "mc"), **mc)
         assert batch.shape == (2, 3, 1)
         for i in range(2):
             for j in range(3):
                 one = population_risk_gap(env, stars, thetas[i, j],
-                                          rng=[substream(8, "mc")], **mc)
+                                          rng=substream(8, "mc"), **mc)
                 assert batch[i, j] == one
 
 
@@ -243,114 +246,86 @@ def _eval_tasks(family, count):
                           for e in range(count)])
 
 
-def _count_pools(monkeypatch):
-    """Record the worker count of every thread pool population_risk_gap opens."""
-    sizes = []
-
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    return sizes
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("tasks", [1, 2, 4])
 @pytest.mark.parametrize("arms", [1, 3])
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
-def test_task_batch_equals_separate_calls(family, arms, workers, monkeypatch):
-    # logistic tasks are scored on up to `workers` threads, quadratic ones in
-    # closed form on the calling thread; either way column e is exactly the
-    # call for task e alone with an identically seeded generator
-    monkeypatch.setattr(task_env, "_usable_cpus", lambda: workers)
-    sizes = _count_pools(monkeypatch)
-    env, stars = _eval_tasks(family, 7)
-    thetas = substream(21, "points").uniform(-1, 1, size=(arms, 7, 3))
+def test_task_batch_equals_separate_calls(family, arms, tasks):
+    # every task is scored over the one feature sample of the call, so
+    # column e is exactly the call for task e alone with an identically
+    # seeded generator, whatever the number of tasks beside it
+    env, stars = _eval_tasks(family, tasks)
+    thetas = substream(21, "points").uniform(-1, 1, size=(arms, tasks, 3))
     mc = dict(mc_samples=400) if family == "logistic" else {}
-    batch = population_risk_gap(env, stars, thetas,
-                                rng=[substream(21, "mc", e) for e in range(7)], **mc)
-    assert batch.shape == (arms, 7)
-    assert sizes == ([min(7, workers)] if family == "logistic" else [])
-    for e in range(7):
+    batch = population_risk_gap(env, stars, thetas, rng=substream(21, "mc"), **mc)
+    assert batch.shape == (arms, tasks)
+    for e in range(tasks):
         one = population_risk_gap(env, stars[e:e + 1], thetas[:, e:e + 1],
-                                  rng=[substream(21, "mc", e)], **mc)
+                                  rng=substream(21, "mc"), **mc)
         assert np.array_equal(batch[:, e:e + 1], one)
-
-
-def test_task_batch_under_thread_switch_stress(monkeypatch, finishes_with):
-    # more workers than CPUs, switching threads every microsecond: a lost or
-    # misplaced column write would leave a column unlike its separate call
-    monkeypatch.setattr(task_env, "_usable_cpus", lambda: 8)
-    env, stars = _eval_tasks("logistic", 24)
-    thetas = substream(21, "points").uniform(-1, 1, size=(2, 24, 3))
-    expected = np.concatenate([
-        population_risk_gap(env, stars[e:e + 1], thetas[:, e:e + 1], 300,
-                            [substream(21, "mc", e)])
-        for e in range(24)], axis=-1)
-    batches = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            assert finishes_with(lambda: batches.append(population_risk_gap(
-                env, stars, thetas, 300,
-                [substream(21, "mc", e) for e in range(24)]))) is None
-    finally:
-        sys.setswitchinterval(interval)
-    for batch in batches:
-        assert np.array_equal(batch, expected)
-
-
-def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert task_env._usable_cpus() == len(os.sched_getaffinity(0))
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert task_env._usable_cpus() == (os.cpu_count() or 1)
 
 
 def test_task_batch_validation():
     env, stars = _eval_tasks("logistic", 6)
     thetas = np.zeros((2, 6, 3))
-    rngs = [substream(0, "mc", e) for e in range(6)]
+    rng = substream(0, "mc")
     with pytest.raises(ValueError):
-        population_risk_gap(env, stars, thetas, 1, rngs)
+        population_risk_gap(env, stars, thetas, 1, rng)
     with pytest.raises(ValueError):
-        population_risk_gap(env, stars, thetas, 2.5, rngs)
+        population_risk_gap(env, stars, thetas, 2.5, rng)
     with pytest.raises(ValueError):
         population_risk_gap(env, stars, thetas)
     with pytest.raises(ValueError):
         population_risk_gap(env, stars, thetas, 100)
     with pytest.raises(ValueError):
-        population_risk_gap(env, stars, thetas, 100, rngs[:5])
+        population_risk_gap(env, stars, thetas[:, :5], 100, rng)
     with pytest.raises(ValueError):
-        population_risk_gap(env, stars, thetas[:, :5], 100, rngs)
+        population_risk_gap(env, stars[:5], thetas, 100, rng)
     with pytest.raises(ValueError):
-        population_risk_gap(env, stars[:5], thetas, 100, rngs)
+        population_risk_gap(env, stars[:, :2], thetas[..., :2], 100, rng)
     with pytest.raises(ValueError):
-        population_risk_gap(env, stars[:, :2], thetas[..., :2], 100, rngs)
-    with pytest.raises(ValueError):
-        population_risk_gap(env, stars[0], thetas[:, 0], 100, rngs[:1])
+        population_risk_gap(env, stars[0], thetas[:, 0], 100, rng)
 
 
-def test_task_failure_propagates_from_the_pool(monkeypatch, finishes_with):
-    env, stars = _eval_tasks("logistic", 6)
-    real = task_env._logistic_risk_gap
+def _label_sampling_gaps(env, theta_star, thetas, count, rng):
+    """The label-sampling Monte Carlo estimator, written out: per draw, a
+    feature uniform on the sphere, a label from the logistic model at
+    theta_star, and the loss gap of each theta; returns each theta's mean
+    gap and its standard error."""
+    raw = rng.standard_normal((count, env.dim))
+    features = env.feature_norm * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    star_margins = features @ theta_star
+    labels = np.where(rng.random(count) < 1.0 / (1.0 + np.exp(-star_margins)),
+                      1.0, -1.0)
+    star_losses = np.logaddexp(0.0, -labels * star_margins)
+    gaps = np.logaddexp(0.0, -labels * (features @ thetas.T).T) - star_losses
+    return gaps.mean(axis=-1), gaps.std(axis=-1, ddof=1) / math.sqrt(count)
 
-    def flaky(spec, theta_star, thetas, mc_samples, rng):
-        if np.array_equal(theta_star, stars[3]):
-            raise RuntimeError("injected failure on task 3")
-        return real(spec, theta_star, thetas, mc_samples, rng)
 
-    unhandled = []
-    monkeypatch.setattr(threading, "excepthook", unhandled.append)
-    monkeypatch.setattr(task_env, "_logistic_risk_gap", flaky)
-    monkeypatch.setattr(task_env, "_usable_cpus", lambda: 2)
-    error = finishes_with(lambda: population_risk_gap(
-        env, stars, np.zeros((2, 6, 3)), 500, [substream(0, "mc", e) for e in range(6)]))
-    assert isinstance(error, RuntimeError)
-    assert "task 3" in str(error)
-    assert unhandled == []
+@pytest.mark.parametrize("dim, feature_norm", [(2, 1.0), (5, 1.0), (5, 4.0)])
+def test_logistic_risk_gap_agrees_with_label_sampling(dim, feature_norm):
+    # integrating the label out changes the estimator, not what it
+    # estimates: both means agree within their combined standard error, and
+    # the integrated one is the mean of logistic_excess over the features
+    dom = ParamDomain(np.zeros(dim), 2.0)
+    env = EnvSpec(domain=dom, planted_center=np.r_[1.0, np.zeros(dim - 1)],
+                  similarity_v=0.5, samples_per_task=5, loss_family="logistic",
+                  feature_norm=feature_norm)
+    star = sample_task(env, substream(31, "t", dim)).theta_star
+    points = np.stack([np.zeros(dim), -star, star + 0.3,
+                       substream(31, "points", dim).uniform(-1, 1, size=dim)])
+    count = 200_000
+    rng = substream(31, "mc", dim)
+    features = task_env._sphere_features(env, count, copy.deepcopy(rng))
+    gaps = population_risk_gap(env, star[None], points[:, None], count, rng)[:, 0]
+    per_draw = logistic_excess(np.stack([features @ p for p in points]), features @ star)
+    assert np.allclose(gaps, per_draw.mean(axis=-1), rtol=1e-12, atol=0.0)
+    stderr = per_draw.std(axis=-1, ddof=1) / math.sqrt(count)
+    sampled, sampled_stderr = _label_sampling_gaps(env, star, points, count,
+                                                   substream(31, "labels", dim))
+    assert (gaps > 0).all()
+    assert (np.abs(gaps - sampled) <= 4 * np.hypot(stderr, sampled_stderr)).all()
+    # the label's variance is gone: the integrated estimate is the tighter
+    assert (stderr < sampled_stderr).all()
 
 
 @pytest.mark.parametrize("feature_norm", [1.0, 2.5])
@@ -389,9 +364,9 @@ def test_logistic_gap_needs_mc_arguments():
     with pytest.raises(ValueError):
         population_risk_gap(env, stars, np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        population_risk_gap(env, stars, np.zeros((1, 2)), rng=[substream(0, "mc")])
+        population_risk_gap(env, stars, np.zeros((1, 2)), rng=substream(0, "mc"))
     with pytest.raises(ValueError):
-        population_risk_gap(env, stars, np.zeros((1, 2)), 1, [substream(0, "mc")])
+        population_risk_gap(env, stars, np.zeros((1, 2)), 1, substream(0, "mc"))
 
 
 def test_empirical_task_variance_examples():
