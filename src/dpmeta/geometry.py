@@ -2,13 +2,21 @@
 
 Parameter vectors are plain 1-D float64 numpy arrays; a batch stacks them
 along leading axes, shape (..., dim), and a bare vector is the batch of one.
-project, clip_norm and dist_sq are the only code that projects, clips or
-measures a squared distance. They act row by row, with squared norms from
-np.vecdot, so each row equals the single-vector call bit for bit; a row is
-rescaled only when its squared norm exceeds the bound squared. Geometric
-identities hold to 1e-12 relative tolerance, not exactly, because of float
-rounding; ball membership also allows the few ulps by which center + offset
-rounds. All operations here are pure and deterministic.
+Projection, clipping and squared distances are coded here only. They act row
+by row, with squared norms from np.vecdot, so each row equals the
+single-vector call bit for bit; a row is rescaled only when its squared norm
+exceeds the bound squared, and a non-finite or overflowing squared norm
+raises ValueError. project, clip_norm and dist_sq are pure: they return
+new arrays, or project's and clip_norm's input when no row moves.
+project_in_place, clip_norm_in_place and dist_sq_into are their forms for
+hot loops: they write into the caller's array and a reusable RowScratch and
+check nothing but finiteness, and the first two say whether any row was
+rescaled; project and clip_norm run on the same row rule once a row is
+over. Up to _FEW_ROWS rows, as in a training step's one row per arm, the
+row rule runs on Python floats instead of numpy calls, with the same bits.
+Geometric identities hold to 1e-12 relative tolerance, not exactly, because
+of float rounding; ball membership also allows the few ulps by which
+center + offset rounds. Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -96,23 +104,132 @@ class ParamDomain:
         return bool((norms <= self.radius * (1 + GEOM_RTOL) + self._rounding_slack).all())
 
 
-def _sq_norms(offset):
-    """Squared norms of the rows of offset and their maximum, which doubles
-    as the finiteness check: a non-finite row, or one whose squared norm
-    overflows, makes it non-finite."""
-    nsq = np.vecdot(offset, offset)
+def _square(x: float) -> float:
+    """x**2, or inf where the Python float square overflows (x**2 raises
+    OverflowError there, and a bound that large binds no finite row)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _finite_top(nsq) -> float:
+    """The largest of the squared norms nsq, which doubles as the finiteness
+    check: a non-finite row, or one whose squared norm overflows, makes it
+    non-finite."""
     top = np.maximum.reduce(nsq, None)
     if not math.isfinite(top):
         raise ValueError("vector has non-finite coordinates or a squared norm "
                          "that overflows")
-    return nsq, top
+    return top
 
 
-def _over(nsq, limit):
-    """Mask of the rows whose squared norm exceeds limit**2, and the factor
-    limit / norm that puts each of them on the sphere, both shaped (..., 1)."""
-    over = nsq > limit**2
-    return over[..., None], (limit / np.sqrt(np.where(over, nsq, 1.0)))[..., None]
+def _sq_norms(offset, out=None):
+    """Squared norms of the rows of offset, into out when given, and their
+    maximum, checked finite."""
+    nsq = np.vecdot(offset, offset, out=out)
+    return nsq, _finite_top(nsq)
+
+
+# Up to this many rows the row rule runs on Python floats, which costs less
+# than the numpy calls it replaces; its cost grows with the rows and passes
+# numpy's near 30 of them (2-CPU Xeon, numpy 2.4), so 8 leaves a margin.
+# Python's float sqrt, division and comparisons round as numpy's do, so
+# both paths give the same bits.
+_FEW_ROWS = 8
+
+# what _row_scales found: no row over the bound, some rows, or every row
+_NONE, _SOME, _ALL = range(3)
+
+
+class RowScratch:
+    """Buffers for the in-place clip and project of batches shaped
+    (..., dim): a batch of that shape for intermediate vectors, and per row
+    the squared norm, the over-the-bound mask and the rescale factor.
+    Allocate once and reuse across calls of one shape; every call overwrites
+    them."""
+
+    def __init__(self, shape):
+        self.vectors = np.empty(shape)
+        self.nsq = np.empty(shape[:-1])
+        self.over = np.empty(shape[:-1], dtype=bool)
+        # only ever holds these zeros, ones and factors limit / norm <= 1, so
+        # scaling every row by it, not just the rows over, cannot overflow
+        self.scale = np.zeros(shape[:-1])
+        # (..., 1) views, which broadcast a row's mask and factor along it
+        self.over_col = self.over[..., None]
+        self.scale_col = self.scale[..., None]
+        # flat views of the per-row buffers, which the few-rows path fills
+        self.few = self.nsq.size <= _FEW_ROWS
+        self.nsq_flat = self.nsq.reshape(-1)
+        self.over_flat = self.over.reshape(-1)
+        self.scale_flat = self.scale.reshape(-1)
+
+
+def _row_scales(x, limit, limit_sq, scratch: RowScratch) -> int:
+    """The row rule: squared norms of x's rows, checked finite; then, for the
+    rows whose squared norm exceeds limit_sq, the factor limit / norm in
+    scratch.scale. Returns _NONE when no row is over, _ALL when every row
+    is, else _SOME with the rows over marked in scratch.over."""
+    nsq = np.vecdot(x, x, out=scratch.nsq)
+    if not scratch.few:
+        if _finite_top(nsq) <= limit_sq:
+            return _NONE
+        over = np.greater(nsq, limit_sq, out=scratch.over)
+        np.sqrt(nsq, out=scratch.scale, where=over)
+        np.divide(limit, scratch.scale, out=scratch.scale, where=over)
+        return _SOME
+    rows = scratch.nsq_flat.tolist()
+    # the sum is finite when every row is; when it is not, _finite_top
+    # raises unless only the sum overflowed
+    if not math.isfinite(sum(rows)):
+        _finite_top(nsq)
+    if max(rows) <= limit_sq:
+        return _NONE
+    over = [r > limit_sq for r in rows]
+    scratch.scale_flat[:] = [limit / math.sqrt(r) if o else 1.0
+                             for r, o in zip(rows, over)]
+    if all(over):
+        return _ALL
+    scratch.over_flat[:] = over
+    return _SOME
+
+
+def project_in_place(v, dom: ParamDomain, scratch: RowScratch) -> bool:
+    """project, written into v: each row of v, a float64 array shaped like
+    scratch's buffers, whose squared offset from the center exceeds
+    radius**2 becomes center + offset * (radius / ||offset||); the other rows
+    are left untouched. Returns whether any row moved. Shapes are not
+    checked."""
+    offset = np.subtract(v, dom.center, out=scratch.vectors)
+    found = _row_scales(offset, dom.radius, dom._radius_sq, scratch)
+    if found == _NONE:
+        return False
+    offset *= scratch.scale_col
+    if found == _ALL:
+        np.add(offset, dom.center, out=v)
+    else:
+        # every row is scaled and shifted back, but only the rows over are
+        # written to v (a masked copy is cheaper than two masked ufuncs)
+        offset += dom.center
+        np.copyto(v, offset, where=scratch.over_col)
+    return True
+
+
+def clip_norm_in_place(v, bound: float, scratch: RowScratch) -> bool:
+    """clip_norm, written into v: each row of v, a float64 array shaped like
+    scratch's buffers, whose squared norm exceeds bound**2 is scaled to norm
+    bound; the other rows are left untouched. Returns whether any row was
+    clipped. Neither the bound nor the shapes are checked."""
+    found = _row_scales(v, bound, _square(bound), scratch)
+    if found == _NONE:
+        return False
+    if found == _ALL:
+        v *= scratch.scale_col
+    else:
+        np.multiply(v, scratch.scale_col, out=scratch.vectors)
+        np.copyto(v, scratch.vectors, where=scratch.over_col)
+    return True
 
 
 def project(v, dom: ParamDomain):
@@ -121,12 +238,11 @@ def project(v, dom: ParamDomain):
     squared offset exceeds radius**2; other rows, and v itself when no row
     is outside, come back unchanged."""
     v = _vectors(v, dom.dim)
-    offset = v - dom.center
-    nsq, top = _sq_norms(offset)
-    if top <= dom._radius_sq:
+    if _sq_norms(v - dom.center)[1] <= dom._radius_sq:
         return v
-    over, scale = _over(nsq, dom.radius)
-    return np.where(over, dom.center + offset * scale, v)
+    out = v.copy()
+    project_in_place(out, dom, RowScratch(v.shape))
+    return out
 
 
 def clip_norm(v, bound):
@@ -136,11 +252,18 @@ def clip_norm(v, bound):
     if not 0.0 <= bound < math.inf:
         raise ValueError(f"clip bound must be finite and >= 0, got {bound}")
     v = _vectors(v)
-    nsq, top = _sq_norms(v)
-    if top <= bound**2:
+    if _sq_norms(v)[1] <= _square(bound):
         return v
-    over, scale = _over(nsq, bound)
-    return np.where(over, v * scale, v)
+    out = v.copy()
+    clip_norm_in_place(out, bound, RowScratch(v.shape))
+    return out
+
+
+def dist_sq_into(a, b, scratch: RowScratch):
+    """dist_sq of float64 batches a and b shaped like scratch's buffers,
+    written into scratch.nsq, which is returned. Shapes are not checked."""
+    diff = np.subtract(a, b, out=scratch.vectors)
+    return _sq_norms(diff, scratch.nsq)[0]
 
 
 def dist_sq(a, b):

@@ -116,7 +116,9 @@ class MetricsReport:
     wall_clock_s: float
 
     def validate(self, mc_tolerance: float = 1e-9):
-        """Cheap postconditions; violations indicate a harness bug."""
+        """Cheap postconditions; violations indicate a harness bug. No gap of
+        either family is negative beyond rounding, so run_experiment checks
+        every run at the default mc_tolerance."""
         for arm in self.arms.values():
             for gap in arm.excess_risks:
                 if not math.isfinite(gap) or gap < -mc_tolerance:
@@ -235,11 +237,6 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
             sigma_sq_effective=plan.noise_variance_sigma_sq if trains else None,
         )
 
-    mc_tol = 1e-9
-    if env.loss_family != "quadratic":
-        # no logistic gap is negative beyond rounding, but the flat 1.0
-        # stays: bench/checks.py passes validate the same value
-        mc_tol = 1.0
     report = MetricsReport(
         run_id=_run_id(cfg, axis_value),
         axis_value=axis_value,
@@ -248,7 +245,7 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
         arms=results,
         wall_clock_s=time.perf_counter() - start,
     )
-    report.validate(mc_tolerance=mc_tol)
+    report.validate()
     return report
 
 

@@ -11,12 +11,16 @@ shape (*problems, d): the leading axes of init broadcast against the batch
 axes of the samples, so inits shaped (arms, 1, d) adapted on samples shaped
 (m, tasks, d) run every arm on every task. A single task from a single init
 is the batch of one, with plain (d,) iterates; there is no separate scalar
-path. geometry.clip_norm and geometry.project clip and project row by row,
-so each problem's result is bit-identical whatever batch it runs in. Noisy
-SGD has two entry points: noisy_sgd_run checks its inputs and draws indices
-and noise from one generator, and optionally one plan, per problem;
-noisy_sgd_steps takes visits and noise drawn ahead, so meta-training checks
-and draws once per pass and steps every training arm in one call per task.
+path. The loop runs on a StepWorkspace (iterate, running sum, gradient and
+geometry's RowScratch) and clips and projects in place with
+geometry.clip_norm_in_place and geometry.project_in_place, which act row by
+row, so each problem's result is bit-identical whatever batch it runs in and
+no step allocates an array of the batch's shape. Noisy SGD has two entry
+points: noisy_sgd_run checks its inputs and draws indices and noise from one
+generator, and optionally one plan, per problem; noisy_sgd_steps takes
+visits and noise drawn ahead and a workspace to step in, so meta-training
+checks, draws and allocates once per pass and steps every training arm in
+one call per task.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 
 import numpy as np
 
-from .geometry import ParamDomain, clip_norm, project
+from .geometry import ParamDomain, RowScratch, clip_norm_in_place, project_in_place
 from .losses import TaskSamples
 from .privacy import NoisySgdPlan, PrivacyParams, sample_step_noise
 
@@ -59,57 +63,70 @@ class LearnerOutput:
     final_iterate: np.ndarray
 
 
-def _iterates(samples: TaskSamples, init):
-    """The first iterate of every problem as a fresh (*problems, d) array: the
-    leading axes of init broadcast against the samples' batch axes."""
-    problems = np.broadcast_shapes(np.shape(init)[:-1], samples.batch_shape)
-    theta = np.empty(problems + (samples.dim,))
-    theta[...] = init
-    return theta
+class StepWorkspace:
+    """The buffers of the projected-step loop on iterates shaped
+    (*problems, d): the iterate, the running sum of visited iterates, the
+    gradient, and geometry's per-row scratch for clipping and projection. A
+    caller may allocate one and pass it to many noisy_sgd_steps calls of one
+    shape; each call overwrites all of it."""
+
+    def __init__(self, shape):
+        self.theta = np.empty(shape)
+        self.running_sum = np.empty(shape)
+        self.grad = np.empty(shape)
+        self.scratch = RowScratch(shape)
 
 
-def _start(samples: TaskSamples, init, dom: ParamDomain):
-    """_iterates, after checking the samples' dimension and that init lies in
-    the domain."""
+def _start(samples: TaskSamples, init, dom: ParamDomain) -> StepWorkspace:
+    """A fresh workspace whose iterate holds init, after checking the
+    samples' dimension and that init lies in the domain: the leading axes of
+    init broadcast against the samples' batch axes."""
     if samples.dim != dom.dim:
         raise ValueError(f"samples have dimension {samples.dim}, the domain {dom.dim}")
     if not dom.contains(init):
         raise ValueError("init lies outside the domain")
-    return _iterates(samples, init)
+    problems = np.broadcast_shapes(np.shape(init)[:-1], samples.batch_shape)
+    work = StepWorkspace(problems + (samples.dim,))
+    work.theta[...] = init
+    return work
 
 
-def _projected_steps(seq: TaskSamples, theta, step_size: float, dom: ParamDomain,
-                     clip_bound: float | None = None, noise=None) -> LearnerOutput:
-    """Take one projected gradient step per sample of seq, in order, and
-    return the average of the visited iterates and the final iterate.
+def _projected_steps(seq: TaskSamples, work: StepWorkspace, step_size: float,
+                     dom: ParamDomain, clip_bound: float | None = None,
+                     noise=None) -> LearnerOutput:
+    """Take one projected gradient step per sample of seq, in order, from
+    the iterate in work, and return the average of the visited iterates and
+    the final iterate.
 
     Step j evaluates sample j's gradient at theta (clipped to clip_bound when
     given), adds noise[j] when given, steps by step_size, and projects onto
     the ball. geometry decides clipping and projection row by row, so each
     problem is clipped or projected only when its own row is outside.
 
-    theta must be a fresh array that _start checked against the domain: it
-    is stepped in place, and the gradient reuses one buffer of its shape, so
-    the caller's inputs are never written and no per-step check repeats a
-    per-call one.
+    Every step writes only work's buffers, so the caller's inputs are never
+    written, and no step allocates an iterate, gradient or scratch array.
+    The work.theta the caller filled must lie in the domain (_start checks
+    it once per call). The output's arrays are work.running_sum and
+    work.theta.
     """
-    running_sum = np.zeros_like(theta)
-    buffer = np.empty_like(theta)
+    theta, running_sum, grad = work.theta, work.running_sum, work.grad
+    scratch = work.scratch
+    running_sum.fill(0.0)
     # a 0-d array operand spares numpy converting a Python float on every
     # step; the products are the same
     step = np.asarray(step_size, dtype=np.float64)
     for j in range(seq.count):
         running_sum += theta
-        g = seq.grad(theta, j, out=buffer)
+        seq.grad(theta, j, out=grad)
         if clip_bound is not None:
-            g = clip_norm(g, clip_bound)
-        # g is the buffer or clip_norm's fresh array, so it is ours to write
+            clip_norm_in_place(grad, clip_bound, scratch)
         if noise is not None:
-            g += noise[j]
-        g *= step
-        theta -= g
-        theta = project(theta, dom)
-    return LearnerOutput(averaged_iterate=running_sum / seq.count, final_iterate=theta)
+            grad += noise[j]
+        grad *= step
+        theta -= grad
+        project_in_place(theta, dom, scratch)
+    running_sum /= seq.count
+    return LearnerOutput(averaged_iterate=running_sum, final_iterate=theta)
 
 
 def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
@@ -137,14 +154,19 @@ def common_plan(plans: Sequence[NoisySgdPlan]) -> NoisySgdPlan:
 
 
 def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan,
-                    dom: ParamDomain, noise) -> LearnerOutput:
+                    dom: ParamDomain, noise, work: StepWorkspace) -> LearnerOutput:
     """Noisy projected SGD on visits (steps_n, *batch, d) and noise
     (steps_n, *problems, d) drawn ahead: step j clips sample j's gradient to
     plan.clip_bound, adds noise[j], steps by plan.step_size and projects.
     init broadcasts as in noisy_sgd_run and is not written. Nothing is
     checked: the caller makes noisy_sgd_run's checks once per pass of tasks.
+
+    The call steps in work, a StepWorkspace shaped (*problems, d), so a pass
+    of tasks allocates no step buffers; the output's arrays are work's
+    buffers, which the next call on it overwrites.
     """
-    return _projected_steps(visits, _iterates(visits, init), plan.step_size, dom,
+    work.theta[...] = init
+    return _projected_steps(visits, work, plan.step_size, dom,
                             clip_bound=plan.clip_bound, noise=noise)
 
 
@@ -168,8 +190,8 @@ def noisy_sgd_run(samples: TaskSamples, init,
     zero-variance problem draws no noise. An explicit index_sequence of shape
     (steps_n, *problems) pins the sampling entirely.
     """
-    theta = _start(samples, init, dom)
-    problems = theta.shape[:-1]
+    work = _start(samples, init, dom)
+    problems = work.theta.shape[:-1]
     rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     if len(rngs) != math.prod(problems):
         raise ValueError(
@@ -196,10 +218,10 @@ def noisy_sgd_run(samples: TaskSamples, init,
         noise[:, p] = sample_step_noise(r, dom.dim, problem_plan.noise_variance_sigma_sq,
                                         count=n)
     indices = indices.reshape((n,) + problems)
-    noise = noise.reshape((n,) + theta.shape)
+    noise = noise.reshape((n,) + work.theta.shape)
     # sample indices[j] of each problem's own task along the batch axes
     seq = samples.take((indices,) + np.indices(samples.batch_shape, sparse=True))
-    return _projected_steps(seq, theta, plan.step_size, dom,
+    return _projected_steps(seq, work, plan.step_size, dom,
                             clip_bound=plan.clip_bound, noise=noise)
 
 

@@ -13,7 +13,10 @@ plan and its zero-noise twin), with the arm as an array axis. Only the fold
 phi_t -> theta_bar_t -> phi_{t+1} is sequential, so a pass first draws every
 task, its visited samples, its index sequence and its noise, and then, per
 task, steps every arm's learner in one batched call and folds every arm's
-output in one meta step.
+output. The fold runs in place on the pass's (arms, d) arrays, in one
+learners.StepWorkspace allocated per pass, with meta_step's and
+surrogate_loss's operations in their order, so each value is the one the
+functional MetaState path gives.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
-from .geometry import as_batch, as_vector, dist_sq
+from .geometry import as_batch, as_vector, dist_sq, dist_sq_into
 from .learners import NoisySgdPlan
 from .task_env import EnvSpec, draw_tasks, substreams
 
@@ -57,6 +60,16 @@ def new_state(phi_init) -> MetaState:
         task_count=0,
         phi_running_sum=np.zeros_like(phi),
     )
+
+
+def _fold(phi, phi_running_sum, theta_bar, t: int) -> None:
+    """The meta step in place, as task t's output joins: phi_running_sum +=
+    phi, then phi becomes (1 - 1/t) phi + theta_bar / t. theta_bar is
+    overwritten with theta_bar / t."""
+    phi_running_sum += phi
+    phi *= 1.0 - 1.0 / t
+    theta_bar /= t
+    phi += theta_bar
 
 
 def meta_step(state: MetaState, theta_bar) -> MetaState:
@@ -116,9 +129,10 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     (master_seed, "train-losses", t) and keeps the samples it visits.
 
     The fold phase is sequential: per task, one learners.noisy_sgd_steps
-    call steps every arm from its phi_t, and one meta step folds every
-    arm's averaged iterate. The arms share tasks, samples and index
-    sequences, and each arm's row is bit-identical to training it alone.
+    call steps every arm from its phi_t in the pass's one workspace, and
+    meta_step's fold, in place, folds every arm's averaged iterate. The arms
+    share tasks, samples and index sequences, and each arm's row is
+    bit-identical to training it alone.
 
     No non-private computation runs on the training tasks; only theta_bar
     reaches the meta state. Reruns with the same arguments are bit identical.
@@ -153,13 +167,19 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
         env, substreams(master_seed, "train-task", count=num_tasks),
         substreams(master_seed, "train-losses", count=num_tasks), indices)
 
-    state = new_state(np.tile(phi_init, (len(plans), 1)))
+    # the pass's (arms, d) state, folded in place task by task
+    phi = np.tile(phi_init, (len(plans), 1))
+    phi_running_sum = np.zeros_like(phi)
+    work = learners.StepWorkspace(phi.shape)
     # (arms, tasks), so each arm's losses are one contiguous row
     surrogate_losses = np.empty((len(plans), num_tasks))
     for t in range(num_tasks):
-        # every arm's phi_t on task t's visits: inits (arms, d), one problem per arm
-        bars = learners.noisy_sgd_steps(visits.take((slice(None), t)), state.phi_current,
-                                        plan, env.domain, noise[t]).averaged_iterate
-        surrogate_losses[:, t] = surrogate_loss(state.phi_current, bars)
-        state = meta_step(state, bars)
-    return MetaTraining(state.phi_hat(), surrogate_losses, theta_stars)
+        # every arm's phi_t on task t's visits: inits (arms, d), one problem
+        # per arm; bars is work's running sum, free to overwrite once folded
+        bars = learners.noisy_sgd_steps(visits.take((slice(None), t)), phi, plan,
+                                        env.domain, noise[t], work).averaged_iterate
+        # surrogate_loss(phi, bars); its squared-norm check is the finiteness
+        # check of the fold's input
+        np.multiply(0.5, dist_sq_into(bars, phi, work.scratch), out=surrogate_losses[:, t])
+        _fold(phi, phi_running_sum, bars, t + 1)
+    return MetaTraining(phi_running_sum / num_tasks, surrogate_losses, theta_stars)

@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from dpmeta.geometry import ParamDomain, as_vector, clip_norm, dist_sq, project
+from dpmeta.geometry import (_FEW_ROWS, ParamDomain, RowScratch, as_vector, clip_norm,
+                             clip_norm_in_place, dist_sq, dist_sq_into, project,
+                             project_in_place)
 
 RTOL = 1e-12
 
@@ -207,6 +209,122 @@ def test_batch_clip_norm_properties(seed, arms, tasks, dim, bound):
     assert np.array_equal(c[under], v[under])
     if bound == 0.0:
         assert not c.any()
+
+
+def _rescaled_rows(rows, limit):
+    """rows with each row whose squared norm exceeds limit**2 multiplied by
+    limit / norm, coded row by row from the definition."""
+    out = rows.copy()
+    for i in np.ndindex(rows.shape[:-1]):
+        nsq = np.vecdot(rows[i], rows[i])
+        if nsq > limit**2:
+            out[i] = rows[i] * (limit / np.sqrt(nsq))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), arms=st.integers(1, 3), tasks=st.integers(1, 5),
+       dim=st.integers(1, 6), radius=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+       bound=st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
+def test_in_place_clip_and_project_equal_row_calls(seed, arms, tasks, dim, radius, bound):
+    # batches shaped (arms, tasks, d) whose rows straddle the bound: writing
+    # into the batch gives, bit for bit, each row's clip_norm / project call
+    # and the definition; rows under the bound keep their bits, and the
+    # return value says whether any row was rescaled
+    rng = np.random.default_rng(seed)
+    dom = ParamDomain(rng.normal(size=dim), radius)
+    v = _learner_batch(rng, arms, tasks, dim, dom.center, max(radius, 0.5))
+    g = _learner_batch(rng, arms, tasks, dim, np.zeros(dim), max(bound, 0.5))
+    scratch = RowScratch(v.shape)
+    projected, clipped = v.copy(), g.copy()
+    moved = project_in_place(projected, dom, scratch)
+    cut = clip_norm_in_place(clipped, bound, scratch)
+    offsets = v - dom.center
+    outside = np.vecdot(offsets, offsets) > radius**2
+    over = np.vecdot(g, g) > bound**2
+    assert moved == outside.any() and cut == over.any()
+    assert np.array_equal(projected[~outside], v[~outside])
+    assert np.array_equal(clipped[~over], g[~over])
+    assert np.array_equal(clipped, _rescaled_rows(g, bound))
+    assert np.array_equal(projected[outside],
+                          (dom.center + _rescaled_rows(offsets, radius))[outside])
+    for i in np.ndindex(v.shape[:-1]):
+        assert np.array_equal(projected[i], project(v[i], dom))
+        assert np.array_equal(clipped[i], clip_norm(g[i], bound))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), arms=st.integers(1, 3), tasks=st.integers(1, 5),
+       dim=st.integers(1, 6), radius=st.floats(0.01, 3.0))
+def test_in_place_forms_on_a_reused_scratch_equal_a_fresh_one(seed, arms, tasks, dim,
+                                                              radius):
+    # a scratch that clipped, projected and measured other rows first leaves
+    # nothing behind: each call then gives what it gives on a fresh scratch
+    rng = np.random.default_rng(seed)
+    dom = ParamDomain(rng.normal(size=dim), radius)
+    shape = (arms, tasks, dim)
+    used = RowScratch(shape)
+    for _ in range(3):
+        project_in_place(_learner_batch(rng, arms, tasks, dim, dom.center, 2 * radius),
+                         dom, used)
+        clip_norm_in_place(_learner_batch(rng, arms, tasks, dim, np.zeros(dim), radius),
+                           radius, used)
+    v = _learner_batch(rng, arms, tasks, dim, dom.center, radius)
+    w = rng.normal(size=shape)
+    for call in (lambda x, s: project_in_place(x, dom, s),
+                 lambda x, s: clip_norm_in_place(x, radius, s)):
+        again, fresh = v.copy(), v.copy()
+        assert call(again, used) == call(fresh, RowScratch(shape))
+        assert np.array_equal(again, fresh)
+    assert np.array_equal(dist_sq_into(v, w, used), dist_sq(v, w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), radius=st.floats(0.01, 3.0),
+       outside=st.lists(st.booleans(), min_size=2 * _FEW_ROWS, max_size=2 * _FEW_ROWS))
+def test_in_place_few_row_path_equals_many_row_path(seed, dim, radius, outside):
+    # up to _FEW_ROWS rows the row rule runs on Python floats, above it on
+    # numpy calls: a batch of 2 * _FEW_ROWS rows, each inside or outside as
+    # drawn, gives bit for bit what its slices of _FEW_ROWS rows and of one
+    # row give, whether none, some or all of a slice's rows are over
+    rng = np.random.default_rng(seed)
+    dom = ParamDomain(rng.normal(size=dim), radius)
+    offsets = rng.normal(size=(2 * _FEW_ROWS, dim))
+    offsets *= (radius * np.where(outside, rng.uniform(1.01, 3.0, size=len(outside)),
+                                  rng.uniform(0.0, 0.99, size=len(outside)))
+                / np.linalg.norm(offsets, axis=-1))[:, None]
+    for call, rows in ((lambda x, s: project_in_place(x, dom, s), dom.center + offsets),
+                       (lambda x, s: clip_norm_in_place(x, radius, s), offsets)):
+        whole = rows.copy()
+        assert call(whole, RowScratch(whole.shape)) == any(outside)
+        for size in (_FEW_ROWS, 1):
+            for start in range(0, len(rows), size):
+                part = rows[start:start + size].copy()
+                call(part, RowScratch(part.shape))
+                assert np.array_equal(part, whole[start:start + size])
+
+
+def test_in_place_forms_raise_before_writing():
+    # a non-finite or overflowing row raises ValueError and leaves v as it was
+    dom = ParamDomain(np.zeros(2), 1.0)
+    scratch = RowScratch((2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for bad in (np.nan, np.inf, 1e200):
+            v = np.array([[2.0, 0.0], [bad, 0.0]])
+            for call in (lambda: project_in_place(v, dom, scratch),
+                         lambda: clip_norm_in_place(v, 1.0, scratch)):
+                with pytest.raises(ValueError):
+                    call()
+                assert np.array_equal(v, [[2.0, 0.0], [bad, 0.0]], equal_nan=True)
+    # squared norms whose sum, but no one of them, overflows are finite
+    v = np.array([[1e154, 0.0], [0.0, -1e154]])
+    assert clip_norm_in_place(v, 1.0, scratch)
+    assert np.array_equal(v, [[1.0, 0.0], [0.0, -1.0]])
+    # a bound whose Python square overflows binds no finite row
+    v = np.array([[3.0, 4.0]])
+    assert not clip_norm_in_place(v, 1e300, RowScratch((1, 2)))
+    assert np.array_equal(clip_norm(v, 1e300), v)
 
 
 def test_dimension_mismatch_errors():

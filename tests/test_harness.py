@@ -545,19 +545,22 @@ def test_single_training_task_meta_equals_no_meta(family_items):
 
 def test_learner_runs_the_calibrated_plan(monkeypatch):
     # every private training run must use the constants the sidecar reports
-    calls = []
+    calls, workspaces = [], set()
     real_steps = dpmeta.learners.noisy_sgd_steps
 
-    def spy_steps(visits, init, plan, dom, noise):
+    def spy_steps(visits, init, plan, dom, noise, work):
         calls.append((visits, np.shape(init), plan, noise))
-        return real_steps(visits, init, plan, dom, noise)
+        workspaces.add(work)
+        return real_steps(visits, init, plan, dom, noise, work)
 
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_steps)
     cfg = make_cfg(baseline_nonprivate_meta="true")
     cal = run_experiment(cfg).calibration
     n, m, d = cal.steps_n, cfg.env.samples_per_task, cfg.env.dim
     # one private step call per training task, stepping both training arms
+    # in the one workspace of the pass
     assert len(calls) == cfg.t_train
+    assert len(workspaces) == 1
     for t, (visits, init_shape, plan, noise) in enumerate(calls):
         assert plan.steps_n == cal.steps_n
         assert plan.step_size == cal.sgd_step_size
@@ -590,19 +593,19 @@ def test_training_arms_report_one_task_dispersion():
 ], ids=["quadratic", "logistic"])
 def test_clipping_is_inactive_when_smoothness_ok(family_items, monkeypatch):
     # the calibration's smoothness certificate promises that no private
-    # gradient is ever clipped; clip_norm returns its input object when no
-    # row is over the bound, so every call must hand back what it was given
+    # gradient is ever clipped; the in-place clip says whether it rescaled a
+    # row, so every call must say no and leave the gradient as it was
     calls, shapes = [], set()
-    real_clip = dpmeta.learners.clip_norm
+    real_clip = dpmeta.learners.clip_norm_in_place
 
-    def spy_clip(g, bound):
+    def spy_clip(g, bound, scratch):
         before = np.array(g, copy=True)
-        out = real_clip(g, bound)
-        calls.append(out is g and np.array_equal(out, before))
+        clipped = real_clip(g, bound, scratch)
+        calls.append(not clipped and np.array_equal(g, before))
         shapes.add(g.shape)
-        return out
+        return clipped
 
-    monkeypatch.setattr(dpmeta.learners, "clip_norm", spy_clip)
+    monkeypatch.setattr(dpmeta.learners, "clip_norm_in_place", spy_clip)
     cfg = make_cfg(samples_per_task=80, delta=0.1, baseline_nonprivate_meta="true",
                    **family_items)
     cal = calibrate(cfg)
@@ -898,6 +901,21 @@ def test_cli_internal_invariant_exit(tmp_path, capsys, monkeypatch):
     out = tmp_path / "o.csv"
     assert main(["run", "--config", cfg_file, "--out", str(out)]) == EXIT_INTERNAL
     assert "internal invariant violated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_negative_logistic_gap(tmp_path, capsys, monkeypatch):
+    # no logistic gap is negative beyond rounding (losses.logistic_excess
+    # clamps the divergence at 0), so logistic runs are validated at the
+    # same 1e-9 as quadratic ones, and a gap of -1e-6 is a harness bug
+    real = dpmeta.harness.population_risk_gap
+    monkeypatch.setattr(dpmeta.harness, "population_risk_gap",
+                        lambda *args: np.full_like(real(*args), -1e-6))
+    cfg_file = write_cfg_file(tmp_path / "c.txt", loss_family="logistic",
+                              growth_alpha="0.5")
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg_file, "--out", str(out)]) == EXIT_INTERNAL
+    assert "excess risk -1e-06 below -1e-09" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from dpmeta.geometry import ParamDomain, dist_sq
-from dpmeta.learners import (LearnerOutput, OgdConfig, adaptation_step_size,
-                             noisy_sgd_run, ogd_run, private_step_scale)
+from dpmeta.learners import (LearnerOutput, OgdConfig, StepWorkspace,
+                             adaptation_step_size, noisy_sgd_run, noisy_sgd_steps,
+                             ogd_run, private_step_scale)
 from dpmeta.losses import TaskSamples, quadratic_value
 from dpmeta.privacy import NoisySgdPlan, PrivacyParams
 
@@ -236,6 +237,37 @@ def _batch_and_singles(family, rng, tasks, m, dim, feature_norm=3.0):
         singles = [TaskSamples(points[:, t].copy(), labels=labels[:, t].copy())
                    for t in range(tasks)]
     return batch, singles
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["quadratic", "logistic"]),
+       arms=st.integers(1, 3), dim=st.integers(1, 4), steps=st.integers(1, 9))
+def test_reused_step_workspace_equals_fresh(seed, family, arms, dim, steps):
+    # a workspace that stepped other tasks from other inits first gives, on
+    # a new task, exactly what a fresh workspace gives; radius 0.7 and clip
+    # bound 0.5 make projection and clipping bind on some steps
+    rng = np.random.default_rng(seed)
+    dom = ParamDomain(rng.normal(scale=0.1, size=dim), 0.7)
+    plan = NoisySgdPlan(steps_n=steps, step_size=0.6, noise_variance_sigma_sq=0.3,
+                        clip_bound=0.5)
+
+    def task():
+        visits = _batch_and_singles(family, rng, 1, steps, dim)[1][0]
+        init = dom.center + 0.4 * rng.uniform(-1, 1, size=(arms, dim)) / math.sqrt(dim)
+        return visits, init, rng.normal(scale=0.5, size=(steps, arms, dim))
+
+    work = StepWorkspace((arms, dim))
+    for _ in range(2):
+        other, other_init, other_noise = task()
+        noisy_sgd_steps(other, other_init, plan, dom, other_noise, work)
+    visits, init, noise = task()
+    before = init.copy()
+    again = noisy_sgd_steps(visits, init, plan, dom, noise, work)
+    fresh = noisy_sgd_steps(visits, init, plan, dom, noise, StepWorkspace((arms, dim)))
+    assert np.array_equal(again.averaged_iterate, fresh.averaged_iterate)
+    assert np.array_equal(again.final_iterate, fresh.final_iterate)
+    assert again.averaged_iterate is work.running_sum and again.final_iterate is work.theta
+    assert np.array_equal(init, before)
 
 
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])

@@ -167,15 +167,16 @@ def test_meta_update_sees_only_private_output(monkeypatch):
 def test_shared_training_equals_separate_passes(family, monkeypatch):
     # training a private arm and its zero-noise twin in one pass must give
     # each arm exactly what training it alone gives; clip bound 0.3 and
-    # radius 0.8 make clipping and projection bind on some steps, not all
-    binds = {"clip_norm": [], "project": []}
+    # radius 0.8 make clipping and projection bind on some steps, not all;
+    # the in-place forms say whether they rescaled a row
+    binds = {"clip_norm_in_place": [], "project_in_place": []}
     for name, calls in binds.items():
         real = getattr(dpmeta.learners, name)
 
         def spy(v, *args, real=real, calls=calls):
-            out = real(v, *args)
-            calls.append(out is not v)
-            return out
+            rescaled = real(v, *args)
+            calls.append(rescaled)
+            return rescaled
 
         monkeypatch.setattr(dpmeta.learners, name, spy)
     # every private step call's outputs, one (arms, d) row set per task
