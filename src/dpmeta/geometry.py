@@ -86,7 +86,7 @@ class ParamDomain:
             ulp = float(np.spacing(np.abs(self.center).max()))
             slack += 4.0 * math.sqrt(self.dim) * ulp
         object.__setattr__(self, "_rounding_slack", slack)
-        object.__setattr__(self, "_radius_sq", self.radius**2)
+        object.__setattr__(self, "_radius_sq", _square(self.radius))
 
     @property
     def dim(self) -> int:

@@ -30,7 +30,7 @@ from .config import ConfigError, ExperimentConfig, build_config, format_value
 from .learners import OgdConfig, adaptation_step_size, private_step_scale
 from .losses import smoothness_ceiling
 from .meta import run_meta_training
-from .privacy import NoisySgdPlan, make_plan
+from .privacy import NoisySgdPlan, make_plan, noise_variance, step_budget
 from .task_env import (derive_seed, draw_tasks, empirical_task_variance,
                        population_risk_gap, substream, substreams)
 
@@ -126,37 +126,56 @@ class MetricsReport:
                         f"arm {arm.arm}: excess risk {gap} below -{mc_tolerance}")
 
 
+def _closed_form(name: str, formula, *args):
+    """formula(*args), the run constant called name; a ConfigError naming it
+    where a legal config's extreme inputs make it overflow, divide by zero or
+    come out non-finite, or leave a plan no step size."""
+    try:
+        value = formula(*args)
+    except (ArithmeticError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError([f"{name}: its closed form is not finite at this config "
+                           "(an input is too large or too small)"])
+    return value
+
+
 def calibrate(cfg: ExperimentConfig) -> CalibrationRecord:
     """Derive all run constants from the config, without touching data."""
     env, reg, priv = cfg.env, cfg.regularity, cfg.privacy
-    step_scale = private_step_scale(reg.lipschitz_g, reg.growth_alpha, env.dim,
-                                    env.samples_per_task, priv,
-                                    cfg.step_scale_variant)
-    plan = make_plan(env.samples_per_task, priv, env.dim, reg.lipschitz_g,
-                     step_scale)
-    eta = adaptation_step_size(env.similarity_v, reg.growth_alpha,
-                               reg.lipschitz_g, env.samples_per_task)
-    ceiling = smoothness_ceiling(reg.lipschitz_g, env.domain,
-                                 env.samples_per_task, priv, plan.steps_n)
+    m, G = env.samples_per_task, reg.lipschitz_g
+    step_scale = _closed_form("step_scale", private_step_scale, G, reg.growth_alpha,
+                              env.dim, m, priv, cfg.step_scale_variant)
+    # make_plan assembles the plan from these; each is checked on its own
+    # first, so that a failure names its constant
+    steps_n = _closed_form("steps_n", step_budget, m, priv, env.dim)
+    sigma_sq = _closed_form("sigma_sq", noise_variance, steps_n, m, G, priv)
+    step_size = _closed_form("sgd_step_size", lambda: make_plan(
+        m, priv, env.dim, G, step_scale).step_size)
+    eta = _closed_form("eta", adaptation_step_size, env.similarity_v,
+                       reg.growth_alpha, G, m)
+    ceiling = _closed_form("smoothness_ceiling", smoothness_ceiling, G, env.domain,
+                           m, priv, steps_n)
     return CalibrationRecord(
-        samples_per_task=env.samples_per_task,
+        samples_per_task=m,
         dim=env.dim,
-        steps_n=plan.steps_n,
-        sigma_sq=plan.noise_variance_sigma_sq,
+        steps_n=steps_n,
+        sigma_sq=sigma_sq,
         step_scale=step_scale,
-        sgd_step_size=plan.step_size,
+        sgd_step_size=step_size,
         eta=eta,
         epsilon=priv.epsilon,
         delta=priv.delta,
-        lipschitz_g=reg.lipschitz_g,
+        lipschitz_g=G,
         growth_alpha=reg.growth_alpha,
         smoothness_beta=reg.smoothness_beta,
         smoothness_ceiling=ceiling,
         smoothness_ok=reg.smoothness_beta <= ceiling,
         # gradient steps on a beta-smooth loss are non-expansive only up to 2
-        step_times_beta=plan.step_size * reg.smoothness_beta,
+        step_times_beta=_closed_form("step_times_beta",
+                                     lambda: step_size * reg.smoothness_beta),
         # the average of theta_1 alone is the start: training changes nothing
-        training_is_noop=plan.steps_n == 1,
+        training_is_noop=steps_n == 1,
         step_scale_variant=cfg.step_scale_variant,
     )
 
@@ -254,7 +273,8 @@ def sweep(cfg_base: ExperimentConfig, axis: str, values) -> list[MetricsReport]:
 
     The derived seed folds (master_seed, axis, value) together, so sweep
     points are independent draws while remaining reproducible. Every point's
-    config is built first, and one ConfigError names every bad point's faults.
+    config is built and calibrated first, and one ConfigError names every
+    bad point's faults.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
@@ -268,7 +288,9 @@ def sweep(cfg_base: ExperimentConfig, axis: str, values) -> list[MetricsReport]:
         items.update({SWEEP_AXES[axis]: format_value(value),
                       "master_seed": format_value(seed)})
         try:
-            points.append((build_config(items), float(value)))
+            cfg = build_config(items)
+            calibrate(cfg)
+            points.append((cfg, float(value)))
         except ConfigError as exc:
             violations += [f"{axis}={float(value):g}: {v}" for v in exc.violations]
     if violations:

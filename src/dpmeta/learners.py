@@ -15,17 +15,16 @@ path. The loop runs on a StepWorkspace (iterate, running sum, gradient and
 geometry's RowScratch) and clips and projects in place with
 geometry.clip_norm_in_place and geometry.project_in_place, which act row by
 row, so each problem's result is bit-identical whatever batch it runs in and
-no step allocates an array of the batch's shape. Noisy SGD has two entry
-points: noisy_sgd_run checks its inputs and draws indices and noise from one
-generator, and optionally one plan, per problem; noisy_sgd_steps takes
-visits and noise drawn ahead and a workspace to step in, so meta-training
-checks, draws and allocates once per pass and steps every training arm in
-one call per task.
+no step allocates an array of the batch's shape. Noisy SGD steps only
+through noisy_sgd_steps, which takes visits and noise drawn ahead and a
+workspace to step in, so meta-training checks, draws and allocates once per
+pass and steps every training arm in one call per task. noisy_sgd_run is
+its one-problem reference: it checks its inputs and draws one task's
+indices, then its noise, from one generator.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 import math
 
@@ -142,24 +141,14 @@ def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
     return _projected_steps(samples, _start(samples, init, dom), cfg.step_size, dom)
 
 
-def common_plan(plans: Sequence[NoisySgdPlan]) -> NoisySgdPlan:
-    """The first of plans, after checking that they share steps_n, step_size
-    and clip_bound: plans stepped together may differ only in noise
-    variance."""
-    plan = plans[0]
-    shared = (plan.steps_n, plan.step_size, plan.clip_bound)
-    if any((p.steps_n, p.step_size, p.clip_bound) != shared for p in plans):
-        raise ValueError("per-problem plans may differ only in noise_variance_sigma_sq")
-    return plan
-
-
 def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan,
                     dom: ParamDomain, noise, work: StepWorkspace) -> LearnerOutput:
     """Noisy projected SGD on visits (steps_n, *batch, d) and noise
     (steps_n, *problems, d) drawn ahead: step j clips sample j's gradient to
     plan.clip_bound, adds noise[j], steps by plan.step_size and projects.
-    init broadcasts as in noisy_sgd_run and is not written. Nothing is
-    checked: the caller makes noisy_sgd_run's checks once per pass of tasks.
+    init broadcasts against the batch axes of visits and is not written.
+    Nothing is checked: the caller makes noisy_sgd_run's checks once per
+    pass of tasks.
 
     The call steps in work, a StepWorkspace shaped (*problems, d), so a pass
     of tasks allocates no step buffers; the output's arrays are work's
@@ -170,59 +159,39 @@ def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan,
                             clip_bound=plan.clip_bound, noise=noise)
 
 
-def noisy_sgd_run(samples: TaskSamples, init,
-                  plan: NoisySgdPlan | Sequence[NoisySgdPlan], dom: ParamDomain,
-                  rng, index_sequence=None) -> LearnerOutput:
-    """Noisy projected SGD: the private within-task learner.
+def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan,
+                  dom: ParamDomain, rng: np.random.Generator,
+                  index_sequence=None) -> LearnerOutput:
+    """Noisy projected SGD on one task: the private within-task learner.
 
     Takes plan.steps_n steps. Each step picks a sample uniformly at random
     with replacement, clips its gradient to plan.clip_bound, adds isotropic
     Gaussian noise of per-coordinate variance plan.noise_variance_sigma_sq to
     the clipped gradient, steps by plan.step_size, and projects.
 
-    rng is one Generator per problem, in C order over the problem axes (a
-    single Generator for a single problem). plan is one NoisySgdPlan for every
-    problem, or one per problem in the same order; per-problem plans may
-    differ only in noise variance and raise ValueError otherwise. Each problem
-    draws its full index sequence from its generator up front, then its
-    (steps_n, d) noise block, so problems whose generators are seeded alike
+    samples (m, d) and init (d,) make one problem; more raise ValueError.
+    The run draws its full index sequence from rng up front, then its
+    (steps_n, d) noise block, so runs whose generators are seeded alike
     sample identical indices whatever their noise variance, and a
-    zero-variance problem draws no noise. An explicit index_sequence of shape
-    (steps_n, *problems) pins the sampling entirely.
+    zero-variance run draws no noise. An explicit index_sequence of shape
+    (steps_n,) pins the sampling entirely.
     """
     work = _start(samples, init, dom)
-    problems = work.theta.shape[:-1]
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-    if len(rngs) != math.prod(problems):
-        raise ValueError(
-            f"need one generator per problem: {math.prod(problems)}, got {len(rngs)}")
-    plans = [plan] * len(rngs) if isinstance(plan, NoisySgdPlan) else list(plan)
-    if len(plans) != len(rngs):
-        raise ValueError(f"need one plan per problem: {len(rngs)}, got {len(plans)}")
-    plan = common_plan(plans)
+    if work.theta.ndim != 1:
+        raise ValueError(f"noisy_sgd_run takes one problem, got problems shaped "
+                         f"{work.theta.shape[:-1]}")
     n, m = plan.steps_n, samples.count
-    if index_sequence is not None:
+    if index_sequence is None:
+        indices = rng.integers(0, m, size=n)
+    else:
         indices = np.asarray(index_sequence, dtype=np.int64)
-        if indices.shape != (n,) + problems:
-            raise ValueError(
-                f"index_sequence must have shape {(n,) + problems}, got {indices.shape}")
+        if indices.shape != (n,):
+            raise ValueError(f"index_sequence must have shape {(n,)}, got {indices.shape}")
         if indices.min() < 0 or indices.max() >= m:
             raise ValueError("index_sequence entries must index into the samples")
-    else:
-        indices = np.empty((n, len(rngs)), dtype=np.int64)
-    noise = np.empty((n, len(rngs), dom.dim))
-    for p, (r, problem_plan) in enumerate(zip(rngs, plans)):
-        if index_sequence is None:
-            indices[:, p] = r.integers(0, m, size=n)
-        # zero variance returns zeros and consumes no randomness
-        noise[:, p] = sample_step_noise(r, dom.dim, problem_plan.noise_variance_sigma_sq,
-                                        count=n)
-    indices = indices.reshape((n,) + problems)
-    noise = noise.reshape((n,) + work.theta.shape)
-    # sample indices[j] of each problem's own task along the batch axes
-    seq = samples.take((indices,) + np.indices(samples.batch_shape, sparse=True))
-    return _projected_steps(seq, work, plan.step_size, dom,
-                            clip_bound=plan.clip_bound, noise=noise)
+    # zero variance returns zeros and consumes no randomness
+    noise = sample_step_noise(rng, dom.dim, plan.noise_variance_sigma_sq, count=n)
+    return noisy_sgd_steps(samples.take(indices), init, plan, dom, noise, work)
 
 
 def private_step_scale(lipschitz_g: float, growth_alpha: float, dim: int, m: int,

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .geometry import ParamDomain, as_vector, dist_sq
+from .geometry import ParamDomain, _square, as_vector, dist_sq
 
 
 def _check_dims(theta, points):
@@ -234,7 +234,7 @@ def logistic_regularity(feature_norm: float, growth_alpha: float) -> RegularityP
         raise ValueError(f"feature_norm must be > 0, got {feature_norm}")
     return RegularityProfile(
         lipschitz_g=feature_norm,
-        smoothness_beta=0.25 * feature_norm**2,
+        smoothness_beta=0.25 * _square(feature_norm),
         growth_alpha=growth_alpha,
     )
 

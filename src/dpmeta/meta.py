@@ -15,8 +15,8 @@ task, its visited samples, its index sequence and its noise, and then, per
 task, steps every arm's learner in one batched call and folds every arm's
 output. The fold runs in place on the pass's (arms, d) arrays, in one
 learners.StepWorkspace allocated per pass, with meta_step's and
-surrogate_loss's operations in their order, so each value is the one the
-functional MetaState path gives.
+surrogate_loss's operations in their order, so each arm's values are the
+ones its own (d,) MetaState gives.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
-from .geometry import as_batch, as_vector, dist_sq, dist_sq_into
+from .geometry import as_vector, dist_sq, dist_sq_into
 from .learners import NoisySgdPlan
 from .task_env import EnvSpec, draw_tasks, substreams
 
@@ -36,9 +36,9 @@ from .task_env import EnvSpec, draw_tasks, substreams
 class MetaState:
     """Immutable meta-learner state after task_count updates.
 
-    phi_current is the initialization the next task will start from, (d,)
-    or one row per arm (arms, d); phi_running_sum, of the same shape,
-    accumulates the phi in force at each past task (for phi_hat).
+    phi_current is the (d,) initialization the next task will start from;
+    phi_running_sum accumulates the phi in force at each past task (for
+    phi_hat).
     """
 
     phi_current: np.ndarray
@@ -53,8 +53,8 @@ class MetaState:
 
 
 def new_state(phi_init) -> MetaState:
-    """The state before any task: phi_init shaped (d,), or (arms, d)."""
-    phi = as_batch(phi_init, None).copy()
+    """The state before any task, from a (d,) phi_init."""
+    phi = as_vector(phi_init)
     return MetaState(
         phi_current=phi,
         task_count=0,
@@ -73,17 +73,13 @@ def _fold(phi, phi_running_sum, theta_bar, t: int) -> None:
 
 
 def meta_step(state: MetaState, theta_bar) -> MetaState:
-    """Fold one private task output per arm into the state.
+    """Fold one private task output, a (d,) theta_bar, into the state.
 
-    theta_bar has the shape of state.phi_current. With t the new task count,
-    phi moves to (1 - 1/t) phi + theta_bar / t, row by row. After t updates
-    phi_current equals mean(theta_bar_1 .. theta_bar_t) regardless of the
-    starting point, which is wiped out at t = 1.
+    With t the new task count, phi moves to (1 - 1/t) phi + theta_bar / t.
+    After t updates phi_current equals mean(theta_bar_1 .. theta_bar_t)
+    regardless of the starting point, which is wiped out at t = 1.
     """
-    theta_bar = as_batch(theta_bar, None)
-    if theta_bar.shape != state.phi_current.shape:
-        raise ValueError(f"theta_bar shaped {theta_bar.shape} does not match the "
-                         f"state's {state.phi_current.shape}")
+    theta_bar = as_vector(theta_bar, state.phi_current.size)
     t = state.task_count + 1
     return MetaState(
         phi_current=(1.0 - 1.0 / t) * state.phi_current + theta_bar / t,
@@ -97,6 +93,17 @@ def surrogate_loss(phi, theta_bar):
     descends in place of the unobservable task risk; one value per row of a
     batch."""
     return 0.5 * dist_sq(theta_bar, phi)
+
+
+def _common_plan(plans: Sequence[NoisySgdPlan]) -> NoisySgdPlan:
+    """The first of plans, after checking that they share steps_n, step_size
+    and clip_bound: arms trained in one pass may differ only in noise
+    variance."""
+    plan = plans[0]
+    shared = (plan.steps_n, plan.step_size, plan.clip_bound)
+    if any((p.steps_n, p.step_size, p.clip_bound) != shared for p in plans):
+        raise ValueError("training plans may differ only in noise_variance_sigma_sq")
+    return plan
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,7 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     plans = tuple(plans)
     if not plans:
         raise ValueError("need at least one plan")
-    plan = learners.common_plan(plans)
+    plan = _common_plan(plans)
     phi_init = as_vector(phi_init, env.dim)
     if not env.domain.contains(phi_init):
         raise ValueError("phi_init lies outside the domain")

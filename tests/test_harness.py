@@ -813,6 +813,48 @@ def test_cli_undecodable_config_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("overrides, constant", [
+    ({"domain_radius": "1e155"}, "sigma_sq"),
+    ({"domain_radius": "1e154"}, "sigma_sq"),
+    ({"curvature": "1e160"}, "sigma_sq"),
+    ({"lipschitz_g": "1e160"}, "sigma_sq"),
+    ({"loss_family": "logistic", "growth_alpha": "1.0", "feature_norm": "1e160"},
+     "smoothness_beta"),
+    ({"epsilon": "1e200"}, "steps_n"),
+    ({"epsilon": "1e-200"}, "sigma_sq"),
+    ({"delta": "1e-320"}, "step_scale"),
+])
+def test_cli_overflowing_closed_form_is_config_error(tmp_path, capsys, monkeypatch,
+                                                     overrides, constant):
+    # legal values whose closed-form calibration overflows, divides by zero
+    # or comes out inf: each command exits 2, names the constant and writes
+    # nothing. The sweep puts a good epsilon point before the config's own
+    # epsilon, and the bad point must fail before any point runs
+    cfg_file = write_cfg_file(tmp_path / "c.txt", **overrides)
+    out = tmp_path / "o.csv"
+    epsilon = overrides.get("epsilon", BASE_ITEMS["epsilon"])
+    runs = []  # the sweep's points
+    monkeypatch.setattr(dpmeta.harness, "run_experiment",
+                        lambda *args, **kwargs: runs.append(args))
+    for args in (["calibrate"], ["run", "--out", str(out)],
+                 ["sweep", "--out", str(out), "--axis", "epsilon",
+                  "--values", f"0.5,{epsilon}"]):
+        assert main(args + ["--config", cfg_file]) == EXIT_CONFIG
+        assert constant in capsys.readouterr().err
+        assert not out.exists()
+    assert runs == []
+
+
+def test_cli_radius_below_the_overflow_runs(tmp_path, capsys):
+    # radius 1e150 squares to a finite float and calibrates to finite
+    # constants, so the run goes ahead
+    cfg_file = write_cfg_file(tmp_path / "c.txt", domain_radius="1e150")
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg_file, "--out", str(out)]) == EXIT_OK
+    assert len(read_csv_rows(str(out))) == int(BASE_ITEMS["t_eval"])
+    capsys.readouterr()
+
+
 def test_cli_missing_out_is_config_error(tmp_path, capsys):
     cfg_file = write_cfg_file(tmp_path / "c.txt")
     assert main(["run", "--config", cfg_file]) == EXIT_CONFIG

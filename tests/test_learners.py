@@ -1,4 +1,3 @@
-from dataclasses import replace
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -159,13 +158,14 @@ def test_noisy_sgd_index_sequence_validation():
     with pytest.raises(ValueError):
         noisy_sgd_run(samples, [0.0, 0.0], plan, DOM, np.random.default_rng(0),
                       index_sequence=[-1, 0, 1, 2])  # negative
-    with pytest.raises(ValueError):
-        noisy_sgd_run(samples, [[0.0, 0.0]] * 2, plan, DOM,
-                      np.random.default_rng(0),
-                      index_sequence=[0, 1, 2, 0])  # one column per problem
-    with pytest.raises(ValueError):
-        noisy_sgd_run(samples, [[0.0, 0.0]] * 2, plan, DOM,
-                      np.random.default_rng(0))  # one generator per problem
+    # one task from one init only: two inits, or a batch of tasks, make
+    # more than one problem, with or without a pinned index sequence
+    tasks = quad(np.zeros((3, 2, 2)))
+    for two, init in ((samples, [[0.0, 0.0]] * 2), (tasks, [0.0, 0.0])):
+        for pinned in (None, [0, 1, 2, 0]):
+            with pytest.raises(ValueError, match="one problem"):
+                noisy_sgd_run(two, init, plan, DOM, np.random.default_rng(0),
+                              index_sequence=pinned)
 
 
 def test_ogd_regret_bound_small():
@@ -296,111 +296,43 @@ def test_ogd_batch_matches_batch_of_one_calls(family):
 
 
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
-def test_noisy_sgd_batch_matches_batch_of_one_calls(family):
-    # each problem draws indices then noise from its own generator, so a
-    # batch of 2 inits x 3 tasks equals 6 separate runs bit for bit; clip
-    # bound 0.5 binds on most gradients and radius 0.7 projects noisy steps
-    rng = np.random.default_rng(32)
-    dom = ParamDomain(np.zeros(2), 0.7)
-    batch, singles = _batch_and_singles(family, rng, 3, 9, 2)
-    inits = 0.4 * rng.uniform(-1, 1, size=(2, 3, 2))
-    plan = NoisySgdPlan(steps_n=14, step_size=0.6, noise_variance_sigma_sq=0.3,
-                        clip_bound=0.5)
-    seeds = [[100 * a + t for t in range(3)] for a in range(2)]
-    out = noisy_sgd_run(batch, inits, plan, dom,
-                        [np.random.default_rng(s) for row in seeds for s in row])
-    assert out.averaged_iterate.shape == (2, 3, 2)
-    on_boundary = 0  # problems whose last step was projected
-    for a in range(2):
-        for t in range(3):
-            one = noisy_sgd_run(singles[t], inits[a, t], plan, dom,
-                                np.random.default_rng(seeds[a][t]))
-            assert np.array_equal(out.averaged_iterate[a, t], one.averaged_iterate)
-            assert np.array_equal(out.final_iterate[a, t], one.final_iterate)
-            on_boundary += np.isclose(np.linalg.norm(one.final_iterate), 0.7)
-    assert 0 < on_boundary < 6
-
-    # a pinned index sequence of shape (steps, *problems) does the same
-    idx = rng.integers(0, 9, size=(14, 2, 3))
-    quiet = NoisySgdPlan(steps_n=14, step_size=0.6, noise_variance_sigma_sq=0.0,
-                         clip_bound=0.5)
-    out = noisy_sgd_run(batch, inits, quiet, dom,
-                        [np.random.default_rng(0)] * 6, index_sequence=idx)
-    for a in range(2):
-        for t in range(3):
-            one = noisy_sgd_run(singles[t], inits[a, t], quiet, dom,
-                                np.random.default_rng(0), index_sequence=idx[:, a, t])
-            assert np.array_equal(out.final_iterate[a, t], one.final_iterate)
-
-    # one plan per problem: each problem runs its own noise variance and
-    # equals its single call under that plan; seeding the problems of a
-    # task alike makes them visit the same samples
-    variances = [[0.3, 0.0, 1.1], [0.0, 0.05, 0.3]]
-    plans = [NoisySgdPlan(steps_n=14, step_size=0.6, noise_variance_sigma_sq=v,
-                          clip_bound=0.5) for row in variances for v in row]
-    out = noisy_sgd_run(batch, inits, plans, dom,
-                        [np.random.default_rng(t) for _ in range(2) for t in range(3)])
-    for a in range(2):
-        for t in range(3):
-            one = noisy_sgd_run(singles[t], inits[a, t], plans[3 * a + t], dom,
-                                np.random.default_rng(t))
-            assert np.array_equal(out.averaged_iterate[a, t], one.averaged_iterate)
-            assert np.array_equal(out.final_iterate[a, t], one.final_iterate)
-
-
-def test_noisy_sgd_per_problem_plans_must_agree_on_the_schedule():
-    samples = quad(np.zeros((3, 2)))
-    plan = NoisySgdPlan(steps_n=4, step_size=0.1, noise_variance_sigma_sq=0.5,
-                        clip_bound=1.0)
-    inits = [[0.0, 0.0]] * 2
-    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
-    with pytest.raises(ValueError):
-        noisy_sgd_run(samples, inits, [plan], DOM, rngs)  # one plan short
-    with pytest.raises(ValueError):
-        noisy_sgd_run(samples, inits, [plan] * 3, DOM, rngs)  # one plan over
-    for field, value in (("steps_n", 5), ("step_size", 0.2), ("clip_bound", 2.0)):
-        with pytest.raises(ValueError):
-            noisy_sgd_run(samples, inits, [plan, replace(plan, **{field: value})],
-                          DOM, rngs)
-    # plans that differ in noise variance alone are fine
-    noisy_sgd_run(samples, inits, [plan, replace(plan, noise_variance_sigma_sq=0.0)],
-                  DOM, rngs)
-
-
-@pytest.mark.parametrize("family", ["quadratic", "logistic"])
 def test_learners_leave_caller_arrays_untouched(family):
     # the step loop writes its iterate and gradient buffer in place; none of
     # that may reach init (a bare vector, an (arms, 1, d) stack or a full
-    # (arms, tasks, d) one), the samples or a pinned index sequence. Radius
-    # 0.7, step 0.6 and clip bound 0.5 make projection and clipping bind
+    # (arms, tasks, d) one), the samples, a pinned index sequence, or visits
+    # and noise drawn ahead. Radius 0.7, step 0.6 and clip bound 0.5 make
+    # projection and clipping bind
     rng = np.random.default_rng(33)
     dom = ParamDomain(np.zeros(2), 0.7)
-    batch, _ = _batch_and_singles(family, rng, 3, 9, 2)
+    batch, singles = _batch_and_singles(family, rng, 3, 9, 2)
     plan = NoisySgdPlan(steps_n=14, step_size=0.6, noise_variance_sigma_sq=0.3,
                         clip_bound=0.5)
-    index_sequence = rng.integers(0, 9, size=(14, 2, 3))
-    inputs = [batch.points, index_sequence]
-    if batch.labels is not None:
-        inputs.append(batch.labels)
+    index_sequence = rng.integers(0, 9, size=14)
+    visits = batch.take(rng.integers(0, 9, size=14))
+    samples = [batch, singles[0], visits]
+    inputs = [index_sequence] + [a for t in samples for a in (t.points, t.labels)
+                                 if a is not None]
     for init in (np.array([0.3, -0.2]), 0.4 * rng.uniform(-1, 1, size=(2, 1, 2)),
                  0.4 * rng.uniform(-1, 1, size=(2, 3, 2))):
         problems = np.broadcast_shapes(init.shape[:-1], (3,))
-        before = [a.copy() for a in inputs + [init]]
-        outputs = [ogd_run(batch, init, OgdConfig(0.6), dom)]
-        if problems == (2, 3):
-            rngs = [np.random.default_rng(p) for p in range(6)]
-            outputs.append(noisy_sgd_run(batch, init, plan, dom, rngs))
-            outputs.append(noisy_sgd_run(batch, init, plan, dom, rngs,
-                                         index_sequence=index_sequence))
-        else:
-            rngs = [np.random.default_rng(p) for p in range(3)]
-            outputs.append(noisy_sgd_run(batch, init, plan, dom, rngs))
-        for a, b in zip(inputs + [init], before):
+        noise = rng.normal(scale=0.5, size=(14,) + problems + (2,))
+        before = [a.copy() for a in inputs + [init, noise]]
+        outputs = [ogd_run(batch, init, OgdConfig(0.6), dom),
+                   noisy_sgd_steps(visits, init, plan, dom, noise,
+                                   StepWorkspace(problems + (2,)))]
+        shapes = [problems + (2,)] * 2
+        if init.ndim == 1:
+            outputs += [noisy_sgd_run(singles[0], init, plan, dom, np.random.default_rng(0)),
+                        noisy_sgd_run(singles[0], init, plan, dom, np.random.default_rng(0),
+                                      index_sequence=index_sequence)]
+            shapes += [(2,)] * 2
+        for a, b in zip(inputs + [init, noise], before):
             assert np.array_equal(a, b)
-        for out in outputs:
+        for out, shape in zip(outputs, shapes, strict=True):
             for result in (out.averaged_iterate, out.final_iterate):
-                assert result.shape == problems + (2,)
-                assert not any(np.shares_memory(result, a) for a in inputs + [init])
+                assert result.shape == shape
+                assert not any(np.shares_memory(result, a)
+                               for a in inputs + [init, noise])
 
 
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])

@@ -55,32 +55,14 @@ def test_meta_step_immutable_inputs():
     assert np.array_equal(state.phi_current, [1.0, 1.0])
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), arms=st.integers(1, 4),
-       dim=st.integers(1, 5), steps=st.integers(1, 12))
-def test_batched_state_rows_equal_single_states(seed, arms, dim, steps):
-    # an (arms, d) state steps every row exactly as a (d,) state steps alone
-    rng = np.random.default_rng(seed)
-    batch = new_state(rng.normal(size=(arms, dim)) * 10.0 ** rng.integers(-3, 4))
-    singles = [new_state(row) for row in batch.phi_current]
-    for _ in range(steps):
-        bars = rng.normal(size=(arms, dim)) * 10.0 ** rng.integers(-3, 4)
-        batch = meta_step(batch, bars)
-        singles = [meta_step(one, bar) for one, bar in zip(singles, bars)]
-    for a, one in enumerate(singles):
-        assert batch.task_count == one.task_count == steps
-        assert batch.phi_current[a].tobytes() == one.phi_current.tobytes()
-        assert batch.phi_running_sum[a].tobytes() == one.phi_running_sum.tobytes()
-        assert batch.phi_hat()[a].tobytes() == one.phi_hat().tobytes()
-
-
 def test_meta_step_rejects_a_mismatched_output():
-    batch = new_state(np.zeros((3, 2)))
-    for bad in (np.ones(2), np.ones((2, 2)), np.ones((3, 3)), np.ones((1, 3, 2))):
+    state = new_state(np.zeros(2))
+    for bad in (np.ones(1), np.ones(3), np.ones((1, 2)), np.ones((3, 2))):
         with pytest.raises(ValueError):
-            meta_step(batch, bad)
+            meta_step(state, bad)
+    # one state per arm: a stack of initializations is not a state
     with pytest.raises(ValueError):
-        meta_step(new_state(np.zeros(2)), np.ones((1, 2)))
+        new_state(np.zeros((3, 2)))
 
 
 def test_surrogate_loss_value():
@@ -219,7 +201,7 @@ def test_noisy_arms_share_one_noise_generator(family):
     # generator, so two noisy arms of different variances must still each
     # get exactly the noise that training alone gives them, and the pass
     # must equal the task-by-task reference: generate_losses, then
-    # noisy_sgd_run with one identically seeded generator per arm
+    # one noisy_sgd_run per arm, each from an identically seeded generator
     dom = ParamDomain(np.array([0.1, -0.2]), 0.8)
     env = EnvSpec(domain=dom, planted_center=np.array([0.4, -0.2]),
                   similarity_v=0.3, samples_per_task=12, loss_family=family,
@@ -236,18 +218,37 @@ def test_noisy_arms_share_one_noise_generator(family):
         assert np.array_equal(shared.surrogate_losses[a], alone.surrogate_losses[0])
     assert len({tuple(row) for row in shared.phi_hat}) == 3
 
-    state = new_state(np.tile(phi_init, (3, 1)))
+    states = [new_state(phi_init) for _ in plans]
     for t in range(9):
         task = sample_task(env, substream(21, "train-task", t))
         samples = generate_losses(task, env, substream(21, "train-losses", t))
-        rngs = [substream(21, "train-noise", t) for _ in plans]
-        bars = noisy_sgd_run(samples, state.phi_current, plans, dom,
-                             rngs).averaged_iterate
         assert np.array_equal(shared.theta_stars[t], task.theta_star)
-        assert np.array_equal(shared.surrogate_losses[:, t],
-                              surrogate_loss(state.phi_current, bars))
-        state = meta_step(state, bars)
-    assert np.array_equal(shared.phi_hat, state.phi_hat())
+        for a, arm_plan in enumerate(plans):
+            phi = states[a].phi_current
+            bar = noisy_sgd_run(samples, phi, arm_plan, dom,
+                                substream(21, "train-noise", t)).averaged_iterate
+            assert shared.surrogate_losses[a, t] == surrogate_loss(phi, bar)
+            states[a] = meta_step(states[a], bar)
+    for a, state in enumerate(states):
+        assert np.array_equal(shared.phi_hat[a], state.phi_hat())
+
+
+def test_training_plans_must_agree_on_the_schedule():
+    # the arms of one pass share the step schedule and the clip bound and
+    # may differ only in noise variance
+    env = EnvSpec(domain=ParamDomain(np.zeros(2), 5.0), planted_center=np.zeros(2),
+                  similarity_v=0.3, samples_per_task=12, curvature=1.0,
+                  sample_noise_std=0.0)
+    plan = NoisySgdPlan(steps_n=4, step_size=0.1, noise_variance_sigma_sq=0.5,
+                        clip_bound=1.0)
+    for field, value in (("steps_n", 5), ("step_size", 0.2), ("clip_bound", 2.0)):
+        with pytest.raises(ValueError):
+            run_meta_training(env, 2, (plan, replace(plan, **{field: value})),
+                              np.zeros(2), 0)
+    with pytest.raises(ValueError):
+        run_meta_training(env, 2, (), np.zeros(2), 0)
+    quiet = replace(plan, noise_variance_sigma_sq=0.0)
+    assert run_meta_training(env, 2, (plan, quiet), np.zeros(2), 0).phi_hat.shape == (2, 2)
 
 
 def test_single_task_phi_hat_is_initializer():
