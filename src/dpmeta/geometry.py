@@ -6,14 +6,12 @@ Projection, clipping and squared distances are coded here only. They act row
 by row, with squared norms from np.vecdot, so each row equals the
 single-vector call bit for bit; a row is rescaled only when its squared norm
 exceeds the bound squared, and a non-finite or overflowing squared norm
-raises ValueError. project, clip_norm and dist_sq are pure: they return
-new arrays, or project's and clip_norm's input when no row moves.
-project_in_place, clip_norm_in_place and dist_sq_into are their forms for
-hot loops: they write into the caller's array and a reusable RowScratch and
-check nothing but finiteness, and the first two say whether any row was
-rescaled; project and clip_norm run on the same row rule once a row is
-over. Up to _FEW_ROWS rows, as in a training step's one row per arm, the
-row rule runs on Python floats instead of numpy calls, with the same bits.
+raises ValueError. project_in_place and clip_norm_in_place write into the
+caller's array, with a reusable RowScratch, check nothing but finiteness,
+and say whether any row was rescaled. dist_sq is pure; dist_sq_into writes
+into a RowScratch. Up to _FEW_ROWS rows, as in a training step's one row
+per arm, the row rule runs on Python floats instead of numpy calls, with
+the same bits.
 Geometric identities hold to 1e-12 relative tolerance, not exactly, because
 of float rounding; ball membership also allows the few ulps by which
 center + offset rounds. Everything here is deterministic.
@@ -196,11 +194,11 @@ def _row_scales(x, limit, limit_sq, scratch: RowScratch) -> int:
 
 
 def project_in_place(v, dom: ParamDomain, scratch: RowScratch) -> bool:
-    """project, written into v: each row of v, a float64 array shaped like
-    scratch's buffers, whose squared offset from the center exceeds
-    radius**2 becomes center + offset * (radius / ||offset||); the other rows
-    are left untouched. Returns whether any row moved. Shapes are not
-    checked."""
+    """Euclidean projection onto the ball, in place: each row of v, a float64
+    array shaped like scratch's buffers, whose squared offset from the
+    center exceeds radius**2 becomes center + offset * (radius / ||offset||);
+    the other rows are left untouched. Returns whether any row moved. Shapes
+    are not checked."""
     offset = np.subtract(v, dom.center, out=scratch.vectors)
     found = _row_scales(offset, dom.radius, dom._radius_sq, scratch)
     if found == _NONE:
@@ -217,10 +215,10 @@ def project_in_place(v, dom: ParamDomain, scratch: RowScratch) -> bool:
 
 
 def clip_norm_in_place(v, bound: float, scratch: RowScratch) -> bool:
-    """clip_norm, written into v: each row of v, a float64 array shaped like
+    """Norm clipping, in place: each row of v, a float64 array shaped like
     scratch's buffers, whose squared norm exceeds bound**2 is scaled to norm
-    bound; the other rows are left untouched. Returns whether any row was
-    clipped. Neither the bound nor the shapes are checked."""
+    bound, direction kept; the other rows are left untouched. Returns whether
+    any row was clipped. Neither the bound nor the shapes are checked."""
     found = _row_scales(v, bound, _square(bound), scratch)
     if found == _NONE:
         return False
@@ -230,33 +228,6 @@ def clip_norm_in_place(v, bound: float, scratch: RowScratch) -> bool:
         np.multiply(v, scratch.scale_col, out=scratch.vectors)
         np.copyto(v, scratch.vectors, where=scratch.over_col)
     return True
-
-
-def project(v, dom: ParamDomain):
-    """Euclidean projection onto the ball of v, or of every row of a batch
-    shaped (..., dim): center + offset * (radius / ||offset||) for a row whose
-    squared offset exceeds radius**2; other rows, and v itself when no row
-    is outside, come back unchanged."""
-    v = _vectors(v, dom.dim)
-    if _sq_norms(v - dom.center)[1] <= dom._radius_sq:
-        return v
-    out = v.copy()
-    project_in_place(out, dom, RowScratch(v.shape))
-    return out
-
-
-def clip_norm(v, bound):
-    """Scale down v, or every vector of a batch shaped (..., dim), whose
-    squared norm exceeds bound**2 to norm bound; direction is preserved, and
-    v itself comes back when no row exceeds."""
-    if not 0.0 <= bound < math.inf:
-        raise ValueError(f"clip bound must be finite and >= 0, got {bound}")
-    v = _vectors(v)
-    if _sq_norms(v)[1] <= _square(bound):
-        return v
-    out = v.copy()
-    clip_norm_in_place(out, bound, RowScratch(v.shape))
-    return out
 
 
 def dist_sq_into(a, b, scratch: RowScratch):

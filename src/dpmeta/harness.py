@@ -27,6 +27,7 @@ import numpy as np
 
 from . import learners
 from .config import ConfigError, ExperimentConfig, build_config, format_value
+from .geometry import _square
 from .learners import OgdConfig, adaptation_step_size, private_step_scale
 from .losses import smoothness_ceiling
 from .meta import run_meta_training
@@ -140,6 +141,28 @@ def _closed_form(name: str, formula, *args):
     return value
 
 
+def _check_step_reach(env, G, sigma_sq, step_size, eta):
+    """A ConfigError naming each step whose worst case has a squared norm
+    that overflows, which would stop the run mid-step: the gradient a
+    private step clips, or how far a step can carry an iterate from the
+    domain center. The worst gradient over the ball is the family's (c*D
+    quadratic, F logistic), whatever lipschitz_g says; a private step's
+    noise is taken to be at most sigma * (sqrt(d) + 40) in norm, 40 standard
+    deviations past its typical size."""
+    R = env.domain.radius
+    grad_bound = (env.curvature * env.domain.diameter
+                  if env.loss_family == "quadratic" else env.feature_norm)
+    noise = math.sqrt(sigma_sq) * (math.sqrt(env.dim) + 40.0)
+    reach = {"private step (sgd_step_size)":
+             max(grad_bound, R + step_size * (G + noise)),
+             "adaptation step (eta)": R + eta * grad_bound}
+    too_far = [f"{step}: an iterate or gradient can reach norm {value:.3g}, whose "
+               "square overflows" for step, value in reach.items()
+               if _square(value) == math.inf]
+    if too_far:
+        raise ConfigError(too_far)
+
+
 def calibrate(cfg: ExperimentConfig) -> CalibrationRecord:
     """Derive all run constants from the config, without touching data."""
     env, reg, priv = cfg.env, cfg.regularity, cfg.privacy
@@ -156,6 +179,7 @@ def calibrate(cfg: ExperimentConfig) -> CalibrationRecord:
                        reg.growth_alpha, G, m)
     ceiling = _closed_form("smoothness_ceiling", smoothness_ceiling, G, env.domain,
                            m, priv, steps_n)
+    _check_step_reach(env, G, sigma_sq, step_size, eta)
     return CalibrationRecord(
         samples_per_task=m,
         dim=env.dim,

@@ -34,14 +34,9 @@ def quadratic_value(theta, anchors, curvature):
     return 0.5 * curvature * dist_sq(anchors, theta)
 
 
-def quadratic_grad(theta, anchors, curvature):
-    """curvature * (theta - anchor), broadcast over the leading axes."""
-    _check_dims(theta, anchors)
-    return _quadratic_grad(theta, anchors, curvature)
-
-
 def _quadratic_grad(theta, anchors, curvature, out=None):
-    """quadratic_grad without the dimension check, into out when given."""
+    """curvature * (theta - anchor), broadcast over the leading axes, into
+    out when given; dimensions are not checked."""
     out = np.subtract(theta, anchors, out=out)
     out *= curvature
     return out
@@ -93,14 +88,9 @@ def logistic_excess(margins, star_margins):
     return np.maximum(gap, _ZERO)
 
 
-def logistic_grad(theta, features, labels):
-    """-label * sigmoid(-label <feature, theta>) * feature."""
-    _check_dims(theta, features)
-    return _logistic_grad(theta, features, labels)
-
-
 def _logistic_grad(theta, features, labels, out=None):
-    """logistic_grad without the dimension check, into out when given."""
+    """-label * sigmoid(-label <feature, theta>) * feature, broadcast over
+    the leading axes, into out when given; dimensions are not checked."""
     # -(label * x) == (-label) * x exactly, so one negation serves both uses
     neg_labels = -labels
     weight = neg_labels * sigmoid(neg_labels * np.vecdot(features, theta))

@@ -132,18 +132,18 @@ def make_plan(m: int, privacy: PrivacyParams, dim: int, clip_bound: float,
 
 
 def sample_step_noise(rng: np.random.Generator, dim: int, sigma_sq: float,
-                      count: int | None = None) -> np.ndarray:
+                      count: int) -> np.ndarray:
     """Isotropic Gaussian noise with per-coordinate variance sigma_sq.
 
-    Returns shape (dim,) or (count, dim). sigma_sq == 0 returns exact zeros
-    without consuming randomness, so zero-noise runs match plain SGD bit for
-    bit regardless of generator state.
+    Returns shape (count, dim). sigma_sq == 0 returns exact zeros without
+    consuming randomness, so zero-noise runs match plain SGD bit for bit
+    regardless of generator state.
     """
     if int(dim) != dim or dim < 1:
         raise ValueError(f"dim must be an integer >= 1, got {dim}")
     if not math.isfinite(sigma_sq) or sigma_sq < 0:
         raise ValueError(f"sigma_sq must be finite and >= 0, got {sigma_sq}")
-    shape = (dim,) if count is None else (int(count), dim)
+    shape = (int(count), dim)
     if sigma_sq == 0.0:
         return np.zeros(shape)
     return rng.normal(0.0, math.sqrt(sigma_sq), size=shape)

@@ -23,7 +23,8 @@ import zlib
 
 import numpy as np
 
-from .geometry import ParamDomain, as_batch, as_vector, dist_sq, project
+from .geometry import (ParamDomain, RowScratch, as_batch, as_vector, dist_sq,
+                       project_in_place)
 from .losses import TaskSamples, logistic_excess, quadratic_value, sigmoid
 
 LOSS_FAMILIES = ("quadratic", "logistic")
@@ -228,7 +229,8 @@ class TaskSpec:
 
 
 def sample_task(spec: EnvSpec, rng: np.random.Generator) -> TaskSpec:
-    """Draw a task minimizer: project(center + z), z ~ N(0, (V^2/d) I).
+    """Draw a task minimizer: center + z, z ~ N(0, (V^2/d) I), projected
+    onto the domain.
 
     V == 0 yields the planted center exactly; the Gaussian draw still happens
     so stream layout does not depend on V. The batch of one of draw_tasks.
@@ -237,10 +239,12 @@ def sample_task(spec: EnvSpec, rng: np.random.Generator) -> TaskSpec:
 
 
 def _draw_minimizers(spec: EnvSpec, rngs) -> np.ndarray:
-    """One minimizer per generator, shaped (tasks, d), in one projection."""
+    """One minimizer per generator, shaped (tasks, d), projected in place."""
     z = np.array([rng.normal(0.0, 1.0, size=spec.dim) for rng in rngs])
     scale = spec.similarity_v / math.sqrt(spec.dim)
-    return project(spec.planted_center + scale * z.reshape(-1, spec.dim), spec.domain)
+    stars = spec.planted_center + scale * z.reshape(-1, spec.dim)
+    project_in_place(stars, spec.domain, RowScratch(stars.shape))
+    return stars
 
 
 def _sphere_features(spec: EnvSpec, count: int, rng: np.random.Generator):
@@ -259,9 +263,8 @@ def _logistic_draw(spec: EnvSpec, theta_star, count: int, rng: np.random.Generat
     """count features uniform on the sphere of radius feature_norm, with
     labels in {-1.0, +1.0} drawn from the logistic model at theta_star."""
     features = _sphere_features(spec, count, rng)
-    star_margins = features @ theta_star
-    labels = np.where(rng.random(count) < sigmoid(star_margins), 1.0, -1.0)
-    return features, labels, star_margins
+    labels = np.where(rng.random(count) < sigmoid(features @ theta_star), 1.0, -1.0)
+    return features, labels
 
 
 def generate_losses(task: TaskSpec, spec: EnvSpec,
@@ -269,11 +272,12 @@ def generate_losses(task: TaskSpec, spec: EnvSpec,
     """Draw the task's m samples as arrays, from the environment's sample
     model around the task's minimizer.
 
-    Quadratic: anchors (m, d) are project(theta_star + w), w ~ N(0, s^2 I)
-    with s = sample_noise_std, so the empirical minimizer is unbiased for
-    theta_star up to projection. Logistic: features (m, d) uniform on the
-    sphere of radius feature_norm, labels (m,) in {-1, +1} from the logistic
-    model at theta_star. The batch of one of draw_tasks.
+    Quadratic: anchors (m, d) are theta_star + w, w ~ N(0, s^2 I) with
+    s = sample_noise_std, projected onto the domain, so the empirical
+    minimizer is unbiased for theta_star up to projection. Logistic:
+    features (m, d) uniform on the sphere of radius feature_norm, labels (m,)
+    in {-1, +1} from the logistic model at theta_star. The batch of one of
+    draw_tasks.
     """
     batch = _draw_samples(spec, task.theta_star[None], (rng,), None)
     return batch.take((slice(None), 0))
@@ -294,18 +298,26 @@ def _draw_samples(spec: EnvSpec, theta_stars, rngs, keep) -> TaskSamples:
     if spec.loss_family == "logistic":
         labels = np.empty((count, tasks))
         for t, rng in zip(range(tasks), rngs, strict=True):
-            features, task_labels, _ = _logistic_draw(spec, theta_stars[t], m, rng)
+            features, task_labels = _logistic_draw(spec, theta_stars[t], m, rng)
             points[:, t] = features[rows[t]]
             labels[:, t] = task_labels[rows[t]]
         return TaskSamples(points, labels=labels)
     if spec.sample_noise_std == 0.0:
         # a minimizer projected onto the sphere can round an ulp outside it,
         # so its anchors are projected again, as any anchor is
-        points[...] = project(theta_stars, spec.domain)
+        anchors = theta_stars.copy()
+        project_in_place(anchors, spec.domain, RowScratch(anchors.shape))
+        points[...] = anchors
     else:
+        # each task's anchors are projected in one contiguous buffer, which
+        # costs less than projecting the strided view points[:, t]
+        buf = np.empty((count, dim))
+        scratch = RowScratch(buf.shape)
         for t, rng in zip(range(tasks), rngs, strict=True):
             offsets = rng.normal(0.0, spec.sample_noise_std, size=(m, dim))
-            points[:, t] = project(theta_stars[t] + offsets[rows[t]], spec.domain)
+            np.add(theta_stars[t], offsets[rows[t]], out=buf)
+            project_in_place(buf, spec.domain, scratch)
+            points[:, t] = buf
     return TaskSamples(points, curvature=spec.curvature)
 
 

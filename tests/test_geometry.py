@@ -4,11 +4,22 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from dpmeta.geometry import (_FEW_ROWS, ParamDomain, RowScratch, as_vector, clip_norm,
-                             clip_norm_in_place, dist_sq, dist_sq_into, project,
-                             project_in_place)
+from dpmeta.geometry import (_FEW_ROWS, ParamDomain, RowScratch, as_vector,
+                             clip_norm_in_place, dist_sq, dist_sq_into, project_in_place)
 
 RTOL = 1e-12
+
+
+def _project_copy(v, dom):
+    out = np.array(v, dtype=np.float64)
+    project_in_place(out, dom, RowScratch(out.shape))
+    return out
+
+
+def _clip_copy(v, bound):
+    out = np.array(v, dtype=np.float64)
+    clip_norm_in_place(out, bound, RowScratch(out.shape))
+    return out
 
 
 def _learner_batch(rng, arms, tasks, dim, center, radius):
@@ -23,14 +34,14 @@ def _learner_batch(rng, arms, tasks, dim, center, radius):
 
 def test_project_frozen_examples():
     unit = ParamDomain(np.zeros(2), 1.0)
-    assert np.allclose(project([2.0, 0.0], unit), [1.0, 0.0], rtol=RTOL, atol=0)
+    assert np.allclose(_project_copy([2.0, 0.0], unit), [1.0, 0.0], rtol=RTOL, atol=0)
     # interior point passes through unchanged
-    inside = project([0.3, -0.4], unit)
+    inside = _project_copy([0.3, -0.4], unit)
     assert np.array_equal(inside, [0.3, -0.4])
     shifted = ParamDomain(np.array([3.0, 0.0]), 1.0)
-    assert np.allclose(project([3.0, 4.0], shifted), [3.0, 1.0], rtol=RTOL, atol=0)
+    assert np.allclose(_project_copy([3.0, 4.0], shifted), [3.0, 1.0], rtol=RTOL, atol=0)
     # a batch: the outside row is projected, the interior row passes through
-    batch = project([[2.0, 0.0], [0.3, -0.4]], unit)
+    batch = _project_copy([[2.0, 0.0], [0.3, -0.4]], unit)
     assert np.allclose(batch[0], [1.0, 0.0], rtol=RTOL, atol=0)
     assert np.array_equal(batch[1], [0.3, -0.4])
 
@@ -40,9 +51,9 @@ def test_project_idempotent_and_feasible():
     dom = ParamDomain(rng.normal(size=4), 1.7)
     for _ in range(200):
         v = rng.normal(scale=5.0, size=4)
-        p = project(v, dom)
+        p = _project_copy(v, dom)
         assert np.linalg.norm(p - dom.center) <= dom.radius * (1 + RTOL)
-        assert np.allclose(project(p, dom), p, rtol=RTOL, atol=1e-15)
+        assert np.allclose(_project_copy(p, dom), p, rtol=RTOL, atol=1e-15)
 
 
 def test_project_nonexpansive():
@@ -51,15 +62,15 @@ def test_project_nonexpansive():
     for _ in range(200):
         a = rng.normal(scale=4.0, size=3)
         b = rng.normal(scale=4.0, size=3)
-        da = project(a, dom)
-        db = project(b, dom)
+        da = _project_copy(a, dom)
+        db = _project_copy(b, dom)
         assert dist_sq(da, db) <= dist_sq(a, b) * (1 + 1e-9) + 1e-15
 
 
 def test_zero_radius_domain():
     dom = ParamDomain(np.array([1.0, 2.0]), 0.0)
-    assert np.allclose(project([5.0, 5.0], dom), [1.0, 2.0], rtol=RTOL)
-    assert np.allclose(project([[5.0, 5.0], [1.0, 2.0]], dom), [[1.0, 2.0]] * 2,
+    assert np.allclose(_project_copy([5.0, 5.0], dom), [1.0, 2.0], rtol=RTOL)
+    assert np.allclose(_project_copy([[5.0, 5.0], [1.0, 2.0]], dom), [[1.0, 2.0]] * 2,
                        rtol=RTOL)
     assert dom.contains([1.0, 2.0])
     assert not dom.contains([1.0, 2.1])
@@ -68,13 +79,13 @@ def test_zero_radius_domain():
 
 
 def test_clip_norm_frozen_examples():
-    out = clip_norm([3.0, 4.0], 1.0)
+    out = _clip_copy([3.0, 4.0], 1.0)
     assert abs(np.linalg.norm(out) - 1.0) <= RTOL
     assert np.allclose(out, [0.6, 0.8], rtol=RTOL)
     # under the bound: untouched
-    assert np.array_equal(clip_norm([0.3, 0.4], 1.0), [0.3, 0.4])
-    assert np.array_equal(clip_norm([0.0, 0.0], 1.0), [0.0, 0.0])
-    batch = clip_norm([[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]], 1.0)
+    assert np.array_equal(_clip_copy([0.3, 0.4], 1.0), [0.3, 0.4])
+    assert np.array_equal(_clip_copy([0.0, 0.0], 1.0), [0.0, 0.0])
+    batch = _clip_copy([[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]], 1.0)
     assert np.allclose(batch[0], [0.6, 0.8], rtol=RTOL)
     assert np.array_equal(batch[1:], [[0.3, 0.4], [0.0, 0.0]])
 
@@ -84,7 +95,7 @@ def test_clip_norm_properties():
     for _ in range(200):
         v = rng.normal(scale=3.0, size=5)
         bound = rng.uniform(0.1, 2.0)
-        c = clip_norm(v, bound)
+        c = _clip_copy(v, bound)
         assert np.linalg.norm(c) <= bound * (1 + RTOL)
         # direction preserved: c is a nonnegative multiple of v
         nv = np.linalg.norm(v)
@@ -94,8 +105,8 @@ def test_clip_norm_properties():
 
 
 def test_clip_zero_bound():
-    assert np.allclose(clip_norm([1.0, 1.0], 0.0), [0.0, 0.0], atol=1e-300)
-    assert np.allclose(clip_norm([[1.0, 1.0], [0.0, 0.0]], 0.0), 0.0, atol=1e-300)
+    assert np.allclose(_clip_copy([1.0, 1.0], 0.0), [0.0, 0.0], atol=1e-300)
+    assert np.allclose(_clip_copy([[1.0, 1.0], [0.0, 0.0]], 0.0), 0.0, atol=1e-300)
 
 
 def test_dist_sq_examples():
@@ -116,13 +127,13 @@ def test_rows_on_the_sphere_are_left_alone():
     assert dist_sq(v, dom.center) == dom.radius**2
     assert not np.array_equal(dom.center + (v - dom.center), v)
     batch = np.stack([v, dom.center + 2.0 * (v - dom.center), dom.center])
-    p = project(batch, dom)
-    assert np.array_equal(project(v, dom), v)
+    p = _project_copy(batch, dom)
+    assert np.array_equal(_project_copy(v, dom), v)
     assert np.array_equal(p[[0, 2]], batch[[0, 2]])
     assert np.allclose(p[1], v, rtol=RTOL)
-    # the same rule for clip_norm; integer offsets make the norms exact
+    # the same rule for clipping; integer offsets make the norms exact
     offsets = np.array([[3.0, 4.0], [6.0, 8.0], [0.0, -5.0]])
-    c = clip_norm(offsets, 5.0)
+    c = _clip_copy(offsets, 5.0)
     assert np.array_equal(c[[0, 2]], offsets[[0, 2]])
     assert np.allclose(c[1], [3.0, 4.0], rtol=RTOL)
 
@@ -136,12 +147,13 @@ def test_batch_rows_equal_single_vector_calls(seed, arms, tasks, dim, radius, bo
     dom = ParamDomain(rng.normal(size=dim), radius)
     v = _learner_batch(rng, arms, tasks, dim, dom.center, max(radius, 0.5))
     w = rng.normal(size=v.shape)
-    projected, clipped, dists = project(v, dom), clip_norm(v, bound), dist_sq(v, w)
+    projected, clipped = _project_copy(v, dom), _clip_copy(v, bound)
+    dists = dist_sq(v, w)
     assert projected.shape == clipped.shape == v.shape
     assert dists.shape == v.shape[:-1]
     for i in np.ndindex(v.shape[:-1]):
-        assert np.array_equal(projected[i], project(v[i], dom))
-        assert np.array_equal(clipped[i], clip_norm(v[i], bound))
+        assert np.array_equal(projected[i], _project_copy(v[i], dom))
+        assert np.array_equal(clipped[i], _clip_copy(v[i], bound))
         assert dists[i] == dist_sq(v[i], w[i])
 
 
@@ -157,9 +169,9 @@ def test_batch_projection_properties(seed, arms, tasks, dim, radius):
     dom = ParamDomain(rng.normal(size=dim), radius)
     a = _learner_batch(rng, arms, tasks, dim, dom.center, max(radius, 0.5))
     b = _learner_batch(rng, arms, tasks, dim, dom.center, max(radius, 0.5))
-    pa, pb = project(a, dom), project(b, dom)
+    pa, pb = _project_copy(a, dom), _project_copy(b, dom)
     assert dom.contains(pa)
-    assert np.allclose(project(pa, dom), pa, rtol=RTOL, atol=1e-15)
+    assert np.allclose(_project_copy(pa, dom), pa, rtol=RTOL, atol=1e-15)
     assert (dist_sq(pa, pb) <= dist_sq(a, b) * (1 + 1e-9) + 1e-15).all()
     inside = dist_sq(a, dom.center) <= radius**2
     assert np.array_equal(pa[inside], a[inside])
@@ -180,7 +192,7 @@ def test_projection_is_contained_at_any_scale(seed, tasks, dim, center_norm,
     radius = 0.0 if log_radius is None else 10.0**log_radius
     dom = ParamDomain(center, radius)
     v = center + rng.normal(size=(tasks, dim)) * 10.0**log_spread
-    projected = project(v, dom)
+    projected = _project_copy(v, dom)
     assert dom.contains(projected)
     for row in projected:
         assert dom.contains(row)
@@ -198,7 +210,7 @@ def test_projection_is_contained_at_any_scale(seed, tasks, dim, center_norm,
 def test_batch_clip_norm_properties(seed, arms, tasks, dim, bound):
     rng = np.random.default_rng(seed)
     v = _learner_batch(rng, arms, tasks, dim, np.zeros(dim), max(bound, 0.5))
-    c = clip_norm(v, bound)
+    c = _clip_copy(v, bound)
     norms_c = np.linalg.norm(c, axis=-1)
     norms_v = np.linalg.norm(v, axis=-1)
     assert (norms_c <= bound * (1 + RTOL)).all()
@@ -228,7 +240,7 @@ def _rescaled_rows(rows, limit):
        bound=st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
 def test_in_place_clip_and_project_equal_row_calls(seed, arms, tasks, dim, radius, bound):
     # batches shaped (arms, tasks, d) whose rows straddle the bound: writing
-    # into the batch gives, bit for bit, each row's clip_norm / project call
+    # into the batch gives, bit for bit, each row clipped or projected alone
     # and the definition; rows under the bound keep their bits, and the
     # return value says whether any row was rescaled
     rng = np.random.default_rng(seed)
@@ -249,8 +261,8 @@ def test_in_place_clip_and_project_equal_row_calls(seed, arms, tasks, dim, radiu
     assert np.array_equal(projected[outside],
                           (dom.center + _rescaled_rows(offsets, radius))[outside])
     for i in np.ndindex(v.shape[:-1]):
-        assert np.array_equal(projected[i], project(v[i], dom))
-        assert np.array_equal(clipped[i], clip_norm(g[i], bound))
+        assert np.array_equal(projected[i], _project_copy(v[i], dom))
+        assert np.array_equal(clipped[i], _clip_copy(g[i], bound))
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,24 +336,20 @@ def test_in_place_forms_raise_before_writing():
     # a bound whose Python square overflows binds no finite row
     v = np.array([[3.0, 4.0]])
     assert not clip_norm_in_place(v, 1e300, RowScratch((1, 2)))
-    assert np.array_equal(clip_norm(v, 1e300), v)
+    assert np.array_equal(v, [[3.0, 4.0]])
 
 
 def test_dimension_mismatch_errors():
     dom = ParamDomain(np.zeros(3), 1.0)
     with pytest.raises(ValueError):
-        project([1.0, 2.0], dom)
-    with pytest.raises(ValueError):
         dist_sq([1.0, 2.0], [1.0, 2.0, 3.0])
     # a batch with the wrong last axis
-    with pytest.raises(ValueError):
-        project(np.zeros((4, 2)), dom)
     with pytest.raises(ValueError):
         dom.contains(np.zeros((2, 5, 2)))
     with pytest.raises(ValueError):
         dist_sq(np.zeros((3, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        clip_norm(np.zeros((3, 0)), 1.0)
+        dist_sq(np.zeros((3, 0)), np.zeros((3, 0)))
 
 
 def test_invalid_inputs():
@@ -349,8 +357,6 @@ def test_invalid_inputs():
         ParamDomain(np.zeros(2), -1.0)
     with pytest.raises(ValueError):
         ParamDomain(np.array([np.nan, 0.0]), 1.0)
-    with pytest.raises(ValueError):
-        clip_norm([1.0, 2.0], -0.5)
     with pytest.raises(ValueError):
         as_vector([[1.0, 2.0]])
     with pytest.raises(ValueError):
@@ -363,9 +369,9 @@ def test_invalid_inputs():
         batch = np.zeros((2, 3, 2))
         batch[1, 2, 0] = bad
         with pytest.raises(ValueError):
-            project(batch, dom)
+            _project_copy(batch, dom)
         with pytest.raises(ValueError):
-            clip_norm(batch, 1.0)
+            _clip_copy(batch, 1.0)
         with pytest.raises(ValueError):
             dist_sq(batch, np.zeros(2))
         with pytest.raises(ValueError):
@@ -374,9 +380,9 @@ def test_invalid_inputs():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ValueError):
-            project([[0.5, 0.0], [1e200, 0.0]], dom)
+            _project_copy([[0.5, 0.0], [1e200, 0.0]], dom)
         with pytest.raises(ValueError):
-            clip_norm([[0.5, 0.0], [1e200, 0.0]], 1.0)
+            _clip_copy([[0.5, 0.0], [1e200, 0.0]], 1.0)
 
 
 def test_as_vector_copies():

@@ -823,13 +823,24 @@ def test_cli_undecodable_config_is_config_error(tmp_path, capsys):
     ({"epsilon": "1e200"}, "steps_n"),
     ({"epsilon": "1e-200"}, "sigma_sq"),
     ({"delta": "1e-320"}, "step_scale"),
+    # every constant is finite, but a step can carry an iterate or gradient
+    # where its squared norm overflows, which would stop the run mid-step
+    ({"epsilon": "1e-100"}, "private step"),
+    ({"samples_per_task": "400", "epsilon": "1e-100"}, "private step"),
+    ({"delta": "1e-300", "epsilon": "1e-140"}, "private step"),
+    # lipschitz_g clips at 1, but the gradient clipped is up to c*D = 4e154
+    ({"curvature": "1e154", "lipschitz_g": "1.0", "phi_init": "-2,0"}, "private step"),
+    ({"growth_alpha": "1e-200"}, "adaptation step"),
+    ({"loss_family": "logistic", "growth_alpha": "1e-200"}, "adaptation step"),
+    ({"lipschitz_g": "1e-160"}, "adaptation step"),
 ])
 def test_cli_overflowing_closed_form_is_config_error(tmp_path, capsys, monkeypatch,
                                                      overrides, constant):
     # legal values whose closed-form calibration overflows, divides by zero
-    # or comes out inf: each command exits 2, names the constant and writes
-    # nothing. The sweep puts a good epsilon point before the config's own
-    # epsilon, and the bad point must fail before any point runs
+    # or comes out inf, or whose steps cannot be squared: each command exits
+    # 2, names the constant or step and writes nothing. The sweep puts a good
+    # epsilon point before the config's own epsilon, and the bad point must
+    # fail before any point runs
     cfg_file = write_cfg_file(tmp_path / "c.txt", **overrides)
     out = tmp_path / "o.csv"
     epsilon = overrides.get("epsilon", BASE_ITEMS["epsilon"])
@@ -852,6 +863,25 @@ def test_cli_radius_below_the_overflow_runs(tmp_path, capsys):
     out = tmp_path / "o.csv"
     assert main(["run", "--config", cfg_file, "--out", str(out)]) == EXIT_OK
     assert len(read_csv_rows(str(out))) == int(BASE_ITEMS["t_eval"])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"epsilon": "1e-60"}, {"growth_alpha": "1e-150"}, {"curvature": "1e150"},
+    {"domain_radius": "1e150"},
+])
+def test_cli_steps_inside_the_float_range_run(tmp_path, capsys, overrides):
+    # near the configs above, but every step's squared norm stays finite:
+    # calibrate, run and an epsilon sweep go ahead
+    cfg_file = write_cfg_file(tmp_path / "c.txt", **overrides)
+    out = tmp_path / "o.csv"
+    epsilon = overrides.get("epsilon", BASE_ITEMS["epsilon"])
+    assert main(["calibrate", "--config", cfg_file]) == EXIT_OK
+    assert main(["run", "--config", cfg_file, "--out", str(out)]) == EXIT_OK
+    assert len(read_csv_rows(str(out))) == int(BASE_ITEMS["t_eval"])
+    assert main(["sweep", "--config", cfg_file, "--out", str(out), "--axis", "epsilon",
+                 "--values", f"0.5,{epsilon}"]) == EXIT_OK
+    assert len(read_csv_rows(str(out))) == 2 * int(BASE_ITEMS["t_eval"])
     capsys.readouterr()
 
 

@@ -6,28 +6,28 @@ import pytest
 
 from dpmeta.geometry import ParamDomain
 from dpmeta.losses import (RegularityProfile, TaskSamples, certify_smoothness,
-                           finite_diff_check, logistic_excess, logistic_grad,
-                           logistic_loss, logistic_regularity, logistic_value,
-                           quadratic_grad, quadratic_regularity,
-                           quadratic_value, sigmoid, smoothness_ceiling,
-                           softplus)
+                           finite_diff_check, logistic_excess, logistic_loss,
+                           logistic_regularity, logistic_value, quadratic_regularity,
+                           quadratic_value, sigmoid, smoothness_ceiling, softplus)
 from dpmeta.privacy import PrivacyParams
 
 
 def test_quadratic_frozen_examples():
     anchor = np.array([1.0, 0.0])
+    samples = TaskSamples(anchor[None], curvature=2.0)
     assert quadratic_value([0.0, 0.0], anchor, 2.0) == 1.0
-    assert np.allclose(quadratic_grad([0.0, 0.0], anchor, 2.0), [-2.0, 0.0])
+    assert np.allclose(samples.grad(np.array([0.0, 0.0]), 0), [-2.0, 0.0])
     assert quadratic_value([1.0, 0.0], anchor, 2.0) == 0.0
-    assert np.array_equal(quadratic_grad([1.0, 0.0], anchor, 2.0), [0.0, 0.0])
+    assert np.array_equal(samples.grad(np.array([1.0, 0.0]), 0), [0.0, 0.0])
 
 
 def test_logistic_frozen_examples():
     feature = np.array([1.0])
+    samples = TaskSamples([feature, feature], labels=[1.0, -1.0])
     assert abs(logistic_value([0.0], feature, 1.0) - math.log(2.0)) < 1e-15
-    assert abs(logistic_grad([0.0], feature, 1.0)[0] - (-0.5)) < 1e-15
+    assert abs(samples.grad(np.array([0.0]), 0)[0] - (-0.5)) < 1e-15
     assert abs(logistic_value([10.0], feature, 1.0) - 4.539889921686465e-05) < 1e-18
-    assert abs(logistic_grad([0.0], feature, -1.0)[0] - 0.5) < 1e-15
+    assert abs(samples.grad(np.array([0.0]), 1)[0] - 0.5) < 1e-15
 
 
 def test_logistic_extreme_margins_stable():
@@ -36,7 +36,7 @@ def test_logistic_extreme_margins_stable():
     assert abs(logistic_value([-800.0], feature, 1.0) - 800.0) < 1e-9
     assert math.isfinite(logistic_value([800.0], feature, 1.0))
     assert logistic_value([800.0], feature, 1.0) == 0.0  # underflows to exactly zero, fine
-    g = logistic_grad([-800.0], feature, 1.0)
+    g = TaskSamples(feature[None], labels=[1.0]).grad(np.array([-800.0]), 0)
     assert abs(g[0] + 1.0) < 1e-12
 
 
@@ -113,12 +113,14 @@ def test_logistic_convexity_random():
 def test_finite_diff_agreement():
     rng = np.random.default_rng(7)
     anchor = rng.normal(size=6)
+    anchors = TaskSamples(anchor[None], curvature=2.0)
     quad = (lambda th: quadratic_value(th, anchor, 2.0),
-            lambda th: quadratic_grad(th, anchor, 2.0))
+            lambda th: anchors.grad(th, 0))
     assert finite_diff_check(*quad, rng.normal(size=6)) < 1e-8
     feature = rng.normal(size=6)
+    features = TaskSamples(feature[None], labels=[1.0])
     logi = (lambda th: logistic_value(th, feature, 1.0),
-            lambda th: logistic_grad(th, feature, 1.0))
+            lambda th: features.grad(th, 0))
     assert finite_diff_check(*logi, rng.normal(size=6)) < 1e-6
     # zero-gradient point is exact
     assert finite_diff_check(*quad, anchor) < 1e-8
@@ -143,10 +145,11 @@ def test_gradient_norm_bound_over_domain():
     rng = np.random.default_rng(9)
     anchor = np.array([0.5, 0.0, 0.0])
     assert dom.contains(anchor)
+    samples = TaskSamples(anchor[None], curvature=2.0)
     for _ in range(200):
         v = rng.normal(size=3)
         v = v / np.linalg.norm(v) * rng.uniform(0, dom.radius)
-        g = quadratic_grad(v, anchor, 2.0)
+        g = samples.grad(v, 0)
         assert np.linalg.norm(g) <= prof.lipschitz_g * (1 + 1e-12)
 
 
@@ -221,8 +224,6 @@ def test_samples_grad_covers_every_task():
 
 
 def test_loss_dimension_mismatch():
-    with pytest.raises(ValueError):
-        quadratic_grad(np.zeros(3), np.array([1.0, 0.0]), 1.0)
     with pytest.raises(ValueError):
         quadratic_value(np.zeros(1), np.array([1.0, 0.0]), 1.0)  # would broadcast
     with pytest.raises(ValueError):

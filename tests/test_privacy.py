@@ -109,7 +109,7 @@ def test_sample_step_noise_moments():
 def test_sample_step_noise_zero_variance_consumes_no_randomness():
     rng1 = np.random.default_rng(13)
     rng2 = np.random.default_rng(13)
-    z = sample_step_noise(rng1, 4, 0.0)
-    assert np.array_equal(z, np.zeros(4))
+    z = sample_step_noise(rng1, 4, 0.0, count=5)
+    assert np.array_equal(z, np.zeros((5, 4)))
     # stream untouched: both generators continue identically
     assert np.array_equal(rng1.normal(size=3), rng2.normal(size=3))
