@@ -1,0 +1,493 @@
+"""The closed forms of a run, in Python floats: no numpy.
+
+Everything a run commits to before it touches data is arithmetic on a few
+floats: the privacy target and the noisy-SGD plan it buys (step budget n,
+noise variance sigma^2), the regularity constants of each loss family and
+the smoothness ceiling, the step scales gamma and eta, and the calibration
+record with its overflow checks. All of it lives here, with the numpy-free
+checks that config and the run path share: a ball's reach (geometry's
+ParamDomain, or Ball here) and the scalar checks of task_env.EnvSpec. So
+`dpmeta calibrate` loads cli, config and this module, and no numpy; the run
+path's modules import these names from here. Natural logarithms
+throughout.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields
+import math
+import warnings
+
+LOSS_FAMILIES = ("quadratic", "logistic")
+STEP_SCALE_VARIANTS = ("sqrt_m", "g_sqrt_m")
+
+# ball membership holds up to this relative tolerance of the radius
+GEOM_RTOL = 1e-12
+
+
+class ConfigError(ValueError):
+    """Raised with the full list of config violations."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("invalid config:\n" + "\n".join(f"  - {v}" for v in self.violations))
+
+
+class InternalInvariantError(RuntimeError):
+    """A result violated an invariant the harness promises to uphold."""
+
+
+def format_value(value) -> str:
+    """The one value-to-text rule, for settings, CSV cells and the sidecar:
+    None is empty, bools are true/false, floats take 17 significant digits,
+    so every float round-trips exactly, and ints and strings are str()."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _square(x: float) -> float:
+    """x**2, or inf where the Python float square overflows (x**2 raises
+    OverflowError there)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+# ---- the domain and the task environment's scalars
+
+def ball_reach(center, radius) -> float:
+    """How far from center a point of the ball {x : ||x - center|| <=
+    radius} may lie: GEOM_RTOL of the radius, plus how far rounding can
+    carry center + offset outside, an ulp of the largest center coordinate
+    per coordinate, however small the radius. Radius 0 allows no rounding,
+    so that ball stays the singleton {center}. ValueError for a radius that
+    is not finite and >= 0."""
+    if not math.isfinite(radius) or radius < 0:
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
+    slack = 1e-300
+    if radius > 0.0:
+        slack += 4.0 * math.sqrt(len(center)) * math.ulp(max(map(abs, center)))
+    return float(radius) * (1 + GEOM_RTOL) + slack
+
+
+@dataclass(frozen=True)
+class Ball:
+    """A closed Euclidean ball {x : ||x - center|| <= radius} on tuples of
+    floats: what config checks points against and calibrate reads, with
+    the reach of geometry.ParamDomain. contains sums the squared offsets in
+    coordinate order, as ParamDomain.contains does, so both answer alike."""
+
+    center: tuple
+    radius: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "_reach", ball_reach(self.center, self.radius))
+
+    @property
+    def dim(self) -> int:
+        return len(self.center)
+
+    @property
+    def diameter(self) -> float:
+        return 2.0 * self.radius
+
+    def contains(self, point) -> bool:
+        """True when point lies in the ball up to its reach; ValueError when
+        the squared offset overflows."""
+        nsq = 0.0
+        for c, x in zip(self.center, point, strict=True):
+            nsq += (c - x) * (c - x)
+        if not math.isfinite(nsq):
+            raise ValueError("vector has non-finite coordinates or a squared norm "
+                             "that overflows")
+        return math.sqrt(nsq) <= self._reach
+
+
+def check_env(domain, planted_center, similarity_v, samples_per_task, loss_family,
+              curvature, sample_noise_std, feature_norm) -> None:
+    """task_env.EnvSpec's checks, on a geometry.ParamDomain or a Ball and
+    the matching center: ValueError naming the first violation."""
+    if not domain.contains(planted_center):
+        raise ValueError("planted_center lies outside the domain")
+    if not math.isfinite(similarity_v) or similarity_v < 0:
+        raise ValueError(f"similarity_v must be finite and >= 0, got {similarity_v}")
+    if similarity_v > domain.radius:
+        raise ValueError(
+            f"similarity_v={similarity_v} exceeds the domain radius "
+            f"{domain.radius}; the dispersion would be mostly projection")
+    if int(samples_per_task) != samples_per_task or samples_per_task < 1:
+        raise ValueError(
+            f"samples_per_task must be an integer >= 1, got {samples_per_task}")
+    if loss_family not in LOSS_FAMILIES:
+        raise ValueError(
+            f"loss_family must be one of {LOSS_FAMILIES}, got {loss_family!r}")
+    if not math.isfinite(curvature) or curvature <= 0:
+        raise ValueError(f"curvature must be finite and > 0, got {curvature}")
+    if not math.isfinite(sample_noise_std) or sample_noise_std < 0:
+        raise ValueError(
+            f"sample_noise_std must be finite and >= 0, got {sample_noise_std}")
+    if not math.isfinite(feature_norm) or feature_norm <= 0:
+        raise ValueError(f"feature_norm must be finite and > 0, got {feature_norm}")
+
+
+# ---- privacy: the task-global Gaussian mechanism
+
+@dataclass(frozen=True)
+class PrivacyParams:
+    """(epsilon, delta) target, with an optional group size for group privacy."""
+
+    epsilon: float
+    delta: float
+    group_size: int = 1
+
+    def __post_init__(self):
+        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if int(self.group_size) != self.group_size or self.group_size < 1:
+            raise ValueError(f"group_size must be an integer >= 1, got {self.group_size}")
+        object.__setattr__(self, "group_size", int(self.group_size))
+
+
+@dataclass(frozen=True)
+class NoisySgdPlan:
+    """Everything the private learner needs for one task.
+
+    steps_n noisy steps of size step_size, per-coordinate Gaussian noise of
+    variance noise_variance_sigma_sq added to each clipped gradient, gradients
+    clipped to clip_bound. noise_variance_sigma_sq == 0 is the exact
+    degeneration to plain projected SGD.
+    """
+
+    steps_n: int
+    step_size: float
+    noise_variance_sigma_sq: float
+    clip_bound: float
+
+    def __post_init__(self):
+        if int(self.steps_n) != self.steps_n or self.steps_n < 1:
+            raise ValueError(f"steps_n must be an integer >= 1, got {self.steps_n}")
+        object.__setattr__(self, "steps_n", int(self.steps_n))
+        if not math.isfinite(self.step_size) or self.step_size <= 0:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        if not math.isfinite(self.noise_variance_sigma_sq) or self.noise_variance_sigma_sq < 0:
+            raise ValueError(
+                f"noise_variance_sigma_sq must be finite and >= 0, got {self.noise_variance_sigma_sq}")
+        if not math.isfinite(self.clip_bound) or self.clip_bound <= 0:
+            raise ValueError(f"clip_bound must be finite and > 0, got {self.clip_bound}")
+
+
+def step_budget(m: int, privacy: PrivacyParams, dim: int) -> int:
+    """Steps the private learner may take on m samples at (epsilon, delta).
+
+    n = max(1, floor(min(m/8, eps^2 m^2 / (32 d ln(1/delta))))). The first
+    branch caps gradient reuse, the second is the Gaussian-mechanism budget.
+    """
+    if int(m) != m or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m}")
+    if int(dim) != dim or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim}")
+    sample_cap = m / 8.0
+    privacy_cap = (privacy.epsilon**2 * m**2) / (32.0 * dim * math.log(1.0 / privacy.delta))
+    return max(1, math.floor(min(sample_cap, privacy_cap)))
+
+
+def noise_variance(steps_n: int, m: int, clip_bound: float,
+                   privacy: PrivacyParams) -> float:
+    """Per-coordinate Gaussian variance making steps_n clipped steps
+    (epsilon, delta)-private at the task level.
+
+    sigma^2 = 8 n G^2 ln(1/delta) / (m^2 eps^2). clip_bound == 0 is allowed
+    and gives 0 (nothing to hide).
+    """
+    if int(steps_n) != steps_n or steps_n < 1:
+        raise ValueError(f"steps_n must be an integer >= 1, got {steps_n}")
+    if int(m) != m or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m}")
+    if not math.isfinite(clip_bound) or clip_bound < 0:
+        raise ValueError(f"clip_bound must be finite and >= 0, got {clip_bound}")
+    return (8.0 * steps_n * clip_bound**2 * math.log(1.0 / privacy.delta)) / (
+        m**2 * privacy.epsilon**2)
+
+
+def group_dp(privacy: PrivacyParams) -> tuple[float, float]:
+    """Convert a per-record (epsilon, delta) guarantee to groups of size k.
+
+    Returns (k * eps, k * exp((k-1) * eps) * delta). Warns if the converted
+    delta reaches 1, at which point the guarantee is vacuous.
+    """
+    k = privacy.group_size
+    eps_g = k * privacy.epsilon
+    try:
+        delta_g = k * math.exp((k - 1) * privacy.epsilon) * privacy.delta
+    except OverflowError:
+        delta_g = math.inf
+    if delta_g >= 1.0:
+        warnings.warn(
+            f"group-converted delta is {delta_g:.3g} >= 1; the guarantee is vacuous",
+            RuntimeWarning, stacklevel=2)
+    return eps_g, delta_g
+
+
+def make_plan(m: int, privacy: PrivacyParams, dim: int, clip_bound: float,
+              step_scale: float) -> NoisySgdPlan:
+    """Assemble the calibrated plan: n from the step budget, sigma^2 from the
+    noise formula, step size step_scale / (G sqrt(n))."""
+    if clip_bound <= 0:
+        raise ValueError(f"clip_bound must be > 0, got {clip_bound}")
+    if step_scale <= 0:
+        raise ValueError(f"step_scale must be > 0, got {step_scale}")
+    n = step_budget(m, privacy, dim)
+    sigma_sq = noise_variance(n, m, clip_bound, privacy)
+    return NoisySgdPlan(
+        steps_n=n,
+        step_size=step_scale / (clip_bound * math.sqrt(n)),
+        noise_variance_sigma_sq=sigma_sq,
+        clip_bound=clip_bound,
+    )
+
+
+# ---- regularity constants of the loss families
+
+@dataclass(frozen=True)
+class RegularityProfile:
+    """Analytic constants for a loss family over a fixed domain.
+
+    lipschitz_g bounds the gradient norm over the domain, smoothness_beta the
+    gradient's Lipschitz modulus, and growth_alpha the quadratic growth of the
+    population risk around its minimizer.
+    """
+
+    lipschitz_g: float
+    smoothness_beta: float
+    growth_alpha: float
+
+    def __post_init__(self):
+        for name in ("lipschitz_g", "smoothness_beta", "growth_alpha"):
+            v = getattr(self, name)
+            if not math.isfinite(v) or v <= 0:
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
+
+
+def quadratic_regularity(curvature: float, dom) -> RegularityProfile:
+    """Constants for curvature-c quadratics with anchors inside the domain
+    dom (a geometry.ParamDomain or a Ball).
+
+    Worst-case gradient norm over the ball is c * diameter (parameter at one
+    end, anchor at the other); smoothness and growth both equal c.
+    """
+    if curvature <= 0:
+        raise ValueError(f"curvature must be > 0, got {curvature}")
+    if dom.diameter <= 0:
+        raise ValueError("gradient bound degenerates on a zero-radius domain")
+    return RegularityProfile(
+        lipschitz_g=curvature * dom.diameter,
+        smoothness_beta=curvature,
+        growth_alpha=curvature,
+    )
+
+
+def logistic_regularity(feature_norm: float, growth_alpha: float) -> RegularityProfile:
+    """Constants for logistic losses with features on a sphere of given norm.
+
+    Gradient norm is at most the feature norm, smoothness at most norm^2 / 4.
+    Quadratic growth has no clean closed form here, so the caller supplies it.
+    """
+    if feature_norm <= 0:
+        raise ValueError(f"feature_norm must be > 0, got {feature_norm}")
+    return RegularityProfile(
+        lipschitz_g=feature_norm,
+        smoothness_beta=0.25 * _square(feature_norm),
+        growth_alpha=growth_alpha,
+    )
+
+
+def certify_smoothness(profile: RegularityProfile, dom, m: int,
+                       privacy: PrivacyParams, n: int) -> bool:
+    """Check the smoothness ceiling under which the private learner's clipping
+    is guaranteed inactive at gradient scale G.
+
+    The ceiling is (G/D) * min(sqrt(m/2), eps*n / (2*sqrt(2*d*ln(1/delta)))),
+    with D the domain diameter and d its dimension. Boundary is inclusive.
+    """
+    if dom.diameter <= 0:
+        raise ValueError("smoothness certificate needs a positive-diameter domain")
+    if m < 1 or n < 1:
+        raise ValueError(f"m and n must be >= 1, got m={m} n={n}")
+    bound = smoothness_ceiling(profile.lipschitz_g, dom, m, privacy, n)
+    return profile.smoothness_beta <= bound
+
+
+def smoothness_ceiling(lipschitz_g: float, dom, m: int, privacy: PrivacyParams,
+                       n: int) -> float:
+    d = dom.dim
+    private_term = privacy.epsilon * n / (2.0 * math.sqrt(2.0 * d * math.log(1.0 / privacy.delta)))
+    return (lipschitz_g / dom.diameter) * min(math.sqrt(m / 2.0), private_term)
+
+
+# ---- step scales
+
+def private_step_scale(lipschitz_g: float, growth_alpha: float, dim: int, m: int,
+                       privacy: PrivacyParams, variant: str = "sqrt_m") -> float:
+    """Step-size scale for the private learner; the plan's step size is this
+    divided by G sqrt(n).
+
+    scale = (120 G / alpha) * max(sqrt(d ln(1/delta)) / (eps m), B) where the
+    second branch B is 1/sqrt(m) under the default "sqrt_m" variant and
+    1/(G sqrt(m)) under "g_sqrt_m". The scale balances distance-to-optimum
+    against noise, so it is deliberately independent of any one task.
+    """
+    if lipschitz_g <= 0 or growth_alpha <= 0:
+        raise ValueError("lipschitz_g and growth_alpha must be > 0")
+    if int(m) != m or m < 1 or int(dim) != dim or dim < 1:
+        raise ValueError(f"m and dim must be integers >= 1, got m={m} dim={dim}")
+    if variant not in STEP_SCALE_VARIANTS:
+        raise ValueError(f"variant must be one of {STEP_SCALE_VARIANTS}, got {variant!r}")
+    private_branch = math.sqrt(dim * math.log(1.0 / privacy.delta)) / (privacy.epsilon * m)
+    if variant == "sqrt_m":
+        stat_branch = 1.0 / math.sqrt(m)
+    else:
+        stat_branch = 1.0 / (lipschitz_g * math.sqrt(m))
+    return (120.0 * lipschitz_g / growth_alpha) * max(private_branch, stat_branch)
+
+
+def adaptation_step_size(similarity_v: float, growth_alpha: float,
+                         lipschitz_g: float, m: int) -> float:
+    """OGD step size for adapting a meta-initialization to a fresh task:
+    (V + 1/(alpha sqrt(m))) / (G sqrt(m)).
+
+    Grows with the task dispersion V, so dissimilar environments take larger
+    steps and similar ones lean on the initialization.
+    """
+    if similarity_v < 0:
+        raise ValueError(f"similarity_v must be >= 0, got {similarity_v}")
+    if growth_alpha <= 0 or lipschitz_g <= 0:
+        raise ValueError("growth_alpha and lipschitz_g must be > 0")
+    if int(m) != m or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m}")
+    root_m = math.sqrt(m)
+    return (similarity_v + 1.0 / (growth_alpha * root_m)) / (lipschitz_g * root_m)
+
+
+# ---- the calibration record
+
+@dataclass(frozen=True)
+class CalibrationRecord:
+    """Every derived constant a run commits to before touching data."""
+
+    samples_per_task: int
+    dim: int
+    steps_n: int
+    sigma_sq: float
+    step_scale: float
+    sgd_step_size: float
+    eta: float
+    epsilon: float
+    delta: float
+    lipschitz_g: float
+    growth_alpha: float
+    smoothness_beta: float
+    smoothness_ceiling: float
+    smoothness_ok: bool
+    step_times_beta: float
+    training_is_noop: bool
+    step_scale_variant: str
+
+    def lines(self) -> list[str]:
+        """The record as `name = value` lines in field order, each value
+        written by format_value: what `dpmeta calibrate` prints and the
+        sidecar echoes."""
+        return [f"{f.name} = {format_value(getattr(self, f.name))}"
+                for f in fields(self)]
+
+    @property
+    def plan(self) -> NoisySgdPlan:
+        """The noisy-SGD plan these constants commit the private learner to."""
+        return NoisySgdPlan(steps_n=self.steps_n, step_size=self.sgd_step_size,
+                            noise_variance_sigma_sq=self.sigma_sq,
+                            clip_bound=self.lipschitz_g)
+
+
+def _closed_form(name: str, formula, *args):
+    """formula(*args), the run constant called name; a ConfigError naming it
+    where a legal config's extreme inputs make it overflow, divide by zero or
+    come out non-finite, or leave a plan no step size."""
+    try:
+        value = formula(*args)
+    except (ArithmeticError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError([f"{name}: its closed form is not finite at this config "
+                           "(an input is too large or too small)"])
+    return value
+
+
+def _check_step_reach(cfg, G, sigma_sq, step_size, eta):
+    """A ConfigError naming each step whose worst case has a squared norm
+    that overflows, which would stop the run mid-step: the gradient a
+    private step clips, or how far a step can carry an iterate from the
+    domain center. The worst gradient over the ball is the family's (c*D
+    quadratic, F logistic), whatever lipschitz_g says; a private step's
+    noise is taken to be at most sigma * (sqrt(d) + 40) in norm, 40 standard
+    deviations past its typical size."""
+    dom = cfg.domain
+    grad_bound = (cfg.curvature * dom.diameter
+                  if cfg.loss_family == "quadratic" else cfg.feature_norm)
+    noise = math.sqrt(sigma_sq) * (math.sqrt(dom.dim) + 40.0)
+    reach = {"private step (sgd_step_size)":
+             max(grad_bound, dom.radius + step_size * (G + noise)),
+             "adaptation step (eta)": dom.radius + eta * grad_bound}
+    too_far = [f"{step}: an iterate or gradient can reach norm {value:.3g}, whose "
+               "square overflows" for step, value in reach.items()
+               if _square(value) == math.inf]
+    if too_far:
+        raise ConfigError(too_far)
+
+
+def calibrate(cfg) -> CalibrationRecord:
+    """Derive all run constants from a config.ExperimentConfig, without
+    touching data; only the config's numpy-free fields are read."""
+    dom, reg, priv = cfg.domain, cfg.regularity, cfg.privacy
+    m, G = cfg.samples_per_task, reg.lipschitz_g
+    step_scale = _closed_form("step_scale", private_step_scale, G, reg.growth_alpha,
+                              dom.dim, m, priv, cfg.step_scale_variant)
+    # make_plan assembles the plan from these; each is checked on its own
+    # first, so that a failure names its constant
+    steps_n = _closed_form("steps_n", step_budget, m, priv, dom.dim)
+    sigma_sq = _closed_form("sigma_sq", noise_variance, steps_n, m, G, priv)
+    step_size = _closed_form("sgd_step_size", lambda: make_plan(
+        m, priv, dom.dim, G, step_scale).step_size)
+    eta = _closed_form("eta", adaptation_step_size, cfg.similarity_v,
+                       reg.growth_alpha, G, m)
+    ceiling = _closed_form("smoothness_ceiling", smoothness_ceiling, G, dom,
+                           m, priv, steps_n)
+    _check_step_reach(cfg, G, sigma_sq, step_size, eta)
+    return CalibrationRecord(
+        samples_per_task=m,
+        dim=dom.dim,
+        steps_n=steps_n,
+        sigma_sq=sigma_sq,
+        step_scale=step_scale,
+        sgd_step_size=step_size,
+        eta=eta,
+        epsilon=priv.epsilon,
+        delta=priv.delta,
+        lipschitz_g=G,
+        growth_alpha=reg.growth_alpha,
+        smoothness_beta=reg.smoothness_beta,
+        smoothness_ceiling=ceiling,
+        smoothness_ok=reg.smoothness_beta <= ceiling,
+        # gradient steps on a beta-smooth loss are non-expansive only up to 2
+        step_times_beta=_closed_form("step_times_beta",
+                                     lambda: step_size * reg.smoothness_beta),
+        # the average of theta_1 alone is the start: training changes nothing
+        training_is_noop=steps_n == 1,
+        step_scale_variant=cfg.step_scale_variant,
+    )

@@ -9,6 +9,9 @@ invariant violation. The seed comes from --seed if given, else the DPMETA_SEED
 environment variable, else the config's master_seed. An override replaces the
 file's master_seed before the config is validated, so the file need not set
 one; only the seed in use must lie in [0, 2^64).
+
+`calibrate` imports only this module, config and calibration: no numpy.
+The run path's names come from harness on first use (__getattr__).
 """
 
 from __future__ import annotations
@@ -17,10 +20,23 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, load_config
-from .harness import (InternalInvariantError, SWEEP_AXES, calibrate,
-                      run_experiment, sweep, write_calibration_sidecar,
-                      write_csv)
+from .calibration import InternalInvariantError, calibrate
+from .config import SWEEP_AXES, ConfigError, load_config
+
+# the names main takes from harness, bound as attributes of this module when
+# first looked up
+_RUN_NAMES = ("run_experiment", "sweep", "write_csv", "write_calibration_sidecar")
+
+
+def __getattr__(name):
+    """Bind a run-path name from harness on first use, so that calibrate
+    never imports harness or numpy. An attribute already set on the module,
+    say by a caller that patched it, is found first and wins."""
+    if name not in _RUN_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import harness
+    value = globals()[name] = getattr(harness, name)
+    return value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,12 +125,14 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         out = _resolve_out(args, cfg)
+        # looked up on the module at each call, as __getattr__ binds them
+        this = sys.modules[__name__]
         if args.command == "run":
-            reports = [run_experiment(cfg)]
+            reports = [this.run_experiment(cfg)]
         else:
-            reports = sweep(cfg, args.axis, _parse_values(args.values))
-        write_csv(reports, out)
-        write_calibration_sidecar(reports, out + ".calibration")
+            reports = this.sweep(cfg, args.axis, _parse_values(args.values))
+        this.write_csv(reports, out)
+        this.write_calibration_sidecar(reports, out + ".calibration")
         for report in reports:
             tag = ("" if report.axis_value is None
                    else f"{args.axis}={report.axis_value:g} ")

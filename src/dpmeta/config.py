@@ -2,32 +2,33 @@
 
 One setting per line, blank lines ignored; a ``#`` at a line's start or after
 whitespace starts a comment (as in configparser), so a value may hold ``#``.
-Vector-valued keys take comma-separated floats. Validation is collective: a
-bad config reports every violation at once, not just the first. ``KEYS`` is
-the one place a key is declared: its reader, bounds and default.
+Vector-valued keys take comma-separated floats, held as tuples. Validation
+is collective: a bad config reports every violation at once, not just the
+first. ``KEYS`` is the one place a key is declared: its reader, bounds and
+default. Nothing here imports numpy: a config and its calibration are
+Python floats (dpmeta.calibration), and the run path's task_env.EnvSpec is
+built from them on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+import functools
 import math
 import re
 
-import numpy as np
+from .calibration import (LOSS_FAMILIES, STEP_SCALE_VARIANTS, Ball,
+                          ConfigError, PrivacyParams, RegularityProfile,
+                          check_env, format_value, logistic_regularity,
+                          quadratic_regularity)
 
-from .geometry import ParamDomain
-from .learners import STEP_SCALE_VARIANTS
-from .losses import (RegularityProfile, logistic_regularity, quadratic_regularity)
-from .privacy import PrivacyParams
-from .task_env import LOSS_FAMILIES, EnvSpec
-
-
-class ConfigError(ValueError):
-    """Raised with the full list of config violations."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("invalid config:\n" + "\n".join(f"  - {v}" for v in self.violations))
+# sweep axis -> the config key it varies
+SWEEP_AXES = {
+    "V": "similarity_v",
+    "m": "samples_per_task",
+    "T_train": "t_train",
+    "epsilon": "epsilon",
+}
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
@@ -72,10 +73,10 @@ def _one_of(choices):
 
 
 def _vector(raw):
-    """Comma-separated floats; build_config checks their count and
-    finiteness once dim is known."""
+    """Comma-separated floats, as a tuple; build_config checks their count
+    and finiteness once dim is known."""
     try:
-        return np.array([float(p) for p in raw.split(",")])
+        return tuple(float(p) for p in raw.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated numbers, got {raw!r}") from None
 
@@ -119,16 +120,24 @@ KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment, built by build_config: environment, budgets,
-    learner constants."""
+    """A validated experiment, built by build_config: the environment's
+    fields (domain, planted_center and the fields named after a key), the
+    budgets and the learner constants, all Python values."""
 
-    env: EnvSpec
+    domain: Ball
+    planted_center: tuple
+    similarity_v: float
+    samples_per_task: int
+    loss_family: str
+    curvature: float
+    sample_noise_std: float
+    feature_norm: float
     regularity: RegularityProfile
     privacy: PrivacyParams
     t_train: int
     t_eval: int
     master_seed: int
-    phi_init: np.ndarray
+    phi_init: tuple
     step_scale_variant: str
     baseline_no_meta: bool
     baseline_nonprivate_meta: bool
@@ -136,18 +145,19 @@ class ExperimentConfig:
     output_path: str | None
     raw_items: tuple = field(compare=False)
 
-
-def format_value(value) -> str:
-    """The one value-to-text rule, for settings, CSV cells and the sidecar:
-    None is empty, bools are true/false, floats take 17 significant digits,
-    so every float round-trips exactly, and ints and strings are str()."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    @functools.cached_property
+    def env(self):
+        """The run path's task_env.EnvSpec of these fields, built on first
+        access, so that only a run imports numpy. build_config made its
+        checks with the same rules, so it is always valid."""
+        from .geometry import ParamDomain
+        from .task_env import EnvSpec
+        return EnvSpec(
+            domain=ParamDomain(center=self.domain.center, radius=self.domain.radius),
+            planted_center=self.planted_center, similarity_v=self.similarity_v,
+            samples_per_task=self.samples_per_task, loss_family=self.loss_family,
+            curvature=self.curvature, sample_noise_std=self.sample_noise_std,
+            feature_norm=self.feature_norm)
 
 
 def parse_config_text(text: str) -> dict:
@@ -219,32 +229,32 @@ def build_config(items: dict) -> ExperimentConfig:
         vec = v[key]
         if vec is None:
             continue
-        if dim is not None and vec.size != dim:
-            violations.append(f"{key}: expected {dim} coordinates, got {vec.size}")
+        if dim is not None and len(vec) != dim:
+            violations.append(f"{key}: expected {dim} coordinates, got {len(vec)}")
             v[key] = None
-        elif not np.isfinite(vec).all():
+        elif not all(map(math.isfinite, vec)):
             violations.append(f"{key}: coordinates must be finite")
             v[key] = None
 
-    env = dom = None
+    dom, env_ok = None, False
     if None not in (dim, radius):
         center = v["domain_center"]
-        dom = ParamDomain(center=np.zeros(dim) if center is None else center,
-                          radius=radius)
+        dom = Ball((0.0,) * dim if center is None else center, radius)
         if v["phi_init"] is None:
-            v["phi_init"] = dom.center.copy()
-        if not dom.contains(v["phi_init"]):
-            violations.append("phi_init lies outside the domain")
-    if dom is not None and None not in (v["similarity_v"], v["samples_per_task"]):
-        planted = v["planted_center"]
+            v["phi_init"] = dom.center
         try:
-            env = EnvSpec(
-                domain=dom, similarity_v=v["similarity_v"],
-                planted_center=dom.center.copy() if planted is None else planted,
-                samples_per_task=v["samples_per_task"], loss_family=family,
-                curvature=v["curvature"], sample_noise_std=v["sample_noise_std"],
-                feature_norm=v["feature_norm"],
-            )
+            if not dom.contains(v["phi_init"]):
+                violations.append("phi_init lies outside the domain")
+        except ValueError as exc:
+            violations.append(f"phi_init: {exc}")
+    if dom is not None and None not in (v["similarity_v"], v["samples_per_task"]):
+        if v["planted_center"] is None:
+            v["planted_center"] = dom.center
+        try:
+            check_env(dom, v["planted_center"], v["similarity_v"],
+                      v["samples_per_task"], family, v["curvature"],
+                      v["sample_noise_std"], v["feature_norm"])
+            env_ok = True
         except ValueError as exc:
             violations.append(str(exc))
 
@@ -256,7 +266,7 @@ def build_config(items: dict) -> ExperimentConfig:
             violations.append(str(exc))
 
     regularity = None
-    if env is not None:
+    if env_ok:
         overrides = {name: v[name] for name in ("lipschitz_g", "growth_alpha")
                      if v[name] is not None}
         try:
@@ -276,6 +286,6 @@ def build_config(items: dict) -> ExperimentConfig:
 
     # every field named after a key takes that key's value
     return ExperimentConfig(
-        env=env, regularity=regularity, privacy=privacy,
+        domain=dom, regularity=regularity, privacy=privacy,
         raw_items=tuple(sorted(items.items())),
         **{f.name: v[f.name] for f in fields(ExperimentConfig) if f.name in KEYS})

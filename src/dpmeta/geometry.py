@@ -14,7 +14,8 @@ per arm, the row rule runs on Python floats instead of numpy calls, with
 the same bits.
 Geometric identities hold to 1e-12 relative tolerance, not exactly, because
 of float rounding; ball membership also allows the few ulps by which
-center + offset rounds. Everything here is deterministic.
+center + offset rounds, and sums each squared offset in coordinate order,
+as config's numpy-free check does. Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-
-GEOM_RTOL = 1e-12
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -71,19 +70,12 @@ class ParamDomain:
     radius: float
 
     def __post_init__(self):
+        # the reach is calibration's rule, which config checks points with
+        # too; imported here, so that importing geometry loads nothing else
+        from .calibration import ball_reach
         object.__setattr__(self, "center", as_vector(self.center))
-        if not np.isfinite(self.radius) or self.radius < 0:
-            raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
+        object.__setattr__(self, "_reach", ball_reach(self.center.tolist(), self.radius))
         object.__setattr__(self, "radius", float(self.radius))
-        # how far rounding can carry a point of the ball outside it: each
-        # coordinate of center + offset rounds by up to an ulp of the largest
-        # center coordinate, however small the radius; radius 0 allows none,
-        # so that ball stays the singleton {center}
-        slack = 1e-300
-        if self.radius > 0.0:
-            ulp = float(np.spacing(np.abs(self.center).max()))
-            slack += 4.0 * math.sqrt(self.dim) * ulp
-        object.__setattr__(self, "_rounding_slack", slack)
         object.__setattr__(self, "_radius_sq", _square(self.radius))
 
     @property
@@ -96,15 +88,21 @@ class ParamDomain:
 
     def contains(self, v) -> bool:
         """True when v, or every vector of a batch shaped (..., dim), lies in
-        the ball, up to GEOM_RTOL of the radius plus the rounding of the
-        center's coordinates."""
-        norms = np.sqrt(dist_sq(self.center, v))
-        return bool((norms <= self.radius * (1 + GEOM_RTOL) + self._rounding_slack).all())
+        the ball up to its reach (calibration.ball_reach): GEOM_RTOL of the
+        radius plus the rounding of the center's coordinates. Each squared
+        offset is summed in coordinate order, as calibration.Ball.contains
+        sums it, so a point both check gets one answer."""
+        offset = self.center - _vectors(v, self.dim)
+        nsq = np.add.accumulate(offset * offset, axis=-1)[..., -1]
+        _finite_top(nsq)
+        return bool((np.sqrt(nsq) <= self._reach).all())
 
 
 def _square(x: float) -> float:
     """x**2, or inf where the Python float square overflows (x**2 raises
-    OverflowError there, and a bound that large binds no finite row)."""
+    OverflowError there, and a bound that large binds no finite row).
+    calibration._square is the same; this copy serves the clip on every
+    step, since importing geometry loads no other dpmeta module."""
     try:
         return x**2
     except OverflowError:

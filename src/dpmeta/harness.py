@@ -16,7 +16,7 @@ between identical runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 import csv
 import hashlib
 import io
@@ -26,12 +26,12 @@ import time
 import numpy as np
 
 from . import learners
-from .config import ConfigError, ExperimentConfig, build_config, format_value
-from .geometry import _square
-from .learners import OgdConfig, adaptation_step_size, private_step_scale
-from .losses import smoothness_ceiling
+# the closed forms and the record live in the numpy-free calibration module
+from .calibration import CalibrationRecord, InternalInvariantError, calibrate
+from .config import (SWEEP_AXES, ConfigError, ExperimentConfig, build_config,
+                     format_value)
+from .learners import OgdConfig
 from .meta import run_meta_training
-from .privacy import NoisySgdPlan, make_plan, noise_variance, step_budget
 from .task_env import (derive_seed, draw_tasks, empirical_task_variance,
                        population_risk_gap, substream, substreams)
 
@@ -43,57 +43,9 @@ CSV_COLUMNS = (
 
 WALL_CLOCK_COLUMN = CSV_COLUMNS.index("wall_clock_s")
 
-SWEEP_AXES = {
-    "V": "similarity_v",
-    "m": "samples_per_task",
-    "T_train": "t_train",
-    "epsilon": "epsilon",
-}
-
 ARM_META = "meta"
 ARM_NO_META = "no_meta"
 ARM_NONPRIVATE = "nonprivate_meta"
-
-
-class InternalInvariantError(RuntimeError):
-    """A result violated an invariant the harness promises to uphold."""
-
-
-@dataclass(frozen=True)
-class CalibrationRecord:
-    """Every derived constant a run commits to before touching data."""
-
-    samples_per_task: int
-    dim: int
-    steps_n: int
-    sigma_sq: float
-    step_scale: float
-    sgd_step_size: float
-    eta: float
-    epsilon: float
-    delta: float
-    lipschitz_g: float
-    growth_alpha: float
-    smoothness_beta: float
-    smoothness_ceiling: float
-    smoothness_ok: bool
-    step_times_beta: float
-    training_is_noop: bool
-    step_scale_variant: str
-
-    def lines(self) -> list[str]:
-        """The record as `name = value` lines in field order, each value
-        written by format_value: what `dpmeta calibrate` prints and the
-        sidecar echoes."""
-        return [f"{f.name} = {format_value(getattr(self, f.name))}"
-                for f in fields(self)]
-
-    @property
-    def plan(self) -> NoisySgdPlan:
-        """The noisy-SGD plan these constants commit the private learner to."""
-        return NoisySgdPlan(steps_n=self.steps_n, step_size=self.sgd_step_size,
-                            noise_variance_sigma_sq=self.sigma_sq,
-                            clip_bound=self.lipschitz_g)
 
 
 @dataclass(frozen=True)
@@ -125,83 +77,6 @@ class MetricsReport:
                 if not math.isfinite(gap) or gap < -mc_tolerance:
                     raise InternalInvariantError(
                         f"arm {arm.arm}: excess risk {gap} below -{mc_tolerance}")
-
-
-def _closed_form(name: str, formula, *args):
-    """formula(*args), the run constant called name; a ConfigError naming it
-    where a legal config's extreme inputs make it overflow, divide by zero or
-    come out non-finite, or leave a plan no step size."""
-    try:
-        value = formula(*args)
-    except (ArithmeticError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigError([f"{name}: its closed form is not finite at this config "
-                           "(an input is too large or too small)"])
-    return value
-
-
-def _check_step_reach(env, G, sigma_sq, step_size, eta):
-    """A ConfigError naming each step whose worst case has a squared norm
-    that overflows, which would stop the run mid-step: the gradient a
-    private step clips, or how far a step can carry an iterate from the
-    domain center. The worst gradient over the ball is the family's (c*D
-    quadratic, F logistic), whatever lipschitz_g says; a private step's
-    noise is taken to be at most sigma * (sqrt(d) + 40) in norm, 40 standard
-    deviations past its typical size."""
-    R = env.domain.radius
-    grad_bound = (env.curvature * env.domain.diameter
-                  if env.loss_family == "quadratic" else env.feature_norm)
-    noise = math.sqrt(sigma_sq) * (math.sqrt(env.dim) + 40.0)
-    reach = {"private step (sgd_step_size)":
-             max(grad_bound, R + step_size * (G + noise)),
-             "adaptation step (eta)": R + eta * grad_bound}
-    too_far = [f"{step}: an iterate or gradient can reach norm {value:.3g}, whose "
-               "square overflows" for step, value in reach.items()
-               if _square(value) == math.inf]
-    if too_far:
-        raise ConfigError(too_far)
-
-
-def calibrate(cfg: ExperimentConfig) -> CalibrationRecord:
-    """Derive all run constants from the config, without touching data."""
-    env, reg, priv = cfg.env, cfg.regularity, cfg.privacy
-    m, G = env.samples_per_task, reg.lipschitz_g
-    step_scale = _closed_form("step_scale", private_step_scale, G, reg.growth_alpha,
-                              env.dim, m, priv, cfg.step_scale_variant)
-    # make_plan assembles the plan from these; each is checked on its own
-    # first, so that a failure names its constant
-    steps_n = _closed_form("steps_n", step_budget, m, priv, env.dim)
-    sigma_sq = _closed_form("sigma_sq", noise_variance, steps_n, m, G, priv)
-    step_size = _closed_form("sgd_step_size", lambda: make_plan(
-        m, priv, env.dim, G, step_scale).step_size)
-    eta = _closed_form("eta", adaptation_step_size, env.similarity_v,
-                       reg.growth_alpha, G, m)
-    ceiling = _closed_form("smoothness_ceiling", smoothness_ceiling, G, env.domain,
-                           m, priv, steps_n)
-    _check_step_reach(env, G, sigma_sq, step_size, eta)
-    return CalibrationRecord(
-        samples_per_task=m,
-        dim=env.dim,
-        steps_n=steps_n,
-        sigma_sq=sigma_sq,
-        step_scale=step_scale,
-        sgd_step_size=step_size,
-        eta=eta,
-        epsilon=priv.epsilon,
-        delta=priv.delta,
-        lipschitz_g=G,
-        growth_alpha=reg.growth_alpha,
-        smoothness_beta=reg.smoothness_beta,
-        smoothness_ceiling=ceiling,
-        smoothness_ok=reg.smoothness_beta <= ceiling,
-        # gradient steps on a beta-smooth loss are non-expansive only up to 2
-        step_times_beta=_closed_form("step_times_beta",
-                                     lambda: step_size * reg.smoothness_beta),
-        # the average of theta_1 alone is the start: training changes nothing
-        training_is_noop=steps_n == 1,
-        step_scale_variant=cfg.step_scale_variant,
-    )
 
 
 def _run_id(cfg: ExperimentConfig, axis_value) -> str:

@@ -15,12 +15,13 @@ path. The loop runs on a StepWorkspace (iterate, running sum, gradient and
 geometry's RowScratch) and clips and projects in place with
 geometry.clip_norm_in_place and geometry.project_in_place, which act row by
 row, so each problem's result is bit-identical whatever batch it runs in and
-no step allocates an array of the batch's shape. Noisy SGD steps only
+no step allocates an array of the batch's shape. Meta-training steps
 through noisy_sgd_steps, which takes visits and noise drawn ahead and a
-workspace to step in, so meta-training checks, draws and allocates once per
-pass and steps every training arm in one call per task. noisy_sgd_run is
-its one-problem reference: it checks its inputs and draws one task's
-indices, then its noise, from one generator.
+workspace to step in, so it checks, draws and allocates once per pass and
+steps every training arm in one call per task; as training reads only the
+average, that call stops after its last visit. noisy_sgd_run is its
+one-problem reference: it checks its inputs, draws one task's indices, then
+its noise, from one generator, and takes the last step too.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import math
 
 import numpy as np
 
+# the step scales are closed forms, kept in calibration
+from .calibration import (STEP_SCALE_VARIANTS, NoisySgdPlan,  # noqa: F401
+                          adaptation_step_size, private_step_scale)
 from .geometry import ParamDomain, RowScratch, clip_norm_in_place, project_in_place
 from .losses import TaskSamples
-from .privacy import NoisySgdPlan, PrivacyParams, sample_step_noise
-
-STEP_SCALE_VARIANTS = ("sqrt_m", "g_sqrt_m")
+from .privacy import sample_step_noise
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,18 @@ def _start(samples: TaskSamples, init, dom: ParamDomain) -> StepWorkspace:
 
 def _projected_steps(seq: TaskSamples, work: StepWorkspace, step_size: float,
                      dom: ParamDomain, clip_bound: float | None = None,
-                     noise=None) -> LearnerOutput:
-    """Take one projected gradient step per sample of seq, in order, from
-    the iterate in work, and return the average of the visited iterates and
-    the final iterate.
+                     noise=None, final_step: bool = True) -> LearnerOutput:
+    """Visit one iterate per sample of seq, in order, from the iterate in
+    work, stepping from each, and return the average of the visited
+    iterates and the final iterate.
 
     Step j evaluates sample j's gradient at theta (clipped to clip_bound when
     given), adds noise[j] when given, steps by step_size, and projects onto
     the ball. geometry decides clipping and projection row by row, so each
-    problem is clipped or projected only when its own row is outside.
+    problem is clipped or projected only when its own row is outside. With
+    final_step False the loop stops after the last visit, so the final
+    iterate is the last one visited and the last sample's gradient, clip
+    and noise are never used.
 
     Every step writes only work's buffers, so the caller's inputs are never
     written, and no step allocates an iterate, gradient or scratch array.
@@ -114,8 +119,11 @@ def _projected_steps(seq: TaskSamples, work: StepWorkspace, step_size: float,
     # a 0-d array operand spares numpy converting a Python float on every
     # step; the products are the same
     step = np.asarray(step_size, dtype=np.float64)
+    last = seq.count - 1
     for j in range(seq.count):
         running_sum += theta
+        if j == last and not final_step:
+            break
         seq.grad(theta, j, out=grad)
         if clip_bound is not None:
             clip_norm_in_place(grad, clip_bound, scratch)
@@ -144,11 +152,13 @@ def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
 def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan,
                     dom: ParamDomain, noise, work: StepWorkspace) -> LearnerOutput:
     """Noisy projected SGD on visits (steps_n, *batch, d) and noise
-    (steps_n, *problems, d) drawn ahead: step j clips sample j's gradient to
-    plan.clip_bound, adds noise[j], steps by plan.step_size and projects.
-    init broadcasts against the batch axes of visits and is not written.
-    Nothing is checked: the caller makes noisy_sgd_run's checks once per
-    pass of tasks.
+    (steps_n, *problems, d) drawn ahead: it visits theta_1 = init, and
+    step j clips sample j's gradient to plan.clip_bound, adds noise[j],
+    steps by plan.step_size and projects, up to theta_n. The average of the
+    n visits is all training reads, so no step leaves theta_n: the output's
+    final_iterate is theta_n, and noise[n - 1] goes unused. init broadcasts
+    against the batch axes of visits and is not written. Nothing is
+    checked: the caller makes noisy_sgd_run's checks once per pass of tasks.
 
     The call steps in work, a StepWorkspace shaped (*problems, d), so a pass
     of tasks allocates no step buffers; the output's arrays are work's
@@ -156,7 +166,8 @@ def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan,
     """
     work.theta[...] = init
     return _projected_steps(visits, work, plan.step_size, dom,
-                            clip_bound=plan.clip_bound, noise=noise)
+                            clip_bound=plan.clip_bound, noise=noise,
+                            final_step=False)
 
 
 def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan,
@@ -191,46 +202,5 @@ def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan,
             raise ValueError("index_sequence entries must index into the samples")
     # zero variance returns zeros and consumes no randomness
     noise = sample_step_noise(rng, dom.dim, plan.noise_variance_sigma_sq, count=n)
-    return noisy_sgd_steps(samples.take(indices), init, plan, dom, noise, work)
-
-
-def private_step_scale(lipschitz_g: float, growth_alpha: float, dim: int, m: int,
-                       privacy: PrivacyParams, variant: str = "sqrt_m") -> float:
-    """Step-size scale for the private learner; the plan's step size is this
-    divided by G sqrt(n).
-
-    scale = (120 G / alpha) * max(sqrt(d ln(1/delta)) / (eps m), B) where the
-    second branch B is 1/sqrt(m) under the default "sqrt_m" variant and
-    1/(G sqrt(m)) under "g_sqrt_m". The scale balances distance-to-optimum
-    against noise, so it is deliberately independent of any one task.
-    """
-    if lipschitz_g <= 0 or growth_alpha <= 0:
-        raise ValueError("lipschitz_g and growth_alpha must be > 0")
-    if int(m) != m or m < 1 or int(dim) != dim or dim < 1:
-        raise ValueError(f"m and dim must be integers >= 1, got m={m} dim={dim}")
-    if variant not in STEP_SCALE_VARIANTS:
-        raise ValueError(f"variant must be one of {STEP_SCALE_VARIANTS}, got {variant!r}")
-    private_branch = math.sqrt(dim * math.log(1.0 / privacy.delta)) / (privacy.epsilon * m)
-    if variant == "sqrt_m":
-        stat_branch = 1.0 / math.sqrt(m)
-    else:
-        stat_branch = 1.0 / (lipschitz_g * math.sqrt(m))
-    return (120.0 * lipschitz_g / growth_alpha) * max(private_branch, stat_branch)
-
-
-def adaptation_step_size(similarity_v: float, growth_alpha: float,
-                         lipschitz_g: float, m: int) -> float:
-    """OGD step size for adapting a meta-initialization to a fresh task:
-    (V + 1/(alpha sqrt(m))) / (G sqrt(m)).
-
-    Grows with the task dispersion V, so dissimilar environments take larger
-    steps and similar ones lean on the initialization.
-    """
-    if similarity_v < 0:
-        raise ValueError(f"similarity_v must be >= 0, got {similarity_v}")
-    if growth_alpha <= 0 or lipschitz_g <= 0:
-        raise ValueError("growth_alpha and lipschitz_g must be > 0")
-    if int(m) != m or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m}")
-    root_m = math.sqrt(m)
-    return (similarity_v + 1.0 / (growth_alpha * root_m)) / (lipschitz_g * root_m)
+    return _projected_steps(samples.take(indices), work, plan.step_size, dom,
+                            clip_bound=plan.clip_bound, noise=noise)

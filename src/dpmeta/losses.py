@@ -9,7 +9,8 @@ labels, with one sample per leading index. The value and gradient functions
 broadcast over leading batch axes, so one call scores many samples, tasks or
 iterates at once. Regularity constants (Lipschitz bound over the domain,
 smoothness, quadratic growth) are derived analytically per family, never
-estimated from samples.
+estimated from samples, by the numpy-free dpmeta.calibration; this module
+offers them under their old names.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ import math
 
 import numpy as np
 
-from .geometry import ParamDomain, _square, as_vector, dist_sq
+# the regularity constants are closed forms, kept in calibration
+from .calibration import (RegularityProfile, certify_smoothness,  # noqa: F401
+                          logistic_regularity, quadratic_regularity,
+                          smoothness_ceiling)
+from .geometry import as_vector, dist_sq
 
 
 def _check_dims(theta, points):
@@ -175,81 +180,6 @@ class TaskSamples:
         if self.labels is not None:
             taken.__dict__["labels"] = self.labels[where]
         return taken
-
-
-@dataclass(frozen=True)
-class RegularityProfile:
-    """Analytic constants for a loss family over a fixed domain.
-
-    lipschitz_g bounds the gradient norm over the domain, smoothness_beta the
-    gradient's Lipschitz modulus, and growth_alpha the quadratic growth of the
-    population risk around its minimizer.
-    """
-
-    lipschitz_g: float
-    smoothness_beta: float
-    growth_alpha: float
-
-    def __post_init__(self):
-        for name in ("lipschitz_g", "smoothness_beta", "growth_alpha"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
-
-
-def quadratic_regularity(curvature: float, dom: ParamDomain) -> RegularityProfile:
-    """Constants for curvature-c quadratics with anchors inside the domain.
-
-    Worst-case gradient norm over the ball is c * diameter (parameter at one
-    end, anchor at the other); smoothness and growth both equal c.
-    """
-    if curvature <= 0:
-        raise ValueError(f"curvature must be > 0, got {curvature}")
-    if dom.diameter <= 0:
-        raise ValueError("gradient bound degenerates on a zero-radius domain")
-    return RegularityProfile(
-        lipschitz_g=curvature * dom.diameter,
-        smoothness_beta=curvature,
-        growth_alpha=curvature,
-    )
-
-
-def logistic_regularity(feature_norm: float, growth_alpha: float) -> RegularityProfile:
-    """Constants for logistic losses with features on a sphere of given norm.
-
-    Gradient norm is at most the feature norm, smoothness at most norm^2 / 4.
-    Quadratic growth has no clean closed form here, so the caller supplies it.
-    """
-    if feature_norm <= 0:
-        raise ValueError(f"feature_norm must be > 0, got {feature_norm}")
-    return RegularityProfile(
-        lipschitz_g=feature_norm,
-        smoothness_beta=0.25 * _square(feature_norm),
-        growth_alpha=growth_alpha,
-    )
-
-
-def certify_smoothness(profile: RegularityProfile, dom: ParamDomain, m: int,
-                       privacy, n: int) -> bool:
-    """Check the smoothness ceiling under which the private learner's clipping
-    is guaranteed inactive at gradient scale G.
-
-    The ceiling is (G/D) * min(sqrt(m/2), eps*n / (2*sqrt(2*d*ln(1/delta)))),
-    with D the domain diameter and d its dimension. Boundary is inclusive.
-    """
-    if dom.diameter <= 0:
-        raise ValueError("smoothness certificate needs a positive-diameter domain")
-    if m < 1 or n < 1:
-        raise ValueError(f"m and n must be >= 1, got m={m} n={n}")
-    bound = smoothness_ceiling(profile.lipschitz_g, dom, m, privacy, n)
-    return profile.smoothness_beta <= bound
-
-
-def smoothness_ceiling(lipschitz_g: float, dom: ParamDomain, m: int, privacy,
-                       n: int) -> float:
-    d = dom.dim
-    private_term = privacy.epsilon * n / (2.0 * math.sqrt(2.0 * d * math.log(1.0 / privacy.delta)))
-    return (lipschitz_g / dom.diameter) * min(math.sqrt(m / 2.0), private_term)
 
 
 def finite_diff_check(value, grad, theta, step: float = 1e-6) -> float:

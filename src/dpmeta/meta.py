@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
+from .calibration import NoisySgdPlan
 from .geometry import as_vector, dist_sq, dist_sq_into
-from .learners import NoisySgdPlan
 from .task_env import EnvSpec, draw_tasks, substreams
 
 

@@ -23,11 +23,10 @@ import zlib
 
 import numpy as np
 
+from .calibration import check_env
 from .geometry import (ParamDomain, RowScratch, as_batch, as_vector, dist_sq,
                        project_in_place)
 from .losses import TaskSamples, logistic_excess, quadratic_value, sigmoid
-
-LOSS_FAMILIES = ("quadratic", "logistic")
 
 _SEED_MASK = (1 << 64) - 1
 _WORD_MASK = (1 << 32) - 1
@@ -192,28 +191,11 @@ class EnvSpec:
     def __post_init__(self):
         object.__setattr__(self, "planted_center",
                            as_vector(self.planted_center, self.domain.dim))
-        if not self.domain.contains(self.planted_center):
-            raise ValueError("planted_center lies outside the domain")
-        if not math.isfinite(self.similarity_v) or self.similarity_v < 0:
-            raise ValueError(f"similarity_v must be finite and >= 0, got {self.similarity_v}")
-        if self.similarity_v > self.domain.radius:
-            raise ValueError(
-                f"similarity_v={self.similarity_v} exceeds the domain radius "
-                f"{self.domain.radius}; the dispersion would be mostly projection")
-        if int(self.samples_per_task) != self.samples_per_task or self.samples_per_task < 1:
-            raise ValueError(
-                f"samples_per_task must be an integer >= 1, got {self.samples_per_task}")
+        # the checks config makes on its numpy-free fields
+        check_env(self.domain, self.planted_center, self.similarity_v,
+                  self.samples_per_task, self.loss_family, self.curvature,
+                  self.sample_noise_std, self.feature_norm)
         object.__setattr__(self, "samples_per_task", int(self.samples_per_task))
-        if self.loss_family not in LOSS_FAMILIES:
-            raise ValueError(
-                f"loss_family must be one of {LOSS_FAMILIES}, got {self.loss_family!r}")
-        if not math.isfinite(self.curvature) or self.curvature <= 0:
-            raise ValueError(f"curvature must be finite and > 0, got {self.curvature}")
-        if not math.isfinite(self.sample_noise_std) or self.sample_noise_std < 0:
-            raise ValueError(
-                f"sample_noise_std must be finite and >= 0, got {self.sample_noise_std}")
-        if not math.isfinite(self.feature_norm) or self.feature_norm <= 0:
-            raise ValueError(f"feature_norm must be finite and > 0, got {self.feature_norm}")
 
     @property
     def dim(self) -> int:

@@ -1,9 +1,12 @@
+import math
 import warnings
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from dpmeta.calibration import Ball, ball_reach, format_value
+from dpmeta.config import build_config
 from dpmeta.geometry import (_FEW_ROWS, ParamDomain, RowScratch, as_vector,
                              clip_norm_in_place, dist_sq, dist_sq_into, project_in_place)
 
@@ -383,6 +386,55 @@ def test_invalid_inputs():
             _project_copy([[0.5, 0.0], [1e200, 0.0]], dom)
         with pytest.raises(ValueError):
             _clip_copy([[0.5, 0.0], [1e200, 0.0]], 1.0)
+
+
+_COORDS = st.sampled_from([0.0, 1.0, -3.5, 1e8, -7e12, 2.5e15]) | st.floats(-1e16, 1e16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 10), data=st.data(),
+       radius=st.sampled_from([0.0, 1e-9]) | st.floats(1e-12, 1e6))
+def test_config_and_param_domain_agree_on_membership(dim, data, radius):
+    # config decides ball membership on Python floats (calibration.Ball,
+    # which build_config checks phi_init and planted_center with), the run
+    # path with ParamDomain.contains; both must give one answer, so a config
+    # that validates never fails on the run path. Along a ray from the
+    # center, bisection finds where the config's answer flips, at about the
+    # reach radius * (1 + GEOM_RTOL) + slack; the points a few ulps of the
+    # ray's length either side of it are checked, around centers whose large
+    # coordinates make the rounding slack matter
+    center = data.draw(st.lists(_COORDS, min_size=dim, max_size=dim))
+    direction = data.draw(st.lists(st.integers(-1000, 1000), min_size=dim, max_size=dim))
+    if not any(direction):
+        direction[0] = 1
+    ball, dom = Ball(tuple(center), radius), ParamDomain(np.array(center), radius)
+
+    def at(t):
+        return [c + u * t for c, u in zip(center, direction)]
+
+    lo, hi = 0.0, 4.0 * ball_reach(center, radius)
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if ball.contains(at(mid)) else (lo, mid)
+    ts = [lo]
+    for _ in range(4):
+        ts = [math.nextafter(ts[0], 0.0)] + ts + [math.nextafter(ts[-1], math.inf)]
+    for t in ts:
+        point = at(t)
+        inside = dom.contains(np.array(point))
+        assert ball.contains(point) == inside
+        if radius > 0:
+            items = {"dim": str(dim), "domain_radius": format_value(radius),
+                     "domain_center": ",".join(map(format_value, center)),
+                     "phi_init": ",".join(map(format_value, point)),
+                     "similarity_v": "0", "samples_per_task": "10", "t_train": "1",
+                     "epsilon": "1", "delta": "0.1", "master_seed": "1"}
+            try:
+                build_config(items)
+                accepted = True
+            except ValueError as exc:
+                assert exc.violations == ["phi_init lies outside the domain"]
+                accepted = False
+            assert accepted == inside
 
 
 def test_as_vector_copies():

@@ -11,15 +11,17 @@ build may round differently.
 """
 
 import hashlib
+import json
 import os
 from pathlib import Path
+import runpy
 import subprocess
 import sys
 
 import pytest
 
 import dpmeta
-from dpmeta.cli import EXIT_OK, main
+from dpmeta.cli import EXIT_CONFIG, EXIT_OK, main
 from dpmeta.config import build_config
 from dpmeta.harness import calibrate, csv_bytes_excluding_wall_clock
 
@@ -109,3 +111,58 @@ def test_calibrate_leaves_numpy_random_unimported(case, tmp_path):
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def _bench_workloads():
+    """bench/workloads.py's WORKLOADS; that module imports nothing from
+    numpy or dpmeta."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    return runpy.run_path(str(path))["WORKLOADS"]
+
+
+def test_calibrate_runs_with_numpy_blocked(tmp_path, capsys):
+    # `dpmeta calibrate` is arithmetic on Python floats: with every numpy
+    # import made to fail it prints, byte for byte, the record that `run`
+    # writes to its sidecar for the same config, loads no dpmeta module but
+    # cli, config and calibration, and reports a bad config as `run` does
+    texts = {case: "".join(f"{k} = {v}\n" for k, v in items.items())
+             for case, (_, items, _, _) in GOLDEN.items()}
+    for name, workload in _bench_workloads().items():
+        texts[name] = workload.config_text(workload.default_seed)
+    valid = sorted(texts)
+    texts["invalid"] = texts["quadratic"] + "bogus = 1\nsimilarity_v2 = 0\n"
+    texts["overflowing"] = texts["quadratic"].replace("epsilon = 1.0", "epsilon = 1e-200")
+    paths = {}
+    for case, text in texts.items():
+        paths[case] = tmp_path / f"{case}.cfg"
+        paths[case].write_text(text)
+    src = str(Path(dpmeta.__file__).resolve().parents[1])
+    probe = ("import contextlib, io, json, sys\n"
+             "sys.modules['numpy'] = None\n"
+             "from dpmeta.cli import main\n"
+             "results = {}\n"
+             "for case, path in json.loads(sys.argv[1]).items():\n"
+             "    out, err = io.StringIO(), io.StringIO()\n"
+             "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+             "        code = main(['calibrate', '--config', path])\n"
+             "    results[case] = [code, out.getvalue(), err.getvalue()]\n"
+             "loaded = sorted(k for k in sys.modules if k.split('.')[0] == 'dpmeta')\n"
+             "print(json.dumps([results, loaded]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps({c: str(p) for c, p in paths.items()})],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    results, loaded = json.loads(done.stdout)
+    assert loaded == ["dpmeta", "dpmeta.calibration", "dpmeta.cli", "dpmeta.config"]
+    for case in valid:
+        out = tmp_path / f"{case}.csv"
+        assert main(["run", "--config", str(paths[case]), "--out", str(out)]) == EXIT_OK
+        run_err = capsys.readouterr().err
+        # the sidecar's section: its [run_id] and master_seed lines, then the record
+        record = (tmp_path / f"{case}.csv.calibration").read_text().split("\n", 2)[2]
+        assert results[case] == [EXIT_OK, record, run_err], case
+    for case in ("invalid", "overflowing"):
+        out = tmp_path / f"{case}.csv"
+        assert main(["run", "--config", str(paths[case]), "--out", str(out)]) == EXIT_CONFIG
+        assert results[case] == [EXIT_CONFIG, "", capsys.readouterr().err], case
+        assert not out.exists()

@@ -149,6 +149,20 @@ def test_config_validates_geometry():
     assert exc.value.violations == ["phi_init: coordinates must be finite"]
 
 
+def test_config_reports_an_overflowing_offset(tmp_path, capsys):
+    # in a radius-1e200 ball the squared offset of phi_init or planted_center
+    # 1e199 from the center overflows; each is a violation, named alike,
+    # and calibrate exits 2 instead of raising
+    big = {"domain_radius": "1e200", "phi_init": "1e199,0", "planted_center": "0,1e199"}
+    with pytest.raises(ConfigError) as exc:
+        make_cfg(**big)
+    overflow = "vector has non-finite coordinates or a squared norm that overflows"
+    assert exc.value.violations == [f"phi_init: {overflow}", overflow]
+    cfg_file = write_cfg_file(tmp_path / "c.txt", **big)
+    assert main(["calibrate", "--config", cfg_file]) == EXIT_CONFIG
+    assert overflow in capsys.readouterr().err
+
+
 def test_malformed_baseline_flags_are_violations(tmp_path, capsys):
     bad = {"baseline_no_meta": "maybe", "baseline_nonprivate_meta": "maybe"}
     with pytest.raises(ConfigError) as exc:
@@ -611,8 +625,9 @@ def test_clipping_is_inactive_when_smoothness_ok(family_items, monkeypatch):
     cal = calibrate(cfg)
     assert cal.smoothness_ok
     run_experiment(cfg)
-    # one clip per private step, each over both training arms' gradients
-    assert len(calls) == cfg.t_train * cal.steps_n
+    # one clip per private step, each over both training arms' gradients;
+    # training takes steps_n - 1 steps, since no step leaves theta_n
+    assert len(calls) == cfg.t_train * (cal.steps_n - 1)
     assert all(calls)
     assert shapes == {(2, cfg.env.dim)}
 
