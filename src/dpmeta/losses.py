@@ -66,31 +66,85 @@ _ZERO = np.zeros(())
 _ONE = np.ones(())
 
 
-def sigmoid(z):
-    """1 / (1 + exp(-z)), elementwise, from exp(-|z|) <= 1, so neither
-    branch overflows whatever the magnitude of z."""
-    e = np.exp(-np.abs(z))
-    return np.where(z > _ZERO, _ONE, e) / (_ONE + e)
+def _exp_neg_abs(z, out=None):
+    """exp(-|z|) <= 1, the one exponential that sigmoid and softplus read,
+    into out when given."""
+    return np.exp(np.negative(np.abs(z, out=out), out=out), out=out)
 
 
-def softplus(z):
+def sigmoid(z, out=None, e=None):
+    """1 / (1 + exp(-z)), elementwise, from e = exp(-|z|) <= 1, so neither
+    branch overflows whatever the magnitude of z. e, when given, is
+    exp(-|z|) already computed. When out is given the result is written into
+    it and 1 + e into e, so nothing is allocated; without it the call
+    allocates, which costs less than writing in place on the one-element
+    arrays of a gradient step."""
+    if e is None:
+        e = _exp_neg_abs(z)
+    # max(e, 1) == 1 where z > 0 and max(e, 0) == e elsewhere (e >= 0), so
+    # this is where(z > 0, 1, e), NaN included
+    num = np.maximum(e, np.greater(z, _ZERO, out=out), out=out)
+    return np.divide(num, np.add(_ONE, e, out=None if out is None else e),
+                     out=out)
+
+
+def softplus(z, out=None, e=None):
     """log(1 + exp(z)), elementwise, as max(z, 0) + log1p(exp(-|z|)), so
-    exp never overflows whatever the magnitude of z."""
-    return np.maximum(z, _ZERO) + np.log1p(np.exp(-np.abs(z)))
+    exp never overflows whatever the magnitude of z. e, when given, is
+    exp(-|z|) already computed. When out is given the result is written into
+    it and log1p(e) into e, as in sigmoid."""
+    if e is None:
+        e = _exp_neg_abs(z)
+    return np.add(np.maximum(z, _ZERO, out=out),
+                  np.log1p(e, out=None if out is None else e), out=out)
 
 
-def logistic_excess(margins, star_margins):
+class ExcessWorkspace:
+    """The buffers of logistic_excess for margins and star margins that
+    broadcast to shape, the star margins shaped star_shape: the result and
+    one scratch array, both shaped shape, and four arrays shaped star_shape
+    (exp(-|z*|), a copy of it, sigmoid(z*) and softplus(z*)). A caller may
+    allocate one and pass it to many logistic_excess calls of those shapes;
+    each call overwrites all of it."""
+
+    def __init__(self, shape, star_shape):
+        self.gap = np.empty(shape)
+        self.scratch = np.empty(shape)
+        self.star_e = np.empty(star_shape)
+        self.star_e_copy = np.empty(star_shape)
+        self.star_sigmoid = np.empty(star_shape)
+        self.star_softplus = np.empty(star_shape)
+
+
+def logistic_excess(margins, star_margins, work=None):
     """E[loss(margin) - loss(star_margin)] over a label drawn from the
     logistic model at star_margin: the Bernoulli KL divergence
     KL(Bern(sigmoid(z*)) || Bern(sigmoid(z))), which is exactly 0 where
     z == z*. The arguments broadcast, so a star margin of a smaller shape is
-    run through sigmoid and softplus only once."""
-    gap = (softplus(margins) - softplus(star_margins)
-           - sigmoid(star_margins) * (margins - star_margins))
+    run through sigmoid and softplus only once, from one exp(-|z*|).
+
+    Every value is written into work, an ExcessWorkspace for these shapes,
+    which is allocated when not given; the result is work.gap, so a caller
+    that scores many blocks of one shape in one workspace allocates
+    nothing per block."""
+    if work is None:
+        work = ExcessWorkspace(np.broadcast_shapes(np.shape(margins),
+                                                   np.shape(star_margins)),
+                               np.shape(star_margins))
+    # sigmoid and softplus each overwrite the e they read, so one gets a copy
+    star_e = _exp_neg_abs(star_margins, work.star_e)
+    np.copyto(work.star_e_copy, star_e)
+    star_sigmoid = sigmoid(star_margins, work.star_sigmoid, work.star_e_copy)
+    star_softplus = softplus(star_margins, work.star_softplus, star_e)
+    gap = softplus(margins, work.gap, _exp_neg_abs(margins, work.scratch))
+    gap -= star_softplus
+    linear = np.subtract(margins, star_margins, out=work.scratch)
+    linear *= star_sigmoid
+    gap -= linear
     # the divergence is never negative; where z is near z* the difference
     # cancels and can round to about -1e-16 times the margins, so it is
     # clamped at 0
-    return np.maximum(gap, _ZERO)
+    return np.maximum(gap, _ZERO, out=gap)
 
 
 def _logistic_grad(theta, features, labels, out=None):

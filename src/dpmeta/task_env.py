@@ -26,7 +26,8 @@ import numpy as np
 from .calibration import check_env
 from .geometry import (ParamDomain, RowScratch, as_batch, as_vector, dist_sq,
                        project_in_place)
-from .losses import TaskSamples, logistic_excess, quadratic_value, sigmoid
+from .losses import (ExcessWorkspace, TaskSamples, logistic_excess,
+                     quadratic_value, sigmoid)
 
 _SEED_MASK = (1 << 64) - 1
 _WORD_MASK = (1 << 32) - 1
@@ -336,8 +337,10 @@ def population_risk_gap(spec: EnvSpec, theta_stars, theta,
     and each is exactly zero at theta == theta*. The feature expectation is
     a Monte Carlo mean over one block of mc_samples features drawn from the
     generator rng, shared by every task and every point. Tasks are scored
-    one at a time, each on its own (points + 1, mc_samples) margins, so no
-    temporary grows with the task count, and column e is exactly what a
+    one at a time in one workspace allocated per call, which every task
+    overwrites: the (points + 1, mc_samples) margins, written by one matrix
+    product from a (points + 1, d) row buffer, and a losses.ExcessWorkspace
+    for them, so no array is allocated per task. Column e is exactly what a
     call for task e alone with an identically seeded generator returns.
     """
     stars = as_batch(theta_stars, spec.dim)
@@ -356,9 +359,20 @@ def population_risk_gap(spec: EnvSpec, theta_stars, theta,
     columns = np.ascontiguousarray(_sphere_features(spec, int(mc_samples), rng).T)
     points = np.moveaxis(thetas, -2, 0).reshape(len(stars), -1, spec.dim)
     gaps = np.empty(points.shape[:2])
+    # one workspace for every task: row 0 of rows and of margins is the
+    # minimizer's, the others are its points'
+    rows = np.empty((points.shape[1] + 1, spec.dim))
+    margins = np.empty((len(rows), columns.shape[1]))
+    star_margins, point_margins = margins[0], margins[1:]
+    work = ExcessWorkspace(point_margins.shape, star_margins.shape)
     for e, star in enumerate(stars):
-        margins = np.vstack((star, points[e])) @ columns
-        gaps[e] = logistic_excess(margins[1:], margins[0]).mean(axis=-1)
+        rows[0] = star
+        rows[1:] = points[e]
+        np.matmul(rows, columns, out=margins)
+        np.add.reduce(logistic_excess(point_margins, star_margins, work),
+                      axis=-1, out=gaps[e])
+    # the means, divided as np.mean divides its sums
+    gaps /= margins.shape[1]
     return np.moveaxis(gaps.reshape(len(stars), *thetas.shape[:-2]), 0, -1)
 
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from dpmeta.geometry import ParamDomain
-from dpmeta.losses import (RegularityProfile, TaskSamples, certify_smoothness,
-                           finite_diff_check, logistic_excess, logistic_loss,
-                           logistic_regularity, logistic_value, quadratic_regularity,
-                           quadratic_value, sigmoid, smoothness_ceiling, softplus)
+from dpmeta.losses import (ExcessWorkspace, RegularityProfile, TaskSamples,
+                           certify_smoothness, finite_diff_check, logistic_excess,
+                           logistic_loss, logistic_regularity, logistic_value,
+                           quadratic_regularity, quadratic_value, sigmoid,
+                           smoothness_ceiling, softplus)
 from dpmeta.privacy import PrivacyParams
 
 
@@ -78,6 +79,55 @@ def test_logistic_excess_is_the_label_expectation_and_never_negative():
     label_mean = (sigmoid(z_star) * (logistic_loss(z, 1.0) - logistic_loss(z_star, 1.0))
                   + sigmoid(-z_star) * (logistic_loss(z, -1.0) - logistic_loss(z_star, -1.0)))
     assert np.allclose(excess, np.maximum(label_mean, 0.0), rtol=1e-9, atol=1e-12)
+
+
+EDGE_MARGINS = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0,
+                         1.5, -0.25])
+
+
+def test_workspace_excess_is_the_textbook_formula_byte_for_byte():
+    # every margin of the edge grid against every star margin, as
+    # population_risk_gap lays them out: rows of margins, one star row
+    z = np.repeat(EDGE_MARGINS[:, None], len(EDGE_MARGINS), axis=1)
+    z_star = EDGE_MARGINS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        textbook = np.maximum(softplus(z) - softplus(z_star)
+                              - sigmoid(z_star) * (z - z_star), 0.0)
+        work = ExcessWorkspace(z.shape, z_star.shape)
+        excess = logistic_excess(z, z_star, work)
+    assert excess is work.gap
+    assert excess.tobytes() == textbook.tobytes()
+    # without a workspace, and with the arguments the other way round
+    assert logistic_excess(z, z_star).tobytes() == textbook.tobytes()
+    assert (logistic_excess(z_star, z.T).tobytes()
+            == np.maximum(softplus(z_star) - softplus(z.T)
+                          - sigmoid(z.T) * (z_star - z.T), 0.0).tobytes())
+    # sigmoid is where(z > 0, 1, e) / (1 + e) and softplus is
+    # max(z, 0) + log1p(e), and the out= and e= forms that the workspace
+    # writes through give the same bytes as the plain ones
+    e = np.exp(-np.abs(EDGE_MARGINS))
+    assert (sigmoid(EDGE_MARGINS).tobytes()
+            == (np.where(EDGE_MARGINS > 0, 1.0, e) / (1.0 + e)).tobytes())
+    assert (softplus(EDGE_MARGINS).tobytes()
+            == (np.maximum(EDGE_MARGINS, 0.0) + np.log1p(e)).tobytes())
+    for f in (sigmoid, softplus):
+        out = np.full(EDGE_MARGINS.shape, np.nan)
+        assert f(EDGE_MARGINS, out, e.copy()) is out
+        assert out.tobytes() == f(EDGE_MARGINS).tobytes()
+
+
+def test_one_workspace_scores_block_after_block_without_leaking():
+    rng = np.random.default_rng(3)
+    block_a = (rng.normal(0, 5, (2, 500)), rng.normal(0, 5, 500))
+    block_b = (rng.normal(0, 50, (2, 500)), rng.normal(0, 50, 500))
+    work = ExcessWorkspace((2, 500), (500,))
+    first = logistic_excess(*block_a, work).copy()
+    other = logistic_excess(*block_b, work).copy()
+    again = logistic_excess(*block_a, work).copy()
+    assert first.tobytes() == again.tobytes()
+    assert first.tobytes() == logistic_excess(*block_a).tobytes()
+    assert other.tobytes() == logistic_excess(*block_b).tobytes()
 
 
 def test_quadratic_convexity_random():

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -275,6 +276,36 @@ def test_task_batch_equals_separate_calls(family, arms, tasks):
         one = population_risk_gap(env, stars[e:e + 1], thetas[:, e:e + 1],
                                   rng=substream(21, "mc"), **mc)
         assert np.array_equal(batch[:, e:e + 1], one)
+
+
+def test_logistic_risk_allocates_one_workspace_whatever_the_task_count():
+    # the margins of one task, a block of (points + 1) * mc_samples floats,
+    # and its workspace are allocated once per call and overwritten task by
+    # task. The call's peak is then about three blocks (margins, the result
+    # and one scratch array, plus the star rows and the features); a form
+    # that allocates the margins and the temporaries of the excess per task
+    # peaks above four blocks here. Growth with the task count is bounded by
+    # the call's own copy of theta and its result
+    points, dim, mc = 15, 2, 2000
+    env = EnvSpec(domain=ParamDomain(np.zeros(dim), 2.0), planted_center=np.zeros(dim),
+                  similarity_v=0.5, samples_per_task=5, loss_family="logistic")
+    block = (points + 1) * mc * 8
+
+    def peak(tasks):
+        draw = substream(4, "points", tasks)
+        stars = draw.uniform(-0.5, 0.5, (tasks, dim))
+        thetas = draw.uniform(-0.5, 0.5, (points, tasks, dim))
+        rng = substream(4, "mc")
+        tracemalloc.start()
+        try:
+            population_risk_gap(env, stars, thetas, mc, rng)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, many = peak(1), peak(50)
+    assert many <= 3.75 * block
+    assert abs(many - one) <= 50 * points * (dim + 1) * 8
 
 
 def test_task_batch_validation():
