@@ -11,7 +11,9 @@ caller's array, with a reusable RowScratch, check nothing but finiteness,
 and say whether any row was rescaled. dist_sq is pure; dist_sq_into writes
 into a RowScratch. Up to _FEW_ROWS rows, as in a training step's one row
 per arm, the row rule runs on Python floats instead of numpy calls, with
-the same bits.
+the same bits. never_rescaled is the rounding rule for skipping them: it
+says whether a row that exact arithmetic keeps within a norm can still be
+rescaled once the rounding of a run of steps is counted.
 Geometric identities hold to 1e-12 relative tolerance, not exactly, because
 of float rounding; ball membership also allows the few ulps by which
 center + offset rounds, and sums each squared offset in coordinate order,
@@ -226,6 +228,26 @@ def clip_norm_in_place(v, bound: float, scratch: RowScratch) -> bool:
         np.multiply(v, scratch.scale_col, out=scratch.vectors)
         np.copyto(v, scratch.vectors, where=scratch.over_col)
     return True
+
+
+# float64's machine epsilon: one rounded operation moves its result by at
+# most half of it, relative to the result
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def never_rescaled(norm: float, bound: float, scale: float, dim: int,
+                   ops: int) -> bool:
+    """Whether no row whose norm exact arithmetic keeps at most norm can be
+    rescaled at bound by clip_norm_in_place or project_in_place, after ops
+    rounded steps in sequence on dim coordinates that never exceed scale in
+    magnitude. The margin is 16 epsilons of scale per coordinate per step,
+    and per coordinate once more for the squared norms (the row rule's
+    subtraction, vecdot and squared bound round by at most dim + 5
+    epsilons), summed over the coordinates' norm:
+    norm + 16 (ops + dim) eps scale sqrt(dim) < bound. A step of a handful
+    of elementwise operations on such coordinates rounds by less. A NaN or
+    infinite norm or scale gives False."""
+    return norm + 16.0 * (ops + dim) * _EPS * scale * math.sqrt(dim) < bound
 
 
 def dist_sq_into(a, b, scratch: RowScratch):

@@ -22,6 +22,16 @@ steps every training arm in one call per task; as training reads only the
 average, that call stops after its last visit. noisy_sgd_run is its
 one-problem reference: it checks its inputs, draws one task's indices, then
 its noise, from one generator, and takes the last step too.
+
+interior_certified is the interior certificate, decided once per pass. On
+quadratic samples at step x curvature h in (0, 1], a step maps the offset
+from the center to (1 - h) x + h b - step x noise, a contraction toward the
+anchor's offset b, so the iterates stay within a radius fixed by the start,
+the anchors and the noise. When that radius, widened by the pass's rounding
+(geometry.never_rescaled), lies inside the ball and its gradients under the
+clip bound, the loop skips the clip and the projection, which would have
+left every row alone: the values are the same bits either way. ogd_run
+decides it per call; meta-training once per pass, for every task.
 """
 
 from __future__ import annotations
@@ -34,7 +44,8 @@ import numpy as np
 # the step scales are closed forms, kept in calibration
 from .calibration import (STEP_SCALE_VARIANTS, NoisySgdPlan,  # noqa: F401
                           adaptation_step_size, private_step_scale)
-from .geometry import ParamDomain, RowScratch, clip_norm_in_place, project_in_place
+from .geometry import (ParamDomain, RowScratch, clip_norm_in_place,
+                       never_rescaled, project_in_place)
 from .losses import TaskSamples
 from .privacy import sample_step_noise
 
@@ -57,8 +68,10 @@ class OgdConfig:
 
 @dataclass(frozen=True)
 class LearnerOutput:
-    """averaged_iterate is the mean of the visited points; final_iterate is the
-    post-update endpoint. Both have shape (*problems, d)."""
+    """averaged_iterate is the mean of the visited points; final_iterate is
+    the iterate the run ended on: the post-update point theta_{n+1} for
+    ogd_run and noisy_sgd_run, the last visited theta_n for
+    noisy_sgd_steps. Both have shape (*problems, d)."""
 
     averaged_iterate: np.ndarray
     final_iterate: np.ndarray
@@ -92,9 +105,58 @@ def _start(samples: TaskSamples, init, dom: ParamDomain) -> StepWorkspace:
     return work
 
 
+def interior_certified(samples: TaskSamples, starts, step_size: float,
+                       dom: ParamDomain, clip_bound: float | None = None,
+                       noise=None, steps: int | None = None) -> bool:
+    """The interior certificate: True when neither the clip at clip_bound
+    (None: no clip) nor the projection onto dom can rescale a row of a pass
+    that steps from the rows of starts on samples, adding rows of noise
+    (None: none), for steps rounded steps in sequence (default
+    samples.count).
+
+    Only quadratic samples at h = step_size x curvature in (0, 1] qualify;
+    anything else is declined before any array is read. There a step maps
+    the offset x from the center to (1 - h) x + h b - step_size xi, with b
+    the anchor's offset. With A bounding the anchors' offsets and Xi the
+    noise rows' norms, the ball of radius r = max(||start - center||,
+    A + Xi / curvature) maps into itself, so every iterate, and every
+    average or convex combination of them, stays within r in exact
+    arithmetic, and every gradient within curvature (r + A).
+    geometry.never_rescaled widens both by the rounding of the steps. A is
+    the norm of the anchors' per-coordinate bounding box, so nothing the
+    size of the samples is allocated."""
+    curvature = samples.curvature
+    if curvature is None or not 0.0 < step_size * curvature <= 1.0:
+        return False
+    center = dom.center
+    batch_axes = tuple(range(samples.points.ndim - 1))
+    high = np.maximum.reduce(samples.points, axis=batch_axes) - center
+    low = np.minimum.reduce(samples.points, axis=batch_axes) - center
+    box = np.maximum(high, -low)
+    anchors = math.sqrt(np.vecdot(box, box))
+    offsets = np.subtract(starts, center)
+    start = math.sqrt(np.maximum.reduce(np.vecdot(offsets, offsets), axis=None))
+    xi = 0.0
+    if noise is not None:
+        xi = math.sqrt(np.maximum.reduce(np.vecdot(noise, noise), axis=None))
+    radius = max(start, anchors + xi / curvature)
+    # bounds every coordinate the steps compute: iterates, anchors,
+    # gradients, noise and their sums
+    scale = (float(np.maximum.reduce(np.abs(center), axis=None))
+             + (2.0 + curvature) * (dom.radius + anchors) + xi)
+    ops = samples.count if steps is None else steps
+    if not never_rescaled(radius, dom.radius, scale, dom.dim, ops):
+        return False
+    # a gradient carries curvature times an iterate's rounding
+    return clip_bound is None or never_rescaled(
+        curvature * (radius + anchors), clip_bound, (1.0 + curvature) * scale,
+        dom.dim, ops)
+
+
 def _projected_steps(seq: TaskSamples, work: StepWorkspace, step_size: float,
                      dom: ParamDomain, clip_bound: float | None = None,
-                     noise=None, final_step: bool = True) -> LearnerOutput:
+                     noise=None, final_step: bool = True,
+                     interior: bool = False) -> LearnerOutput:
     """Visit one iterate per sample of seq, in order, from the iterate in
     work, stepping from each, and return the average of the visited
     iterates and the final iterate.
@@ -103,6 +165,8 @@ def _projected_steps(seq: TaskSamples, work: StepWorkspace, step_size: float,
     given), adds noise[j] when given, steps by step_size, and projects onto
     the ball. geometry decides clipping and projection row by row, so each
     problem is clipped or projected only when its own row is outside. With
+    interior True, which only interior_certified may decide, the loop
+    calls neither, since neither could act. With
     final_step False the loop stops after the last visit, so the final
     iterate is the last one visited and the last sample's gradient, clip
     and noise are never used.
@@ -119,19 +183,21 @@ def _projected_steps(seq: TaskSamples, work: StepWorkspace, step_size: float,
     # a 0-d array operand spares numpy converting a Python float on every
     # step; the products are the same
     step = np.asarray(step_size, dtype=np.float64)
+    clip = clip_bound is not None and not interior
     last = seq.count - 1
     for j in range(seq.count):
         running_sum += theta
         if j == last and not final_step:
             break
         seq.grad(theta, j, out=grad)
-        if clip_bound is not None:
+        if clip:
             clip_norm_in_place(grad, clip_bound, scratch)
         if noise is not None:
             grad += noise[j]
         grad *= step
         theta -= grad
-        project_in_place(theta, dom, scratch)
+        if not interior:
+            project_in_place(theta, dom, scratch)
     running_sum /= seq.count
     return LearnerOutput(averaged_iterate=running_sum, final_iterate=theta)
 
@@ -141,16 +207,20 @@ def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
     """Projected online gradient descent over the samples in their given order.
 
     Visits theta_1 = init, takes one gradient step per sample, projects after
-    every step, and averages the visited iterates theta_1 .. theta_m.
+    every step, and averages the visited iterates theta_1 .. theta_m. The
+    projections are skipped when interior_certified holds for the call.
     """
     if cfg.num_steps is not None and cfg.num_steps != samples.count:
         raise ValueError(
             f"cfg.num_steps={cfg.num_steps} but {samples.count} samples were supplied")
-    return _projected_steps(samples, _start(samples, init, dom), cfg.step_size, dom)
+    work = _start(samples, init, dom)
+    return _projected_steps(samples, work, cfg.step_size, dom,
+                            interior=interior_certified(samples, init, cfg.step_size, dom))
 
 
 def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan,
-                    dom: ParamDomain, noise, work: StepWorkspace) -> LearnerOutput:
+                    dom: ParamDomain, noise, work: StepWorkspace,
+                    interior: bool = False) -> LearnerOutput:
     """Noisy projected SGD on visits (steps_n, *batch, d) and noise
     (steps_n, *problems, d) drawn ahead: it visits theta_1 = init, and
     step j clips sample j's gradient to plan.clip_bound, adds noise[j],
@@ -158,7 +228,9 @@ def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan,
     n visits is all training reads, so no step leaves theta_n: the output's
     final_iterate is theta_n, and noise[n - 1] goes unused. init broadcasts
     against the batch axes of visits and is not written. Nothing is
-    checked: the caller makes noisy_sgd_run's checks once per pass of tasks.
+    checked: the caller makes noisy_sgd_run's checks once per pass of tasks,
+    and passes interior True only when interior_certified holds for the
+    pass, which skips the clip and the projection.
 
     The call steps in work, a StepWorkspace shaped (*problems, d), so a pass
     of tasks allocates no step buffers; the output's arrays are work's
@@ -167,7 +239,7 @@ def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan,
     work.theta[...] = init
     return _projected_steps(visits, work, plan.step_size, dom,
                             clip_bound=plan.clip_bound, noise=noise,
-                            final_step=False)
+                            final_step=False, interior=interior)
 
 
 def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan,

@@ -137,7 +137,11 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
 
     The fold phase is sequential: per task, one learners.noisy_sgd_steps
     call steps every arm from its phi_t in the pass's one workspace, and
-    meta_step's fold, in place, folds every arm's averaged iterate. The arms
+    meta_step's fold, in place, folds every arm's averaged iterate. Between
+    the phases learners.interior_certified decides, once for the pass, from
+    phi_init, all visits and the whole noise block, whether the steps may
+    skip the clip and the projection: every phi_t and theta_bar_t is a
+    convex combination of iterates, so it stays where they do. The arms
     share tasks, samples and index sequences, and each arm's row is
     bit-identical to training it alone.
 
@@ -174,6 +178,11 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
         env, substreams(master_seed, "train-task", count=num_tasks),
         substreams(master_seed, "train-losses", count=num_tasks), indices)
 
+    # num_tasks passes of steps_n steps, one fold each, run in sequence
+    interior = learners.interior_certified(visits, phi_init, plan.step_size,
+                                           env.domain, plan.clip_bound, noise,
+                                           steps=num_tasks * (n + 1))
+
     # the pass's (arms, d) state, folded in place task by task
     phi = np.tile(phi_init, (len(plans), 1))
     phi_running_sum = np.zeros_like(phi)
@@ -184,7 +193,8 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
         # every arm's phi_t on task t's visits: inits (arms, d), one problem
         # per arm; bars is work's running sum, free to overwrite once folded
         bars = learners.noisy_sgd_steps(visits.take((slice(None), t)), phi, plan,
-                                        env.domain, noise[t], work).averaged_iterate
+                                        env.domain, noise[t], work,
+                                        interior=interior).averaged_iterate
         # surrogate_loss(phi, bars); its squared-norm check is the finiteness
         # check of the fold's input
         np.multiply(0.5, dist_sq_into(bars, phi, work.scratch), out=surrogate_losses[:, t])

@@ -8,7 +8,10 @@ anchors, or logistic features plus labels. Everything is driven by named
 substreams of a single master seed, so any piece of a run can be regenerated
 independently. A pass's streams are seeded in one batch (substreams),
 bit-identical to separate substream calls. A task is only its minimizer;
-the sample model is the environment's. Risk is scored for a sequence of
+the sample model is the environment's. A quadratic task draws anchor rows
+only up to the last one its pass keeps, and skips projecting anchors that
+geometry.never_rescaled certifies inside the ball, since that projection
+could move no row. Risk is scored for a sequence of
 tasks at once, in one call for either family: quadratic tasks in closed
 form, logistic tasks with the label integrated out exactly, over one
 feature sample that every task and every scored point share.
@@ -25,7 +28,7 @@ import numpy as np
 
 from .calibration import check_env
 from .geometry import (ParamDomain, RowScratch, as_batch, as_vector, dist_sq,
-                       project_in_place)
+                       never_rescaled, project_in_place)
 from .losses import (ExcessWorkspace, TaskSamples, logistic_excess,
                      quadratic_value, sigmoid)
 
@@ -292,14 +295,30 @@ def _draw_samples(spec: EnvSpec, theta_stars, rngs, keep) -> TaskSamples:
         project_in_place(anchors, spec.domain, RowScratch(anchors.shape))
         points[...] = anchors
     else:
+        # task t draws its rows up to the last one it keeps: the normal
+        # stream is sequential and nothing is drawn after it, so the rows
+        # kept are the same bits
+        drawn = [m] * tasks if keep is None else (rows.max(axis=1) + 1).tolist()
+        # anchors theta* + w lie within ||theta* - center|| + sqrt(d) max|w|
+        # of the center; where that is certified inside the ball, their
+        # projection could move no row and is skipped
+        dom = spec.domain
+        star_norms = np.sqrt(dist_sq(theta_stars, dom.center)).tolist()
+        center_top = float(np.maximum.reduce(np.abs(dom.center), axis=None))
+        root_dim = math.sqrt(dim)
         # each task's anchors are projected in one contiguous buffer, which
         # costs less than projecting the strided view points[:, t]
         buf = np.empty((count, dim))
         scratch = RowScratch(buf.shape)
         for t, rng in zip(range(tasks), rngs, strict=True):
-            offsets = rng.normal(0.0, spec.sample_noise_std, size=(m, dim))
-            np.add(theta_stars[t], offsets[rows[t]], out=buf)
-            project_in_place(buf, spec.domain, scratch)
+            offsets = rng.normal(0.0, spec.sample_noise_std,
+                                 size=(drawn[t], dim))[rows[t]]
+            np.add(theta_stars[t], offsets, out=buf)
+            reach = star_norms[t] + root_dim * max(
+                np.maximum.reduce(offsets, axis=None),
+                -np.minimum.reduce(offsets, axis=None))
+            if not never_rescaled(reach, dom.radius, center_top + reach, dim, 1):
+                project_in_place(buf, dom, scratch)
             points[:, t] = buf
     return TaskSamples(points, curvature=spec.curvature)
 
@@ -312,8 +331,8 @@ def draw_tasks(spec: EnvSpec, task_rngs, sample_rngs, keep):
     samples keep[t], in that order, repeats allowed.
 
     Each generator is consumed as sample_task or generate_losses consumes
-    it, and projection acts row by row, so every value is bit-identical to
-    those calls task by task. The minimizers are projected in one call, each
+    it, up to the last sample kept, and projection acts row by row, so
+    every value is bit-identical to those calls task by task. The minimizers are projected in one call, each
     task's anchors as they are drawn, so no temporary outgrows one task.
     Each sequence of generators is iterated once, so either may be lazy.
     """

@@ -1,3 +1,4 @@
+from fractions import Fraction
 import math
 import warnings
 
@@ -8,7 +9,8 @@ import pytest
 from dpmeta.calibration import Ball, ball_reach, format_value
 from dpmeta.config import build_config
 from dpmeta.geometry import (_FEW_ROWS, ParamDomain, RowScratch, as_vector,
-                             clip_norm_in_place, dist_sq, dist_sq_into, project_in_place)
+                             clip_norm_in_place, dist_sq, dist_sq_into,
+                             never_rescaled, project_in_place)
 
 RTOL = 1e-12
 
@@ -317,6 +319,69 @@ def test_in_place_few_row_path_equals_many_row_path(seed, dim, radius, outside):
                 part = rows[start:start + size].copy()
                 call(part, RowScratch(part.shape))
                 assert np.array_equal(part, whole[start:start + size])
+
+
+def _exact_top_norm(rows, center) -> float:
+    """An upper bound on the largest exact norm of rows - center, from the
+    rational offsets: the float square and sqrt round by an ulp at most."""
+    top = max(sum((Fraction(x) - Fraction(c)) ** 2 for x, c in zip(row, center))
+              for row in rows)
+    return math.sqrt(float(top)) * (1.0 + 4.0 * np.finfo(float).eps)
+
+
+def _tightest_bound(norm, scale, dim):
+    """The least float bound at which never_rescaled(norm, bound, scale,
+    dim, 0) holds."""
+    bound = norm
+    while not never_rescaled(norm, bound, scale, dim, 0):
+        bound = math.nextafter(bound + (bound - norm), math.inf)
+    low = norm
+    while math.nextafter(low, math.inf) < bound:
+        mid = 0.5 * (low + bound)
+        if mid <= low or mid >= bound:
+            break
+        if never_rescaled(norm, mid, scale, dim, 0):
+            bound = mid
+        else:
+            low = mid
+    return bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), dim=st.integers(1, 8),
+       center_scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+       norm=st.floats(1e-3, 1e3))
+def test_interior_rule_at_its_edge_leaves_rows_alone(seed, rows, dim, center_scale, norm):
+    # rows at most a norm from the center, against the tightest bound the
+    # rule certifies for them without any steps: the row rule's own
+    # rounding (its subtraction, vecdot and squared bound) must not tip a
+    # row over, in either in-place form
+    rng = np.random.default_rng(seed)
+    center = rng.normal(scale=center_scale, size=dim)
+    offsets = rng.normal(size=(rows, dim))
+    offsets *= norm / np.sqrt(np.vecdot(offsets, offsets))[:, None]
+    points = center + offsets
+    scale = float(max(np.abs(points).max(), np.abs(center).max()))
+    top = _exact_top_norm(points, center)
+    radius = _tightest_bound(top, scale, dim)
+    assert never_rescaled(top, radius, scale, dim, 0)
+    assert not project_in_place(points.copy(), ParamDomain(center, radius),
+                                RowScratch(points.shape))
+    top = _exact_top_norm(offsets, np.zeros(dim))
+    bound = _tightest_bound(top, float(np.abs(offsets).max()), dim)
+    assert not clip_norm_in_place(offsets.copy(), bound, RowScratch(offsets.shape))
+
+
+def test_interior_rule_counts_steps_and_refuses_non_finite():
+    # the margin grows with the steps, so a norm certified for a few steps
+    # is refused for many; a NaN or infinite norm or scale is refused
+    eps = np.finfo(float).eps
+    assert never_rescaled(1.0 - 1e-12, 1.0, 1.0, 2, 100)
+    assert not never_rescaled(1.0 - 1e-12, 1.0, 1.0, 2, 10**6)
+    assert never_rescaled(0.5, 1.0, 1.0, 3, int(0.01 / eps))
+    for args in ((math.nan, 1.0, 1.0), (math.inf, math.inf, 1.0),
+                 (0.5, 1.0, math.inf), (0.5, 1.0, math.nan), (0.5, math.nan, 1.0)):
+        assert not never_rescaled(*args, 2, 1)
 
 
 def test_in_place_forms_raise_before_writing():

@@ -21,9 +21,10 @@ import sys
 import pytest
 
 import dpmeta
+import dpmeta.learners
 from dpmeta.cli import EXIT_CONFIG, EXIT_OK, main
 from dpmeta.config import build_config
-from dpmeta.harness import calibrate, csv_bytes_excluding_wall_clock
+from dpmeta.harness import calibrate, csv_bytes_excluding_wall_clock, run_experiment
 
 # tens of training tasks, so that summing a mean surrogate loss in another
 # order changes its last bit
@@ -94,6 +95,21 @@ def test_stable_case_runs_a_stable_plan():
     cal = calibrate(build_config(STABLE_ITEMS))
     assert cal.step_times_beta <= 2
     assert not cal.training_is_noop
+
+
+def test_stable_case_runs_interior_certified_passes(monkeypatch):
+    # the stable digests pin the loop that skips clips and projections: the
+    # interior certificate holds for its training pass and its eval pass
+    verdicts = []
+    real = dpmeta.learners.interior_certified
+
+    def spy(samples, *args, **kwargs):
+        verdicts.append((samples.points.shape, real(samples, *args, **kwargs)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(dpmeta.learners, "interior_certified", spy)
+    run_experiment(build_config(STABLE_ITEMS))
+    assert verdicts == [((237, 25, 2), True), ((1900, 10, 2), True)]
 
 
 @pytest.mark.parametrize("case", ["quadratic", "logistic"])

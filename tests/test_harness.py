@@ -562,10 +562,10 @@ def test_learner_runs_the_calibrated_plan(monkeypatch):
     calls, workspaces = [], set()
     real_steps = dpmeta.learners.noisy_sgd_steps
 
-    def spy_steps(visits, init, plan, dom, noise, work):
+    def spy_steps(visits, init, plan, dom, noise, work, *, interior):
         calls.append((visits, np.shape(init), plan, noise))
         workspaces.add(work)
-        return real_steps(visits, init, plan, dom, noise, work)
+        return real_steps(visits, init, plan, dom, noise, work, interior=interior)
 
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_steps)
     cfg = make_cfg(baseline_nonprivate_meta="true")
@@ -601,6 +601,64 @@ def test_training_arms_report_one_task_dispersion():
     assert report.arms[ARM_NO_META].v_bar_sq_realized is None
 
 
+def _spy_interior_verdicts(monkeypatch):
+    """Record, per learners.interior_certified call of a run, the shape of
+    the samples it certified and its verdict: the training pass's call,
+    then eval's."""
+    verdicts = []
+    real = dpmeta.learners.interior_certified
+
+    def spy(samples, *args, **kwargs):
+        verdicts.append((samples.points.shape, real(samples, *args, **kwargs)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(dpmeta.learners, "interior_certified", spy)
+    return verdicts
+
+
+# criterion 09's middle point, as the adapt_heavy benchmark runs it: a
+# stable quadratic plan (step x curvature 0.18 in training, 2.6e-4 in eval)
+ADAPT_ITEMS = {
+    "dim": "2", "domain_radius": "1.0", "similarity_v": "0.0",
+    "samples_per_task": "1900", "t_train": "5", "t_eval": "100",
+    "epsilon": "0.5", "delta": "0.1", "curvature": "1.0",
+    "sample_noise_std": "0.05", "master_seed": "101",
+}
+
+
+def test_interior_certificate_fires_on_both_passes_of_a_stable_run(monkeypatch):
+    # training visits (237, 5, 2) and eval adapts on (1900, 100, 2): both
+    # passes skip their clips and projections, and the run still reports
+    # what the uncertified loop reports
+    verdicts = _spy_interior_verdicts(monkeypatch)
+    report = run_experiment(build_config(ADAPT_ITEMS))
+    assert verdicts == [((237, 5, 2), True), ((1900, 100, 2), True)]
+    monkeypatch.setattr(dpmeta.learners, "interior_certified", lambda *args, **kw: False)
+    reference = run_experiment(build_config(ADAPT_ITEMS))
+    for arm, result in report.arms.items():
+        assert result.excess_risks == reference.arms[arm].excess_risks
+        assert result.mean_surrogate == reference.arms[arm].mean_surrogate
+
+
+@pytest.mark.parametrize("items", [
+    # the train_heavy benchmark's shape: training at step x curvature 5.37
+    {"dim": "5", "domain_radius": "3.0", "similarity_v": "0.1",
+     "samples_per_task": "100", "t_train": "20", "t_eval": "4", "epsilon": "1.0",
+     "delta": "1e-5", "sample_noise_std": "0.2", "phi_init": "1.5,0,0,0,0"},
+    {"loss_family": "logistic", "growth_alpha": "0.5"},
+], ids=["h_over_one", "logistic"])
+def test_interior_certificate_declines_logistic_and_h_over_one_runs(items, monkeypatch):
+    verdicts = _spy_interior_verdicts(monkeypatch)
+    cfg = make_cfg(**items)
+    cal = calibrate(cfg)
+    run_experiment(cfg)
+    if cfg.env.loss_family == "logistic":
+        assert [verdict for _, verdict in verdicts] == [False, False]
+    else:
+        assert cal.sgd_step_size * cfg.env.curvature > 1.0
+        assert verdicts[0][1] is False
+
+
 @pytest.mark.parametrize("family_items", [
     {},
     {"loss_family": "logistic", "growth_alpha": "0.5"},
@@ -620,11 +678,15 @@ def test_clipping_is_inactive_when_smoothness_ok(family_items, monkeypatch):
         return clipped
 
     monkeypatch.setattr(dpmeta.learners, "clip_norm_in_place", spy_clip)
+    verdicts = _spy_interior_verdicts(monkeypatch)
     cfg = make_cfg(samples_per_task=80, delta=0.1, baseline_nonprivate_meta="true",
                    **family_items)
     cal = calibrate(cfg)
     assert cal.smoothness_ok
     run_experiment(cfg)
+    # the interior certificate declines the training pass, so every clip the
+    # promise covers is called and counted here
+    assert verdicts[0] == ((cal.steps_n, cfg.t_train, cfg.env.dim), False)
     # one clip per private step, each over both training arms' gradients;
     # training takes steps_n - 1 steps, since no step leaves theta_n
     assert len(calls) == cfg.t_train * (cal.steps_n - 1)

@@ -1,13 +1,15 @@
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from dpmeta.geometry import ParamDomain, dist_sq
+import dpmeta.learners
+from dpmeta.geometry import ParamDomain, RowScratch, dist_sq, project_in_place
 from dpmeta.learners import (LearnerOutput, OgdConfig, StepWorkspace,
-                             adaptation_step_size, noisy_sgd_run, noisy_sgd_steps,
-                             ogd_run, private_step_scale)
+                             adaptation_step_size, interior_certified,
+                             noisy_sgd_run, noisy_sgd_steps, ogd_run,
+                             private_step_scale)
 from dpmeta.losses import TaskSamples, quadratic_value
 from dpmeta.privacy import NoisySgdPlan, PrivacyParams
 
@@ -402,3 +404,115 @@ def test_batched_ogd_matches_independent_loop(seed, family, dim, m, tasks, arms,
                                      center, radius)
             assert np.allclose(out.averaged_iterate[a, t], avg, rtol=1e-12, atol=1e-15)
             assert np.allclose(out.final_iterate[a, t], final, rtol=1e-12, atol=1e-15)
+
+
+def _uncertified(run):
+    """run() with the interior certificate declined everywhere and the clip
+    and the projection spied: run's output and whether each call rescaled."""
+    rescaled = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpmeta.learners, "interior_certified", lambda *args, **kw: False)
+        for name in ("clip_norm_in_place", "project_in_place"):
+            real = getattr(dpmeta.learners, name)
+
+            def spy(v, *args, real=real):
+                acted = real(v, *args)
+                rescaled.append(acted)
+                return acted
+
+            mp.setattr(dpmeta.learners, name, spy)
+        return run(), rescaled
+
+
+def _same_bits(a: LearnerOutput, b: LearnerOutput) -> bool:
+    return (a.averaged_iterate.tobytes() == b.averaged_iterate.tobytes()
+            and a.final_iterate.tobytes() == b.final_iterate.tobytes())
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), arms=st.integers(1, 3),
+       tasks=st.integers(1, 3), steps=st.integers(1, 30),
+       center_scale=st.sampled_from([0.0, 1.0, 1e3]),
+       curvature=st.sampled_from([0.25, 1.0, 3.0, 8.0]),
+       h=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+       spread=st.floats(0.001, 0.3), noise_std=st.floats(0.0, 0.3),
+       clip_bound=st.floats(0.1, 10.0), on_sphere=st.booleans())
+def test_interior_certificate_is_sound(seed, dim, arms, tasks, steps, center_scale,
+                                       curvature, h, spread, noise_std, clip_bound,
+                                       on_sphere):
+    # whenever the certificate holds, the loop it lets skip the clip and the
+    # projection gives the bits of the loop that calls them, and every call
+    # there rescales nothing; the center may sit far from the origin, h is 1
+    # exactly at step 1 / curvature (these curvatures divide 1 exactly or
+    # multiply back to 1), and anchors projected onto the sphere must be
+    # declined, since an iterate can follow them there
+    rng = np.random.default_rng(seed)
+    center = rng.normal(scale=center_scale, size=dim)
+    dom = ParamDomain(center, 1.0)
+    step = h / curvature
+    if h == 1.0:
+        assert step * curvature == 1.0
+    mean = center + 0.5 * rng.uniform(-1, 1, size=dim) / math.sqrt(dim)
+    anchors = mean + spread * rng.normal(size=(steps, tasks, dim))
+    if on_sphere:
+        anchors[0, 0] = center + np.ones(dim) * 2.0
+    project_in_place(anchors, dom, RowScratch(anchors.shape))
+    samples = TaskSamples(anchors, curvature=curvature)
+    inits = center + 0.5 * rng.uniform(-1, 1, size=(arms, 1, dim)) / math.sqrt(dim)
+    noise = rng.normal(scale=noise_std, size=(steps, arms, tasks, dim))
+    plan = NoisySgdPlan(steps_n=steps, step_size=step, noise_variance_sigma_sq=0.0,
+                        clip_bound=clip_bound)
+
+    ogd_ok = interior_certified(samples, inits, step, dom)
+    out = ogd_run(samples, inits, OgdConfig(step), dom)
+    ref, rescaled = _uncertified(lambda: ogd_run(samples, inits, OgdConfig(step), dom))
+    assert _same_bits(out, ref)
+    assert not (ogd_ok and any(rescaled))
+
+    sgd_ok = interior_certified(samples, inits, step, dom, clip_bound, noise)
+    shape = (arms, tasks, dim)
+    out = noisy_sgd_steps(samples, inits, plan, dom, noise, StepWorkspace(shape),
+                          interior=sgd_ok)
+    ref, rescaled = _uncertified(lambda: noisy_sgd_steps(
+        samples, inits, plan, dom, noise, StepWorkspace(shape)))
+    assert _same_bits(out, ref)
+    assert not (sgd_ok and any(rescaled))
+    # a clip can only tighten what the projection alone certifies
+    assert ogd_ok or not sgd_ok
+    event(f"certified: ogd {ogd_ok}, noisy sgd {sgd_ok}")
+    if on_sphere:
+        assert not ogd_ok
+
+
+def test_interior_certificate_holds_well_inside():
+    # a tight cluster of anchors near the center, a small step and a start
+    # inside: both checks pass with room to spare, and fail once the
+    # clip bound or the radius is too small for them
+    anchors = quad(np.tile([0.1, -0.1], (20, 1)) + 0.01 * np.arange(20)[:, None])
+    dom = ParamDomain(np.zeros(2), 1.0)
+    assert interior_certified(anchors, [0.3, 0.3], 0.5, dom)
+    assert interior_certified(anchors, [0.3, 0.3], 0.5, dom, clip_bound=1.0)
+    assert not interior_certified(anchors, [0.3, 0.3], 0.5, dom, clip_bound=0.3)
+    assert not interior_certified(anchors, [0.3, 0.3], 0.5, ParamDomain(np.zeros(2), 0.4))
+    # the noise widens the radius by its largest norm over the curvature
+    noise = np.zeros((20, 2))
+    noise[7] = [0.0, 0.8]
+    assert not interior_certified(anchors, [0.3, 0.3], 0.5, dom, noise=noise)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), steps=st.integers(1, 20),
+       h=st.floats(1.01, 100.0), step=st.floats(1e-6, 10.0))
+def test_interior_certificate_declines_logistic_and_h_over_one(seed, dim, steps, h, step):
+    # however large the ball and however tight the samples, a logistic pass
+    # and a quadratic pass with step x curvature > 1 are never certified;
+    # both are declined before any array is read, so starts of None pass
+    rng = np.random.default_rng(seed)
+    dom = ParamDomain(np.zeros(dim), 1e6)
+    quadratic = TaskSamples(1e-3 * rng.normal(size=(steps, dim)), curvature=h / step)
+    assert step * quadratic.curvature > 1.0
+    assert not interior_certified(quadratic, None, step, dom)
+    logistic = _batch_and_singles("logistic", rng, 2, steps, dim, feature_norm=1e-3)[0]
+    assert not interior_certified(logistic, None, step, dom)
+    assert not interior_certified(logistic, None, step, dom, clip_bound=1e6,
+                                  noise=np.zeros((steps, 2, dim)))

@@ -1,7 +1,7 @@
 from dataclasses import replace
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -171,6 +171,16 @@ def test_shared_training_equals_separate_passes(family, monkeypatch):
         return out
 
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_noisy)
+    # the interior certificate must decline these passes, or the loop would
+    # skip the very clips and projections counted here
+    verdicts = []
+    real_certified = dpmeta.learners.interior_certified
+
+    def spy_certified(*args, **kwargs):
+        verdicts.append(real_certified(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(dpmeta.learners, "interior_certified", spy_certified)
     dom = ParamDomain(np.array([0.1, -0.2]), 0.8)
     env = EnvSpec(domain=dom, planted_center=np.array([0.4, -0.2]),
                   similarity_v=0.3, samples_per_task=12, loss_family=family,
@@ -181,6 +191,7 @@ def test_shared_training_equals_separate_passes(family, monkeypatch):
     phi_init = np.array([0.7, -0.5])
     shared = run_meta_training(env, 15, (plan, quiet), phi_init, 21)
     shared_bars = np.stack(bars)
+    assert verdicts == [False]
     for calls in binds.values():
         assert 0 < sum(calls) < len(calls)
     assert shared_bars.shape == (15, 2, 2)
@@ -308,3 +319,55 @@ def test_hindsight_initializer_beats_surrogate_average():
     # average regret decays like (1 + ln T) / T with unit curvature
     slack = (4 * D) ** 2 * (1 + math.log(T)) / (2 * T)
     assert total / T <= hindsight / T + slack
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       center_scale=st.sampled_from([0.0, 1.0, 1e3]), tasks=st.integers(5, 40),
+       curvature=st.sampled_from([0.5, 1.0, 4.0]), h=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+       sample_noise_std=st.floats(0.0, 0.2), sigma_sq=st.floats(0.0, 0.05),
+       clip_bound=st.floats(0.2, 5.0))
+def test_interior_certified_training_is_sound(seed, dim, center_scale, tasks, curvature,
+                                               h, sample_noise_std, sigma_sq, clip_bound):
+    # multi-arm noisy training over many tasks: whenever the certificate
+    # holds for the pass, every phi_t and every iterate stays where the clip
+    # and the projection leave it, so the pass that skips them gives the bits
+    # of the pass that calls them, and there every call rescales nothing
+    rng = np.random.default_rng(seed)
+    center = rng.normal(scale=center_scale, size=dim)
+    env = EnvSpec(domain=ParamDomain(center, 1.0),
+                  planted_center=center + 0.3 * rng.uniform(-1, 1, size=dim) / math.sqrt(dim),
+                  similarity_v=0.2, samples_per_task=30, curvature=curvature,
+                  sample_noise_std=sample_noise_std)
+    plan = NoisySgdPlan(steps_n=6, step_size=h / curvature,
+                        noise_variance_sigma_sq=sigma_sq, clip_bound=clip_bound)
+    plans = (plan, replace(plan, noise_variance_sigma_sq=0.0),
+             replace(plan, noise_variance_sigma_sq=sigma_sq / 4))
+    phi_init = center + 0.4 * rng.uniform(-1, 1, size=dim) / math.sqrt(dim)
+    verdicts, rescaled = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        real_certified = dpmeta.learners.interior_certified
+
+        def spy_certified(*args, **kwargs):
+            verdicts.append(real_certified(*args, **kwargs))
+            return verdicts[-1]
+
+        mp.setattr(dpmeta.learners, "interior_certified", spy_certified)
+        trained = run_meta_training(env, tasks, plans, phi_init, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpmeta.learners, "interior_certified", lambda *args, **kw: False)
+        for name in ("clip_norm_in_place", "project_in_place"):
+            real = getattr(dpmeta.learners, name)
+
+            def spy(v, *args, real=real):
+                acted = real(v, *args)
+                rescaled.append(acted)
+                return acted
+
+            mp.setattr(dpmeta.learners, name, spy)
+        reference = run_meta_training(env, tasks, plans, phi_init, seed)
+    assert len(verdicts) == 1
+    assert trained.phi_hat.tobytes() == reference.phi_hat.tobytes()
+    assert trained.surrogate_losses.tobytes() == reference.surrogate_losses.tobytes()
+    assert not (verdicts[0] and any(rescaled))
+    event(f"certified: {verdicts[0]}")

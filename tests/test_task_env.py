@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import zlib
 
+from hypothesis import event, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -110,17 +111,22 @@ def _onto_ball(rows, dom):
 
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
 @pytest.mark.parametrize("noise_std", [0.0, 0.7])
-@pytest.mark.parametrize("kept", [False, True])
+@pytest.mark.parametrize("kept", [False, True, "zeros"])
 def test_draw_tasks_equals_single_task_draws(family, noise_std, kept):
     # a pass of tasks drawn at once must equal sample_task and
     # generate_losses task by task, bit for bit; radius 1 and anchor noise
-    # 0.7 make the projection bind on some minimizers and anchors, not all
+    # 0.7 make the projection bind on some minimizers and anchors, not all.
+    # A task that keeps only its sample 0 draws a single anchor row
     dom = ParamDomain(np.array([0.2, 0.0, -0.1]), 1.0)
     env = EnvSpec(domain=dom, planted_center=np.array([0.6, 0.1, -0.1]),
                   similarity_v=0.9, samples_per_task=9, loss_family=family,
                   sample_noise_std=noise_std, feature_norm=1.5)
     tasks = 6
-    keep = np.random.default_rng(3).integers(0, 9, size=(tasks, 4)) if kept else None
+    keep = None
+    if kept == "zeros":
+        keep = np.zeros((tasks, 4), dtype=np.int64)
+    elif kept:
+        keep = np.random.default_rng(3).integers(0, 9, size=(tasks, 4))
     stars, batch = draw_tasks(env, (substream(5, "t", t) for t in range(tasks)),
                               (substream(5, "s", t) for t in range(tasks)), keep)
     assert stars.shape == (tasks, 3)
@@ -143,10 +149,82 @@ def test_draw_tasks_equals_single_task_draws(family, noise_std, kept):
         anchors = _onto_ball(np.broadcast_to(star + offsets, (9, 3)), dom)
         assert star.tobytes() == stars[t].tobytes()
         assert anchors[rows].tobytes() == batch.points[:, t].tobytes()
-    if family == "quadratic" and noise_std:
+    if family == "quadratic" and noise_std and kept != "zeros":
         on_sphere = np.isclose(np.sqrt(dist_sq(dom.center, batch.points)), dom.radius,
                                rtol=1e-12, atol=0.0)
         assert 0 < on_sphere.sum() < on_sphere.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+       center_scale=st.sampled_from([0.0, 1.0, 1e3]), radius=st.floats(0.3, 5.0),
+       v_share=st.floats(0.0, 1.0), noise_std=st.floats(0.01, 1.0),
+       kept=st.booleans())
+def test_interior_anchors_skip_only_idle_projections(seed, dim, center_scale, radius,
+                                                     v_share, noise_std, kept):
+    # a task whose anchors are certified inside the ball skips their
+    # projection; drawn with every projection called instead, the same
+    # task's projection moves no row, and every anchor has the same bits
+    rng = np.random.default_rng(seed)
+    center = rng.normal(scale=center_scale, size=dim)
+    env = EnvSpec(domain=ParamDomain(center, radius),
+                  planted_center=center + 0.3 * radius * rng.uniform(-1, 1, size=dim) / math.sqrt(dim),
+                  similarity_v=v_share * radius, samples_per_task=20,
+                  sample_noise_std=noise_std)
+    tasks = 5
+    keep = rng.integers(0, 20, size=(tasks, 6)) if kept else None
+
+    def draw():
+        return draw_tasks(env, substreams(seed, "t", count=tasks),
+                          substreams(seed, "s", count=tasks), keep)
+
+    verdicts, moved = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        real_rule = task_env.never_rescaled
+
+        def spy_rule(*args):
+            verdicts.append(real_rule(*args))
+            return verdicts[-1]
+
+        mp.setattr(task_env, "never_rescaled", spy_rule)
+        stars, batch = draw()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(task_env, "never_rescaled", lambda *args: False)
+        real_project = task_env.project_in_place
+
+        def spy_project(v, *args):
+            moved.append(real_project(v, *args))
+            return moved[-1]
+
+        mp.setattr(task_env, "project_in_place", spy_project)
+        ref_stars, ref_batch = draw()
+    assert stars.tobytes() == ref_stars.tobytes()
+    assert batch.points.tobytes() == ref_batch.points.tobytes()
+    # the first projection is the minimizers', then one per task
+    assert len(verdicts) == tasks and len(moved) == tasks + 1
+    assert not any(certified and acted for certified, acted in zip(verdicts, moved[1:]))
+    event(f"tasks certified: {sum(verdicts)} of {tasks}")
+
+
+def test_interior_anchors_skip_projection_well_inside():
+    # criterion 09's anchors (noise 0.05 about the center of the unit ball)
+    # are certified for every task, and a ball they overflow for none
+    seen = []
+    for radius, noise_std in ((1.0, 0.05), (1.0, 5.0)):
+        env = EnvSpec(domain=ParamDomain(np.zeros(2), radius), planted_center=np.zeros(2),
+                      similarity_v=0.0, samples_per_task=1900, sample_noise_std=noise_std)
+        verdicts = []
+        real_rule = task_env.never_rescaled
+
+        def spy_rule(*args):
+            verdicts.append(real_rule(*args))
+            return verdicts[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(task_env, "never_rescaled", spy_rule)
+            draw_tasks(env, substreams(1, "t", count=4), substreams(1, "s", count=4), None)
+        seen.append(verdicts)
+    assert seen == [[True] * 4, [False] * 4]
 
 
 def test_draw_tasks_validates_kept_indices():
