@@ -5,8 +5,8 @@ floats: the privacy target and the noisy-SGD plan it buys (step budget n,
 noise variance sigma^2), the regularity constants of each loss family and
 the smoothness ceiling, the step scales gamma and eta, and the calibration
 record with its overflow checks. All of it lives here, with the numpy-free
-checks that config and the run path share: a ball's reach (geometry's
-ParamDomain, or Ball here) and the scalar checks of task_env.EnvSpec. So
+checks that config and the run path share: Ball, the ball domain (geometry's
+ParamDomain is one), and the scalar checks of task_env.EnvSpec. So
 `dpmeta calibrate` loads cli, config and this module, and no numpy; the run
 path's modules import these names from here. Natural logarithms
 throughout.
@@ -52,7 +52,7 @@ def format_value(value) -> str:
 
 def _square(x: float) -> float:
     """x**2, or inf where the Python float square overflows (x**2 raises
-    OverflowError there)."""
+    OverflowError there; geometry's clip bound that large binds no row)."""
     try:
         return x**2
     except OverflowError:
@@ -78,16 +78,17 @@ def ball_reach(center, radius) -> float:
 
 @dataclass(frozen=True)
 class Ball:
-    """A closed Euclidean ball {x : ||x - center|| <= radius} on tuples of
-    floats: what config checks points against and calibrate reads, with
-    the reach of geometry.ParamDomain. contains sums the squared offsets in
-    coordinate order, as ParamDomain.contains does, so both answer alike."""
+    """A closed Euclidean ball {x : ||x - center|| <= radius}: what config
+    checks points against and calibrate reads, and, with an array center,
+    geometry.ParamDomain. contains, on the center as Python floats, is the
+    one membership rule of config and the run path."""
 
     center: tuple
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "_reach", ball_reach(self.center, self.radius))
+        object.__setattr__(self, "_coords", tuple(map(float, self.center)))
+        object.__setattr__(self, "_reach", ball_reach(self._coords, self.radius))
 
     @property
     def dim(self) -> int:
@@ -101,7 +102,7 @@ class Ball:
         """True when point lies in the ball up to its reach; ValueError when
         the squared offset overflows."""
         nsq = 0.0
-        for c, x in zip(self.center, point, strict=True):
+        for c, x in zip(self._coords, point, strict=True):
             nsq += (c - x) * (c - x)
         if not math.isfinite(nsq):
             raise ValueError("vector has non-finite coordinates or a squared norm "
@@ -111,8 +112,8 @@ class Ball:
 
 def check_env(domain, planted_center, similarity_v, samples_per_task, loss_family,
               curvature, sample_noise_std, feature_norm) -> None:
-    """task_env.EnvSpec's checks, on a geometry.ParamDomain or a Ball and
-    the matching center: ValueError naming the first violation."""
+    """task_env.EnvSpec's checks, on a Ball and the matching center:
+    ValueError naming the first violation."""
     if not domain.contains(planted_center):
         raise ValueError("planted_center lies outside the domain")
     if not math.isfinite(similarity_v) or similarity_v < 0:
@@ -278,7 +279,7 @@ class RegularityProfile:
 
 def quadratic_regularity(curvature: float, dom) -> RegularityProfile:
     """Constants for curvature-c quadratics with anchors inside the domain
-    dom (a geometry.ParamDomain or a Ball).
+    dom, a Ball.
 
     Worst-case gradient norm over the ball is c * diameter (parameter at one
     end, anchor at the other); smoothness and growth both equal c.
@@ -430,22 +431,30 @@ def _closed_form(name: str, formula, *args):
 
 
 def _check_step_reach(cfg, G, sigma_sq, step_size, eta):
-    """A ConfigError naming each step whose worst case has a squared norm
+    """A ConfigError naming each vector whose worst case has a squared norm
     that overflows, which would stop the run mid-step: the gradient a
-    private step clips, or how far a step can carry an iterate from the
-    domain center. The worst gradient over the ball is the family's (c*D
-    quadratic, F logistic), whatever lipschitz_g says; a private step's
-    noise is taken to be at most sigma * (sqrt(d) + 40) in norm, 40 standard
-    deviations past its typical size."""
+    private step clips, how far a step can carry an iterate from the domain
+    center, the difference of two points of the ball (each up to its reach
+    from the center, the radius plus the center's rounding slack), and for
+    quadratic tasks how far a drawn anchor lies from the center before its
+    projection. The worst gradient over the ball is the family's (c*D
+    quadratic, F logistic), whatever lipschitz_g says; Gaussian noise of
+    standard deviation s per coordinate, a private step's or an anchor's, is
+    taken to be at most s * (sqrt(d) + 40) in norm, 40 standard deviations
+    past its typical size."""
     dom = cfg.domain
-    grad_bound = (cfg.curvature * dom.diameter
-                  if cfg.loss_family == "quadratic" else cfg.feature_norm)
-    noise = math.sqrt(sigma_sq) * (math.sqrt(dom.dim) + 40.0)
+    quadratic = cfg.loss_family == "quadratic"
+    grad_bound = cfg.curvature * dom.diameter if quadratic else cfg.feature_norm
+    sigmas = math.sqrt(dom.dim) + 40.0
+    noise = math.sqrt(sigma_sq) * sigmas
     reach = {"private step (sgd_step_size)":
              max(grad_bound, dom.radius + step_size * (G + noise)),
-             "adaptation step (eta)": dom.radius + eta * grad_bound}
-    too_far = [f"{step}: an iterate or gradient can reach norm {value:.3g}, whose "
-               "square overflows" for step, value in reach.items()
+             "adaptation step (eta)": dom.radius + eta * grad_bound,
+             "domain (domain_radius, domain_center)": 2.0 * dom._reach}
+    if quadratic:
+        reach["anchor (sample_noise_std)"] = dom.radius + cfg.sample_noise_std * sigmas
+    too_far = [f"{what}: a vector the run squares can reach norm {value:.3g}, whose "
+               "square overflows" for what, value in reach.items()
                if _square(value) == math.inf]
     if too_far:
         raise ConfigError(too_far)

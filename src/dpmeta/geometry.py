@@ -15,9 +15,10 @@ the same bits. never_rescaled is the rounding rule for skipping them: it
 says whether a row that exact arithmetic keeps within a norm can still be
 rescaled once the rounding of a run of steps is counted.
 Geometric identities hold to 1e-12 relative tolerance, not exactly, because
-of float rounding; ball membership also allows the few ulps by which
-center + offset rounds, and sums each squared offset in coordinate order,
-as config's numpy-free check does. Everything here is deterministic.
+of float rounding. ParamDomain is calibration.Ball with an array center, so
+ball membership is the Ball's one rule, which config checks points with too:
+it allows the few ulps by which center + offset rounds. Everything here is
+deterministic.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+
+from .calibration import Ball, _square
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -62,53 +65,25 @@ def as_batch(x, dim):
 
 
 @dataclass(frozen=True)
-class ParamDomain:
-    """Closed Euclidean ball ``{x : ||x - center|| <= radius}``.
-
-    radius == 0 is legal and denotes the singleton {center}.
-    """
+class ParamDomain(Ball):
+    """calibration.Ball with a 1-D float64 array center: dim, diameter,
+    reach and membership are the Ball's. radius == 0 is legal and denotes
+    the singleton {center}."""
 
     center: np.ndarray
-    radius: float
 
     def __post_init__(self):
-        # the reach is calibration's rule, which config checks points with
-        # too; imported here, so that importing geometry loads nothing else
-        from .calibration import ball_reach
         object.__setattr__(self, "center", as_vector(self.center))
-        object.__setattr__(self, "_reach", ball_reach(self.center.tolist(), self.radius))
+        super().__post_init__()
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "_radius_sq", _square(self.radius))
 
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
     def contains(self, v) -> bool:
         """True when v, or every vector of a batch shaped (..., dim), lies in
-        the ball up to its reach (calibration.ball_reach): GEOM_RTOL of the
-        radius plus the rounding of the center's coordinates. Each squared
-        offset is summed in coordinate order, as calibration.Ball.contains
-        sums it, so a point both check gets one answer."""
-        offset = self.center - _vectors(v, self.dim)
-        nsq = np.add.accumulate(offset * offset, axis=-1)[..., -1]
-        _finite_top(nsq)
-        return bool((np.sqrt(nsq) <= self._reach).all())
-
-
-def _square(x: float) -> float:
-    """x**2, or inf where the Python float square overflows (x**2 raises
-    OverflowError there, and a bound that large binds no finite row).
-    calibration._square is the same; this copy serves the clip on every
-    step, since importing geometry loads no other dpmeta module."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
+        the ball: Ball.contains, row by row. Every row is checked, so a
+        non-finite or overflowing one raises ValueError wherever it lies."""
+        rows = _vectors(v, self.dim).reshape(-1, self.dim).tolist()
+        return all([Ball.contains(self, row) for row in rows])
 
 
 def _finite_top(nsq) -> float:
@@ -123,10 +98,11 @@ def _finite_top(nsq) -> float:
 
 
 def _sq_norms(offset, out=None):
-    """Squared norms of the rows of offset, into out when given, and their
-    maximum, checked finite."""
+    """Squared norms of the rows of offset, into out when given, checked
+    finite."""
     nsq = np.vecdot(offset, offset, out=out)
-    return nsq, _finite_top(nsq)
+    _finite_top(nsq)
+    return nsq
 
 
 # Up to this many rows the row rule runs on Python floats, which costs less
@@ -254,12 +230,12 @@ def dist_sq_into(a, b, scratch: RowScratch):
     """dist_sq of float64 batches a and b shaped like scratch's buffers,
     written into scratch.nsq, which is returned. Shapes are not checked."""
     diff = np.subtract(a, b, out=scratch.vectors)
-    return _sq_norms(diff, scratch.nsq)[0]
+    return _sq_norms(diff, scratch.nsq)
 
 
 def dist_sq(a, b):
     """Squared Euclidean distance ||a - b||^2 over the last axis: a float for
     two vectors, an array shaped (...) when a or b is a batch."""
     a = _vectors(a)
-    nsq, _ = _sq_norms(a - _vectors(b, a.shape[-1]))
+    nsq = _sq_norms(a - _vectors(b, a.shape[-1]))
     return float(nsq) if nsq.ndim == 0 else nsq

@@ -42,8 +42,8 @@ import math
 import numpy as np
 
 # the step scales are closed forms, kept in calibration
-from .calibration import (STEP_SCALE_VARIANTS, NoisySgdPlan,  # noqa: F401
-                          adaptation_step_size, private_step_scale)
+from .calibration import (NoisySgdPlan, adaptation_step_size,  # noqa: F401
+                          private_step_scale)
 from .geometry import (ParamDomain, RowScratch, clip_norm_in_place,
                        never_rescaled, project_in_place)
 from .losses import TaskSamples

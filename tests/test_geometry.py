@@ -500,6 +500,13 @@ def test_config_and_param_domain_agree_on_membership(dim, data, radius):
                 assert exc.violations == ["phi_init lies outside the domain"]
                 accepted = False
             assert accepted == inside
+    # the batch form holds exactly when every point of the batch is inside:
+    # the points straddling the flip, and those of them the ball contains
+    points = [at(t) for t in ts]
+    assert dom.contains(np.array(points)) == all(ball.contains(p) for p in points)
+    kept = [p for p in points if ball.contains(p)]
+    if kept:
+        assert dom.contains(np.array(kept).reshape(len(kept), 1, dim))
 
 
 def test_as_vector_copies():

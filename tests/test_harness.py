@@ -766,8 +766,8 @@ def test_each_module_imports_alone_and_below_the_harness():
     # only what it uses: none of the lower layers pulls in the config
     # reader, the harness or the CLI
     src = str(Path(dpmeta.__file__).resolve().parents[1])
-    modules = ("geometry", "losses", "privacy", "learners", "task_env", "meta",
-               "config", "harness", "cli")
+    modules = ("calibration", "geometry", "losses", "privacy", "learners",
+               "task_env", "meta", "config", "harness", "cli")
     probe = ("import importlib, json, sys\n"
              "loaded = {}\n"
              f"for name in {modules!r}:\n"
@@ -782,9 +782,10 @@ def test_each_module_imports_alone_and_below_the_harness():
     loaded = json.loads(done.stdout)
     assert list(loaded) == list(modules)
     upper = {"dpmeta.config", "dpmeta.harness", "dpmeta.cli"}
-    for name in modules[:6]:
+    for name in modules[:7]:
         assert upper.isdisjoint(loaded[name]), name
-    assert loaded["geometry"] == ["dpmeta.geometry"]
+    assert loaded["calibration"] == ["dpmeta.calibration"]
+    assert loaded["geometry"] == ["dpmeta.calibration", "dpmeta.geometry"]
 
 
 def test_csv_read_rejects_foreign_header(tmp_path):
@@ -910,6 +911,15 @@ def test_cli_undecodable_config_is_config_error(tmp_path, capsys):
     ({"growth_alpha": "1e-200"}, "adaptation step"),
     ({"loss_family": "logistic", "growth_alpha": "1e-200"}, "adaptation step"),
     ({"lipschitz_g": "1e-160"}, "adaptation step"),
+    # a quadratic anchor is drawn up to R + s (sqrt(d) + 40) from the center
+    # before its projection, which squares that offset
+    ({"sample_noise_std": "5e153"}, "anchor (sample_noise_std)"),
+    # a radius-2 ball is finer than the float resolution of a center at
+    # 1e170, so two points of it can differ by about 1e155, whose square the
+    # risk and distances take
+    ({"domain_center": "1e170,0"}, "domain (domain_radius, domain_center)"),
+    ({"domain_center": "1e170,0", "loss_family": "logistic", "growth_alpha": "1.0"},
+     "domain (domain_radius, domain_center)"),
 ])
 def test_cli_overflowing_closed_form_is_config_error(tmp_path, capsys, monkeypatch,
                                                      overrides, constant):
@@ -945,7 +955,9 @@ def test_cli_radius_below_the_overflow_runs(tmp_path, capsys):
 
 @pytest.mark.parametrize("overrides", [
     {"epsilon": "1e-60"}, {"growth_alpha": "1e-150"}, {"curvature": "1e150"},
-    {"domain_radius": "1e150"},
+    {"domain_radius": "1e150"}, {"sample_noise_std": "1e150"},
+    {"domain_center": "1e160,0"},
+    {"domain_center": "1e160,0", "loss_family": "logistic", "growth_alpha": "1.0"},
 ])
 def test_cli_steps_inside_the_float_range_run(tmp_path, capsys, overrides):
     # near the configs above, but every step's squared norm stays finite:
