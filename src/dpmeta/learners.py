@@ -123,15 +123,21 @@ def interior_certified(samples: TaskSamples, starts, step_size: float,
     average or convex combination of them, stays within r in exact
     arithmetic, and every gradient within curvature (r + A).
     geometry.never_rescaled widens both by the rounding of the steps. A is
-    the norm of the anchors' per-coordinate bounding box, so nothing the
-    size of the samples is allocated."""
+    the norm of the anchors' per-coordinate bounding box, reduced first
+    over the step axis, which numpy vectorizes over the contiguous
+    (*batch, d) rows, and then over the batch axes of that result; the only
+    temporary is shaped (*batch, d), 1/m of the samples, so nothing the
+    size of the samples is allocated. Max and min are exact, so the order
+    of the reductions does not change the box."""
     curvature = samples.curvature
     if curvature is None or not 0.0 < step_size * curvature <= 1.0:
         return False
-    center = dom.center
-    batch_axes = tuple(range(samples.points.ndim - 1))
-    high = np.maximum.reduce(samples.points, axis=batch_axes) - center
-    low = np.minimum.reduce(samples.points, axis=batch_axes) - center
+    center, points = dom.center, samples.points
+    dim = points.shape[-1]
+    high = np.maximum.reduce(np.maximum.reduce(points, axis=0).reshape(-1, dim),
+                             axis=0) - center
+    low = np.minimum.reduce(np.minimum.reduce(points, axis=0).reshape(-1, dim),
+                            axis=0) - center
     box = np.maximum(high, -low)
     anchors = math.sqrt(np.vecdot(box, box))
     offsets = np.subtract(starts, center)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dpmeta
+import dpmeta.cli
 import dpmeta.config
 import dpmeta.learners
 from dpmeta.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
@@ -931,16 +932,37 @@ def test_cli_overflowing_closed_form_is_config_error(tmp_path, capsys, monkeypat
     cfg_file = write_cfg_file(tmp_path / "c.txt", **overrides)
     out = tmp_path / "o.csv"
     epsilon = overrides.get("epsilon", BASE_ITEMS["epsilon"])
-    runs = []  # the sweep's points
-    monkeypatch.setattr(dpmeta.harness, "run_experiment",
-                        lambda *args, **kwargs: runs.append(args))
+    points, runs = [], []  # the sweep's points and the run command's runs
+
+    def spy(calls):
+        def record(*args, **kwargs):
+            calls.append(args)
+            return run_experiment(*args, **kwargs)
+        return record
+
+    # harness.sweep runs its points through harness.run_experiment
+    monkeypatch.setattr(dpmeta.harness, "run_experiment", spy(points))
+    # the run command calls cli's own binding, which cli.__getattr__ makes on
+    # first use; set in cli's dict (setattr's lookup would bind harness's
+    # patched name), it is unbound again when the test ends
+    monkeypatch.setitem(vars(dpmeta.cli), "run_experiment", spy(runs))
     for args in (["calibrate"], ["run", "--out", str(out)],
                  ["sweep", "--out", str(out), "--axis", "epsilon",
                   "--values", f"0.5,{epsilon}"]):
         assert main(args + ["--config", cfg_file]) == EXIT_CONFIG
         assert constant in capsys.readouterr().err
         assert not out.exists()
-    assert runs == []
+    assert points == []
+    # positive control: a good config's run and sweep reach the spies (the
+    # run command's bad config may have reached run_experiment, which
+    # refused it)
+    runs.clear()
+    good = write_cfg_file(tmp_path / "good.txt")
+    assert main(["run", "--out", str(out), "--config", good]) == EXIT_OK
+    assert main(["sweep", "--out", str(out), "--axis", "epsilon", "--values", "0.5",
+                 "--config", good]) == EXIT_OK
+    assert (len(runs), len(points)) == (1, 1)
+    capsys.readouterr()
 
 
 def test_cli_radius_below_the_overflow_runs(tmp_path, capsys):

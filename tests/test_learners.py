@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 from hypothesis import event, given, settings, strategies as st
 import numpy as np
@@ -498,6 +499,66 @@ def test_interior_certificate_holds_well_inside():
     noise = np.zeros((20, 2))
     noise[7] = [0.0, 0.8]
     assert not interior_certified(anchors, [0.3, 0.3], 0.5, dom, noise=noise)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40),
+       batch=st.lists(st.integers(1, 4), max_size=2), dim=st.integers(1, 6),
+       center_scale=st.sampled_from([0.0, 1.0, 1e3]), spread=st.floats(1e-3, 1.0),
+       radius=st.floats(0.1, 10.0), clip_bound=st.one_of(st.none(), st.floats(0.1, 10.0)),
+       fortran=st.booleans())
+def test_interior_box_matches_the_multi_axis_reduce(seed, steps, batch, dim, center_scale,
+                                                    spread, radius, clip_bound, fortran):
+    # the certificate reduces the step axis first and the batch axes of that
+    # result next; max and min are exact, so its box is the one a single
+    # reduce over all leading axes gives. With the starts at the center and
+    # no noise, the radius it checks is that box's norm A, and every check
+    # and the verdict are those of the same certificate on the box's two
+    # corners taken as the samples
+    rng = np.random.default_rng(seed)
+    center = rng.normal(scale=center_scale, size=dim)
+    points = center + spread * rng.normal(size=(steps, *batch, dim))
+    if fortran:
+        points = np.asfortranarray(points)
+    samples = TaskSamples(points, curvature=1.0)
+    dom = ParamDomain(center, radius)
+    leading = tuple(range(points.ndim - 1))
+    high, low = np.maximum.reduce(points, axis=leading), np.minimum.reduce(points, axis=leading)
+    box = np.maximum(high - center, -(low - center))
+    checks = []
+    real = dpmeta.learners.never_rescaled
+
+    def spy(*args):
+        checks.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpmeta.learners, "never_rescaled", spy)
+        verdict = interior_certified(samples, center, 0.5, dom, clip_bound)
+        assert checks[0][0] == math.sqrt(np.vecdot(box, box))
+        own = list(checks)
+        checks.clear()
+        corners = TaskSamples(np.stack([high, low]), curvature=1.0)
+        assert interior_certified(corners, center, 0.5, dom, clip_bound,
+                                  steps=steps) == verdict
+    assert checks == own
+    event(f"certified: {verdict}")
+
+
+def test_interior_certificate_allocates_nothing_the_size_of_the_samples():
+    # criterion 09's eval pass shape: the box's temporaries are (*batch, d),
+    # 1/m of the samples, so the traced peak stays far below them
+    rng = np.random.default_rng(9)
+    samples = TaskSamples(rng.uniform(-0.5, 0.5, size=(1900, 100, 2)), curvature=1.0)
+    dom = ParamDomain(np.zeros(2), 2.0)
+    starts = np.zeros((3, 1, 2))
+    tracemalloc.start()
+    try:
+        assert interior_certified(samples, starts, 0.5, dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < samples.points.nbytes / 10
 
 
 @settings(max_examples=60, deadline=None)
