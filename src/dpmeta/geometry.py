@@ -8,12 +8,13 @@ single-vector call bit for bit; a row is rescaled only when its squared norm
 exceeds the bound squared, and a non-finite or overflowing squared norm
 raises ValueError. project_in_place and clip_norm_in_place write into the
 caller's array, with a reusable RowScratch, check nothing but finiteness,
-and say whether any row was rescaled. dist_sq is pure; dist_sq_into writes
-into a RowScratch. Up to _FEW_ROWS rows, as in a training step's one row
-per arm, the row rule runs on Python floats instead of numpy calls, with
-the same bits. never_rescaled is the rounding rule for skipping them: it
-says whether a row that exact arithmetic keeps within a norm can still be
-rescaled once the rounding of a run of steps is counted.
+and say whether any row was rescaled. dist_sq is pure. Up to _FEW_ROWS
+rows, as in a training step's one row per arm, the row rule runs on Python
+floats instead of numpy calls, with the same bits. never_rescaled is the
+rounding rule for skipping them: it says whether a row that exact
+arithmetic keeps within a norm can still be rescaled once the rounding of a
+run of steps is counted; coordinate_top is the part of its coordinate
+scale that a ball's center contributes.
 Geometric identities hold to 1e-12 relative tolerance, not exactly, because
 of float rounding. ParamDomain is calibration.Ball with an array center, so
 ball membership is the Ball's one rule, which config checks points with too:
@@ -97,10 +98,9 @@ def _finite_top(nsq) -> float:
     return top
 
 
-def _sq_norms(offset, out=None):
-    """Squared norms of the rows of offset, into out when given, checked
-    finite."""
-    nsq = np.vecdot(offset, offset, out=out)
+def _sq_norms(offset):
+    """Squared norms of the rows of offset, checked finite."""
+    nsq = np.vecdot(offset, offset)
     _finite_top(nsq)
     return nsq
 
@@ -226,11 +226,10 @@ def never_rescaled(norm: float, bound: float, scale: float, dim: int,
     return norm + 16.0 * (ops + dim) * _EPS * scale * math.sqrt(dim) < bound
 
 
-def dist_sq_into(a, b, scratch: RowScratch):
-    """dist_sq of float64 batches a and b shaped like scratch's buffers,
-    written into scratch.nsq, which is returned. Shapes are not checked."""
-    diff = np.subtract(a, b, out=scratch.vectors)
-    return _sq_norms(diff, scratch.nsq)
+def coordinate_top(center) -> float:
+    """The largest magnitude of a coordinate of center, the part of
+    never_rescaled's scale that a ball's center contributes."""
+    return float(np.maximum.reduce(np.abs(center), axis=None))
 
 
 def dist_sq(a, b):

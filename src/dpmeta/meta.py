@@ -13,10 +13,12 @@ plan and its zero-noise twin), with the arm as an array axis. Only the fold
 phi_t -> theta_bar_t -> phi_{t+1} is sequential, so a pass first draws every
 task, its visited samples, its index sequence and its noise, and then, per
 task, steps every arm's learner in one batched call and folds every arm's
-output. The fold runs in place on the pass's (arms, d) arrays, in one
-learners.StepWorkspace allocated per pass, with meta_step's and
-surrogate_loss's operations in their order, so each arm's values are the
-ones its own (d,) MetaState gives.
+output into the next row of the pass's phi history. Everything else that
+meta_step and surrogate_loss compute (the running sum of the phi_t and the
+surrogate losses) reads only that history and the kept outputs, so it runs
+once, after the loop, as whole-pass array operations in meta_step's and
+surrogate_loss's order: each arm's values are the ones its own (d,)
+MetaState gives.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import learners
 from .calibration import NoisySgdPlan
-from .geometry import as_vector, dist_sq, dist_sq_into
+from .geometry import as_vector, dist_sq
 from .task_env import EnvSpec, draw_tasks, substreams
 
 
@@ -60,16 +62,6 @@ def new_state(phi_init) -> MetaState:
         task_count=0,
         phi_running_sum=np.zeros_like(phi),
     )
-
-
-def _fold(phi, phi_running_sum, theta_bar, t: int) -> None:
-    """The meta step in place, as task t's output joins: phi_running_sum +=
-    phi, then phi becomes (1 - 1/t) phi + theta_bar / t. theta_bar is
-    overwritten with theta_bar / t."""
-    phi_running_sum += phi
-    phi *= 1.0 - 1.0 / t
-    theta_bar /= t
-    phi += theta_bar
 
 
 def meta_step(state: MetaState, theta_bar) -> MetaState:
@@ -135,15 +127,23 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     call draws every task from (master_seed, "train-task", t) and
     (master_seed, "train-losses", t) and keeps the samples it visits.
 
+    Between the phases the interior certificate gives its two verdicts
+    once for the pass, from phi_init, all visits, the whole noise block and
+    one anchor box (learners.anchor_reach): learners.interior_certified
+    whether the steps may skip the clip and the projection (every phi_t and
+    theta_bar_t is a convex combination of iterates, so it stays where they
+    do), and learners.clip_certified whether they may skip the clip alone.
+
     The fold phase is sequential: per task, one learners.noisy_sgd_steps
-    call steps every arm from its phi_t in the pass's one workspace, and
-    meta_step's fold, in place, folds every arm's averaged iterate. Between
-    the phases learners.interior_certified decides, once for the pass, from
-    phi_init, all visits and the whole noise block, whether the steps may
-    skip the clip and the projection: every phi_t and theta_bar_t is a
-    convex combination of iterates, so it stays where they do. The arms
-    share tasks, samples and index sequences, and each arm's row is
-    bit-identical to training it alone.
+    call steps every arm from its phi_t, row t of the (tasks + 1, arms, d)
+    phi history, in the pass's one workspace; its averaged iterate
+    theta_bar_t is kept in row t of a (tasks, arms, d) block, and meta_step's
+    fold writes phi_{t+1} into row t + 1. After the loop one dist_sq over
+    the two blocks gives the surrogate losses, and one accumulation in task
+    order, from 0.0 as MetaState's running sum starts, gives the sum of the
+    phi_t; a non-finite theta_bar_t raises ValueError there. The arms share
+    tasks, samples and index sequences, and each arm's row is bit-identical
+    to training it alone.
 
     No non-private computation runs on the training tasks; only theta_bar
     reaches the meta state. Reruns with the same arguments are bit identical.
@@ -167,7 +167,7 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     for t, rng in enumerate(substreams(master_seed, "train-noise", count=num_tasks)):
         indices[t] = rng.integers(0, m, size=n)
         if noisy:
-            normals[t] = rng.standard_normal((n, dim))
+            rng.standard_normal(out=normals[t])
     # Generator.normal(0.0, s) returns 0.0 + s * z for the standard normals z
     # it draws, and s * z + 0.0 is the same sum: each arm gets the bits its
     # own generator would give, and a zero-variance arm exact zeros.
@@ -179,24 +179,40 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
         substreams(master_seed, "train-losses", count=num_tasks), indices)
 
     # num_tasks passes of steps_n steps, one fold each, run in sequence
+    steps, domain, arms = num_tasks * (n + 1), env.domain, len(plans)
+    anchors = learners.anchor_reach(visits, domain.center)
     interior = learners.interior_certified(visits, phi_init, plan.step_size,
-                                           env.domain, plan.clip_bound, noise,
-                                           steps=num_tasks * (n + 1))
+                                           domain, plan.clip_bound, noise, steps=steps,
+                                           anchors=anchors)
+    # a projection verdict at the clip bound certifies the clip too
+    clip_idle = interior or learners.clip_certified(visits, phi_init, domain,
+                                                    plan.clip_bound, steps=steps,
+                                                    anchors=anchors)
 
-    # the pass's (arms, d) state, folded in place task by task
-    phi = np.tile(phi_init, (len(plans), 1))
-    phi_running_sum = np.zeros_like(phi)
-    work = learners.StepWorkspace(phi.shape)
-    # (arms, tasks), so each arm's losses are one contiguous row
-    surrogate_losses = np.empty((len(plans), num_tasks))
+    # phis[t] is every arm's phi_t, the init of task t; bars[t] its output
+    phis = np.empty((num_tasks + 1, arms, dim))
+    phis[0] = phi_init
+    bars = np.empty((num_tasks, arms, dim))
+    work = learners.StepWorkspace((arms, dim))
     for t in range(num_tasks):
         # every arm's phi_t on task t's visits: inits (arms, d), one problem
-        # per arm; bars is work's running sum, free to overwrite once folded
-        bars = learners.noisy_sgd_steps(visits.take((slice(None), t)), phi, plan,
-                                        env.domain, noise[t], work,
-                                        interior=interior).averaged_iterate
-        # surrogate_loss(phi, bars); its squared-norm check is the finiteness
-        # check of the fold's input
-        np.multiply(0.5, dist_sq_into(bars, phi, work.scratch), out=surrogate_losses[:, t])
-        _fold(phi, phi_running_sum, bars, t + 1)
-    return MetaTraining(phi_running_sum / num_tasks, surrogate_losses, theta_stars)
+        # per arm; bar is work's running sum, free to overwrite once kept
+        bar = learners.noisy_sgd_steps(visits.take((slice(None), t)), phis[t], plan,
+                                       domain, noise[t], work, interior=interior,
+                                       clip_idle=clip_idle).averaged_iterate
+        bars[t] = bar
+        # meta_step's fold: phi_{t+1} = (1 - 1/k) phi_t + theta_bar_t / k
+        k = t + 1
+        np.multiply(phis[t], 1.0 - 1.0 / k, out=phis[k])
+        bar /= k
+        phis[k] += bar
+    # surrogate_loss(phi_t, theta_bar_t) for every task, as (arms, tasks);
+    # dist_sq's finiteness check is the check of every fold's input
+    surrogate_losses = np.ascontiguousarray((0.5 * dist_sq(bars, phis[:-1])).T)
+    # MetaState's running sum 0.0 + phi_1 + ... + phi_T, added in task order
+    # into bars, which is free once scored: accumulate adds row by row, and
+    # adding the 0.0 last gives the same bits as adding it first (either
+    # turns a -0.0 sum into +0.0)
+    phi_sum = np.add.accumulate(phis[:-1], axis=0, out=bars)[-1]
+    phi_sum += 0.0
+    return MetaTraining(phi_sum / num_tasks, surrogate_losses, theta_stars)

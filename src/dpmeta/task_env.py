@@ -9,12 +9,15 @@ substreams of a single master seed, so any piece of a run can be regenerated
 independently. A pass's streams are seeded in one batch (substreams),
 bit-identical to separate substream calls. A task is only its minimizer;
 the sample model is the environment's. A quadratic task draws anchor rows
-only up to the last one its pass keeps, and skips projecting anchors that
-geometry.never_rescaled certifies inside the ball, since that projection
-could move no row. Risk is scored for a sequence of
-tasks at once, in one call for either family: quadratic tasks in closed
-form, logistic tasks with the label integrated out exactly, over one
-feature sample that every task and every scored point share.
+only up to the last one its pass keeps; the per-task loop only draws the
+offsets into the pass's step-major block. The shift by the minimizers and
+each task's reach are whole-pass array operations, and only the tasks whose
+anchors geometry.never_rescaled does not certify inside the ball are
+projected, since elsewhere that projection could move no row. Risk is
+scored for a sequence of tasks at once, in one call for either family:
+quadratic tasks in closed form, logistic tasks with the label integrated
+out exactly, over one feature sample that every task and every scored
+point share.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import zlib
 import numpy as np
 
 from .calibration import check_env
-from .geometry import (ParamDomain, RowScratch, as_batch, as_vector, dist_sq,
-                       never_rescaled, project_in_place)
+from .geometry import (ParamDomain, RowScratch, as_batch, as_vector,
+                       coordinate_top, dist_sq, never_rescaled, project_in_place)
 from .losses import (ExcessWorkspace, TaskSamples, logistic_excess,
                      quadratic_value, sigmoid)
 
@@ -299,27 +302,27 @@ def _draw_samples(spec: EnvSpec, theta_stars, rngs, keep) -> TaskSamples:
         # stream is sequential and nothing is drawn after it, so the rows
         # kept are the same bits
         drawn = [m] * tasks if keep is None else (rows.max(axis=1) + 1).tolist()
+        for t, rng in zip(range(tasks), rngs, strict=True):
+            points[:, t] = rng.normal(0.0, spec.sample_noise_std,
+                                      size=(drawn[t], dim))[rows[t]]
         # anchors theta* + w lie within ||theta* - center|| + sqrt(d) max|w|
         # of the center; where that is certified inside the ball, their
         # projection could move no row and is skipped
         dom = spec.domain
-        star_norms = np.sqrt(dist_sq(theta_stars, dom.center)).tolist()
-        center_top = float(np.maximum.reduce(np.abs(dom.center), axis=None))
-        root_dim = math.sqrt(dim)
-        # each task's anchors are projected in one contiguous buffer, which
-        # costs less than projecting the strided view points[:, t]
-        buf = np.empty((count, dim))
-        scratch = RowScratch(buf.shape)
-        for t, rng in zip(range(tasks), rngs, strict=True):
-            offsets = rng.normal(0.0, spec.sample_noise_std,
-                                 size=(drawn[t], dim))[rows[t]]
-            np.add(theta_stars[t], offsets, out=buf)
-            reach = star_norms[t] + root_dim * max(
-                np.maximum.reduce(offsets, axis=None),
-                -np.minimum.reduce(offsets, axis=None))
+        # max|w| per task, from the offsets' per-coordinate box: the
+        # temporaries are (tasks, d), 1/k of the anchors
+        box = np.maximum(np.maximum.reduce(points, axis=0),
+                         -np.minimum.reduce(points, axis=0))
+        top = np.maximum.reduce(box, axis=-1)
+        reaches = (np.sqrt(dist_sq(theta_stars, dom.center))
+                   + math.sqrt(dim) * top).tolist()
+        center_top = coordinate_top(dom.center)
+        points += theta_stars
+        # only the tasks left uncertified are projected, one at a time
+        scratch = RowScratch((count, dim))
+        for t, reach in enumerate(reaches):
             if not never_rescaled(reach, dom.radius, center_top + reach, dim, 1):
-                project_in_place(buf, dom, scratch)
-            points[:, t] = buf
+                project_in_place(points[:, t], dom, scratch)
     return TaskSamples(points, curvature=spec.curvature)
 
 
@@ -332,9 +335,12 @@ def draw_tasks(spec: EnvSpec, task_rngs, sample_rngs, keep):
 
     Each generator is consumed as sample_task or generate_losses consumes
     it, up to the last sample kept, and projection acts row by row, so
-    every value is bit-identical to those calls task by task. The minimizers are projected in one call, each
-    task's anchors as they are drawn, so no temporary outgrows one task.
-    Each sequence of generators is iterated once, so either may be lazy.
+    every value is bit-identical to those calls task by task. The
+    minimizers are projected in one call; the anchors are shifted and
+    certified once for the pass, and each uncertified task's anchors are
+    projected in place, so no temporary outgrows one task's draw or the
+    pass's (tasks, d) minimizers. Each sequence of generators is iterated
+    once, so either may be lazy.
     """
     theta_stars = _draw_minimizers(spec, task_rngs)
     return theta_stars, _draw_samples(spec, theta_stars, sample_rngs, keep)

@@ -9,8 +9,8 @@ import pytest
 from dpmeta.calibration import Ball, ball_reach, format_value
 from dpmeta.config import build_config
 from dpmeta.geometry import (_FEW_ROWS, ParamDomain, RowScratch, as_vector,
-                             clip_norm_in_place, dist_sq, dist_sq_into,
-                             never_rescaled, project_in_place)
+                             clip_norm_in_place, dist_sq, never_rescaled,
+                             project_in_place)
 
 RTOL = 1e-12
 
@@ -275,7 +275,7 @@ def test_in_place_clip_and_project_equal_row_calls(seed, arms, tasks, dim, radiu
        dim=st.integers(1, 6), radius=st.floats(0.01, 3.0))
 def test_in_place_forms_on_a_reused_scratch_equal_a_fresh_one(seed, arms, tasks, dim,
                                                               radius):
-    # a scratch that clipped, projected and measured other rows first leaves
+    # a scratch that clipped and projected other rows first leaves
     # nothing behind: each call then gives what it gives on a fresh scratch
     rng = np.random.default_rng(seed)
     dom = ParamDomain(rng.normal(size=dim), radius)
@@ -287,13 +287,11 @@ def test_in_place_forms_on_a_reused_scratch_equal_a_fresh_one(seed, arms, tasks,
         clip_norm_in_place(_learner_batch(rng, arms, tasks, dim, np.zeros(dim), radius),
                            radius, used)
     v = _learner_batch(rng, arms, tasks, dim, dom.center, radius)
-    w = rng.normal(size=shape)
     for call in (lambda x, s: project_in_place(x, dom, s),
                  lambda x, s: clip_norm_in_place(x, radius, s)):
         again, fresh = v.copy(), v.copy()
         assert call(again, used) == call(fresh, RowScratch(shape))
         assert np.array_equal(again, fresh)
-    assert np.array_equal(dist_sq_into(v, w, used), dist_sq(v, w))
 
 
 @settings(max_examples=60, deadline=None)

@@ -563,10 +563,11 @@ def test_learner_runs_the_calibrated_plan(monkeypatch):
     calls, workspaces = [], set()
     real_steps = dpmeta.learners.noisy_sgd_steps
 
-    def spy_steps(visits, init, plan, dom, noise, work, *, interior):
+    def spy_steps(visits, init, plan, dom, noise, work, *, interior, clip_idle):
         calls.append((visits, np.shape(init), plan, noise))
         workspaces.add(work)
-        return real_steps(visits, init, plan, dom, noise, work, interior=interior)
+        return real_steps(visits, init, plan, dom, noise, work, interior=interior,
+                          clip_idle=clip_idle)
 
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_steps)
     cfg = make_cfg(baseline_nonprivate_meta="true")
@@ -660,6 +661,48 @@ def test_interior_certificate_declines_logistic_and_h_over_one_runs(items, monke
         assert verdicts[0][1] is False
 
 
+@pytest.mark.parametrize("items", [
+    # the train_heavy benchmark's shape: training at step x curvature 5.37,
+    # so the projection runs, and c (R + A) under the clip bound c x 2R
+    {"dim": "5", "domain_radius": "3.0", "similarity_v": "0.1",
+     "samples_per_task": "100", "t_train": "20", "t_eval": "4", "epsilon": "1.0",
+     "delta": "1e-5", "sample_noise_std": "0.2", "phi_init": "1.5,0,0,0,0",
+     "baseline_nonprivate_meta": "true"},
+    # the logistic_mc benchmark's shape: sigmoid(F R) F = sigmoid(2) < F
+    {"dim": "5", "domain_radius": "2.0", "loss_family": "logistic",
+     "growth_alpha": "0.1", "similarity_v": "0.1", "samples_per_task": "200",
+     "t_train": "8", "t_eval": "4", "epsilon": "2.0", "delta": "1e-5",
+     "planted_center": "1,0,0,0,0", "mc_eval_samples": "500"},
+], ids=["train_heavy", "logistic_mc"])
+def test_clip_verdict_holds_on_the_bench_training_shapes(items, monkeypatch):
+    # the clipping training passes of both benchmark shapes are certified
+    # clip idle, call no clip, and report what the run that clips reports
+    clip_calls, verdicts = [], []
+    real_clip = dpmeta.learners.clip_norm_in_place
+    real_certified = dpmeta.learners.clip_certified
+
+    def spy_clip(*args):
+        clip_calls.append(real_clip(*args))
+        return clip_calls[-1]
+
+    def spy_certified(*args, **kwargs):
+        verdicts.append(real_certified(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(dpmeta.learners, "clip_norm_in_place", spy_clip)
+    monkeypatch.setattr(dpmeta.learners, "clip_certified", spy_certified)
+    cfg = make_cfg(**items)
+    report = run_experiment(cfg)
+    assert verdicts == [True] and clip_calls == []
+    monkeypatch.setattr(dpmeta.learners, "clip_certified", lambda *args, **kw: False)
+    reference = run_experiment(cfg)
+    assert len(clip_calls) == cfg.t_train * (report.calibration.steps_n - 1)
+    assert not any(clip_calls)
+    for arm, result in report.arms.items():
+        assert result.excess_risks == reference.arms[arm].excess_risks
+        assert result.mean_surrogate == reference.arms[arm].mean_surrogate
+
+
 @pytest.mark.parametrize("family_items", [
     {},
     {"loss_family": "logistic", "growth_alpha": "0.5"},
@@ -680,14 +723,26 @@ def test_clipping_is_inactive_when_smoothness_ok(family_items, monkeypatch):
 
     monkeypatch.setattr(dpmeta.learners, "clip_norm_in_place", spy_clip)
     verdicts = _spy_interior_verdicts(monkeypatch)
+    # the clip verdict holds for this pass; it is recorded and declined, so
+    # that the clips run and can be counted
+    clip_verdicts = []
+    real_clip_certified = dpmeta.learners.clip_certified
+
+    def declined_clip_verdict(*args, **kwargs):
+        clip_verdicts.append(real_clip_certified(*args, **kwargs))
+        return False
+
+    monkeypatch.setattr(dpmeta.learners, "clip_certified", declined_clip_verdict)
     cfg = make_cfg(samples_per_task=80, delta=0.1, baseline_nonprivate_meta="true",
                    **family_items)
     cal = calibrate(cfg)
     assert cal.smoothness_ok
     run_experiment(cfg)
-    # the interior certificate declines the training pass, so every clip the
-    # promise covers is called and counted here
+    # the interior certificate declines the training pass and the clip
+    # verdict is declined, so every clip the promise covers is called and
+    # counted here
     assert verdicts[0] == ((cal.steps_n, cfg.t_train, cfg.env.dim), False)
+    assert clip_verdicts == [True]
     # one clip per private step, each over both training arms' gradients;
     # training takes steps_n - 1 steps, since no step leaves theta_n
     assert len(calls) == cfg.t_train * (cal.steps_n - 1)

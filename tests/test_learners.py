@@ -8,10 +8,11 @@ import pytest
 import dpmeta.learners
 from dpmeta.geometry import ParamDomain, RowScratch, dist_sq, project_in_place
 from dpmeta.learners import (LearnerOutput, OgdConfig, StepWorkspace,
-                             adaptation_step_size, interior_certified,
-                             noisy_sgd_run, noisy_sgd_steps, ogd_run,
-                             private_step_scale)
-from dpmeta.losses import TaskSamples, quadratic_value
+                             adaptation_step_size, clip_certified,
+                             interior_certified, noisy_sgd_run, noisy_sgd_steps,
+                             ogd_run, private_step_scale)
+from dpmeta.losses import (TaskSamples, logistic_regularity, quadratic_regularity,
+                           quadratic_value, sigmoid)
 from dpmeta.privacy import NoisySgdPlan, PrivacyParams
 
 DOM = ParamDomain(np.zeros(2), 10.0)
@@ -407,13 +408,15 @@ def test_batched_ogd_matches_independent_loop(seed, family, dim, m, tasks, arms,
             assert np.allclose(out.final_iterate[a, t], final, rtol=1e-12, atol=1e-15)
 
 
-def _uncertified(run):
-    """run() with the interior certificate declined everywhere and the clip
-    and the projection spied: run's output and whether each call rescaled."""
+def _uncertified(run, spied=("clip_norm_in_place", "project_in_place")):
+    """run() with both verdicts of the interior certificate declined
+    everywhere and the calls named in spied (the clip and the projection)
+    spied: run's output and whether each call rescaled."""
     rescaled = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dpmeta.learners, "interior_certified", lambda *args, **kw: False)
-        for name in ("clip_norm_in_place", "project_in_place"):
+        for verdict in ("interior_certified", "clip_certified"):
+            mp.setattr(dpmeta.learners, verdict, lambda *args, **kw: False)
+        for name in spied:
             real = getattr(dpmeta.learners, name)
 
             def spy(v, *args, real=real):
@@ -473,7 +476,7 @@ def test_interior_certificate_is_sound(seed, dim, arms, tasks, steps, center_sca
     sgd_ok = interior_certified(samples, inits, step, dom, clip_bound, noise)
     shape = (arms, tasks, dim)
     out = noisy_sgd_steps(samples, inits, plan, dom, noise, StepWorkspace(shape),
-                          interior=sgd_ok)
+                          interior=sgd_ok, clip_idle=sgd_ok)
     ref, rescaled = _uncertified(lambda: noisy_sgd_steps(
         samples, inits, plan, dom, noise, StepWorkspace(shape)))
     assert _same_bits(out, ref)
@@ -577,3 +580,177 @@ def test_interior_certificate_declines_logistic_and_h_over_one(seed, dim, steps,
     assert not interior_certified(logistic, None, step, dom)
     assert not interior_certified(logistic, None, step, dom, clip_bound=1e6,
                                   noise=np.zeros((steps, 2, dim)))
+
+
+def _clip_verdict_pass(samples, inits, dom, plan, noise):
+    """The clip verdict on a noisy pass, the pass stepped with it, and the
+    same pass with it declined and the clip spied: (verdict, output,
+    reference output, whether each clip acted). The projection runs in
+    both."""
+    shape = np.broadcast_shapes(np.shape(inits)[:-1], samples.batch_shape) + (samples.dim,)
+    verdict = clip_certified(samples, inits, dom, plan.clip_bound)
+    out = noisy_sgd_steps(samples, inits, plan, dom, noise, StepWorkspace(shape),
+                          clip_idle=verdict)
+    ref, clipped = _uncertified(lambda: noisy_sgd_steps(
+        samples, inits, plan, dom, noise, StepWorkspace(shape)),
+        spied=("clip_norm_in_place",))
+    return verdict, out, ref, clipped
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), arms=st.integers(1, 3),
+       tasks=st.integers(1, 3), steps=st.integers(1, 30),
+       center_scale=st.sampled_from([0.0, 1.0, 1e3]),
+       curvature=st.sampled_from([0.25, 1.0, 3.0, 8.0]),
+       h=st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 4.0)),
+       radius=st.floats(0.1, 5.0), spread=st.floats(0.0, 1.5),
+       noise_std=st.floats(0.0, 1.0), slack=st.floats(0.5, 3.0),
+       inits_on_sphere=st.booleans())
+def test_clip_verdict_is_sound_on_quadratic_passes(seed, dim, arms, tasks, steps,
+                                                   center_scale, curvature, h, radius,
+                                                   spread, noise_std, slack,
+                                                   inits_on_sphere):
+    # the clip verdict bounds the gradient over the whole ball, so at any
+    # step size, h > 1 with the projection acting included, the pass that
+    # skips the clip gives the bits of the pass that calls it, and there no
+    # clip acts. Clip bounds around c R meet verdicts either way; inits
+    # projected onto the sphere may round an ulp outside it
+    rng = np.random.default_rng(seed)
+    center = rng.normal(scale=center_scale, size=dim)
+    dom = ParamDomain(center, radius)
+    anchors = center + radius * spread * rng.uniform(-1, 1, size=(steps, tasks, dim))
+    project_in_place(anchors, dom, RowScratch(anchors.shape))
+    samples = TaskSamples(anchors, curvature=curvature)
+    inits = center + radius * rng.uniform(-1, 1, size=(arms, 1, dim)) / math.sqrt(dim)
+    if inits_on_sphere:
+        inits = center + 2.0 * (inits - center)
+        project_in_place(inits, dom, RowScratch(inits.shape))
+    noise = rng.normal(scale=noise_std * curvature * radius, size=(steps, arms, tasks, dim))
+    plan = NoisySgdPlan(steps_n=steps, step_size=h / curvature, noise_variance_sigma_sq=0.0,
+                        clip_bound=slack * curvature * radius)
+    verdict, out, ref, clipped = _clip_verdict_pass(samples, inits, dom, plan, noise)
+    assert _same_bits(out, ref)
+    assert not (verdict and any(clipped))
+    event(f"clip verdict {verdict}, h > 1: {h > 1.0}, a clip acted: {any(clipped)}")
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), arms=st.integers(1, 3),
+       tasks=st.integers(1, 3), steps=st.integers(1, 30),
+       center_scale=st.sampled_from([0.0, 0.5, 3.0]), radius=st.floats(0.1, 5.0),
+       feature_norm=st.floats(0.01, 10.0), step=st.floats(0.01, 10.0),
+       noise_std=st.floats(0.0, 1.0), slack=st.floats(0.5, 1.5))
+def test_clip_verdict_is_sound_on_logistic_passes(seed, dim, arms, tasks, steps,
+                                                  center_scale, radius, feature_norm,
+                                                  step, noise_std, slack):
+    # logistic gradients are at most sigmoid(F (||center|| + R)) F over the
+    # ball, whatever F, R and the center; clip bounds around that bound meet
+    # verdicts either way, and a certified pass is the clipping pass's bits
+    rng = np.random.default_rng(seed)
+    center = rng.normal(scale=center_scale, size=dim)
+    dom = ParamDomain(center, radius)
+    raw = rng.normal(size=(steps, tasks, dim))
+    lengths = feature_norm * rng.uniform(0.5, 1.0, size=(steps, tasks, 1))
+    features = lengths * raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    labels = np.where(rng.random((steps, tasks)) < 0.5, 1.0, -1.0)
+    samples = TaskSamples(features, labels=labels)
+    inits = center + radius * rng.uniform(-1, 1, size=(arms, 1, dim)) / math.sqrt(dim)
+    noise = rng.normal(scale=noise_std * feature_norm, size=(steps, arms, tasks, dim))
+    margin = feature_norm * (np.linalg.norm(center) + radius)
+    plan = NoisySgdPlan(steps_n=steps, step_size=step, noise_variance_sigma_sq=0.0,
+                        clip_bound=slack * feature_norm * float(sigmoid(margin)))
+    verdict, out, ref, clipped = _clip_verdict_pass(samples, inits, dom, plan, noise)
+    assert _same_bits(out, ref)
+    assert not (verdict and any(clipped))
+    event(f"clip verdict {verdict}, a clip acted: {any(clipped)}")
+
+
+def test_clip_verdict_declines_a_loose_anchor_box():
+    # anchors at (R, 0) and (0, R): their box's corner is (R, R), so
+    # A = R sqrt(2) >= R, and c (R + A) exceeds the calibrated clip bound
+    # c x diameter = 2 c R, which the verdict must decline; it holds once the
+    # clip bound clears c (R + A) by more than never_rescaled's margin, and
+    # declines within that margin
+    radius, curvature = 2.0, 1.5
+    dom = ParamDomain(np.zeros(2), radius)
+    samples = TaskSamples(np.array([[radius, 0.0], [0.0, radius]] * 5), curvature=curvature)
+    start = np.zeros(2)
+    clip_bound = quadratic_regularity(curvature, dom).lipschitz_g
+    assert clip_bound == 2.0 * curvature * radius
+    assert not clip_certified(samples, start, dom, clip_bound)
+    bound = curvature * (radius + math.sqrt(2.0 * radius * radius))
+    assert clip_certified(samples, start, dom, bound * (1.0 + 1e-9))
+    assert bound * (1.0 + 1e-15) > bound
+    assert not clip_certified(samples, start, dom, bound * (1.0 + 1e-15))
+
+
+def test_clip_verdict_declines_a_saturated_sigmoid():
+    # a logistic pass whose margin bound F (||center|| + R) is 40: the
+    # sigmoid rounds to 1, so the bound is F itself, the calibrated clip
+    # bound, and the verdict must decline; at logistic_mc's shape (F = 1,
+    # ||center|| = 1, R = 2) the bound is sigmoid(3) F < F, and it holds
+    rng = np.random.default_rng(4)
+    for feature_norm, center, radius, holds in ((4.0, [3.0, 4.0], 5.0, False),
+                                                (1.0, [1.0, 0.0], 2.0, True)):
+        dom = ParamDomain(np.array(center), radius)
+        assert (feature_norm * (np.linalg.norm(dom.center) + radius) >= 40.0) != holds
+        raw = rng.normal(size=(20, 3, 2))
+        features = feature_norm * raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        samples = TaskSamples(features, labels=np.where(raw[..., 0] > 0, 1.0, -1.0))
+        clip_bound = logistic_regularity(feature_norm, 0.5).lipschitz_g
+        assert clip_bound == feature_norm
+        assert clip_certified(samples, dom.center, dom, clip_bound) == holds
+
+
+def test_clip_verdict_bounds_the_whole_ball_at_h_over_one():
+    # at h = 3 each step sends the iterate to twice its distance from the
+    # anchor on the other side, until the projection stops it on the
+    # sphere, so gradients grow past the start's and the anchors' reach of
+    # 0.2; a clip at 0.5 acts, and the verdict, which bounds gradients by
+    # c (R + A) = 1.1, declines it, and holds at a clip of 1.2, where none
+    # acts
+    dom = ParamDomain(np.zeros(2), 1.0)
+    samples = TaskSamples(np.tile([0.1, 0.0], (12, 1)), curvature=1.0)
+    init = np.array([0.2, 0.0])
+    for clip_bound, holds in ((0.5, False), (1.2, True)):
+        plan = NoisySgdPlan(steps_n=12, step_size=3.0, noise_variance_sigma_sq=0.0,
+                            clip_bound=clip_bound)
+        verdict, out, ref, clipped = _clip_verdict_pass(samples, init, dom, plan,
+                                                        np.zeros((12, 2)))
+        assert verdict == holds
+        assert any(clipped) != holds
+        assert _same_bits(out, ref)
+
+
+@pytest.mark.parametrize("interior, clip_idle", [(False, False), (True, False),
+                                                 (False, True), (True, True)])
+def test_interior_and_clip_idle_flags_each_skip_one_call(interior, clip_idle):
+    # noisy_sgd_steps' interior skips the projection alone and clip_idle the
+    # clip alone; on a certified pass either way gives the same bits
+    anchors = quad(np.tile([0.1, -0.1], (8, 1)) + 0.01 * np.arange(8)[:, None])
+    dom = ParamDomain(np.zeros(2), 1.0)
+    plan = NoisySgdPlan(steps_n=8, step_size=0.5, noise_variance_sigma_sq=0.0,
+                        clip_bound=1.0)
+    noise = np.zeros((8, 2))
+    assert interior_certified(anchors, [0.3, 0.3], 0.5, dom, plan.clip_bound, noise)
+
+    def run(**flags):
+        return noisy_sgd_steps(anchors, [0.3, 0.3], plan, dom, noise, StepWorkspace((2,)),
+                               **flags)
+
+    ref = run()
+    counts = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("clip_norm_in_place", "project_in_place"):
+            real = getattr(dpmeta.learners, name)
+
+            def spy(*args, real=real, name=name):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args)
+
+            mp.setattr(dpmeta.learners, name, spy)
+        out = run(interior=interior, clip_idle=clip_idle)
+    assert _same_bits(out, ref)
+    assert counts == {name: 7 for name, skipped in (("clip_norm_in_place", clip_idle),
+                                                    ("project_in_place", interior))
+                      if not skipped}

@@ -371,3 +371,127 @@ def test_interior_certified_training_is_sound(seed, dim, center_scale, tasks, cu
     assert trained.surrogate_losses.tobytes() == reference.surrogate_losses.tobytes()
     assert not (verdicts[0] and any(rescaled))
     event(f"certified: {verdicts[0]}")
+
+
+def _spy_steps(monkeypatch):
+    """Record, per noisy_sgd_steps call of a pass, copies of the inits it
+    stepped from and of the averaged iterate it returned."""
+    calls = []
+    real_steps = dpmeta.learners.noisy_sgd_steps
+
+    def spy(visits, init, *args, **kwargs):
+        out = real_steps(visits, init, *args, **kwargs)
+        calls.append((np.array(init, copy=True), out.averaged_iterate.copy()))
+        return out
+
+    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy)
+    return calls
+
+
+@pytest.mark.parametrize("tasks, dim, arms", [(1, 3, 2), (2, 3, 2), (9, 3, 2), (40, 1, 1)])
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_fold_bookkeeping_equals_a_meta_step_replay(family, tasks, dim, arms, monkeypatch):
+    # the pass keeps every phi_t and theta_bar_t and scores them after its
+    # loop; each arm's own (d,) MetaState, replayed with meta_step and
+    # surrogate_loss on the outputs the learner returned, gives the same
+    # bytes: every task's init, the surrogate losses and phi_hat. phi_init's
+    # -0.0 coordinate is kept by phi_1, but MetaState's running sum starts
+    # at +0.0, so at T = 1 phi_hat holds +0.0 there. With one arm in one
+    # dimension the sum of the phi_t runs along a single axis, where a
+    # reduce, unlike MetaState, would add pairwise
+    center = np.array([0.1, 0.0, -0.2])[:dim]
+    dom = ParamDomain(center, 1.5)
+    env = EnvSpec(domain=dom, planted_center=center + np.array([0.5, 0.2, 0.0])[:dim],
+                  similarity_v=0.4, samples_per_task=20, loss_family=family,
+                  curvature=1.0, sample_noise_std=0.3, feature_norm=1.2)
+    plan = NoisySgdPlan(steps_n=5, step_size=0.7, noise_variance_sigma_sq=0.04,
+                        clip_bound=1.0)
+    plans = (plan, replace(plan, noise_variance_sigma_sq=0.0))[:arms]
+    phi_init = np.array([0.4, -0.0, 0.1])[-dim:]
+    calls = _spy_steps(monkeypatch)
+    trained = run_meta_training(env, tasks, plans, phi_init, 21)
+    assert len(calls) == tasks
+    for arm in range(len(plans)):
+        state, losses = new_state(phi_init), []
+        for init, bars in calls:
+            assert init[arm].tobytes() == state.phi_current.tobytes()
+            losses.append(surrogate_loss(state.phi_current, bars[arm]))
+            state = meta_step(state, bars[arm])
+        assert trained.surrogate_losses[arm].tobytes() == np.array(losses).tobytes()
+        assert trained.phi_hat[arm].tobytes() == state.phi_hat().tobytes()
+    if dim > 1:
+        assert np.signbit(calls[0][0][:, 1]).all()
+    if tasks == 1:
+        assert not np.signbit(trained.phi_hat[:, 1]).any()
+
+
+# an infinite output flows into later steps, whose inf - inf numpy warns
+# about on its way to the ValueError
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad_task", [0, 3])
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_fold_bookkeeping_refuses_a_non_finite_output(bad_task, bad_value, monkeypatch):
+    # the pass is certified, so the steps neither clip nor project and a
+    # non-finite theta_bar_t flows through every later task; the check of
+    # the surrogate losses after the loop still raises ValueError, for the
+    # last task's output as for an earlier one
+    dom = ParamDomain(np.zeros(2), 2.0)
+    env = EnvSpec(domain=dom, planted_center=np.array([0.2, 0.1]), similarity_v=0.1,
+                  samples_per_task=20, curvature=1.0, sample_noise_std=0.05)
+    plan = NoisySgdPlan(steps_n=5, step_size=0.5, noise_variance_sigma_sq=0.0,
+                        clip_bound=4.0)
+    verdicts, calls = [], []
+    real_certified = dpmeta.learners.interior_certified
+    real_steps = dpmeta.learners.noisy_sgd_steps
+
+    def spy_certified(*args, **kwargs):
+        verdicts.append(real_certified(*args, **kwargs))
+        return verdicts[-1]
+
+    def poisoned(*args, **kwargs):
+        out = real_steps(*args, **kwargs)
+        if len(calls) == bad_task:
+            out.averaged_iterate[0, 1] = bad_value
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(dpmeta.learners, "interior_certified", spy_certified)
+    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", poisoned)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_meta_training(env, 4, (plan,), np.zeros(2), 5)
+    assert verdicts == [True] and len(calls) == 4
+
+
+def test_clip_verdict_shares_the_projection_verdicts_anchor_box(monkeypatch):
+    # at h = 0.7 the projection verdict reads the anchors and, with anchors
+    # projected onto the sphere, declines; the clip verdict then reads the
+    # same anchor box, which the pass computes once, and each verdict is the
+    # one it gives computing the box itself
+    dom = ParamDomain(np.zeros(2), 0.5)
+    env = EnvSpec(domain=dom, planted_center=np.array([0.45, 0.0]), similarity_v=0.4,
+                  samples_per_task=20, curvature=1.0, sample_noise_std=0.3)
+    plan = NoisySgdPlan(steps_n=5, step_size=0.7, noise_variance_sigma_sq=0.01,
+                        clip_bound=4.0)
+    boxes, calls = [], {}
+    real_reach = dpmeta.learners.anchor_reach
+
+    def spy_reach(*args):
+        boxes.append(real_reach(*args))
+        return boxes[-1]
+
+    def spy(real):
+        def verdict(*args, **kwargs):
+            calls[real] = (args, kwargs, real(*args, **kwargs))
+            return calls[real][-1]
+        return verdict
+
+    monkeypatch.setattr(dpmeta.learners, "anchor_reach", spy_reach)
+    for name in ("interior_certified", "clip_certified"):
+        monkeypatch.setattr(dpmeta.learners, name, spy(getattr(dpmeta.learners, name)))
+    run_meta_training(env, 3, (plan,), np.zeros(2), 8)
+    assert len(boxes) == 1
+    assert [got for _, _, got in calls.values()] == [False, True]
+    for real, (args, kwargs, got) in calls.items():
+        assert kwargs.pop("anchors") == boxes[0]
+        assert real(*args, **kwargs) == got
+    assert len(boxes) == 3

@@ -110,13 +110,15 @@ def _onto_ball(rows, dom):
 
 
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
-@pytest.mark.parametrize("noise_std", [0.0, 0.7])
+@pytest.mark.parametrize("noise_std", [0.0, 0.7, 0.05])
 @pytest.mark.parametrize("kept", [False, True, "zeros"])
-def test_draw_tasks_equals_single_task_draws(family, noise_std, kept):
+def test_draw_tasks_equals_single_task_draws(family, noise_std, kept, monkeypatch):
     # a pass of tasks drawn at once must equal sample_task and
     # generate_losses task by task, bit for bit; radius 1 and anchor noise
     # 0.7 make the projection bind on some minimizers and anchors, not all.
-    # A task that keeps only its sample 0 draws a single anchor row
+    # Anchor noise 0.05 leaves some tasks' anchors certified inside the
+    # ball and projects the others', in one pass. A task that keeps only
+    # its sample 0 draws a single anchor row
     dom = ParamDomain(np.array([0.2, 0.0, -0.1]), 1.0)
     env = EnvSpec(domain=dom, planted_center=np.array([0.6, 0.1, -0.1]),
                   similarity_v=0.9, samples_per_task=9, loss_family=family,
@@ -127,8 +129,19 @@ def test_draw_tasks_equals_single_task_draws(family, noise_std, kept):
         keep = np.zeros((tasks, 4), dtype=np.int64)
     elif kept:
         keep = np.random.default_rng(3).integers(0, 9, size=(tasks, 4))
+    verdicts = []
+    real_rule = task_env.never_rescaled
+
+    def spy_rule(*args):
+        verdicts.append(real_rule(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(task_env, "never_rescaled", spy_rule)
     stars, batch = draw_tasks(env, (substream(5, "t", t) for t in range(tasks)),
                               (substream(5, "s", t) for t in range(tasks)), keep)
+    monkeypatch.undo()
+    if family == "quadratic" and noise_std == 0.05:
+        assert 0 < sum(verdicts) < tasks == len(verdicts)
     assert stars.shape == (tasks, 3)
     assert batch.points.shape == (4 if kept else 9, tasks, 3)
     for t in range(tasks):
