@@ -23,17 +23,15 @@ average, that call stops after its last visit. noisy_sgd_run is its
 one-problem reference: it checks its inputs, draws one task's indices, then
 its noise, from one generator, and takes the last step too.
 
-The interior certificate gives two verdicts, each decided once per pass
-from a bound on the samples (A on quadratic anchors' offsets, F on logistic
-feature norms) and widened by the pass's rounding
-(geometry.never_rescaled): interior_certified, that at step x curvature in
-(0, 1] the iterates contract inside the ball, so neither the clip nor the
-projection can act, and clip_certified, that no gradient anywhere in the
-ball exceeds the clip bound, at any step size. A skipped call would have
-left every row alone, so the values are the same bits. ogd_run decides the
-projection verdict per call; meta-training decides both once per pass,
-from one anchor box (anchor_reach). noisy_sgd_run always clips and
-projects.
+One call, idle_calls, decides once per pass which calls the steps may
+skip: from a bound on the samples (A on quadratic anchors' offsets, F on
+logistic feature norms), widened by the pass's rounding
+(geometry.never_rescaled), it says whether neither the clip nor the
+projection can act (interior) and whether the clip cannot (clip_idle). A
+skipped call would have left every row alone, so the values are the same
+bits. ogd_run skips its projections on the first verdict of its own call;
+meta-training passes both verdicts of its pass to noisy_sgd_steps.
+noisy_sgd_run always clips and projects.
 """
 
 from __future__ import annotations
@@ -107,115 +105,84 @@ def _start(samples: TaskSamples, init, dom: ParamDomain) -> StepWorkspace:
     return work
 
 
-def anchor_reach(samples: TaskSamples, center) -> float | None:
-    """A, the norm of the per-coordinate box around center that holds every
-    anchor of quadratic samples (m, *batch, d); None for logistic samples,
-    whose verdicts read no anchors. The box is reduced first over the step axis, which
-    numpy vectorizes over the contiguous (*batch, d) rows, and then over the
-    batch axes of that result; the only temporary is shaped (*batch, d),
-    1/m of the points, so nothing the size of the samples is allocated. Max
-    and min are exact, so the order of the reductions does not change the
-    box."""
-    if samples.curvature is None:
-        return None
-    points = samples.points
-    dim = points.shape[-1]
-    high = np.maximum.reduce(np.maximum.reduce(points, axis=0).reshape(-1, dim),
-                             axis=0) - center
-    low = np.minimum.reduce(np.minimum.reduce(points, axis=0).reshape(-1, dim),
-                            axis=0) - center
-    box = np.maximum(high, -low)
-    return math.sqrt(np.vecdot(box, box))
+def idle_calls(samples: TaskSamples, starts, step_size: float, dom: ParamDomain,
+               clip_bound: float | None = None, noise=None,
+               steps: int | None = None) -> tuple[bool, bool]:
+    """(interior, clip_idle) for a pass that steps from the rows of starts
+    on samples at step_size, adds rows of noise (None: none) and clips at
+    clip_bound (None: no clip, and clip_idle is True), for steps rounded
+    steps in sequence (default samples.count): interior when neither the
+    clip nor the projection onto dom can rescale a row, clip_idle when the
+    clip cannot. The call reads the samples, starts and noise at most once.
 
+    interior: only quadratic samples at h = step_size x curvature in (0, 1]
+    qualify; anything else is declined before any array is read. There a
+    step maps the offset x from the center to (1 - h) x + h b - step_size xi,
+    with b the anchor's offset. With A the norm of the per-coordinate box
+    around the center that holds every anchor and Xi the noise rows' largest
+    norm, the ball of radius r = max(||start - center||, A + Xi / curvature)
+    maps into itself, so every iterate, and every average or convex
+    combination of them, stays within r in exact arithmetic, and every
+    gradient within curvature (r + A), which must clear the clip bound.
 
-def _start_reach(starts, center) -> float:
-    """The largest norm of a row of starts - center."""
-    offsets = np.subtract(starts, center)
-    return math.sqrt(np.maximum.reduce(np.vecdot(offsets, offsets), axis=None))
+    clip_idle, when interior fails: no gradient anywhere in the ball exceeds
+    the clip bound, at any h, whether the projection runs or not. Every
+    iterate lies within rho = max(R, ||start - center||) of the center (a
+    start may sit by the ball's rounding slack outside it), so quadratic
+    gradients curvature (theta - b) have norm at most curvature (rho + A)
+    and logistic ones -y sigmoid(-y <x, theta>) x at most
+    sigmoid(F (||center|| + rho)) F, with F the largest feature norm.
 
-
-def interior_certified(samples: TaskSamples, starts, step_size: float,
-                       dom: ParamDomain, clip_bound: float | None = None,
-                       noise=None, steps: int | None = None,
-                       anchors: float | None = None) -> bool:
-    """The projection verdict of the interior certificate: True when
-    neither the clip at clip_bound (None: no clip) nor the projection onto
-    dom can rescale a row of a pass that steps from the rows of starts on
-    samples, adding rows of noise (None: none), for steps rounded steps in
-    sequence (default samples.count). anchors is anchor_reach(samples,
-    dom.center), computed here when None.
-
-    Only quadratic samples at h = step_size x curvature in (0, 1] qualify;
-    anything else is declined before any array is read. There a step maps
-    the offset x from the center to (1 - h) x + h b - step_size xi, with b
-    the anchor's offset. With A bounding the anchors' offsets
-    (anchor_reach) and Xi the noise rows' norms, the ball of radius
-    r = max(||start - center||, A + Xi / curvature) maps into itself, so
-    every iterate, and every average or convex combination of them, stays
-    within r in exact arithmetic, and every gradient within
-    curvature (r + A). geometry.never_rescaled widens both by the rounding
-    of the steps."""
+    geometry.never_rescaled widens every bound by the pass's rounding: an
+    iterate's, through curvature or the sigmoid's slope, and the gradient's
+    own. The box is reduced over the step axis first, which numpy vectorizes
+    over the contiguous (*batch, d) rows, and then over the batch axes of
+    that result, so no temporary exceeds 1/m of the samples or 1/d of the
+    noise; max and min are exact, so the order does not change the box."""
     curvature = samples.curvature
-    if curvature is None or not 0.0 < step_size * curvature <= 1.0:
-        return False
-    center = dom.center
-    if anchors is None:
-        anchors = anchor_reach(samples, center)
-    xi = 0.0
-    if noise is not None:
-        xi = math.sqrt(np.maximum.reduce(np.vecdot(noise, noise), axis=None))
-    radius = max(_start_reach(starts, center), anchors + xi / curvature)
-    # bounds every coordinate the steps compute: iterates, anchors,
-    # gradients, noise and their sums
-    scale = coordinate_top(center) + (2.0 + curvature) * (dom.radius + anchors) + xi
+    contracts = curvature is not None and 0.0 < step_size * curvature <= 1.0
+    if not contracts and clip_bound is None:
+        return False, True
+    center, dim = dom.center, dom.dim
     ops = samples.count if steps is None else steps
-    if not never_rescaled(radius, dom.radius, scale, dom.dim, ops):
-        return False
-    # a gradient carries curvature times an iterate's rounding
-    return clip_bound is None or never_rescaled(
-        curvature * (radius + anchors), clip_bound, (1.0 + curvature) * scale,
-        dom.dim, ops)
-
-
-def clip_certified(samples: TaskSamples, starts, dom: ParamDomain,
-                   clip_bound: float, steps: int | None = None,
-                   anchors: float | None = None) -> bool:
-    """The clip verdict of the interior certificate: True when the clip at
-    clip_bound cannot rescale the gradient of any sample of samples at any
-    iterate of a pass that starts from the rows of starts and keeps its
-    iterates in dom, as the projection or interior_certified keeps them,
-    for steps rounded steps in sequence (default samples.count). anchors
-    is anchor_reach(samples, dom.center), computed here when None.
-
-    It bounds the gradient over the whole ball, not over the contracted
-    radius of interior_certified, so it holds at any step size, h > 1
-    included, whether the projection runs or not. Every iterate and every
-    average of them lies within rho = max(R, ||start - center||) of the
-    center (a start may sit by the ball's rounding slack outside it).
-    Quadratic samples: the gradient curvature (theta - b) has norm at most
-    curvature (rho + A), with A the anchor box's norm that
-    interior_certified reads too. Logistic samples: the gradient
-    -y sigmoid(-y <x, theta>) x has norm at most
-    sigmoid(F (||center|| + rho)) F, with F the samples' largest feature
-    norm. geometry.never_rescaled widens either bound by the pass's
-    rounding: an iterate's, through curvature or the sigmoid's slope, and
-    the gradient's own."""
-    center = dom.center
-    ops = samples.count if steps is None else steps
-    reach = max(dom.radius, _start_reach(starts, center))
-    if samples.curvature is not None:
-        if anchors is None:
-            anchors = anchor_reach(samples, center)
-        top = samples.curvature * (reach + anchors)
-        scale = (1.0 + samples.curvature) * (coordinate_top(center) + reach + anchors)
+    offsets = np.subtract(starts, center)
+    start = math.sqrt(np.maximum.reduce(np.vecdot(offsets, offsets), axis=None))
+    points = samples.points
+    if curvature is not None:
+        high = np.maximum.reduce(np.maximum.reduce(points, axis=0).reshape(-1, dim),
+                                 axis=0) - center
+        low = np.minimum.reduce(np.minimum.reduce(points, axis=0).reshape(-1, dim),
+                                axis=0) - center
+        box = np.maximum(high, -low)
+        anchors = math.sqrt(np.vecdot(box, box))
+        top = coordinate_top(center)
+    if contracts:
+        xi = 0.0
+        if noise is not None:
+            xi = math.sqrt(np.maximum.reduce(np.vecdot(noise, noise), axis=None))
+        radius = max(start, anchors + xi / curvature)
+        # bounds every coordinate the steps compute: iterates, anchors,
+        # gradients, noise and their sums
+        scale = top + (2.0 + curvature) * (dom.radius + anchors) + xi
+        # a gradient carries curvature times an iterate's rounding
+        if never_rescaled(radius, dom.radius, scale, dim, ops) and (
+                clip_bound is None or never_rescaled(
+                    curvature * (radius + anchors), clip_bound,
+                    (1.0 + curvature) * scale, dim, ops)):
+            return True, True
+        if clip_bound is None:
+            return False, True
+    reach = max(dom.radius, start)
+    if curvature is not None:
+        norm = curvature * (reach + anchors)
+        scale = (1.0 + curvature) * (top + reach + anchors)
     else:
-        points = samples.points
         feature = math.sqrt(np.maximum.reduce(np.vecdot(points, points), axis=None))
         # hypot: a center far from the origin need not have a finite square
         margin = feature * (math.hypot(*center.tolist()) + reach)
-        top = feature / (1.0 + math.exp(-margin))
+        norm = feature / (1.0 + math.exp(-margin))
         scale = feature * (1.0 + margin)
-    return never_rescaled(top, clip_bound, scale, dom.dim, ops)
+    return False, never_rescaled(norm, clip_bound, scale, dim, ops)
 
 
 def _projected_steps(seq: TaskSamples, work: StepWorkspace, step_size: float,
@@ -230,8 +197,8 @@ def _projected_steps(seq: TaskSamples, work: StepWorkspace, step_size: float,
     given), adds noise[j] when given, steps by step_size, and projects onto
     the ball. geometry decides clipping and projection row by row, so each
     problem is clipped or projected only when its own row is outside. With
-    interior True, which only interior_certified may decide, the loop does
-    not project, since no projection could act. With
+    interior True, which only idle_calls may decide, the loop does not
+    project, since no projection could act. With
     final_step False the loop stops after the last visit, so the final
     iterate is the last one visited and the last sample's gradient, clip
     and noise are never used.
@@ -273,14 +240,14 @@ def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
 
     Visits theta_1 = init, takes one gradient step per sample, projects after
     every step, and averages the visited iterates theta_1 .. theta_m. The
-    projections are skipped when interior_certified holds for the call.
+    projections are skipped when idle_calls certifies the call interior.
     """
     if cfg.num_steps is not None and cfg.num_steps != samples.count:
         raise ValueError(
             f"cfg.num_steps={cfg.num_steps} but {samples.count} samples were supplied")
     work = _start(samples, init, dom)
-    return _projected_steps(samples, work, cfg.step_size, dom,
-                            interior=interior_certified(samples, init, cfg.step_size, dom))
+    interior = idle_calls(samples, init, cfg.step_size, dom)[0]
+    return _projected_steps(samples, work, cfg.step_size, dom, interior=interior)
 
 
 def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan,
@@ -294,11 +261,9 @@ def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan,
     final_iterate is theta_n, and noise[n - 1] goes unused. init broadcasts
     against the batch axes of visits and is not written. Nothing is
     checked: the caller makes noisy_sgd_run's checks once per pass of tasks.
-    Each flag skips one call: interior, which the caller passes True only
-    when interior_certified holds for the pass, skips the projection, and
-    clip_idle, which it passes True only when clip_certified holds for the
-    pass or interior_certified holds at plan.clip_bound, skips the clip, so
-    the steps run with no clip bound.
+    Each flag skips one call, and the caller passes idle_calls' verdicts
+    for the pass at plan.clip_bound: interior skips the projection and
+    clip_idle the clip, so the steps run with no clip bound.
 
     The call steps in work, a StepWorkspace shaped (*problems, d), so a pass
     of tasks allocates no step buffers; the output's arrays are work's

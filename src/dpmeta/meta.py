@@ -127,12 +127,11 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     call draws every task from (master_seed, "train-task", t) and
     (master_seed, "train-losses", t) and keeps the samples it visits.
 
-    Between the phases the interior certificate gives its two verdicts
-    once for the pass, from phi_init, all visits, the whole noise block and
-    one anchor box (learners.anchor_reach): learners.interior_certified
-    whether the steps may skip the clip and the projection (every phi_t and
-    theta_bar_t is a convex combination of iterates, so it stays where they
-    do), and learners.clip_certified whether they may skip the clip alone.
+    Between the phases one learners.idle_calls call, on phi_init, all
+    visits and the whole noise block, decides for the pass whether the
+    steps may skip the clip and the projection, or the clip alone (every
+    phi_t and theta_bar_t is a convex combination of iterates, so it stays
+    where they do).
 
     The fold phase is sequential: per task, one learners.noisy_sgd_steps
     call steps every arm from its phi_t, row t of the (tasks + 1, arms, d)
@@ -180,14 +179,8 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
 
     # num_tasks passes of steps_n steps, one fold each, run in sequence
     steps, domain, arms = num_tasks * (n + 1), env.domain, len(plans)
-    anchors = learners.anchor_reach(visits, domain.center)
-    interior = learners.interior_certified(visits, phi_init, plan.step_size,
-                                           domain, plan.clip_bound, noise, steps=steps,
-                                           anchors=anchors)
-    # a projection verdict at the clip bound certifies the clip too
-    clip_idle = interior or learners.clip_certified(visits, phi_init, domain,
-                                                    plan.clip_bound, steps=steps,
-                                                    anchors=anchors)
+    interior, clip_idle = learners.idle_calls(visits, phi_init, plan.step_size, domain,
+                                              plan.clip_bound, noise, steps=steps)
 
     # phis[t] is every arm's phi_t, the init of task t; bars[t] its output
     phis = np.empty((num_tasks + 1, arms, dim))

@@ -98,18 +98,60 @@ def test_stable_case_runs_a_stable_plan():
 
 
 def test_stable_case_runs_interior_certified_passes(monkeypatch):
-    # the stable digests pin the loop that skips clips and projections: the
-    # interior certificate holds for its training pass and its eval pass
+    # the stable digests pin the loop that skips clips and projections:
+    # idle_calls certifies its training pass and its eval pass interior
     verdicts = []
-    real = dpmeta.learners.interior_certified
+    real = dpmeta.learners.idle_calls
 
     def spy(samples, *args, **kwargs):
         verdicts.append((samples.points.shape, real(samples, *args, **kwargs)))
         return verdicts[-1][1]
 
-    monkeypatch.setattr(dpmeta.learners, "interior_certified", spy)
+    monkeypatch.setattr(dpmeta.learners, "idle_calls", spy)
     run_experiment(build_config(STABLE_ITEMS))
-    assert verdicts == [((237, 25, 2), True), ((1900, 10, 2), True)]
+    assert verdicts == [((237, 25, 2), (True, True)), ((1900, 10, 2), (True, True))]
+
+
+def test_idle_calls_certify_a_low_clip_bound_at_the_contracted_radius(monkeypatch):
+    # the stable case with lipschitz_g = 1.0 below c x diameter = 2: the
+    # clip bound is under the whole ball's gradient bound c (R + A), so
+    # only the contracted-radius bound c (r + A) of an interior pass
+    # certifies the clip. The training pass reads (True, True) and calls no
+    # clip, and reports what the run with the clip verdict declined reports,
+    # where every clip is called and none acts
+    cfg = build_config({**STABLE_ITEMS, "lipschitz_g": "1.0", "growth_alpha": "1.0"})
+    cal = calibrate(cfg)
+    assert cal.plan.clip_bound == 1.0 < cfg.env.curvature * cfg.env.domain.diameter
+    calls, clip_calls = [], []
+    real_idle_calls = dpmeta.learners.idle_calls
+    real_clip = dpmeta.learners.clip_norm_in_place
+
+    def spy_idle_calls(*args, **kwargs):
+        calls.append((args, kwargs, real_idle_calls(*args, **kwargs)))
+        return calls[-1][-1]
+
+    def spy_clip(*args):
+        clip_calls.append(real_clip(*args))
+        return clip_calls[-1]
+
+    monkeypatch.setattr(dpmeta.learners, "idle_calls", spy_idle_calls)
+    monkeypatch.setattr(dpmeta.learners, "clip_norm_in_place", spy_clip)
+    report = run_experiment(cfg)
+    (visits, starts, step, *rest), kwargs, verdicts = calls[0]
+    assert visits.points.shape == (cal.steps_n, 25, 2)
+    assert step * visits.curvature <= 1.0
+    assert verdicts == (True, True) and clip_calls == []
+    # the whole-ball bound alone, which a step past h = 1 leaves, declines
+    assert real_idle_calls(visits, starts, 2.0 / visits.curvature, *rest,
+                           **kwargs) == (False, False)
+    monkeypatch.setattr(dpmeta.learners, "idle_calls",
+                        lambda *args, **kw: (real_idle_calls(*args, **kw)[0], False))
+    reference = run_experiment(cfg)
+    assert len(clip_calls) == cfg.t_train * (cal.steps_n - 1)
+    assert not any(clip_calls)
+    for arm, result in report.arms.items():
+        assert result.excess_risks == reference.arms[arm].excess_risks
+        assert result.mean_surrogate == reference.arms[arm].mean_surrogate
 
 
 @pytest.mark.parametrize("case", ["quadratic", "logistic"])

@@ -604,17 +604,17 @@ def test_training_arms_report_one_task_dispersion():
 
 
 def _spy_interior_verdicts(monkeypatch):
-    """Record, per learners.interior_certified call of a run, the shape of
-    the samples it certified and its verdict: the training pass's call,
-    then eval's."""
+    """Record, per learners.idle_calls call of a run, the shape of the
+    samples it decided on and its (interior, clip_idle) pair: the training
+    pass's call, then eval's."""
     verdicts = []
-    real = dpmeta.learners.interior_certified
+    real = dpmeta.learners.idle_calls
 
     def spy(samples, *args, **kwargs):
         verdicts.append((samples.points.shape, real(samples, *args, **kwargs)))
         return verdicts[-1][1]
 
-    monkeypatch.setattr(dpmeta.learners, "interior_certified", spy)
+    monkeypatch.setattr(dpmeta.learners, "idle_calls", spy)
     return verdicts
 
 
@@ -634,8 +634,8 @@ def test_interior_certificate_fires_on_both_passes_of_a_stable_run(monkeypatch):
     # what the uncertified loop reports
     verdicts = _spy_interior_verdicts(monkeypatch)
     report = run_experiment(build_config(ADAPT_ITEMS))
-    assert verdicts == [((237, 5, 2), True), ((1900, 100, 2), True)]
-    monkeypatch.setattr(dpmeta.learners, "interior_certified", lambda *args, **kw: False)
+    assert verdicts == [((237, 5, 2), (True, True)), ((1900, 100, 2), (True, True))]
+    monkeypatch.setattr(dpmeta.learners, "idle_calls", lambda *args, **kw: (False, False))
     reference = run_experiment(build_config(ADAPT_ITEMS))
     for arm, result in report.arms.items():
         assert result.excess_risks == reference.arms[arm].excess_risks
@@ -655,10 +655,10 @@ def test_interior_certificate_declines_logistic_and_h_over_one_runs(items, monke
     cal = calibrate(cfg)
     run_experiment(cfg)
     if cfg.env.loss_family == "logistic":
-        assert [verdict for _, verdict in verdicts] == [False, False]
+        assert [interior for _, (interior, _) in verdicts] == [False, False]
     else:
         assert cal.sgd_step_size * cfg.env.curvature > 1.0
-        assert verdicts[0][1] is False
+        assert verdicts[0][1][0] is False
 
 
 @pytest.mark.parametrize("items", [
@@ -675,26 +675,24 @@ def test_interior_certificate_declines_logistic_and_h_over_one_runs(items, monke
      "planted_center": "1,0,0,0,0", "mc_eval_samples": "500"},
 ], ids=["train_heavy", "logistic_mc"])
 def test_clip_verdict_holds_on_the_bench_training_shapes(items, monkeypatch):
-    # the clipping training passes of both benchmark shapes are certified
-    # clip idle, call no clip, and report what the run that clips reports
-    clip_calls, verdicts = [], []
+    # the clipping training passes of both benchmark shapes are declined
+    # interior but certified clip idle, call no clip, and report what the
+    # run that clips reports
+    clip_calls = []
     real_clip = dpmeta.learners.clip_norm_in_place
-    real_certified = dpmeta.learners.clip_certified
+    real_idle_calls = dpmeta.learners.idle_calls
 
     def spy_clip(*args):
         clip_calls.append(real_clip(*args))
         return clip_calls[-1]
 
-    def spy_certified(*args, **kwargs):
-        verdicts.append(real_certified(*args, **kwargs))
-        return verdicts[-1]
-
     monkeypatch.setattr(dpmeta.learners, "clip_norm_in_place", spy_clip)
-    monkeypatch.setattr(dpmeta.learners, "clip_certified", spy_certified)
+    verdicts = _spy_interior_verdicts(monkeypatch)
     cfg = make_cfg(**items)
     report = run_experiment(cfg)
-    assert verdicts == [True] and clip_calls == []
-    monkeypatch.setattr(dpmeta.learners, "clip_certified", lambda *args, **kw: False)
+    assert len(verdicts) == 2 and verdicts[0][1] == (False, True) and clip_calls == []
+    monkeypatch.setattr(dpmeta.learners, "idle_calls",
+                        lambda *args, **kw: (real_idle_calls(*args, **kw)[0], False))
     reference = run_experiment(cfg)
     assert len(clip_calls) == cfg.t_train * (report.calibration.steps_n - 1)
     assert not any(clip_calls)
@@ -722,17 +720,16 @@ def test_clipping_is_inactive_when_smoothness_ok(family_items, monkeypatch):
         return clipped
 
     monkeypatch.setattr(dpmeta.learners, "clip_norm_in_place", spy_clip)
-    verdicts = _spy_interior_verdicts(monkeypatch)
-    # the clip verdict holds for this pass; it is recorded and declined, so
-    # that the clips run and can be counted
-    clip_verdicts = []
-    real_clip_certified = dpmeta.learners.clip_certified
+    # the clip verdict holds for this pass; idle_calls' pair is recorded and
+    # its clip verdict declined, so that the clips run and can be counted
+    verdicts = []
+    real_idle_calls = dpmeta.learners.idle_calls
 
-    def declined_clip_verdict(*args, **kwargs):
-        clip_verdicts.append(real_clip_certified(*args, **kwargs))
-        return False
+    def declined_clip_verdict(samples, *args, **kwargs):
+        verdicts.append((samples.points.shape, real_idle_calls(samples, *args, **kwargs)))
+        return verdicts[-1][1][0], False
 
-    monkeypatch.setattr(dpmeta.learners, "clip_certified", declined_clip_verdict)
+    monkeypatch.setattr(dpmeta.learners, "idle_calls", declined_clip_verdict)
     cfg = make_cfg(samples_per_task=80, delta=0.1, baseline_nonprivate_meta="true",
                    **family_items)
     cal = calibrate(cfg)
@@ -741,8 +738,7 @@ def test_clipping_is_inactive_when_smoothness_ok(family_items, monkeypatch):
     # the interior certificate declines the training pass and the clip
     # verdict is declined, so every clip the promise covers is called and
     # counted here
-    assert verdicts[0] == ((cal.steps_n, cfg.t_train, cfg.env.dim), False)
-    assert clip_verdicts == [True]
+    assert verdicts[0] == ((cal.steps_n, cfg.t_train, cfg.env.dim), (False, True))
     # one clip per private step, each over both training arms' gradients;
     # training takes steps_n - 1 steps, since no step leaves theta_n
     assert len(calls) == cfg.t_train * (cal.steps_n - 1)

@@ -8,9 +8,8 @@ import pytest
 import dpmeta.learners
 from dpmeta.geometry import ParamDomain, RowScratch, dist_sq, project_in_place
 from dpmeta.learners import (LearnerOutput, OgdConfig, StepWorkspace,
-                             adaptation_step_size, clip_certified,
-                             interior_certified, noisy_sgd_run, noisy_sgd_steps,
-                             ogd_run, private_step_scale)
+                             adaptation_step_size, idle_calls, noisy_sgd_run,
+                             noisy_sgd_steps, ogd_run, private_step_scale)
 from dpmeta.losses import (TaskSamples, logistic_regularity, quadratic_regularity,
                            quadratic_value, sigmoid)
 from dpmeta.privacy import NoisySgdPlan, PrivacyParams
@@ -409,13 +408,12 @@ def test_batched_ogd_matches_independent_loop(seed, family, dim, m, tasks, arms,
 
 
 def _uncertified(run, spied=("clip_norm_in_place", "project_in_place")):
-    """run() with both verdicts of the interior certificate declined
-    everywhere and the calls named in spied (the clip and the projection)
-    spied: run's output and whether each call rescaled."""
+    """run() with both verdicts of idle_calls declined everywhere and the
+    calls named in spied (the clip and the projection) spied: run's output
+    and whether each call rescaled."""
     rescaled = []
     with pytest.MonkeyPatch.context() as mp:
-        for verdict in ("interior_certified", "clip_certified"):
-            mp.setattr(dpmeta.learners, verdict, lambda *args, **kw: False)
+        mp.setattr(dpmeta.learners, "idle_calls", lambda *args, **kw: (False, False))
         for name in spied:
             real = getattr(dpmeta.learners, name)
 
@@ -467,22 +465,25 @@ def test_interior_certificate_is_sound(seed, dim, arms, tasks, steps, center_sca
     plan = NoisySgdPlan(steps_n=steps, step_size=step, noise_variance_sigma_sq=0.0,
                         clip_bound=clip_bound)
 
-    ogd_ok = interior_certified(samples, inits, step, dom)
+    ogd_ok, ogd_clip_idle = idle_calls(samples, inits, step, dom)
+    assert ogd_clip_idle
     out = ogd_run(samples, inits, OgdConfig(step), dom)
     ref, rescaled = _uncertified(lambda: ogd_run(samples, inits, OgdConfig(step), dom))
     assert _same_bits(out, ref)
     assert not (ogd_ok and any(rescaled))
 
-    sgd_ok = interior_certified(samples, inits, step, dom, clip_bound, noise)
+    sgd_ok, clip_idle = idle_calls(samples, inits, step, dom, clip_bound, noise)
     shape = (arms, tasks, dim)
     out = noisy_sgd_steps(samples, inits, plan, dom, noise, StepWorkspace(shape),
-                          interior=sgd_ok, clip_idle=sgd_ok)
+                          interior=sgd_ok, clip_idle=clip_idle)
     ref, rescaled = _uncertified(lambda: noisy_sgd_steps(
         samples, inits, plan, dom, noise, StepWorkspace(shape)))
     assert _same_bits(out, ref)
     assert not (sgd_ok and any(rescaled))
-    # a clip can only tighten what the projection alone certifies
+    # a clip can only tighten what the projection alone certifies, and an
+    # interior pass has an idle clip
     assert ogd_ok or not sgd_ok
+    assert clip_idle or not sgd_ok
     event(f"certified: ogd {ogd_ok}, noisy sgd {sgd_ok}")
     if on_sphere:
         assert not ogd_ok
@@ -494,14 +495,14 @@ def test_interior_certificate_holds_well_inside():
     # clip bound or the radius is too small for them
     anchors = quad(np.tile([0.1, -0.1], (20, 1)) + 0.01 * np.arange(20)[:, None])
     dom = ParamDomain(np.zeros(2), 1.0)
-    assert interior_certified(anchors, [0.3, 0.3], 0.5, dom)
-    assert interior_certified(anchors, [0.3, 0.3], 0.5, dom, clip_bound=1.0)
-    assert not interior_certified(anchors, [0.3, 0.3], 0.5, dom, clip_bound=0.3)
-    assert not interior_certified(anchors, [0.3, 0.3], 0.5, ParamDomain(np.zeros(2), 0.4))
+    assert idle_calls(anchors, [0.3, 0.3], 0.5, dom)[0]
+    assert idle_calls(anchors, [0.3, 0.3], 0.5, dom, clip_bound=1.0)[0]
+    assert not idle_calls(anchors, [0.3, 0.3], 0.5, dom, clip_bound=0.3)[0]
+    assert not idle_calls(anchors, [0.3, 0.3], 0.5, ParamDomain(np.zeros(2), 0.4))[0]
     # the noise widens the radius by its largest norm over the curvature
     noise = np.zeros((20, 2))
     noise[7] = [0.0, 0.8]
-    assert not interior_certified(anchors, [0.3, 0.3], 0.5, dom, noise=noise)
+    assert not idle_calls(anchors, [0.3, 0.3], 0.5, dom, noise=noise)[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -537,13 +538,12 @@ def test_interior_box_matches_the_multi_axis_reduce(seed, steps, batch, dim, cen
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dpmeta.learners, "never_rescaled", spy)
-        verdict = interior_certified(samples, center, 0.5, dom, clip_bound)
+        verdict = idle_calls(samples, center, 0.5, dom, clip_bound)
         assert checks[0][0] == math.sqrt(np.vecdot(box, box))
         own = list(checks)
         checks.clear()
         corners = TaskSamples(np.stack([high, low]), curvature=1.0)
-        assert interior_certified(corners, center, 0.5, dom, clip_bound,
-                                  steps=steps) == verdict
+        assert idle_calls(corners, center, 0.5, dom, clip_bound, steps=steps) == verdict
     assert checks == own
     event(f"certified: {verdict}")
 
@@ -557,7 +557,7 @@ def test_interior_certificate_allocates_nothing_the_size_of_the_samples():
     starts = np.zeros((3, 1, 2))
     tracemalloc.start()
     try:
-        assert interior_certified(samples, starts, 0.5, dom)
+        assert idle_calls(samples, starts, 0.5, dom) == (True, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -569,26 +569,40 @@ def test_interior_certificate_allocates_nothing_the_size_of_the_samples():
        h=st.floats(1.01, 100.0), step=st.floats(1e-6, 10.0))
 def test_interior_certificate_declines_logistic_and_h_over_one(seed, dim, steps, h, step):
     # however large the ball and however tight the samples, a logistic pass
-    # and a quadratic pass with step x curvature > 1 are never certified;
-    # both are declined before any array is read, so starts of None pass
+    # and a quadratic pass with step x curvature > 1 are never certified
+    # interior; both are declined before any array is read, so starts of
+    # None pass when there is no clip to certify, and with a clip bound only
+    # the whole-ball clip verdict reads the starts: noise that cannot be
+    # read is never read
     rng = np.random.default_rng(seed)
     dom = ParamDomain(np.zeros(dim), 1e6)
     quadratic = TaskSamples(1e-3 * rng.normal(size=(steps, dim)), curvature=h / step)
     assert step * quadratic.curvature > 1.0
-    assert not interior_certified(quadratic, None, step, dom)
+    assert idle_calls(quadratic, None, step, dom) == (False, True)
     logistic = _batch_and_singles("logistic", rng, 2, steps, dim, feature_norm=1e-3)[0]
-    assert not interior_certified(logistic, None, step, dom)
-    assert not interior_certified(logistic, None, step, dom, clip_bound=1e6,
-                                  noise=np.zeros((steps, 2, dim)))
+    assert idle_calls(logistic, None, step, dom) == (False, True)
+    for samples in (quadratic, logistic):
+        assert not idle_calls(samples, dom.center, step, dom, clip_bound=1e6,
+                              noise="unread")[0]
+
+
+def _clip_verdict(samples, starts, dom, clip_bound):
+    """idle_calls' whole-ball clip verdict alone: at step x curvature 2 the
+    projection verdict declines before it reads anything, and the
+    whole-ball bound holds at any step size."""
+    step = 1.0 if samples.curvature is None else 2.0 / samples.curvature
+    interior, clip_idle = idle_calls(samples, starts, step, dom, clip_bound)
+    assert not interior
+    return clip_idle
 
 
 def _clip_verdict_pass(samples, inits, dom, plan, noise):
-    """The clip verdict on a noisy pass, the pass stepped with it, and the
-    same pass with it declined and the clip spied: (verdict, output,
-    reference output, whether each clip acted). The projection runs in
-    both."""
+    """The whole-ball clip verdict on a noisy pass, the pass stepped with
+    it, and the same pass with it declined and the clip spied: (verdict,
+    output, reference output, whether each clip acted). The projection runs
+    in both."""
     shape = np.broadcast_shapes(np.shape(inits)[:-1], samples.batch_shape) + (samples.dim,)
-    verdict = clip_certified(samples, inits, dom, plan.clip_bound)
+    verdict = _clip_verdict(samples, inits, dom, plan.clip_bound)
     out = noisy_sgd_steps(samples, inits, plan, dom, noise, StepWorkspace(shape),
                           clip_idle=verdict)
     ref, clipped = _uncertified(lambda: noisy_sgd_steps(
@@ -677,11 +691,11 @@ def test_clip_verdict_declines_a_loose_anchor_box():
     start = np.zeros(2)
     clip_bound = quadratic_regularity(curvature, dom).lipschitz_g
     assert clip_bound == 2.0 * curvature * radius
-    assert not clip_certified(samples, start, dom, clip_bound)
+    assert not _clip_verdict(samples, start, dom, clip_bound)
     bound = curvature * (radius + math.sqrt(2.0 * radius * radius))
-    assert clip_certified(samples, start, dom, bound * (1.0 + 1e-9))
+    assert _clip_verdict(samples, start, dom, bound * (1.0 + 1e-9))
     assert bound * (1.0 + 1e-15) > bound
-    assert not clip_certified(samples, start, dom, bound * (1.0 + 1e-15))
+    assert not _clip_verdict(samples, start, dom, bound * (1.0 + 1e-15))
 
 
 def test_clip_verdict_declines_a_saturated_sigmoid():
@@ -699,7 +713,19 @@ def test_clip_verdict_declines_a_saturated_sigmoid():
         samples = TaskSamples(features, labels=np.where(raw[..., 0] > 0, 1.0, -1.0))
         clip_bound = logistic_regularity(feature_norm, 0.5).lipschitz_g
         assert clip_bound == feature_norm
-        assert clip_certified(samples, dom.center, dom, clip_bound) == holds
+        assert _clip_verdict(samples, dom.center, dom, clip_bound) == holds
+
+
+def test_clip_verdict_counts_a_start_outside_the_ball():
+    # the whole-ball bound reaches rho = max(R, ||start - center||), so a
+    # start at distance 3 from the center of a unit ball, anchored there,
+    # puts the gradient bound at c x 3 = 3, not c R = 1
+    dom = ParamDomain(np.zeros(2), 1.0)
+    samples = TaskSamples(np.zeros((10, 2)), curvature=1.0)
+    start = np.array([3.0, 0.0])
+    assert not _clip_verdict(samples, start, dom, 2.0)
+    assert _clip_verdict(samples, start, dom, 3.5)
+    assert _clip_verdict(samples, dom.center, dom, 2.0)
 
 
 def test_clip_verdict_bounds_the_whole_ball_at_h_over_one():
@@ -732,7 +758,7 @@ def test_interior_and_clip_idle_flags_each_skip_one_call(interior, clip_idle):
     plan = NoisySgdPlan(steps_n=8, step_size=0.5, noise_variance_sigma_sq=0.0,
                         clip_bound=1.0)
     noise = np.zeros((8, 2))
-    assert interior_certified(anchors, [0.3, 0.3], 0.5, dom, plan.clip_bound, noise)
+    assert idle_calls(anchors, [0.3, 0.3], 0.5, dom, plan.clip_bound, noise) == (True, True)
 
     def run(**flags):
         return noisy_sgd_steps(anchors, [0.3, 0.3], plan, dom, noise, StepWorkspace((2,)),

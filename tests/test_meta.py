@@ -171,16 +171,16 @@ def test_shared_training_equals_separate_passes(family, monkeypatch):
         return out
 
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_noisy)
-    # the interior certificate must decline these passes, or the loop would
-    # skip the very clips and projections counted here
+    # idle_calls must decline both verdicts for these passes, or the loop
+    # would skip the very clips and projections counted here
     verdicts = []
-    real_certified = dpmeta.learners.interior_certified
+    real_idle_calls = dpmeta.learners.idle_calls
 
-    def spy_certified(*args, **kwargs):
-        verdicts.append(real_certified(*args, **kwargs))
+    def spy_idle_calls(*args, **kwargs):
+        verdicts.append(real_idle_calls(*args, **kwargs))
         return verdicts[-1]
 
-    monkeypatch.setattr(dpmeta.learners, "interior_certified", spy_certified)
+    monkeypatch.setattr(dpmeta.learners, "idle_calls", spy_idle_calls)
     dom = ParamDomain(np.array([0.1, -0.2]), 0.8)
     env = EnvSpec(domain=dom, planted_center=np.array([0.4, -0.2]),
                   similarity_v=0.3, samples_per_task=12, loss_family=family,
@@ -191,7 +191,7 @@ def test_shared_training_equals_separate_passes(family, monkeypatch):
     phi_init = np.array([0.7, -0.5])
     shared = run_meta_training(env, 15, (plan, quiet), phi_init, 21)
     shared_bars = np.stack(bars)
-    assert verdicts == [False]
+    assert verdicts == [(False, False)]
     for calls in binds.values():
         assert 0 < sum(calls) < len(calls)
     assert shared_bars.shape == (15, 2, 2)
@@ -329,10 +329,11 @@ def test_hindsight_initializer_beats_surrogate_average():
        clip_bound=st.floats(0.2, 5.0))
 def test_interior_certified_training_is_sound(seed, dim, center_scale, tasks, curvature,
                                                h, sample_noise_std, sigma_sq, clip_bound):
-    # multi-arm noisy training over many tasks: whenever the certificate
-    # holds for the pass, every phi_t and every iterate stays where the clip
+    # multi-arm noisy training over many tasks: whenever the pass is
+    # certified interior, every phi_t and every iterate stays where the clip
     # and the projection leave it, so the pass that skips them gives the bits
-    # of the pass that calls them, and there every call rescales nothing
+    # of the pass that calls them, and there every call rescales nothing;
+    # a pass certified clip idle alone skips its clips with the same bits
     rng = np.random.default_rng(seed)
     center = rng.normal(scale=center_scale, size=dim)
     env = EnvSpec(domain=ParamDomain(center, 1.0),
@@ -346,16 +347,16 @@ def test_interior_certified_training_is_sound(seed, dim, center_scale, tasks, cu
     phi_init = center + 0.4 * rng.uniform(-1, 1, size=dim) / math.sqrt(dim)
     verdicts, rescaled = [], []
     with pytest.MonkeyPatch.context() as mp:
-        real_certified = dpmeta.learners.interior_certified
+        real_idle_calls = dpmeta.learners.idle_calls
 
-        def spy_certified(*args, **kwargs):
-            verdicts.append(real_certified(*args, **kwargs))
+        def spy_idle_calls(*args, **kwargs):
+            verdicts.append(real_idle_calls(*args, **kwargs))
             return verdicts[-1]
 
-        mp.setattr(dpmeta.learners, "interior_certified", spy_certified)
+        mp.setattr(dpmeta.learners, "idle_calls", spy_idle_calls)
         trained = run_meta_training(env, tasks, plans, phi_init, seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dpmeta.learners, "interior_certified", lambda *args, **kw: False)
+        mp.setattr(dpmeta.learners, "idle_calls", lambda *args, **kw: (False, False))
         for name in ("clip_norm_in_place", "project_in_place"):
             real = getattr(dpmeta.learners, name)
 
@@ -369,8 +370,10 @@ def test_interior_certified_training_is_sound(seed, dim, center_scale, tasks, cu
     assert len(verdicts) == 1
     assert trained.phi_hat.tobytes() == reference.phi_hat.tobytes()
     assert trained.surrogate_losses.tobytes() == reference.surrogate_losses.tobytes()
-    assert not (verdicts[0] and any(rescaled))
-    event(f"certified: {verdicts[0]}")
+    interior, clip_idle = verdicts[0]
+    assert not (interior and any(rescaled))
+    assert clip_idle or not interior
+    event(f"interior {interior}, clip idle {clip_idle}")
 
 
 def _spy_steps(monkeypatch):
@@ -441,11 +444,11 @@ def test_fold_bookkeeping_refuses_a_non_finite_output(bad_task, bad_value, monke
     plan = NoisySgdPlan(steps_n=5, step_size=0.5, noise_variance_sigma_sq=0.0,
                         clip_bound=4.0)
     verdicts, calls = [], []
-    real_certified = dpmeta.learners.interior_certified
+    real_idle_calls = dpmeta.learners.idle_calls
     real_steps = dpmeta.learners.noisy_sgd_steps
 
-    def spy_certified(*args, **kwargs):
-        verdicts.append(real_certified(*args, **kwargs))
+    def spy_idle_calls(*args, **kwargs):
+        verdicts.append(real_idle_calls(*args, **kwargs))
         return verdicts[-1]
 
     def poisoned(*args, **kwargs):
@@ -455,43 +458,45 @@ def test_fold_bookkeeping_refuses_a_non_finite_output(bad_task, bad_value, monke
         calls.append(out)
         return out
 
-    monkeypatch.setattr(dpmeta.learners, "interior_certified", spy_certified)
+    monkeypatch.setattr(dpmeta.learners, "idle_calls", spy_idle_calls)
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", poisoned)
     with pytest.raises(ValueError, match="non-finite"):
         run_meta_training(env, 4, (plan,), np.zeros(2), 5)
-    assert verdicts == [True] and len(calls) == 4
+    assert verdicts == [(True, True)] and len(calls) == 4
 
 
-def test_clip_verdict_shares_the_projection_verdicts_anchor_box(monkeypatch):
-    # at h = 0.7 the projection verdict reads the anchors and, with anchors
-    # projected onto the sphere, declines; the clip verdict then reads the
-    # same anchor box, which the pass computes once, and each verdict is the
-    # one it gives computing the box itself
+@pytest.mark.parametrize("tasks", [1, 3, 7])
+def test_idle_calls_decides_each_training_pass_once(tasks, monkeypatch):
+    # at h = 0.7 with anchors projected onto the sphere the pass is declined
+    # interior but certified clip idle; one idle_calls call decides both,
+    # on phi_init, every task's visits and the whole noise block, for the
+    # pass's tasks x (steps_n + 1) steps, and the steps get its verdicts
     dom = ParamDomain(np.zeros(2), 0.5)
     env = EnvSpec(domain=dom, planted_center=np.array([0.45, 0.0]), similarity_v=0.4,
                   samples_per_task=20, curvature=1.0, sample_noise_std=0.3)
     plan = NoisySgdPlan(steps_n=5, step_size=0.7, noise_variance_sigma_sq=0.01,
                         clip_bound=4.0)
-    boxes, calls = [], {}
-    real_reach = dpmeta.learners.anchor_reach
+    calls, flags = [], []
+    real_idle_calls = dpmeta.learners.idle_calls
+    real_steps = dpmeta.learners.noisy_sgd_steps
 
-    def spy_reach(*args):
-        boxes.append(real_reach(*args))
-        return boxes[-1]
+    def spy_idle_calls(*args, **kwargs):
+        calls.append((args, kwargs, real_idle_calls(*args, **kwargs)))
+        return calls[-1][-1]
 
-    def spy(real):
-        def verdict(*args, **kwargs):
-            calls[real] = (args, kwargs, real(*args, **kwargs))
-            return calls[real][-1]
-        return verdict
+    def spy_steps(*args, interior, clip_idle):
+        flags.append((interior, clip_idle))
+        return real_steps(*args, interior=interior, clip_idle=clip_idle)
 
-    monkeypatch.setattr(dpmeta.learners, "anchor_reach", spy_reach)
-    for name in ("interior_certified", "clip_certified"):
-        monkeypatch.setattr(dpmeta.learners, name, spy(getattr(dpmeta.learners, name)))
-    run_meta_training(env, 3, (plan,), np.zeros(2), 8)
-    assert len(boxes) == 1
-    assert [got for _, _, got in calls.values()] == [False, True]
-    for real, (args, kwargs, got) in calls.items():
-        assert kwargs.pop("anchors") == boxes[0]
-        assert real(*args, **kwargs) == got
-    assert len(boxes) == 3
+    monkeypatch.setattr(dpmeta.learners, "idle_calls", spy_idle_calls)
+    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_steps)
+    run_meta_training(env, tasks, (plan,), np.zeros(2), 8)
+    assert len(calls) == 1
+    (visits, starts, step, domain, clip_bound, noise), kwargs, got = calls[0]
+    assert got == (False, True)
+    assert visits.points.shape == (plan.steps_n, tasks, 2)
+    assert np.array_equal(starts, np.zeros(2)) and domain is dom
+    assert (step, clip_bound) == (plan.step_size, plan.clip_bound)
+    assert noise.shape == (tasks, plan.steps_n, 1, 2)
+    assert kwargs == {"steps": tasks * (plan.steps_n + 1)}
+    assert flags == [got] * tasks
