@@ -10,16 +10,15 @@ raises ValueError. project_in_place and clip_norm_in_place write into the
 caller's array, with a reusable RowScratch, check nothing but finiteness,
 and say whether any row was rescaled. dist_sq is pure. Up to _FEW_ROWS
 rows, as in a training step's one row per arm, the row rule runs on Python
-floats instead of numpy calls, with the same bits. never_rescaled is the
-rounding rule for skipping them: it says whether a row that exact
-arithmetic keeps within a norm can still be rescaled once the rounding of a
-run of steps is counted; coordinate_top is the part of its coordinate
-scale that a ball's center contributes.
-Geometric identities hold to 1e-12 relative tolerance, not exactly, because
-of float rounding. ParamDomain is calibration.Ball with an array center, so
-ball membership is the Ball's one rule, which config checks points with too:
-it allows the few ulps by which center + offset rounds. Everything here is
-deterministic.
+floats instead of numpy calls, with the same bits, and every operand of the
+in-place forms' numpy calls has the batch's shape. never_rescaled is the
+rounding rule for skipping them, whether a row that exact arithmetic keeps
+within a norm can still be rescaled once a run of steps' rounding is
+counted; coordinate_top is the center's part of its coordinate scale.
+Geometric identities hold to 1e-12 relative tolerance, because of float
+rounding. ParamDomain is calibration.Ball with an array center, so ball
+membership is the Ball's one rule, which config checks points with too: it
+allows the few ulps by which center + offset rounds. All is deterministic.
 """
 
 from __future__ import annotations
@@ -118,33 +117,33 @@ _NONE, _SOME, _ALL = range(3)
 
 class RowScratch:
     """Buffers for the in-place clip and project of batches shaped
-    (..., dim): a batch of that shape for intermediate vectors, and per row
-    the squared norm, the over-the-bound mask and the rescale factor.
-    Allocate once and reuse across calls of one shape; every call overwrites
-    them."""
+    (..., dim), to reuse across calls of one shape: intermediate vectors, the
+    center on every row (refilled when a call brings another center array),
+    the squared norms, and the rows' rescale factors and over-bound mask, by
+    the learners' same-shape rule full-shape up to _FEW_ROWS rows (filled
+    through one view per row), past that (..., 1) columns."""
 
     def __init__(self, shape):
-        self.vectors = np.empty(shape)
+        self.vectors, self.center, self.center_of = np.empty(shape), np.empty(shape), None
         self.nsq = np.empty(shape[:-1])
-        self.over = np.empty(shape[:-1], dtype=bool)
-        # only ever holds these zeros, ones and factors limit / norm <= 1, so
-        # scaling every row by it, not just the rows over, cannot overflow
-        self.scale = np.zeros(shape[:-1])
-        # (..., 1) views, which broadcast a row's mask and factor along it
-        self.over_col = self.over[..., None]
-        self.scale_col = self.scale[..., None]
-        # flat views of the per-row buffers, which the few-rows path fills
         self.few = self.nsq.size <= _FEW_ROWS
-        self.nsq_flat = self.nsq.reshape(-1)
-        self.over_flat = self.over.reshape(-1)
-        self.scale_flat = self.scale.reshape(-1)
+        # only ever holds ones and factors limit / norm <= 1, so scaling
+        # every row by it, not just the rows over, cannot overflow
+        self.factors = np.ones(shape if self.few else shape[:-1] + (1,))
+        self.mask = np.empty(self.factors.shape, dtype=bool)
+        if self.few:
+            self.nsq_flat = self.nsq.reshape(-1)
+            self.factor_rows = list(self.factors.reshape(-1, shape[-1]))
+            self.mask_rows = list(self.mask.reshape(-1, shape[-1]))
+        else:
+            self.scale, self.over = self.factors[..., 0], self.mask[..., 0]
 
 
 def _row_scales(x, limit, limit_sq, scratch: RowScratch) -> int:
     """The row rule: squared norms of x's rows, checked finite; then, for the
     rows whose squared norm exceeds limit_sq, the factor limit / norm in
-    scratch.scale. Returns _NONE when no row is over, _ALL when every row
-    is, else _SOME with the rows over marked in scratch.over."""
+    scratch.factors. Returns _NONE when no row is over, _ALL when every row
+    is, else _SOME with the rows over marked in scratch.mask."""
     nsq = np.vecdot(x, x, out=scratch.nsq)
     if not scratch.few:
         if _finite_top(nsq) <= limit_sq:
@@ -160,13 +159,17 @@ def _row_scales(x, limit, limit_sq, scratch: RowScratch) -> int:
         _finite_top(nsq)
     if max(rows) <= limit_sq:
         return _NONE
-    over = [r > limit_sq for r in rows]
-    scratch.scale_flat[:] = [limit / math.sqrt(r) if o else 1.0
-                             for r, o in zip(rows, over)]
-    if all(over):
-        return _ALL
-    scratch.over_flat[:] = over
-    return _SOME
+    found = _ALL
+    for row, r in zip(scratch.factor_rows, rows):
+        if r > limit_sq:
+            row.fill(limit / math.sqrt(r))
+        else:
+            row.fill(1.0)
+            found = _SOME
+    if found == _SOME:
+        for row, r in zip(scratch.mask_rows, rows):
+            row.fill(r > limit_sq)
+    return found
 
 
 def project_in_place(v, dom: ParamDomain, scratch: RowScratch) -> bool:
@@ -175,18 +178,21 @@ def project_in_place(v, dom: ParamDomain, scratch: RowScratch) -> bool:
     center exceeds radius**2 becomes center + offset * (radius / ||offset||);
     the other rows are left untouched. Returns whether any row moved. Shapes
     are not checked."""
-    offset = np.subtract(v, dom.center, out=scratch.vectors)
+    center = scratch.center
+    if scratch.center_of is not dom.center:
+        center[...] = scratch.center_of = dom.center
+    offset = np.subtract(v, center, out=scratch.vectors)
     found = _row_scales(offset, dom.radius, dom._radius_sq, scratch)
     if found == _NONE:
         return False
-    offset *= scratch.scale_col
+    offset *= scratch.factors
     if found == _ALL:
-        np.add(offset, dom.center, out=v)
+        np.add(offset, center, out=v)
     else:
         # every row is scaled and shifted back, but only the rows over are
         # written to v (a masked copy is cheaper than two masked ufuncs)
-        offset += dom.center
-        np.copyto(v, offset, where=scratch.over_col)
+        offset += center
+        np.copyto(v, offset, where=scratch.mask)
     return True
 
 
@@ -199,10 +205,10 @@ def clip_norm_in_place(v, bound: float, scratch: RowScratch) -> bool:
     if found == _NONE:
         return False
     if found == _ALL:
-        v *= scratch.scale_col
+        v *= scratch.factors
     else:
-        np.multiply(v, scratch.scale_col, out=scratch.vectors)
-        np.copyto(v, scratch.vectors, where=scratch.over_col)
+        np.multiply(v, scratch.factors, out=scratch.vectors)
+        np.copyto(v, scratch.vectors, where=scratch.mask)
     return True
 
 

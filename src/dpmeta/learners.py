@@ -2,36 +2,36 @@
 
 All are entry points to one projected-step loop that walks a sequence of
 samples (losses.TaskSamples) over a ball domain and reports the average of
-the iterates it evaluated gradients at. The average includes the start point
-and excludes the final post-update point, so a single-sample run returns its
-initialization unchanged.
+the iterates it evaluated gradients at: the start point included, the final
+post-update point not, so a single-sample run returns its initialization.
 
-The loop steps a whole batch of independent problems at once. Iterates have
-shape (*problems, d): the leading axes of init broadcast against the batch
-axes of the samples, so inits shaped (arms, 1, d) adapted on samples shaped
-(m, tasks, d) run every arm on every task. A single task from a single init
-is the batch of one, with plain (d,) iterates; there is no separate scalar
-path. The loop runs on a StepWorkspace (iterate, running sum, gradient and
-geometry's RowScratch) and clips and projects in place with
-geometry.clip_norm_in_place and geometry.project_in_place, which act row by
-row, so each problem's result is bit-identical whatever batch it runs in and
-no step allocates an array of the batch's shape. Meta-training steps
-through noisy_sgd_steps, which takes visits and noise drawn ahead and a
-workspace to step in, so it checks, draws and allocates once per pass and
-steps every training arm in one call per task; as training reads only the
-average, that call stops after its last visit. noisy_sgd_run is its
-one-problem reference: it checks its inputs, draws one task's indices, then
-its noise, from one generator, and takes the last step too.
+The loop steps a batch of independent problems at once, on iterates shaped
+(*problems, d): the leading axes of init broadcast against the samples'
+batch axes, so inits (arms, 1, d) adapted on samples (m, tasks, d) run every
+arm on every task, and a single task from a single init is the batch of one
+with (d,) iterates. It steps in a StepWorkspace, sums the visited iterates
+into a buffer the caller gives, and clips and projects in place, row by row,
+so each problem's result is bit-identical whatever batch it runs in and no
+step allocates an array. Meta-training calls noisy_sgd_steps once per task
+on task t's rows of a pass's visits and noise drawn ahead, building no
+objects, and stops after the last visit, as training reads only the average.
+noisy_sgd_run is its one-problem reference: it checks its inputs, draws one
+task's indices, then its noise, from one generator, and takes the last step.
 
-One call, idle_calls, decides once per pass which calls the steps may
-skip: from a bound on the samples (A on quadratic anchors' offsets, F on
-logistic feature norms), widened by the pass's rounding
-(geometry.never_rescaled), it says whether neither the clip nor the
-projection can act (interior) and whether the clip cannot (clip_idle). A
-skipped call would have left every row alone, so the values are the same
-bits. ogd_run skips its projections on the first verdict of its own call;
-meta-training passes both verdicts of its pass to noisy_sgd_steps.
-noisy_sgd_run always clips and projects.
+The same-shape rule: a training step is about ten numpy calls on (arms, d)
+arrays, so numpy's per-call cost bounds it, and a call with an operand that
+broadcasts costs about twice one whose operands share one shape or are 0-d.
+So the loop's operands have the iterate's shape wherever that copies at most
+a pass's noise block: meta gives its quadratic visits an arms axis, _start
+gives one arm's eval samples a leading size-1 axis (a view; more arms keep
+broadcasting, as a copy would be m x arms x tasks x d floats), and geometry
+keeps the center and, on few rows, the row factors at the batch's shape.
+Each call is the same ufunc on the same values, so the bits do not change.
+
+One call, idle_calls, decides once per pass whether neither the clip nor
+the projection can act (interior) and whether the clip cannot (clip_idle),
+so the steps may skip them with the same bits: ogd_run on the first verdict
+of its own call, meta-training on both; noisy_sgd_run always calls them.
 """
 
 from __future__ import annotations
@@ -68,41 +68,40 @@ class OgdConfig:
 
 @dataclass(frozen=True)
 class LearnerOutput:
-    """averaged_iterate is the mean of the visited points; final_iterate is
-    the iterate the run ended on: the post-update point theta_{n+1} for
-    ogd_run and noisy_sgd_run, the last visited theta_n for
-    noisy_sgd_steps. Both have shape (*problems, d)."""
+    """What ogd_run and noisy_sgd_run return, shaped (*problems, d): the
+    mean of the visited points and the post-update point theta_{n+1}."""
 
     averaged_iterate: np.ndarray
     final_iterate: np.ndarray
 
 
 class StepWorkspace:
-    """The buffers of the projected-step loop on iterates shaped
-    (*problems, d): the iterate, the running sum of visited iterates, the
-    gradient, and geometry's per-row scratch for clipping and projection. A
-    caller may allocate one and pass it to many noisy_sgd_steps calls of one
-    shape; each call overwrites all of it."""
+    """The loop's iterate, gradient and geometry's RowScratch, for iterates
+    shaped (*problems, d): a caller may pass one to many noisy_sgd_steps
+    calls of one shape; each call overwrites all of it."""
 
     def __init__(self, shape):
         self.theta = np.empty(shape)
-        self.running_sum = np.empty(shape)
         self.grad = np.empty(shape)
         self.scratch = RowScratch(shape)
 
 
-def _start(samples: TaskSamples, init, dom: ParamDomain) -> StepWorkspace:
-    """A fresh workspace whose iterate holds init, after checking the
-    samples' dimension and that init lies in the domain: the leading axes of
-    init broadcast against the samples' batch axes."""
+def _start(samples: TaskSamples, init, dom: ParamDomain) -> tuple[TaskSamples, StepWorkspace]:
+    """The samples, as a view with the iterates' batch shape where that only
+    adds leading size-1 axes, and a fresh workspace whose iterate holds
+    init, after checking the samples' dimension and that init lies in the
+    domain: the leading axes of init broadcast against the batch axes."""
     if samples.dim != dom.dim:
         raise ValueError(f"samples have dimension {samples.dim}, the domain {dom.dim}")
     if not dom.contains(init):
         raise ValueError("init lies outside the domain")
-    problems = np.broadcast_shapes(np.shape(init)[:-1], samples.batch_shape)
+    batch = samples.batch_shape
+    problems = np.broadcast_shapes(np.shape(init)[:-1], batch)
+    if len(problems) > len(batch) and math.prod(problems) == math.prod(batch):
+        samples = samples.take((slice(None),) + (None,) * (len(problems) - len(batch)))
     work = StepWorkspace(problems + (samples.dim,))
     work.theta[...] = init
-    return work
+    return samples, work
 
 
 def idle_calls(samples: TaskSamples, starts, step_size: float, dom: ParamDomain,
@@ -185,53 +184,46 @@ def idle_calls(samples: TaskSamples, starts, step_size: float, dom: ParamDomain,
     return False, never_rescaled(norm, clip_bound, scale, dim, ops)
 
 
-def _projected_steps(seq: TaskSamples, work: StepWorkspace, step_size: float,
-                     dom: ParamDomain, clip_bound: float | None = None,
-                     noise=None, final_step: bool = True,
-                     interior: bool = False) -> LearnerOutput:
+def _projected_steps(seq: TaskSamples, work: StepWorkspace, total, step_size: float,
+                     dom: ParamDomain, clip_bound: float | None = None, noise=None,
+                     final_step: bool = True, interior: bool = False, task=None) -> None:
     """Visit one iterate per sample of seq, in order, from the iterate in
-    work, stepping from each, and return the average of the visited
-    iterates and the final iterate.
+    work, stepping from each; write the average of the visited iterates into
+    total and leave the final iterate in work.theta.
 
     Step j evaluates sample j's gradient at theta (clipped to clip_bound when
     given), adds noise[j] when given, steps by step_size, and projects onto
-    the ball. geometry decides clipping and projection row by row, so each
-    problem is clipped or projected only when its own row is outside. With
-    interior True, which only idle_calls may decide, the loop does not
-    project, since no projection could act. With
-    final_step False the loop stops after the last visit, so the final
-    iterate is the last one visited and the last sample's gradient, clip
-    and noise are never used.
+    the ball; with task t given, it reads rows (j, t) of seq and noise
+    instead. geometry clips and projects a problem only when its own row is
+    outside. With interior True, which only idle_calls may decide, the loop
+    does not project, since no projection could act. With final_step False
+    the loop stops after the last visit, so the final iterate is the last
+    one visited and the last sample's gradient, clip and noise are unused.
 
-    Every step writes only work's buffers, so the caller's inputs are never
-    written, and no step allocates an iterate, gradient or scratch array.
+    Every step writes only work's buffers and total, and allocates no array.
     The work.theta the caller filled must lie in the domain (_start checks
-    it once per call). The output's arrays are work.running_sum and
-    work.theta.
+    it once per call).
     """
-    theta, running_sum, grad = work.theta, work.running_sum, work.grad
-    scratch = work.scratch
-    running_sum.fill(0.0)
+    theta, grad, scratch, gradient = work.theta, work.grad, work.scratch, seq.grad
+    total.fill(0.0)
     # a 0-d array operand spares numpy converting a Python float on every
     # step; the products are the same
     step = np.asarray(step_size, dtype=np.float64)
-    clip = clip_bound is not None
-    last = seq.count - 1
-    for j in range(seq.count):
-        running_sum += theta
-        if j == last and not final_step:
-            break
-        seq.grad(theta, j, out=grad)
-        if clip:
+    for j in range(seq.count if final_step else seq.count - 1):
+        at = j if task is None else (j, task)
+        total += theta
+        gradient(theta, at, grad)
+        if clip_bound is not None:
             clip_norm_in_place(grad, clip_bound, scratch)
         if noise is not None:
-            grad += noise[j]
+            grad += noise[at]
         grad *= step
         theta -= grad
         if not interior:
             project_in_place(theta, dom, scratch)
-    running_sum /= seq.count
-    return LearnerOutput(averaged_iterate=running_sum, final_iterate=theta)
+    if not final_step:
+        total += theta
+    total /= seq.count
 
 
 def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
@@ -245,35 +237,32 @@ def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
     if cfg.num_steps is not None and cfg.num_steps != samples.count:
         raise ValueError(
             f"cfg.num_steps={cfg.num_steps} but {samples.count} samples were supplied")
-    work = _start(samples, init, dom)
+    rows, work = _start(samples, init, dom)
     interior = idle_calls(samples, init, cfg.step_size, dom)[0]
-    return _projected_steps(samples, work, cfg.step_size, dom, interior=interior)
+    average = np.empty(work.theta.shape)
+    _projected_steps(rows, work, average, cfg.step_size, dom, interior=interior)
+    return LearnerOutput(averaged_iterate=average, final_iterate=work.theta)
 
 
-def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan,
-                    dom: ParamDomain, noise, work: StepWorkspace,
-                    interior: bool = False, clip_idle: bool = False) -> LearnerOutput:
+def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan, dom: ParamDomain,
+                    noise, work: StepWorkspace, out, interior: bool = False,
+                    clip_idle: bool = False, task: int | None = None):
     """Noisy projected SGD on visits (steps_n, *batch, d) and noise
-    (steps_n, *problems, d) drawn ahead: it visits theta_1 = init, and
-    step j clips sample j's gradient to plan.clip_bound, adds noise[j],
-    steps by plan.step_size and projects, up to theta_n. The average of the
-    n visits is all training reads, so no step leaves theta_n: the output's
-    final_iterate is theta_n, and noise[n - 1] goes unused. init broadcasts
-    against the batch axes of visits and is not written. Nothing is
-    checked: the caller makes noisy_sgd_run's checks once per pass of tasks.
-    Each flag skips one call, and the caller passes idle_calls' verdicts
-    for the pass at plan.clip_bound: interior skips the projection and
-    clip_idle the clip, so the steps run with no clip bound.
-
-    The call steps in work, a StepWorkspace shaped (*problems, d), so a pass
-    of tasks allocates no step buffers; the output's arrays are work's
-    buffers, which the next call on it overwrites.
+    (steps_n, *problems, d) drawn ahead, or with task t given on task t's
+    rows of a pass's (steps_n, tasks, ...) blocks, stepped in work: it
+    visits theta_1 = init (not written), and step j clips sample j's
+    gradient to plan.clip_bound, adds noise[j], steps by plan.step_size and
+    projects, up to theta_n. Training reads only the average, so it is
+    written into out and returned, theta_n is left in work.theta, and
+    noise[n - 1] goes unused. Nothing is checked: the caller makes
+    noisy_sgd_run's checks once per pass, and passes idle_calls' verdicts
+    for the pass: interior skips the projection and clip_idle the clip.
     """
     work.theta[...] = init
-    clip_bound = None if clip_idle else plan.clip_bound
-    return _projected_steps(visits, work, plan.step_size, dom,
-                            clip_bound=clip_bound, noise=noise,
-                            final_step=False, interior=interior)
+    _projected_steps(visits, work, out, plan.step_size, dom,
+                     clip_bound=None if clip_idle else plan.clip_bound, noise=noise,
+                     final_step=False, interior=interior, task=task)
+    return out
 
 
 def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan,
@@ -283,17 +272,15 @@ def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan,
 
     Takes plan.steps_n steps. Each step picks a sample uniformly at random
     with replacement, clips its gradient to plan.clip_bound, adds isotropic
-    Gaussian noise of per-coordinate variance plan.noise_variance_sigma_sq to
-    the clipped gradient, steps by plan.step_size, and projects.
-
-    samples (m, d) and init (d,) make one problem; more raise ValueError.
-    The run draws its full index sequence from rng up front, then its
-    (steps_n, d) noise block, so runs whose generators are seeded alike
-    sample identical indices whatever their noise variance, and a
-    zero-variance run draws no noise. An explicit index_sequence of shape
-    (steps_n,) pins the sampling entirely.
+    Gaussian noise of per-coordinate variance plan.noise_variance_sigma_sq,
+    steps by plan.step_size, and projects. samples (m, d) and init (d,)
+    make one problem; more raise ValueError. The run draws its index
+    sequence from rng up front, then its (steps_n, d) noise, so runs seeded
+    alike sample the same indices whatever their noise variance, and a
+    zero-variance run draws no noise. An index_sequence of shape (steps_n,)
+    pins the sampling.
     """
-    work = _start(samples, init, dom)
+    samples, work = _start(samples, init, dom)
     if work.theta.ndim != 1:
         raise ValueError(f"noisy_sgd_run takes one problem, got problems shaped "
                          f"{work.theta.shape[:-1]}")
@@ -308,5 +295,7 @@ def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan,
             raise ValueError("index_sequence entries must index into the samples")
     # zero variance returns zeros and consumes no randomness
     noise = sample_step_noise(rng, dom.dim, plan.noise_variance_sigma_sq, count=n)
-    return _projected_steps(samples.take(indices), work, plan.step_size, dom,
-                            clip_bound=plan.clip_bound, noise=noise)
+    average = np.empty(work.theta.shape)
+    _projected_steps(samples.take(indices), work, average, plan.step_size, dom,
+                     clip_bound=plan.clip_bound, noise=noise)
+    return LearnerOutput(averaged_iterate=average, final_iterate=work.theta)

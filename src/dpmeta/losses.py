@@ -41,9 +41,10 @@ def quadratic_value(theta, anchors, curvature):
 
 def _quadratic_grad(theta, anchors, curvature, out=None):
     """curvature * (theta - anchor), broadcast over the leading axes, into
-    out when given; dimensions are not checked."""
+    out when given; dimensions are not checked. None stands for 1.0."""
     out = np.subtract(theta, anchors, out=out)
-    out *= curvature
+    if curvature is not None:
+        out *= curvature
     return out
 
 
@@ -165,6 +166,8 @@ class TaskSamples:
     for a single task). Quadratic samples give anchors as points and a
     curvature > 0; logistic samples give features as points and labels of
     shape (m, *batch) in {-1, +1}. Exactly one of curvature and labels is set.
+    By the learners' same-shape rule meta's quadratic visits carry an arms
+    axis (T n arms d floats; a view for one arm), and 1.0 is never applied.
     """
 
     points: np.ndarray
@@ -188,8 +191,10 @@ class TaskSamples:
                 raise ValueError(f"curvature must be finite and > 0, got {self.curvature}")
             object.__setattr__(self, "curvature", float(self.curvature))
             # the gradient's multiplier as a 0-d array, which numpy takes
-            # without converting a Python float on every call
-            object.__setattr__(self, "_curvature", np.asarray(self.curvature))
+            # without converting a Python float on every call; None for 1.0,
+            # since x * 1.0 is x for every float x
+            unit = self.curvature == 1.0
+            object.__setattr__(self, "_curvature", None if unit else np.asarray(self.curvature))
         else:
             labels = np.asarray(self.labels, dtype=np.float64)
             if labels.shape != points.shape[:-1]:
@@ -213,9 +218,9 @@ class TaskSamples:
         return self.points.shape[-1]
 
     def grad(self, theta, j, out=None):
-        """Gradient at theta of sample j of every task in the batch, written
-        into out when given. theta's last axis is not checked against the
-        samples' here: the learners check it once per call."""
+        """Gradient at theta of sample j of every task in the batch, or of
+        the index tuple j into (m, *batch), written into out when given.
+        theta's last axis is not checked: the learners check it per call."""
         if self.labels is None:
             return _quadratic_grad(theta, self.points[j], self._curvature, out)
         return _logistic_grad(theta, self.points[j], self.labels[j], out)

@@ -10,21 +10,17 @@ meta state, so the meta path adds no privacy cost beyond the per-task runs.
 
 Training runs several arms at once, one noisy-SGD plan each (the private
 plan and its zero-noise twin), with the arm as an array axis. Only the fold
-phi_t -> theta_bar_t -> phi_{t+1} is sequential, so a pass first draws every
-task, its visited samples, its index sequence and its noise, and then, per
-task, steps every arm's learner in one batched call and folds every arm's
-output into the next row of the pass's phi history. Everything else that
-meta_step and surrogate_loss compute (the running sum of the phi_t and the
-surrogate losses) reads only that history and the kept outputs, so it runs
-once, after the loop, as whole-pass array operations in meta_step's and
-surrogate_loss's order: each arm's values are the ones its own (d,)
+phi_t -> theta_bar_t -> phi_{t+1} is sequential, so a pass draws everything
+else first and keeps every phi_t and output; the running sum of the phi_t
+and the surrogate losses then run once, after the loop, in meta_step's and
+surrogate_loss's order, so each arm's values are the ones its own (d,)
 MetaState gives.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,31 +117,29 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
 
     The draw phase draws everything phi does not enter. Task t's index
     sequence comes from one generator on (master_seed, "train-noise", t)
-    shared by all arms, then, if any arm is noisy, one standard-normal block
-    that each arm scales by its own noise standard deviation (held for all
-    tasks: num_tasks * steps_n * arms * d floats). One task_env.draw_tasks
-    call draws every task from (master_seed, "train-task", t) and
-    (master_seed, "train-losses", t) and keeps the samples it visits.
-
-    Between the phases one learners.idle_calls call, on phi_init, all
-    visits and the whole noise block, decides for the pass whether the
-    steps may skip the clip and the projection, or the clip alone (every
-    phi_t and theta_bar_t is a convex combination of iterates, so it stays
-    where they do).
+    shared by all arms, then, if any arm is noisy, standard normals that
+    each arm scales by its own noise standard deviation into one noise block
+    of num_tasks * steps_n * arms * d floats (the normals are then dropped).
+    One task_env.draw_tasks call draws every task from (master_seed,
+    "train-task", t) and (master_seed, "train-losses", t) and keeps the
+    samples it visits. One learners.idle_calls call on phi_init, all visits
+    and the whole noise block decides whether the steps may skip the clip
+    and the projection, or the clip alone (every phi_t and theta_bar_t is a
+    convex combination of iterates, so it stays where they do). By the
+    learners' same-shape rule quadratic visits then get an arms axis: a view
+    for one arm, else an anchors block the size of the noise block.
 
     The fold phase is sequential: per task, one learners.noisy_sgd_steps
     call steps every arm from its phi_t, row t of the (tasks + 1, arms, d)
-    phi history, in the pass's one workspace; its averaged iterate
-    theta_bar_t is kept in row t of a (tasks, arms, d) block, and meta_step's
-    fold writes phi_{t+1} into row t + 1. After the loop one dist_sq over
-    the two blocks gives the surrogate losses, and one accumulation in task
-    order, from 0.0 as MetaState's running sum starts, gives the sum of the
-    phi_t; a non-finite theta_bar_t raises ValueError there. The arms share
-    tasks, samples and index sequences, and each arm's row is bit-identical
-    to training it alone.
-
-    No non-private computation runs on the training tasks; only theta_bar
-    reaches the meta state. Reruns with the same arguments are bit identical.
+    phi history, on task t's rows of the pass, and averages straight into
+    row t of a (tasks, arms, d) block; meta_step's fold writes phi_{t+1}
+    into row t + 1. After the loop one dist_sq over the two blocks gives the
+    surrogate losses, and one accumulation in task order, from 0.0 as
+    MetaState's running sum starts, gives the sum of the phi_t; a non-finite
+    theta_bar_t raises ValueError there. The arms share tasks, samples and
+    index sequences, and each arm's row is bit-identical to training it
+    alone. No non-private computation runs on the training tasks; only
+    theta_bar reaches the meta state. Reruns are bit identical.
     """
     if int(num_tasks) != num_tasks or num_tasks < 1:
         raise ValueError(f"num_tasks must be an integer >= 1, got {num_tasks}")
@@ -158,7 +152,7 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     if not env.domain.contains(phi_init):
         raise ValueError("phi_init lies outside the domain")
 
-    n, m, dim = plan.steps_n, env.samples_per_task, env.dim
+    n, m, dim, arms = plan.steps_n, env.samples_per_task, env.dim, len(plans)
     std = np.sqrt([p.noise_variance_sigma_sq for p in plans])
     noisy = std.any()
     indices = np.empty((num_tasks, n), dtype=np.int64)
@@ -170,35 +164,41 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     # Generator.normal(0.0, s) returns 0.0 + s * z for the standard normals z
     # it draws, and s * z + 0.0 is the same sum: each arm gets the bits its
     # own generator would give, and a zero-variance arm exact zeros.
-    # noise[t, j, a] is task t's noise at step j for arm a
-    noise = std[:, None] * normals[:, :, None, :]
+    # noise[j, t, a], task t's noise at step j for arm a, is a view whose
+    # (j, t) rows are contiguous
+    noise = (std[:, None] * normals[:, :, None, :]).swapaxes(0, 1)
     noise += 0.0
+    del normals
     theta_stars, visits = draw_tasks(
         env, substreams(master_seed, "train-task", count=num_tasks),
         substreams(master_seed, "train-losses", count=num_tasks), indices)
 
     # num_tasks passes of steps_n steps, one fold each, run in sequence
-    steps, domain, arms = num_tasks * (n + 1), env.domain, len(plans)
+    steps, domain = num_tasks * (n + 1), env.domain
     interior, clip_idle = learners.idle_calls(visits, phi_init, plan.step_size, domain,
                                               plan.clip_bound, noise, steps=steps)
+    if visits.curvature is not None:
+        # anchors (n, tasks, arms, d), whose rows have the iterates' shape
+        visits = visits.take((slice(None), slice(None), None))
+        if arms > 1:
+            visits = replace(visits, points=np.repeat(visits.points, arms, axis=2))
 
     # phis[t] is every arm's phi_t, the init of task t; bars[t] its output
     phis = np.empty((num_tasks + 1, arms, dim))
     phis[0] = phi_init
     bars = np.empty((num_tasks, arms, dim))
+    share = np.empty((arms, dim))
     work = learners.StepWorkspace((arms, dim))
     for t in range(num_tasks):
-        # every arm's phi_t on task t's visits: inits (arms, d), one problem
-        # per arm; bar is work's running sum, free to overwrite once kept
-        bar = learners.noisy_sgd_steps(visits.take((slice(None), t)), phis[t], plan,
-                                       domain, noise[t], work, interior=interior,
-                                       clip_idle=clip_idle).averaged_iterate
-        bars[t] = bar
+        # every arm's phi_t on task t's rows of the pass: inits (arms, d),
+        # one problem per arm, averaged straight into bars[t]
+        phi, k = phis[t], t + 1
+        bar = learners.noisy_sgd_steps(visits, phi, plan, domain, noise, work, bars[t],
+                                       interior=interior, clip_idle=clip_idle, task=t)
         # meta_step's fold: phi_{t+1} = (1 - 1/k) phi_t + theta_bar_t / k
-        k = t + 1
-        np.multiply(phis[t], 1.0 - 1.0 / k, out=phis[k])
-        bar /= k
-        phis[k] += bar
+        np.multiply(phi, 1.0 - 1.0 / k, out=phis[k])
+        np.divide(bar, k, out=share)
+        phis[k] += share
     # surrogate_loss(phi_t, theta_bar_t) for every task, as (arms, tasks);
     # dist_sq's finiteness check is the check of every fold's input
     surrogate_losses = np.ascontiguousarray((0.5 * dist_sq(bars, phis[:-1])).T)

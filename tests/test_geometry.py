@@ -319,6 +319,75 @@ def test_in_place_few_row_path_equals_many_row_path(seed, dim, radius, outside):
                 assert np.array_equal(part, whole[start:start + size])
 
 
+def _broadcast_rescaled(rows, limit, center):
+    """The row rule written with broadcasting operands, the form the
+    in-place calls avoid: offset = rows - center, and each row whose squared
+    offset exceeds limit**2 becomes center + offset * (limit / norm), or,
+    with center None, offset * (limit / norm). Returns the rows and whether
+    any was rescaled."""
+    offset = rows if center is None else rows - center
+    nsq = np.vecdot(offset, offset)
+    over = nsq > limit**2
+    # a zero row's factor is inf and its product NaN, but it is not over
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = offset * (limit / np.sqrt(nsq))[..., None]
+    if center is not None:
+        scaled = scaled + center
+    return np.where(over[..., None], scaled, rows), bool(over.any())
+
+
+def _rows_around(rng, center, radius, kinds):
+    """One row per kind around center: "inside" the ball, "on" it (center
+    plus or minus radius along an axis, exactly on the sphere for a zero
+    center), "outside" it, or "zero", the center with some coordinates
+    replaced by -0.0."""
+    dim = center.size
+    rows = np.empty((len(kinds), dim))
+    for row, kind in zip(rows, kinds):
+        offset = rng.normal(size=dim)
+        offset /= np.linalg.norm(offset)
+        if kind == "inside":
+            row[:] = center + radius * rng.uniform(0.0, 0.99) * offset
+        elif kind == "on":
+            row[:] = center
+            row[rng.integers(dim)] += radius * rng.choice([-1.0, 1.0])
+        elif kind == "outside":
+            row[:] = center + radius * rng.uniform(1.01, 3.0) * offset
+        else:
+            row[:] = np.where(rng.random(dim) < 0.5, -0.0, center)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+       kinds=st.lists(st.sampled_from(["inside", "on", "outside", "zero"]),
+                      min_size=1, max_size=12),
+       center_scale=st.sampled_from([0.0, 1.0, 1e6]), radius=st.floats(0.01, 3.0),
+       leading=st.booleans())
+def test_same_shape_path_equals_a_broadcasting_reference(seed, dim, kinds, center_scale,
+                                                         radius, leading):
+    # the in-place forms give every operand the batch's shape (the center
+    # rows and, up to _FEW_ROWS rows, the row factors and mask); 1-12 rows,
+    # on both sides of _FEW_ROWS, shaped (rows, d) or (1, rows, d), must
+    # give byte for byte what the broadcasting row rule gives, -0.0
+    # coordinates included, and the same flag. One scratch projects onto
+    # two domains in turn, so its center rows must follow the domain
+    rng = np.random.default_rng(seed)
+    center = rng.normal(scale=center_scale, size=dim) if center_scale else np.zeros(dim)
+    doms = [ParamDomain(center, radius), ParamDomain(center + 1.0, radius)]
+    shape = ((1,) if leading else ()) + (len(kinds), dim)
+    scratch = RowScratch(shape)
+    for dom in doms + doms[:1]:
+        v = _rows_around(rng, dom.center, radius, kinds).reshape(shape)
+        want, moved = _broadcast_rescaled(v, radius, dom.center)
+        assert project_in_place(v, dom, scratch) == moved
+        assert v.tobytes() == want.tobytes()
+        g = _rows_around(rng, np.zeros(dim), radius, kinds).reshape(shape)
+        want, clipped = _broadcast_rescaled(g, radius, None)
+        assert clip_norm_in_place(g, radius, scratch) == clipped
+        assert g.tobytes() == want.tobytes()
+
+
 def _exact_top_norm(rows, center) -> float:
     """An upper bound on the largest exact norm of rows - center, from the
     rational offsets: the float square and sqrt round by an ulp at most."""

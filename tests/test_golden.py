@@ -57,6 +57,19 @@ STABLE_ITEMS = {
     "master_seed": "101",
 }
 
+# curvature 0.5, an off-origin domain center and the meta arm alone, where
+# the cases above all run curvature 1, the origin and two training arms: so
+# the gradient's curvature multiply, the center's shifts around every
+# projection and the one-arm training and eval shapes are pinned here. The
+# low clip bound and wide sample noise make clips and projections act
+OFF_CENTER_ITEMS = {
+    "dim": "3", "domain_radius": "2.0", "domain_center": "0.5,-1,0.25",
+    "curvature": "0.5", "lipschitz_g": "0.8", "growth_alpha": "0.5",
+    "similarity_v": "0.3", "samples_per_task": "300", "sample_noise_std": "1.0",
+    "t_train": "40", "t_eval": "12", "epsilon": "1.0", "delta": "1e-5",
+    "phi_init": "1.5,-1,0.25", "master_seed": "5",
+}
+
 # case -> (command, items, csv digest, sidecar digest); the sweep case also
 # pins axis_value, the derived seeds, the run_ids and a multi-section sidecar
 GOLDEN = {
@@ -72,6 +85,10 @@ GOLDEN = {
         ["run"], STABLE_ITEMS,
         "ca0983f7f2d9e6b16cc1b3b5ea6d1deebf604f152f5b0078cfaa57afab90e34d",
         "40732ac2f77db955c3eab708fe6276f4fd28c045b34eae6ddb39aca5a6f5bbd5"),
+    "off_center": (
+        ["run"], OFF_CENTER_ITEMS,
+        "93ffb8cbcde8c45d4cdd2dafaea2b8bbffa98e950ed86c4359fe88dd165ef686",
+        "57b1afd099ace51ecda3f3f9136a17d2d70f5ee3b0a389f28f20d526dcad07f5"),
     "sweep": (
         ["sweep", "--axis", "V", "--values", "0.1,0.3"], QUADRATIC_ITEMS,
         "4805552a8b32f2d23e90c5f51ad9e736aaab03d83abb56fea47ade01fc8584f3",
@@ -95,6 +112,33 @@ def test_stable_case_runs_a_stable_plan():
     cal = calibrate(build_config(STABLE_ITEMS))
     assert cal.step_times_beta <= 2
     assert not cal.training_is_noop
+
+
+def test_off_center_case_clips_and_projects_on_one_arm(monkeypatch):
+    # the off_center digests pin clips and projections that act: neither
+    # pass is certified interior, the training pass steps one arm's (1, d)
+    # iterate, and some clips and projections rescale a row
+    acted = {"clip": [], "project": []}
+    real_clip = dpmeta.learners.clip_norm_in_place
+    real_project = dpmeta.learners.project_in_place
+
+    def spy_clip(v, *args):
+        acted["clip"].append((v.shape, real_clip(v, *args)))
+        return acted["clip"][-1][1]
+
+    def spy_project(v, *args):
+        acted["project"].append((v.shape, real_project(v, *args)))
+        return acted["project"][-1][1]
+
+    monkeypatch.setattr(dpmeta.learners, "clip_norm_in_place", spy_clip)
+    monkeypatch.setattr(dpmeta.learners, "project_in_place", spy_project)
+    cfg = build_config(OFF_CENTER_ITEMS)
+    assert cfg.env.curvature == 0.5 and cfg.env.domain.center.any()
+    report = run_experiment(cfg)
+    assert list(report.arms) == ["meta"]
+    for calls in acted.values():
+        assert {shape for shape, _ in calls} >= {(1, 3)}
+        assert any(moved for _, moved in calls)
 
 
 def test_stable_case_runs_interior_certified_passes(monkeypatch):

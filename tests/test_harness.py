@@ -563,33 +563,38 @@ def test_learner_runs_the_calibrated_plan(monkeypatch):
     calls, workspaces = [], set()
     real_steps = dpmeta.learners.noisy_sgd_steps
 
-    def spy_steps(visits, init, plan, dom, noise, work, *, interior, clip_idle):
-        calls.append((visits, np.shape(init), plan, noise))
+    def spy_steps(visits, init, plan, dom, noise, work, out, *, interior, clip_idle,
+                  task):
+        calls.append((task, visits, np.shape(init), plan, noise, out.shape))
         workspaces.add(work)
-        return real_steps(visits, init, plan, dom, noise, work, interior=interior,
-                          clip_idle=clip_idle)
+        return real_steps(visits, init, plan, dom, noise, work, out, interior=interior,
+                          clip_idle=clip_idle, task=task)
 
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_steps)
     cfg = make_cfg(baseline_nonprivate_meta="true")
     cal = run_experiment(cfg).calibration
-    n, m, d = cal.steps_n, cfg.env.samples_per_task, cfg.env.dim
-    # one private step call per training task, stepping both training arms
-    # in the one workspace of the pass
-    assert len(calls) == cfg.t_train
+    n, m, d, tasks = cal.steps_n, cfg.env.samples_per_task, cfg.env.dim, cfg.t_train
+    # one private step call per training task, in task order, stepping both
+    # training arms in the one workspace of the pass
+    assert [call[0] for call in calls] == list(range(tasks))
     assert len(workspaces) == 1
-    for t, (visits, init_shape, plan, noise) in enumerate(calls):
+    for t, visits, init_shape, plan, noise, out_shape in calls:
         assert plan.steps_n == cal.steps_n
         assert plan.step_size == cal.sgd_step_size
         assert plan.clip_bound == cal.lipschitz_g
-        assert visits.count == n and init_shape == (2, d)
+        # the pass's visits and noise, step-major, read at task t: each
+        # arm's anchor rows have the (arms, d) iterate's shape
+        assert visits.count == n and init_shape == out_shape == (2, d)
+        assert visits.points.shape == (n, tasks, 2, d)
+        assert np.array_equal(visits.points[:, t, 0], visits.points[:, t, 1])
         # the meta arm's noise is the calibrated variance's draw from the
         # task's noise generator, after its index sequence; beside it the
         # zero-noise twin steps without noise
         rng = substream(cfg.master_seed, "train-noise", t)
         rng.integers(0, m, size=n)
-        assert noise.shape == (n, 2, d)
-        assert np.array_equal(noise[:, 0], sample_step_noise(rng, d, cal.sigma_sq, count=n))
-        assert not noise[:, 1].any()
+        assert noise.shape == (n, tasks, 2, d)
+        assert np.array_equal(noise[:, t, 0], sample_step_noise(rng, d, cal.sigma_sq, count=n))
+        assert not noise[:, t, 1].any()
     assert cal.sigma_sq > 0.0
 
 

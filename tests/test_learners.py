@@ -21,6 +21,16 @@ def quad(anchors, curvature=1.0):
     return TaskSamples(np.array(anchors, dtype=float), curvature=curvature)
 
 
+def _stepped(visits, init, plan, dom, noise, shape, **flags) -> LearnerOutput:
+    """noisy_sgd_steps in a fresh workspace of iterates shaped shape: the
+    average it wrote and returned, and the theta_n it left in the
+    workspace."""
+    work = StepWorkspace(shape)
+    average = noisy_sgd_steps(visits, init, plan, dom, noise, work, np.empty(shape),
+                              **flags)
+    return LearnerOutput(averaged_iterate=average, final_iterate=work.theta)
+
+
 def test_ogd_minimizer_is_fixed_point():
     # start at the shared anchor: every gradient vanishes, nothing moves
     anchor = np.array([0.5, -0.5])
@@ -259,17 +269,17 @@ def test_reused_step_workspace_equals_fresh(seed, family, arms, dim, steps):
         init = dom.center + 0.4 * rng.uniform(-1, 1, size=(arms, dim)) / math.sqrt(dim)
         return visits, init, rng.normal(scale=0.5, size=(steps, arms, dim))
 
-    work = StepWorkspace((arms, dim))
+    work, out = StepWorkspace((arms, dim)), np.empty((arms, dim))
     for _ in range(2):
         other, other_init, other_noise = task()
-        noisy_sgd_steps(other, other_init, plan, dom, other_noise, work)
+        noisy_sgd_steps(other, other_init, plan, dom, other_noise, work, out)
     visits, init, noise = task()
     before = init.copy()
-    again = noisy_sgd_steps(visits, init, plan, dom, noise, work)
-    fresh = noisy_sgd_steps(visits, init, plan, dom, noise, StepWorkspace((arms, dim)))
-    assert np.array_equal(again.averaged_iterate, fresh.averaged_iterate)
-    assert np.array_equal(again.final_iterate, fresh.final_iterate)
-    assert again.averaged_iterate is work.running_sum and again.final_iterate is work.theta
+    again = noisy_sgd_steps(visits, init, plan, dom, noise, work, out)
+    fresh = _stepped(visits, init, plan, dom, noise, (arms, dim))
+    assert np.array_equal(again, fresh.averaged_iterate)
+    assert np.array_equal(work.theta, fresh.final_iterate)
+    assert again is out
     assert np.array_equal(init, before)
 
 
@@ -298,6 +308,30 @@ def test_ogd_batch_matches_batch_of_one_calls(family):
     assert 0 < projected < 25 * 12
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["quadratic", "logistic"]),
+       curvature=st.sampled_from([0.5, 1.0, 3.0]), tasks=st.integers(1, 12),
+       dim=st.integers(1, 4), m=st.integers(1, 12), step=st.floats(0.05, 1.0))
+def test_ogd_from_one_arm_starts_equals_the_run_from_task_starts(seed, family, curvature,
+                                                                 tasks, dim, m, step):
+    # starts shaped (1, tasks, d) read the samples through a view with a
+    # leading size-1 axis, so every operand has the iterates' shape; starts
+    # shaped (tasks, d) read them as they are: both give the same bits, on
+    # both sides of geometry's few-rows path, with anchors and steps that
+    # leave the unit ball, so projections act
+    rng = np.random.default_rng(seed)
+    dom = ParamDomain(rng.normal(size=dim), 1.0)
+    batch = _batch_and_singles(family, rng, tasks, m, dim)[0]
+    if family == "quadratic":
+        batch = TaskSamples(dom.center + batch.points, curvature=curvature)
+    starts = dom.center + 0.9 * rng.uniform(-1, 1, size=(tasks, dim)) / math.sqrt(dim)
+    flat = ogd_run(batch, starts, OgdConfig(step), dom)
+    one_arm = ogd_run(batch, starts[None], OgdConfig(step), dom)
+    assert one_arm.averaged_iterate.shape == (1, tasks, dim)
+    assert one_arm.averaged_iterate.tobytes() == flat.averaged_iterate.tobytes()
+    assert one_arm.final_iterate.tobytes() == flat.final_iterate.tobytes()
+
+
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
 def test_learners_leave_caller_arrays_untouched(family):
     # the step loop writes its iterate and gradient buffer in place; none of
@@ -321,8 +355,7 @@ def test_learners_leave_caller_arrays_untouched(family):
         noise = rng.normal(scale=0.5, size=(14,) + problems + (2,))
         before = [a.copy() for a in inputs + [init, noise]]
         outputs = [ogd_run(batch, init, OgdConfig(0.6), dom),
-                   noisy_sgd_steps(visits, init, plan, dom, noise,
-                                   StepWorkspace(problems + (2,)))]
+                   _stepped(visits, init, plan, dom, noise, problems + (2,))]
         shapes = [problems + (2,)] * 2
         if init.ndim == 1:
             outputs += [noisy_sgd_run(singles[0], init, plan, dom, np.random.default_rng(0)),
@@ -474,10 +507,9 @@ def test_interior_certificate_is_sound(seed, dim, arms, tasks, steps, center_sca
 
     sgd_ok, clip_idle = idle_calls(samples, inits, step, dom, clip_bound, noise)
     shape = (arms, tasks, dim)
-    out = noisy_sgd_steps(samples, inits, plan, dom, noise, StepWorkspace(shape),
-                          interior=sgd_ok, clip_idle=clip_idle)
-    ref, rescaled = _uncertified(lambda: noisy_sgd_steps(
-        samples, inits, plan, dom, noise, StepWorkspace(shape)))
+    out = _stepped(samples, inits, plan, dom, noise, shape, interior=sgd_ok,
+                clip_idle=clip_idle)
+    ref, rescaled = _uncertified(lambda: _stepped(samples, inits, plan, dom, noise, shape))
     assert _same_bits(out, ref)
     assert not (sgd_ok and any(rescaled))
     # a clip can only tighten what the projection alone certifies, and an
@@ -603,11 +635,9 @@ def _clip_verdict_pass(samples, inits, dom, plan, noise):
     in both."""
     shape = np.broadcast_shapes(np.shape(inits)[:-1], samples.batch_shape) + (samples.dim,)
     verdict = _clip_verdict(samples, inits, dom, plan.clip_bound)
-    out = noisy_sgd_steps(samples, inits, plan, dom, noise, StepWorkspace(shape),
-                          clip_idle=verdict)
-    ref, clipped = _uncertified(lambda: noisy_sgd_steps(
-        samples, inits, plan, dom, noise, StepWorkspace(shape)),
-        spied=("clip_norm_in_place",))
+    out = _stepped(samples, inits, plan, dom, noise, shape, clip_idle=verdict)
+    ref, clipped = _uncertified(lambda: _stepped(samples, inits, plan, dom, noise, shape),
+                                spied=("clip_norm_in_place",))
     return verdict, out, ref, clipped
 
 
@@ -761,8 +791,7 @@ def test_interior_and_clip_idle_flags_each_skip_one_call(interior, clip_idle):
     assert idle_calls(anchors, [0.3, 0.3], 0.5, dom, plan.clip_bound, noise) == (True, True)
 
     def run(**flags):
-        return noisy_sgd_steps(anchors, [0.3, 0.3], plan, dom, noise, StepWorkspace((2,)),
-                               **flags)
+        return _stepped(anchors, [0.3, 0.3], plan, dom, noise, (2,), **flags)
 
     ref = run()
     counts = {}

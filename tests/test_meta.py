@@ -1,5 +1,6 @@
 from dataclasses import replace
 import math
+import tracemalloc
 
 from hypothesis import event, given, settings, strategies as st
 import numpy as np
@@ -114,7 +115,7 @@ def test_meta_update_sees_only_private_output(monkeypatch):
 
     def spy_noisy(*args, **kwargs):
         out = real_noisy(*args, **kwargs)
-        captured.append(np.asarray(out.averaged_iterate).copy())
+        captured.append(out.copy())
         return out
 
     def poisoned_ogd(samples, init, cfg, dom):
@@ -167,7 +168,7 @@ def test_shared_training_equals_separate_passes(family, monkeypatch):
 
     def spy_noisy(*args, **kwargs):
         out = real_noisy(*args, **kwargs)
-        bars.append(np.array(out.averaged_iterate, copy=True))
+        bars.append(out.copy())
         return out
 
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_noisy)
@@ -279,7 +280,7 @@ def test_record_fields_consistent(monkeypatch):
 
     def spy_noisy(*args, **kwargs):
         out = real_noisy(*args, **kwargs)
-        bars.append(np.asarray(out.averaged_iterate)[0].copy())
+        bars.append(out[0].copy())
         return out
 
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_noisy)
@@ -384,7 +385,7 @@ def _spy_steps(monkeypatch):
 
     def spy(visits, init, *args, **kwargs):
         out = real_steps(visits, init, *args, **kwargs)
-        calls.append((np.array(init, copy=True), out.averaged_iterate.copy()))
+        calls.append((np.array(init, copy=True), out.copy()))
         return out
 
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy)
@@ -454,7 +455,7 @@ def test_fold_bookkeeping_refuses_a_non_finite_output(bad_task, bad_value, monke
     def poisoned(*args, **kwargs):
         out = real_steps(*args, **kwargs)
         if len(calls) == bad_task:
-            out.averaged_iterate[0, 1] = bad_value
+            out[0, 1] = bad_value
         calls.append(out)
         return out
 
@@ -463,6 +464,50 @@ def test_fold_bookkeeping_refuses_a_non_finite_output(bad_task, bad_value, monke
     with pytest.raises(ValueError, match="non-finite"):
         run_meta_training(env, 4, (plan,), np.zeros(2), 5)
     assert verdicts == [(True, True)] and len(calls) == 4
+
+
+@pytest.mark.parametrize("arms", [1, 2])
+def test_training_pass_allocates_nothing_per_step(arms, monkeypatch):
+    # the pass draws its blocks ahead, so a task's call allocates no array:
+    # at d = 128 an array shaped like the (arms, d) iterates holds 1 KiB or
+    # more, and a call's traced memory never rises by that, at 4 steps per
+    # task as at 32. The pass's peak is at most the blocks it held before
+    # its anchors had an arms axis (the visits, the standard normals and the
+    # noise, T n (2 + arms) d floats) plus that anchors block (T n arms d
+    # floats, none for one arm, whose anchors are a view), and two of a
+    # task's (m, d) sample draws
+    tasks, m, dim = 6, 50, 128
+    dom = ParamDomain(np.zeros(dim), 1.0)
+    env = EnvSpec(domain=dom, planted_center=np.full(dim, 0.05), similarity_v=0.3,
+                  samples_per_task=m, curvature=1.0, sample_noise_std=0.3)
+    rises = []
+    real_steps = dpmeta.learners.noisy_sgd_steps
+
+    def spy(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real_steps(*args, **kwargs)
+        rises.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy)
+    for n in (4, 32):
+        plan = NoisySgdPlan(steps_n=n, step_size=1.5, noise_variance_sigma_sq=0.04,
+                            clip_bound=1.0)
+        plans = (plan, replace(plan, noise_variance_sigma_sq=0.0))[:arms]
+        run_meta_training(env, tasks, plans, np.zeros(dim), 3)
+        rises.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_meta_training(env, tasks, plans, np.zeros(dim), 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == tasks
+        assert max(rises) < 8 * arms * dim
+        blocks = tasks * n * (2 + arms + (arms if arms > 1 else 0)) * dim
+        assert peak <= 8 * (blocks + 2 * m * dim)
 
 
 @pytest.mark.parametrize("tasks", [1, 3, 7])
@@ -484,9 +529,9 @@ def test_idle_calls_decides_each_training_pass_once(tasks, monkeypatch):
         calls.append((args, kwargs, real_idle_calls(*args, **kwargs)))
         return calls[-1][-1]
 
-    def spy_steps(*args, interior, clip_idle):
+    def spy_steps(*args, interior, clip_idle, task):
         flags.append((interior, clip_idle))
-        return real_steps(*args, interior=interior, clip_idle=clip_idle)
+        return real_steps(*args, interior=interior, clip_idle=clip_idle, task=task)
 
     monkeypatch.setattr(dpmeta.learners, "idle_calls", spy_idle_calls)
     monkeypatch.setattr(dpmeta.learners, "noisy_sgd_steps", spy_steps)
@@ -497,6 +542,6 @@ def test_idle_calls_decides_each_training_pass_once(tasks, monkeypatch):
     assert visits.points.shape == (plan.steps_n, tasks, 2)
     assert np.array_equal(starts, np.zeros(2)) and domain is dom
     assert (step, clip_bound) == (plan.step_size, plan.clip_bound)
-    assert noise.shape == (tasks, plan.steps_n, 1, 2)
+    assert noise.shape == (plan.steps_n, tasks, 1, 2)
     assert kwargs == {"steps": tasks * (plan.steps_n + 1)}
     assert flags == [got] * tasks
