@@ -4,17 +4,16 @@ Everything a run commits to before it touches data is arithmetic on a few
 floats: the privacy target and the noisy-SGD plan it buys (step budget n,
 noise variance sigma^2), the regularity constants of each loss family and
 the smoothness ceiling, the step scales gamma and eta, and the calibration
-record with its overflow checks. All of it lives here, with the numpy-free
-checks that config and the run path share: Ball, the ball domain (geometry's
-ParamDomain is one), and the scalar checks of task_env.EnvSpec. So
-`dpmeta calibrate` loads cli, config and this module, and no numpy; the run
-path's modules import these names from here. Natural logarithms
+record with its overflow checks. All of it lives here, with what config
+and the run path share: Record, the one record base; Ball, the ball domain
+(geometry's ParamDomain is one); and task_env.EnvSpec's scalar checks. So
+`dpmeta calibrate` loads cli, config and this module: no numpy, and
+neither the standard dataclass module nor inspect. Natural logarithms
 throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 import math
 import warnings
 
@@ -59,6 +58,66 @@ def _square(x: float) -> float:
         return math.inf
 
 
+class Record:
+    """The one frozen value class. Its fields are the annotated names, the
+    bases' first (a re-declared field keeps its place), taken positionally or
+    by keyword, with defaults from class attributes; then __post_init__ runs,
+    and may set values with object.__setattr__. == and hash use the fields
+    not named in `uncompared`. Unlike a dataclass, it generates no code."""
+
+    fields, uncompared, _defaults = (), (), {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.fields += tuple(n for n in cls.__annotations__ if n not in cls.fields)
+        cls._defaults = {n: getattr(cls, n) for n in cls.fields if hasattr(cls, n)}
+        cls._compared = tuple(n for n in cls.fields if n not in cls.uncompared)
+
+    def __init__(self, *args, **kwargs):
+        name, fields, values = type(self).__name__, self.fields, self.__dict__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        values.update(zip(fields, args))
+        for key, value in kwargs.items():
+            if key in values or key not in fields:
+                raise TypeError(f"{name}() got a repeated or unknown argument {key!r}")
+            values[key] = value
+        if len(values) < len(fields):
+            for key in fields:
+                if key not in values:
+                    if key not in self._defaults:
+                        raise TypeError(f"{name}() is missing argument {key!r}")
+                    values[key] = self._defaults[key]
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, key, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {key!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        items = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def replace(self, **changes):
+        """A copy with changes, built through __init__: its checks run again."""
+        return type(self)(**{n: getattr(self, n) for n in self.fields} | changes)
+
+
 # ---- the domain and the task environment's scalars
 
 def ball_reach(center, radius) -> float:
@@ -76,8 +135,7 @@ def ball_reach(center, radius) -> float:
     return float(radius) * (1 + GEOM_RTOL) + slack
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Record):
     """A closed Euclidean ball {x : ||x - center|| <= radius}: what config
     checks points against and calibrate reads, and, with an array center,
     geometry.ParamDomain. contains, on the center as Python floats, is the
@@ -139,8 +197,7 @@ def check_env(domain, planted_center, similarity_v, samples_per_task, loss_famil
 
 # ---- privacy: the task-global Gaussian mechanism
 
-@dataclass(frozen=True)
-class PrivacyParams:
+class PrivacyParams(Record):
     """(epsilon, delta) target, with an optional group size for group privacy."""
 
     epsilon: float
@@ -157,8 +214,7 @@ class PrivacyParams:
         object.__setattr__(self, "group_size", int(self.group_size))
 
 
-@dataclass(frozen=True)
-class NoisySgdPlan:
+class NoisySgdPlan(Record):
     """Everything the private learner needs for one task.
 
     steps_n noisy steps of size step_size, per-coordinate Gaussian noise of
@@ -257,8 +313,7 @@ def make_plan(m: int, privacy: PrivacyParams, dim: int, clip_bound: float,
 
 # ---- regularity constants of the loss families
 
-@dataclass(frozen=True)
-class RegularityProfile:
+class RegularityProfile(Record):
     """Analytic constants for a loss family over a fixed domain.
 
     lipschitz_g bounds the gradient norm over the domain, smoothness_beta the
@@ -379,8 +434,7 @@ def adaptation_step_size(similarity_v: float, growth_alpha: float,
 
 # ---- the calibration record
 
-@dataclass(frozen=True)
-class CalibrationRecord:
+class CalibrationRecord(Record):
     """Every derived constant a run commits to before touching data."""
 
     samples_per_task: int
@@ -405,8 +459,7 @@ class CalibrationRecord:
         """The record as `name = value` lines in field order, each value
         written by format_value: what `dpmeta calibrate` prints and the
         sidecar echoes."""
-        return [f"{f.name} = {format_value(getattr(self, f.name))}"
-                for f in fields(self)]
+        return [f"{n} = {format_value(getattr(self, n))}" for n in self.fields]
 
     @property
     def plan(self) -> NoisySgdPlan:

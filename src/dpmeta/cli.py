@@ -10,8 +10,9 @@ environment variable, else the config's master_seed. An override replaces the
 file's master_seed before the config is validated, so the file need not set
 one; only the seed in use must lie in [0, 2^64).
 
-`calibrate` imports only this module, config and calibration: no numpy.
-The run path's names come from harness on first use (__getattr__).
+`calibrate` imports only this module, config and calibration: no numpy,
+and neither the standard dataclass module nor inspect. The run path's names
+come from harness on first use (__getattr__).
 """
 
 from __future__ import annotations

@@ -12,13 +12,12 @@ built from them on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
 import functools
 import math
 import re
 
 from .calibration import (LOSS_FAMILIES, STEP_SCALE_VARIANTS, Ball,
-                          ConfigError, PrivacyParams, RegularityProfile,
+                          ConfigError, PrivacyParams, Record, RegularityProfile,
                           check_env, format_value, logistic_regularity,
                           quadratic_regularity)
 
@@ -118,8 +117,7 @@ KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """A validated experiment, built by build_config: the environment's
     fields (domain, planted_center and the fields named after a key), the
     budgets and the learner constants, all Python values."""
@@ -143,7 +141,8 @@ class ExperimentConfig:
     baseline_nonprivate_meta: bool
     mc_eval_samples: int
     output_path: str | None
-    raw_items: tuple = field(compare=False)
+    raw_items: tuple
+    uncompared = ("raw_items",)
 
     @functools.cached_property
     def env(self):
@@ -277,7 +276,7 @@ def build_config(items: dict) -> ExperimentConfig:
                                  "(no closed form)")
             else:
                 base = logistic_regularity(v["feature_norm"], v["growth_alpha"])
-            regularity = replace(base, **overrides)
+            regularity = base.replace(**overrides)
         except ValueError as exc:
             violations.append(str(exc))
 
@@ -288,4 +287,4 @@ def build_config(items: dict) -> ExperimentConfig:
     return ExperimentConfig(
         domain=dom, regularity=regularity, privacy=privacy,
         raw_items=tuple(sorted(items.items())),
-        **{f.name: v[f.name] for f in fields(ExperimentConfig) if f.name in KEYS})
+        **{n: v[n] for n in ExperimentConfig.fields if n in KEYS})

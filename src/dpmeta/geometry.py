@@ -23,7 +23,6 @@ allows the few ulps by which center + offset rounds. All is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -64,7 +63,6 @@ def as_batch(x, dim):
     return v
 
 
-@dataclass(frozen=True)
 class ParamDomain(Ball):
     """calibration.Ball with a 1-D float64 array center: dim, diameter,
     reach and membership are the Ball's. radius == 0 is legal and denotes

@@ -16,7 +16,6 @@ between identical runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 import csv
 import hashlib
 import io
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import learners
 # the closed forms and the record live in the numpy-free calibration module
-from .calibration import CalibrationRecord, InternalInvariantError, calibrate
+from .calibration import CalibrationRecord, InternalInvariantError, Record, calibrate
 from .config import (SWEEP_AXES, ConfigError, ExperimentConfig, build_config,
                      format_value)
 from .learners import OgdConfig
@@ -48,8 +47,7 @@ ARM_NO_META = "no_meta"
 ARM_NONPRIVATE = "nonprivate_meta"
 
 
-@dataclass(frozen=True)
-class ArmResult:
+class ArmResult(Record):
     arm: str
     excess_risks: tuple[float, ...]
     mean_excess: float
@@ -59,8 +57,7 @@ class ArmResult:
     sigma_sq_effective: float | None
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(Record):
     run_id: str
     axis_value: float | None
     master_seed: int
@@ -113,7 +110,7 @@ def run_experiment(cfg: ExperimentConfig, axis_value: float | None = None,
     if cfg.baseline_no_meta:
         arms[ARM_NO_META] = None
     if cfg.baseline_nonprivate_meta:
-        arms[ARM_NONPRIVATE] = replace(cal.plan, noise_variance_sigma_sq=0.0)
+        arms[ARM_NONPRIVATE] = cal.plan.replace(noise_variance_sigma_sq=0.0)
     # trained arm -> its row in every training output
     rows = {arm: i for i, arm in enumerate(a for a, p in arms.items() if p is not None)}
     trained = run_meta_training(env, cfg.t_train, [arms[arm] for arm in rows],

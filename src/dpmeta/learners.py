@@ -36,13 +36,12 @@ of its own call, meta-training on both; noisy_sgd_run always calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
 
 # the step scales are closed forms, kept in calibration
-from .calibration import (NoisySgdPlan, adaptation_step_size,  # noqa: F401
+from .calibration import (NoisySgdPlan, Record, adaptation_step_size,  # noqa: F401
                           private_step_scale)
 from .geometry import (ParamDomain, RowScratch, clip_norm_in_place,
                        coordinate_top, never_rescaled, project_in_place)
@@ -50,8 +49,7 @@ from .losses import TaskSamples
 from .privacy import sample_step_noise
 
 
-@dataclass(frozen=True)
-class OgdConfig:
+class OgdConfig(Record):
     """Step size and expected pass length for plain projected OGD."""
 
     step_size: float
@@ -66,8 +64,7 @@ class OgdConfig:
             object.__setattr__(self, "num_steps", int(self.num_steps))
 
 
-@dataclass(frozen=True)
-class LearnerOutput:
+class LearnerOutput(Record):
     """What ogd_run and noisy_sgd_run return, shaped (*problems, d): the
     mean of the visited points and the post-update point theta_{n+1}."""
 

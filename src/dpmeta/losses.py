@@ -15,13 +15,12 @@ offers them under their old names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
 
 # the regularity constants are closed forms, kept in calibration
-from .calibration import (RegularityProfile, certify_smoothness,  # noqa: F401
+from .calibration import (Record, RegularityProfile, certify_smoothness,  # noqa: F401
                           logistic_regularity, quadratic_regularity,
                           smoothness_ceiling)
 from .geometry import as_vector, dist_sq
@@ -157,8 +156,7 @@ def _logistic_grad(theta, features, labels, out=None):
     return np.multiply(weight[..., None], features, out=out)
 
 
-@dataclass(frozen=True)
-class TaskSamples:
+class TaskSamples(Record):
     """A task's m samples of one loss family, as arrays.
 
     points has shape (m, *batch, d): one sample per leading index, then an

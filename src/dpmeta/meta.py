@@ -20,18 +20,16 @@ MetaState gives.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import learners
-from .calibration import NoisySgdPlan
+from .calibration import NoisySgdPlan, Record
 from .geometry import as_vector, dist_sq
 from .task_env import EnvSpec, draw_tasks, substreams
 
 
-@dataclass(frozen=True)
-class MetaState:
+class MetaState(Record):
     """Immutable meta-learner state after task_count updates.
 
     phi_current is the (d,) initialization the next task will start from;
@@ -94,8 +92,7 @@ def _common_plan(plans: Sequence[NoisySgdPlan]) -> NoisySgdPlan:
     return plan
 
 
-@dataclass(frozen=True)
-class MetaTraining:
+class MetaTraining(Record):
     """What meta-training leaves behind, one row per training arm: phi_hat
     (arms, d), the deployed initializations; surrogate_losses (arms, tasks),
     each private output against the phi its task started from; theta_stars
@@ -181,7 +178,7 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
         # anchors (n, tasks, arms, d), whose rows have the iterates' shape
         visits = visits.take((slice(None), slice(None), None))
         if arms > 1:
-            visits = replace(visits, points=np.repeat(visits.points, arms, axis=2))
+            visits = visits.replace(points=np.repeat(visits.points, arms, axis=2))
 
     # phis[t] is every arm's phi_t, the init of task t; bars[t] its output
     phis = np.empty((num_tasks + 1, arms, dim))

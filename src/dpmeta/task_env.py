@@ -22,14 +22,13 @@ point share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import functools
 import math
 import zlib
 
 import numpy as np
 
-from .calibration import check_env
+from .calibration import Record, check_env
 from .geometry import (ParamDomain, RowScratch, as_batch, as_vector,
                        coordinate_top, dist_sq, never_rescaled, project_in_place)
 from .losses import (ExcessWorkspace, TaskSamples, logistic_excess,
@@ -176,8 +175,7 @@ def substreams(master_seed: int, *tags, count: int):
         yield np.random.Generator(np.random.PCG64(_SeedState(words)))
 
 
-@dataclass(frozen=True)
-class EnvSpec:
+class EnvSpec(Record):
     """A task distribution: domain, planted center, dispersion, sample model.
 
     similarity_v controls how far task minimizers scatter from the planted
@@ -209,8 +207,7 @@ class EnvSpec:
         return self.domain.dim
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Record):
     """One drawn task: its population minimizer. The sample model is the
     environment's. Not serialized; regenerate from the seed."""
 

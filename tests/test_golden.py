@@ -223,10 +223,11 @@ def _bench_workloads():
 
 
 def test_calibrate_runs_with_numpy_blocked(tmp_path, capsys):
-    # `dpmeta calibrate` is arithmetic on Python floats: with every numpy
-    # import made to fail it prints, byte for byte, the record that `run`
-    # writes to its sidecar for the same config, loads no dpmeta module but
-    # cli, config and calibration, and reports a bad config as `run` does
+    # `dpmeta calibrate` is arithmetic on Python floats in records of
+    # calibration.Record: with every numpy, dataclasses and inspect import
+    # made to fail it prints, byte for byte, the record that `run` writes to
+    # its sidecar for the same config, loads no dpmeta module but cli, config
+    # and calibration, and reports a bad config as `run` does
     texts = {case: "".join(f"{k} = {v}\n" for k, v in items.items())
              for case, (_, items, _, _) in GOLDEN.items()}
     for name, workload in _bench_workloads().items():
@@ -240,7 +241,8 @@ def test_calibrate_runs_with_numpy_blocked(tmp_path, capsys):
         paths[case].write_text(text)
     src = str(Path(dpmeta.__file__).resolve().parents[1])
     probe = ("import contextlib, io, json, sys\n"
-             "sys.modules['numpy'] = None\n"
+             "for blocked in ('numpy', 'dataclasses', 'inspect'):\n"
+             "    sys.modules[blocked] = None\n"
              "from dpmeta.cli import main\n"
              "results = {}\n"
              "for case, path in json.loads(sys.argv[1]).items():\n"

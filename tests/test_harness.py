@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import os
 from pathlib import Path
@@ -228,8 +227,8 @@ def test_readme_config_table_matches_keys():
 
 def test_readme_calibration_table_matches_record():
     rows = readme_table_rows("### Calibration record")
-    assert [re.fullmatch(r" `(\w+)` ", name).group(1) for name, _ in rows] == [
-        f.name for f in dataclasses.fields(CalibrationRecord)]
+    assert tuple(re.fullmatch(r" `(\w+)` ", name).group(1)
+                 for name, _ in rows) == CalibrationRecord.fields
     assert all(meaning.strip() for _, meaning in rows)
 
 
@@ -356,7 +355,7 @@ def test_every_arm_meets_the_online_to_batch_certificate(items):
     cfg = build_config(items)
     report = run_experiment(cfg)
     cal, env = report.calibration, cfg.env
-    quiet = dataclasses.replace(cal.plan, noise_variance_sigma_sq=0.0)
+    quiet = cal.plan.replace(noise_variance_sigma_sq=0.0)
     phi_hat = run_meta_training(env, cfg.t_train, [cal.plan, quiet], cfg.phi_init,
                                 cfg.master_seed).phi_hat
     starts = {ARM_META: phi_hat[0], ARM_NO_META: cfg.phi_init,
@@ -390,7 +389,7 @@ def test_eval_adaptation_matches_a_separate_run_per_task(items):
     cfg = build_config(items)
     report = run_experiment(cfg)
     cal, env, seed = report.calibration, cfg.env, cfg.master_seed
-    quiet = dataclasses.replace(cal.plan, noise_variance_sigma_sq=0.0)
+    quiet = cal.plan.replace(noise_variance_sigma_sq=0.0)
     phi_hat = run_meta_training(env, cfg.t_train, [cal.plan, quiet], cfg.phi_init,
                                 seed).phi_hat
     starts = {ARM_META: phi_hat[0], ARM_NO_META: cfg.phi_init,
@@ -428,7 +427,7 @@ def test_every_arm_matches_the_closed_form_expected_risk(items):
     cfg = build_config(items)
     report = run_experiment(cfg)
     cal, env = report.calibration, cfg.env
-    quiet = dataclasses.replace(cal.plan, noise_variance_sigma_sq=0.0)
+    quiet = cal.plan.replace(noise_variance_sigma_sq=0.0)
     phi_hat = run_meta_training(env, cfg.t_train, [cal.plan, quiet], cfg.phi_init,
                                 cfg.master_seed).phi_hat
     starts = {ARM_META: phi_hat[0], ARM_NO_META: cfg.phi_init,
@@ -506,7 +505,7 @@ def test_calibrate_prints_the_sidecar_record_lines(family_items, tmp_path, capsy
     assert sidecar[1] == "master_seed = 123"
     assert sidecar[2:] == printed
     record = calibrate(load_config(cfg_file))
-    names = [f.name for f in dataclasses.fields(CalibrationRecord)]
+    names = list(CalibrationRecord.fields)
     assert [line.split(" = ", 1)[0] for line in printed] == names
     for line, name in zip(printed, names):
         value = getattr(record, name)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 import math
 import tracemalloc
 
@@ -132,7 +131,7 @@ def test_meta_update_sees_only_private_output(monkeypatch):
                   sample_noise_std=0.0)
     plan = NoisySgdPlan(steps_n=8, step_size=0.2, noise_variance_sigma_sq=0.1,
                         clip_bound=5.0)
-    quiet = replace(plan, noise_variance_sigma_sq=0.0)
+    quiet = plan.replace(noise_variance_sigma_sq=0.0)
     trained = run_meta_training(env, 6, (plan, quiet), np.zeros(2), 5)
     assert len(captured) == 6
     assert all(rows.shape == (2, 2) for rows in captured)
@@ -188,7 +187,7 @@ def test_shared_training_equals_separate_passes(family, monkeypatch):
                   sample_noise_std=0.5, feature_norm=2.0)
     plan = NoisySgdPlan(steps_n=7, step_size=0.5, noise_variance_sigma_sq=0.2,
                         clip_bound=0.3)
-    quiet = replace(plan, noise_variance_sigma_sq=0.0)
+    quiet = plan.replace(noise_variance_sigma_sq=0.0)
     phi_init = np.array([0.7, -0.5])
     shared = run_meta_training(env, 15, (plan, quiet), phi_init, 21)
     shared_bars = np.stack(bars)
@@ -220,8 +219,8 @@ def test_noisy_arms_share_one_noise_generator(family):
                   sample_noise_std=0.5, feature_norm=2.0)
     plan = NoisySgdPlan(steps_n=7, step_size=0.5, noise_variance_sigma_sq=0.2,
                         clip_bound=0.3)
-    plans = (plan, replace(plan, noise_variance_sigma_sq=0.0),
-             replace(plan, noise_variance_sigma_sq=0.05))
+    plans = (plan, plan.replace(noise_variance_sigma_sq=0.0),
+             plan.replace(noise_variance_sigma_sq=0.05))
     phi_init = np.array([0.7, -0.5])
     shared = run_meta_training(env, 9, plans, phi_init, 21)
     for a, arm_plan in enumerate(plans):
@@ -255,11 +254,11 @@ def test_training_plans_must_agree_on_the_schedule():
                         clip_bound=1.0)
     for field, value in (("steps_n", 5), ("step_size", 0.2), ("clip_bound", 2.0)):
         with pytest.raises(ValueError):
-            run_meta_training(env, 2, (plan, replace(plan, **{field: value})),
+            run_meta_training(env, 2, (plan, plan.replace(**{field: value})),
                               np.zeros(2), 0)
     with pytest.raises(ValueError):
         run_meta_training(env, 2, (), np.zeros(2), 0)
-    quiet = replace(plan, noise_variance_sigma_sq=0.0)
+    quiet = plan.replace(noise_variance_sigma_sq=0.0)
     assert run_meta_training(env, 2, (plan, quiet), np.zeros(2), 0).phi_hat.shape == (2, 2)
 
 
@@ -343,8 +342,8 @@ def test_interior_certified_training_is_sound(seed, dim, center_scale, tasks, cu
                   sample_noise_std=sample_noise_std)
     plan = NoisySgdPlan(steps_n=6, step_size=h / curvature,
                         noise_variance_sigma_sq=sigma_sq, clip_bound=clip_bound)
-    plans = (plan, replace(plan, noise_variance_sigma_sq=0.0),
-             replace(plan, noise_variance_sigma_sq=sigma_sq / 4))
+    plans = (plan, plan.replace(noise_variance_sigma_sq=0.0),
+             plan.replace(noise_variance_sigma_sq=sigma_sq / 4))
     phi_init = center + 0.4 * rng.uniform(-1, 1, size=dim) / math.sqrt(dim)
     verdicts, rescaled = [], []
     with pytest.MonkeyPatch.context() as mp:
@@ -410,7 +409,7 @@ def test_fold_bookkeeping_equals_a_meta_step_replay(family, tasks, dim, arms, mo
                   curvature=1.0, sample_noise_std=0.3, feature_norm=1.2)
     plan = NoisySgdPlan(steps_n=5, step_size=0.7, noise_variance_sigma_sq=0.04,
                         clip_bound=1.0)
-    plans = (plan, replace(plan, noise_variance_sigma_sq=0.0))[:arms]
+    plans = (plan, plan.replace(noise_variance_sigma_sq=0.0))[:arms]
     phi_init = np.array([0.4, -0.0, 0.1])[-dim:]
     calls = _spy_steps(monkeypatch)
     trained = run_meta_training(env, tasks, plans, phi_init, 21)
@@ -494,7 +493,7 @@ def test_training_pass_allocates_nothing_per_step(arms, monkeypatch):
     for n in (4, 32):
         plan = NoisySgdPlan(steps_n=n, step_size=1.5, noise_variance_sigma_sq=0.04,
                             clip_bound=1.0)
-        plans = (plan, replace(plan, noise_variance_sigma_sq=0.0))[:arms]
+        plans = (plan, plan.replace(noise_variance_sigma_sq=0.0))[:arms]
         run_meta_training(env, tasks, plans, np.zeros(dim), 3)
         rises.clear()
         tracemalloc.start()
