@@ -63,7 +63,8 @@ class Record:
     bases' first (a re-declared field keeps its place), taken positionally or
     by keyword, with defaults from class attributes; then __post_init__ runs,
     and may set values with object.__setattr__. == and hash use the fields
-    not named in `uncompared`. Unlike a dataclass, it generates no code."""
+    not named in `uncompared` (records holding numpy arrays use object's,
+    identity). Unlike a dataclass, it generates no code."""
 
     fields, uncompared, _defaults = (), (), {}
 

@@ -22,11 +22,13 @@ The same-shape rule: a training step is about ten numpy calls on (arms, d)
 arrays, so numpy's per-call cost bounds it, and a call with an operand that
 broadcasts costs about twice one whose operands share one shape or are 0-d.
 So the loop's operands have the iterate's shape wherever that copies at most
-a pass's noise block: meta gives its quadratic visits an arms axis, _start
-gives one arm's eval samples a leading size-1 axis (a view; more arms keep
-broadcasting, as a copy would be m x arms x tasks x d floats), and geometry
-keeps the center and, on few rows, the row factors at the batch's shape.
-Each call is the same ufunc on the same values, so the bits do not change.
+a pass's noise block: meta gives its visits an arms axis (a view for one
+arm), _start gives one arm's eval samples a leading size-1 axis (a view;
+more arms keep broadcasting, as a copy would be m x arms x tasks x d
+floats), and geometry keeps the center and, on few rows, the row factors at
+the batch's shape. Each call is the same ufunc on the same values, so the
+bits do not change. A one-arm logistic step's gradient takes losses'
+one-row route, sigmoid on Python floats, with the same bits.
 
 One call, idle_calls, decides once per pass whether neither the clip nor
 the projection can act (interior) and whether the clip cannot (clip_idle),
@@ -70,6 +72,7 @@ class LearnerOutput(Record):
 
     averaged_iterate: np.ndarray
     final_iterate: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 class StepWorkspace:

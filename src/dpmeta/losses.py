@@ -77,8 +77,8 @@ def sigmoid(z, out=None, e=None):
     branch overflows whatever the magnitude of z. e, when given, is
     exp(-|z|) already computed. When out is given the result is written into
     it and 1 + e into e, so nothing is allocated; without it the call
-    allocates, which costs less than writing in place on the one-element
-    arrays of a gradient step."""
+    allocates. A gradient at one margin takes these steps on Python floats
+    instead (_logistic_grad)."""
     if e is None:
         e = _exp_neg_abs(z)
     # max(e, 1) == 1 where z > 0 and max(e, 0) == e elsewhere (e >= 0), so
@@ -149,10 +149,21 @@ def logistic_excess(margins, star_margins, work=None):
 
 def _logistic_grad(theta, features, labels, out=None):
     """-label * sigmoid(-label <feature, theta>) * feature, broadcast over
-    the leading axes, into out when given; dimensions are not checked."""
+    the leading axes, into out when given; dimensions are not checked. At
+    one margin (one sample at one iterate) sigmoid's steps run on Python
+    floats, exact IEEE operations that cost less than ufunc calls; numpy
+    keeps the dot product and exp, so the bits do not change."""
+    margins = np.vecdot(features, theta)
+    if margins.size == 1:
+        margin, neg_label = margins.item(), -labels.item()
+        e = np.exp(-abs(margin)).item()
+        weight = neg_label * ((1.0 if neg_label * margin > 0 else e) / (1.0 + e))
+        if out is None:
+            out = np.empty(margins.shape + features.shape[-1:])
+        return np.multiply(weight, features, out=out)
     # -(label * x) == (-label) * x exactly, so one negation serves both uses
     neg_labels = -labels
-    weight = neg_labels * sigmoid(neg_labels * np.vecdot(features, theta))
+    weight = neg_labels * sigmoid(neg_labels * margins)
     return np.multiply(weight[..., None], features, out=out)
 
 
@@ -164,13 +175,14 @@ class TaskSamples(Record):
     for a single task). Quadratic samples give anchors as points and a
     curvature > 0; logistic samples give features as points and labels of
     shape (m, *batch) in {-1, +1}. Exactly one of curvature and labels is set.
-    By the learners' same-shape rule meta's quadratic visits carry an arms
-    axis (T n arms d floats; a view for one arm), and 1.0 is never applied.
+    Meta's visits carry an arms axis (the learners' same-shape rule), and a
+    curvature of 1.0 is never applied.
     """
 
     points: np.ndarray
     curvature: float | None = None
     labels: np.ndarray | None = None
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)

@@ -40,6 +40,7 @@ class MetaState(Record):
     phi_current: np.ndarray
     task_count: int
     phi_running_sum: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def phi_hat(self) -> np.ndarray:
         """Mean of the per-task initializations, the deployed output."""
@@ -102,6 +103,7 @@ class MetaTraining(Record):
     phi_hat: np.ndarray
     surrogate_losses: np.ndarray
     theta_stars: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan],
@@ -123,8 +125,8 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     and the whole noise block decides whether the steps may skip the clip
     and the projection, or the clip alone (every phi_t and theta_bar_t is a
     convex combination of iterates, so it stays where they do). By the
-    learners' same-shape rule quadratic visits then get an arms axis: a view
-    for one arm, else an anchors block the size of the noise block.
+    learners' same-shape rule the visits then get an arms axis: a view for
+    one arm, else for quadratic visits an anchors block of the noise's size.
 
     The fold phase is sequential: per task, one learners.noisy_sgd_steps
     call steps every arm from its phi_t, row t of the (tasks + 1, arms, d)
@@ -174,8 +176,8 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     steps, domain = num_tasks * (n + 1), env.domain
     interior, clip_idle = learners.idle_calls(visits, phi_init, plan.step_size, domain,
                                               plan.clip_bound, noise, steps=steps)
-    if visits.curvature is not None:
-        # anchors (n, tasks, arms, d), whose rows have the iterates' shape
+    if visits.curvature is not None or arms == 1:
+        # visits (n, tasks, arms, d), whose rows have the iterates' shape
         visits = visits.take((slice(None), slice(None), None))
         if arms > 1:
             visits = visits.replace(points=np.repeat(visits.points, arms, axis=2))

@@ -18,10 +18,12 @@ import runpy
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dpmeta
 import dpmeta.learners
+import dpmeta.losses
 from dpmeta.cli import EXIT_CONFIG, EXIT_OK, main
 from dpmeta.config import build_config
 from dpmeta.harness import calibrate, csv_bytes_excluding_wall_clock, run_experiment
@@ -70,6 +72,11 @@ OFF_CENTER_ITEMS = {
     "phi_init": "1.5,-1,0.25", "master_seed": "5",
 }
 
+# the logistic case with the meta arm trained alone: its training steps one
+# arm's (1, d) iterate, one sample at one iterate per gradient, and every
+# step's projection acts, where the logistic case trains two arms
+LOGISTIC_ONE_ARM_ITEMS = {**LOGISTIC_ITEMS, "baseline_nonprivate_meta": "false"}
+
 # case -> (command, items, csv digest, sidecar digest); the sweep case also
 # pins axis_value, the derived seeds, the run_ids and a multi-section sidecar
 GOLDEN = {
@@ -81,6 +88,10 @@ GOLDEN = {
         ["run"], LOGISTIC_ITEMS,
         "bf558c5142f307a64d689a5e103150811a3c8a5d292f0f39e0ac37d94a9a8d0d",
         "5e8c1b967955a2558523f0c76a07cd54874aef4c86c0ef2082f2b207e6e931c3"),
+    "logistic_one_arm": (
+        ["run"], LOGISTIC_ONE_ARM_ITEMS,
+        "8986c4ed9429f21beef92b4a8138499cffa596c1c7829a4ae6a094e894ebd9f6",
+        "f0b0f7e1915584e9cf6ce9a6df9524e0b2c73857bd099f2e12c6688c5319edf8"),
     "stable": (
         ["run"], STABLE_ITEMS,
         "ca0983f7f2d9e6b16cc1b3b5ea6d1deebf604f152f5b0078cfaa57afab90e34d",
@@ -139,6 +150,30 @@ def test_off_center_case_clips_and_projects_on_one_arm(monkeypatch):
     for calls in acted.values():
         assert {shape for shape, _ in calls} >= {(1, 3)}
         assert any(moved for _, moved in calls)
+
+
+def test_logistic_one_arm_case_trains_on_one_margin_per_gradient(monkeypatch):
+    # the logistic_one_arm digests pin the gradient's one-margin route:
+    # every training gradient is one sample at one (1, d) iterate and every
+    # training projection acts, while eval's gradients take (2, 6) margins
+    margins, projected = [], []
+    real_grad = dpmeta.losses._logistic_grad
+    real_project = dpmeta.learners.project_in_place
+
+    def spy_grad(theta, features, *args):
+        margins.append(np.broadcast_shapes(theta.shape[:-1], features.shape[:-1]))
+        return real_grad(theta, features, *args)
+
+    def spy_project(v, *args):
+        projected.append((v.shape, real_project(v, *args)))
+        return projected[-1][1]
+
+    monkeypatch.setattr(dpmeta.losses, "_logistic_grad", spy_grad)
+    monkeypatch.setattr(dpmeta.learners, "project_in_place", spy_project)
+    report = run_experiment(build_config(LOGISTIC_ONE_ARM_ITEMS))
+    assert list(report.arms) == ["meta", "no_meta"]
+    assert set(margins) == {(1,), (2, 6)}
+    assert {p for p in projected if p[0] == (1, 3)} == {((1, 3), True)}
 
 
 def test_stable_case_runs_interior_certified_passes(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -271,6 +272,40 @@ def test_samples_grad_covers_every_task():
     assert np.allclose(logi.grad(np.zeros(2), 1), [0.0, 0.5], rtol=1e-15)
     assert np.allclose(logistic_value(np.zeros(2), features, logi.labels),
                        math.log(2.0), rtol=1e-15)
+
+
+def _vectorized_logistic_grad(theta, features, labels):
+    # the gradient's formula for any number of margins, sigmoid written out
+    neg_labels = -labels
+    z = neg_labels * np.vecdot(features, theta)
+    e = np.exp(-np.abs(z))
+    weight = neg_labels * (np.maximum(e, z > 0) / (1.0 + e))
+    return np.multiply(weight[..., None], features)
+
+
+# both zeros, subnormals and the rest of [-1, 1]
+COORDINATE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 5), data=st.data(), scale=st.floats(-2.0, 2.9),
+       label=st.sampled_from([-1.0, 1.0]), theta_lead=st.sampled_from([(), (1,), (1, 1)]),
+       feature_lead=st.sampled_from([(), (1,)]), into=st.booleans())
+def test_one_margin_grad_is_the_vectorized_formula_byte_for_byte(
+        dim, data, scale, label, theta_lead, feature_lead, into):
+    # one sample at one iterate takes sigmoid's steps on Python floats: the
+    # bytes must be the vectorized formula's, at margins from 0 to past 745,
+    # where exp(-|z|) underflows, and the result has theta's broadcast shape
+    coordinates = st.lists(COORDINATE, min_size=dim, max_size=dim)
+    features = np.array(data.draw(coordinates)).reshape(feature_lead + (dim,))
+    theta = np.array(data.draw(coordinates)).reshape(theta_lead + (dim,)) * 10.0 ** scale
+    samples = TaskSamples(features[None], labels=np.full((1,) + feature_lead, label))
+    shape = np.broadcast_shapes(theta.shape, features.shape)
+    out = np.empty(shape) if into else None
+    got = samples.grad(theta, 0, out)
+    assert got.shape == shape and (out is None or got is out)
+    want = _vectorized_logistic_grad(theta, features, samples.labels[0])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_loss_dimension_mismatch():

@@ -465,20 +465,27 @@ def test_fold_bookkeeping_refuses_a_non_finite_output(bad_task, bad_value, monke
     assert verdicts == [(True, True)] and len(calls) == 4
 
 
-@pytest.mark.parametrize("arms", [1, 2])
-def test_training_pass_allocates_nothing_per_step(arms, monkeypatch):
+@pytest.mark.parametrize("family, arms", [
+    pytest.param("quadratic", 1, id="1"), pytest.param("quadratic", 2, id="2"),
+    pytest.param("logistic", 1, id="logistic-1")])
+def test_training_pass_allocates_nothing_per_step(family, arms, monkeypatch):
     # the pass draws its blocks ahead, so a task's call allocates no array:
     # at d = 128 an array shaped like the (arms, d) iterates holds 1 KiB or
     # more, and a call's traced memory never rises by that, at 4 steps per
-    # task as at 32. The pass's peak is at most the blocks it held before
-    # its anchors had an arms axis (the visits, the standard normals and the
-    # noise, T n (2 + arms) d floats) plus that anchors block (T n arms d
-    # floats, none for one arm, whose anchors are a view), and two of a
-    # task's (m, d) sample draws
-    tasks, m, dim = 6, 50, 128
+    # task as at 32; one logistic arm takes the one-margin gradient. The
+    # pass's peak is at most the blocks it held before its anchors had an
+    # arms axis (the visits, the standard normals and the noise, T n
+    # (2 + arms) d floats, and T n logistic labels) plus that anchors block
+    # (T n arms d floats, none for one arm, whose visits are a view), and two
+    # of a task's (m, d) sample draws with their labels. A logistic step's
+    # numpy calls hold up to about 2 KiB of buffers whatever d, so that pass
+    # runs at d = 512, where an iterate holds 4 KiB
+    tasks, m = 6, 50
+    dim, center, labels = (128, 0.05, 0) if family == "quadratic" else (512, 0.02, 1)
     dom = ParamDomain(np.zeros(dim), 1.0)
-    env = EnvSpec(domain=dom, planted_center=np.full(dim, 0.05), similarity_v=0.3,
-                  samples_per_task=m, curvature=1.0, sample_noise_std=0.3)
+    env = EnvSpec(domain=dom, planted_center=np.full(dim, center), similarity_v=0.3,
+                  samples_per_task=m, loss_family=family, curvature=1.0,
+                  sample_noise_std=0.3)
     rises = []
     real_steps = dpmeta.learners.noisy_sgd_steps
 
@@ -505,8 +512,8 @@ def test_training_pass_allocates_nothing_per_step(arms, monkeypatch):
             tracemalloc.stop()
         assert len(rises) == tasks
         assert max(rises) < 8 * arms * dim
-        blocks = tasks * n * (2 + arms + (arms if arms > 1 else 0)) * dim
-        assert peak <= 8 * (blocks + 2 * m * dim)
+        blocks = tasks * n * ((2 + arms + (arms if arms > 1 else 0)) * dim + labels)
+        assert peak <= 8 * (blocks + 2 * m * (dim + labels))
 
 
 @pytest.mark.parametrize("tasks", [1, 3, 7])

@@ -1,5 +1,6 @@
 """calibration.Record against a frozen dataclass with the same fields: the
-record keeps the value semantics the package had from dataclasses."""
+record keeps the value semantics the package had from dataclasses. The
+records whose fields hold numpy arrays compare and hash by identity."""
 
 from __future__ import annotations
 
@@ -8,9 +9,15 @@ import functools
 import math
 
 from hypothesis import given, strategies as st
+import numpy as np
 import pytest
 
-from dpmeta.calibration import Record
+from dpmeta.calibration import Ball, Record
+from dpmeta.geometry import ParamDomain
+from dpmeta.learners import LearnerOutput
+from dpmeta.losses import TaskSamples
+from dpmeta.meta import MetaState, MetaTraining
+from dpmeta.task_env import EnvSpec, TaskSpec
 
 
 def _check(a):
@@ -129,3 +136,25 @@ def test_cached_property_computes_once(x):
     assert "total" not in vars(p)
     assert p.total == x[0] + x[1]
     assert vars(p)["total"] == p.total and p == Point(*x)
+
+
+ARRAY_RECORDS = {
+    ParamDomain: lambda: ParamDomain(np.zeros(2), 1.0),
+    EnvSpec: lambda: EnvSpec(ParamDomain(np.zeros(2), 1.0), np.zeros(2), 0.1, 3),
+    TaskSamples: lambda: TaskSamples(np.ones((1, 2)), curvature=1.0),
+    TaskSpec: lambda: TaskSpec(np.zeros(2)),
+    LearnerOutput: lambda: LearnerOutput(np.zeros(2), np.zeros(2)),
+    MetaState: lambda: MetaState(np.zeros(2), 0, np.zeros(2)),
+    MetaTraining: lambda: MetaTraining(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 2))),
+}
+
+
+@pytest.mark.parametrize("cls", ARRAY_RECORDS, ids=lambda cls: cls.__name__)
+def test_records_holding_arrays_compare_and_hash_by_identity(cls):
+    # an array has no truth value and no hash, so == and hash over the
+    # fields would raise; these records are equal only to themselves
+    a, b = ARRAY_RECORDS[cls](), ARRAY_RECORDS[cls]()
+    assert type(a) is cls and a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+    # a Ball, whose center is a tuple, still compares by value
+    assert Ball((0.0, 0.0), 1.0) == Ball((0.0, 0.0), 1.0)
