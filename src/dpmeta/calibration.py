@@ -62,17 +62,15 @@ class Record:
     """The one frozen value class. Its fields are the annotated names, the
     bases' first (a re-declared field keeps its place), taken positionally or
     by keyword, with defaults from class attributes; then __post_init__ runs,
-    and may set values with object.__setattr__. == and hash use the fields
-    not named in `uncompared` (records holding numpy arrays use object's,
-    identity). Unlike a dataclass, it generates no code."""
+    and may set values with object.__setattr__. Records compare and hash
+    by identity, as object does. Unlike a dataclass, it generates no code."""
 
-    fields, uncompared, _defaults = (), (), {}
+    fields, _defaults = (), {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.fields += tuple(n for n in cls.__annotations__ if n not in cls.fields)
         cls._defaults = {n: getattr(cls, n) for n in cls.fields if hasattr(cls, n)}
-        cls._compared = tuple(n for n in cls.fields if n not in cls.uncompared)
 
     def __init__(self, *args, **kwargs):
         name, fields, values = type(self).__name__, self.fields, self.__dict__
@@ -98,17 +96,6 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {key!r}")
 
     __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return tuple([getattr(self, n) for n in self._compared])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         items = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.fields)

@@ -142,7 +142,6 @@ class ExperimentConfig(Record):
     mc_eval_samples: int
     output_path: str | None
     raw_items: tuple
-    uncompared = ("raw_items",)
 
     @functools.cached_property
     def env(self):

@@ -69,7 +69,6 @@ class ParamDomain(Ball):
     the singleton {center}."""
 
     center: np.ndarray
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))

@@ -72,7 +72,6 @@ class LearnerOutput(Record):
 
     averaged_iterate: np.ndarray
     final_iterate: np.ndarray
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 class StepWorkspace:

@@ -182,7 +182,6 @@ class TaskSamples(Record):
     points: np.ndarray
     curvature: float | None = None
     labels: np.ndarray | None = None
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)

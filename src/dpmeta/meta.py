@@ -40,7 +40,6 @@ class MetaState(Record):
     phi_current: np.ndarray
     task_count: int
     phi_running_sum: np.ndarray
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def phi_hat(self) -> np.ndarray:
         """Mean of the per-task initializations, the deployed output."""
@@ -103,7 +102,6 @@ class MetaTraining(Record):
     phi_hat: np.ndarray
     surrogate_losses: np.ndarray
     theta_stars: np.ndarray
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan],
@@ -198,9 +196,9 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
         np.multiply(phi, 1.0 - 1.0 / k, out=phis[k])
         np.divide(bar, k, out=share)
         phis[k] += share
-    # surrogate_loss(phi_t, theta_bar_t) for every task, as (arms, tasks);
-    # dist_sq's finiteness check is the check of every fold's input
-    surrogate_losses = np.ascontiguousarray((0.5 * dist_sq(bars, phis[:-1])).T)
+    # every task's surrogate, as (arms, tasks); dist_sq's finiteness check
+    # is the check of every fold's input
+    surrogate_losses = np.ascontiguousarray(surrogate_loss(phis[:-1], bars).T)
     # MetaState's running sum 0.0 + phi_1 + ... + phi_T, added in task order
     # into bars, which is free once scored: accumulate adds row by row, and
     # adding the 0.0 last gives the same bits as adding it first (either

@@ -192,7 +192,6 @@ class EnvSpec(Record):
     curvature: float = 1.0
     sample_noise_std: float = 0.0
     feature_norm: float = 1.0
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "planted_center",
@@ -213,7 +212,6 @@ class TaskSpec(Record):
     environment's. Not serialized; regenerate from the seed."""
 
     theta_star: np.ndarray
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 def sample_task(spec: EnvSpec, rng: np.random.Generator) -> TaskSpec:

@@ -12,6 +12,9 @@ from dpmeta.geometry import (_FEW_ROWS, ParamDomain, RowScratch, as_vector,
                              clip_norm_in_place, dist_sq, never_rescaled,
                              project_in_place)
 
+# the in-place clip and project rest on ufunc out= and where= semantics
+pytestmark = pytest.mark.numpy_floor
+
 RTOL = 1e-12
 
 

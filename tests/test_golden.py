@@ -125,6 +125,7 @@ def test_stable_case_runs_a_stable_plan():
     assert not cal.training_is_noop
 
 
+@pytest.mark.numpy_floor
 def test_off_center_case_clips_and_projects_on_one_arm(monkeypatch):
     # the off_center digests pin clips and projections that act: neither
     # pass is certified interior, the training pass steps one arm's (1, d)
@@ -152,6 +153,7 @@ def test_off_center_case_clips_and_projects_on_one_arm(monkeypatch):
         assert any(moved for _, moved in calls)
 
 
+@pytest.mark.numpy_floor
 def test_logistic_one_arm_case_trains_on_one_margin_per_gradient(monkeypatch):
     # the logistic_one_arm digests pin the gradient's one-margin route:
     # every training gradient is one sample at one (1, d) iterate and every
@@ -176,6 +178,7 @@ def test_logistic_one_arm_case_trains_on_one_margin_per_gradient(monkeypatch):
     assert {p for p in projected if p[0] == (1, 3)} == {((1, 3), True)}
 
 
+@pytest.mark.numpy_floor
 def test_stable_case_runs_interior_certified_passes(monkeypatch):
     # the stable digests pin the loop that skips clips and projections:
     # idle_calls certifies its training pass and its eval pass interior
@@ -191,6 +194,7 @@ def test_stable_case_runs_interior_certified_passes(monkeypatch):
     assert verdicts == [((237, 25, 2), (True, True)), ((1900, 10, 2), (True, True))]
 
 
+@pytest.mark.numpy_floor
 def test_idle_calls_certify_a_low_clip_bound_at_the_contracted_radius(monkeypatch):
     # the stable case with lipschitz_g = 1.0 below c x diameter = 2: the
     # clip bound is under the whole ball's gradient bound c (R + A), so

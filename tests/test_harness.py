@@ -81,22 +81,27 @@ def test_parse_config_text():
 
 def test_parse_config_rejects_garbage_and_duplicates():
     with pytest.raises(ConfigError) as exc:
-        parse_config_text("dim = 2\nnot a setting\ndim = 3\n")
+        parse_config_text("dim = 2\nnot a setting\ndim = 3\n = 3\n")
     msgs = "\n".join(exc.value.violations)
     assert "line 2" in msgs
     assert "duplicate" in msgs
+    assert "line 4: empty key" in msgs
 
 
 def test_build_config_reports_every_violation():
     with pytest.raises(ConfigError) as exc:
         build_config({"dim": "2", "mystery_key": "1", "epsilon": "-1",
-                      "delta": "0.5", "similarity_v": "abc"})
+                      "delta": "0.5", "similarity_v": "abc", "curvature": "inf",
+                      "loss_family": "cubic", "phi_init": "1,x"})
     msgs = "\n".join(exc.value.violations)
     assert "unknown key 'mystery_key'" in msgs
     assert "epsilon" in msgs
     assert "similarity_v" in msgs
     assert "missing required key" in msgs
-    assert len(exc.value.violations) >= 5
+    assert "curvature: must be finite, got inf" in msgs
+    assert "loss_family: must be one of ['logistic', 'quadratic'], got 'cubic'" in msgs
+    assert "phi_init: expected comma-separated numbers, got '1,x'" in msgs
+    assert len(exc.value.violations) >= 8
 
 
 def test_build_config_reports_regularity_violations_beside_environment_ones():
@@ -632,6 +637,7 @@ ADAPT_ITEMS = {
 }
 
 
+@pytest.mark.numpy_floor
 def test_interior_certificate_fires_on_both_passes_of_a_stable_run(monkeypatch):
     # training visits (237, 5, 2) and eval adapts on (1900, 100, 2): both
     # passes skip their clips and projections, and the run still reports
@@ -646,6 +652,7 @@ def test_interior_certificate_fires_on_both_passes_of_a_stable_run(monkeypatch):
         assert result.mean_surrogate == reference.arms[arm].mean_surrogate
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("items", [
     # the train_heavy benchmark's shape: training at step x curvature 5.37
     {"dim": "5", "domain_radius": "3.0", "similarity_v": "0.1",
@@ -665,6 +672,7 @@ def test_interior_certificate_declines_logistic_and_h_over_one_runs(items, monke
         assert verdicts[0][1][0] is False
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("items", [
     # the train_heavy benchmark's shape: training at step x curvature 5.37,
     # so the projection runs, and c (R + A) under the clip bound c x 2R
@@ -931,6 +939,14 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out",
                  str(tmp_path / "o.csv")]) == EXIT_CONFIG
     assert "unknown key" in capsys.readouterr().err
+    # a sweep's --values must hold at least one number and nothing else
+    good = write_cfg_file(tmp_path / "c.txt")
+    for values, message in [(",,", "--values is empty"),
+                            ("0.1,abc", "--values must be comma-separated numbers")]:
+        assert main(["sweep", "--config", good, "--out", str(tmp_path / "o.csv"),
+                     "--axis", "V", "--values", values]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_undecodable_config_is_config_error(tmp_path, capsys):

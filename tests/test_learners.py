@@ -252,6 +252,7 @@ def _batch_and_singles(family, rng, tasks, m, dim, feature_norm=3.0):
     return batch, singles
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["quadratic", "logistic"]),
        arms=st.integers(1, 3), dim=st.integers(1, 4), steps=st.integers(1, 9))
@@ -308,6 +309,7 @@ def test_ogd_batch_matches_batch_of_one_calls(family):
     assert 0 < projected < 25 * 12
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["quadratic", "logistic"]),
        curvature=st.sampled_from([0.5, 1.0, 3.0]), tasks=st.integers(1, 12),
@@ -464,6 +466,7 @@ def _same_bits(a: LearnerOutput, b: LearnerOutput) -> bool:
             and a.final_iterate.tobytes() == b.final_iterate.tobytes())
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), arms=st.integers(1, 3),
        tasks=st.integers(1, 3), steps=st.integers(1, 30),
@@ -521,6 +524,7 @@ def test_interior_certificate_is_sound(seed, dim, arms, tasks, steps, center_sca
         assert not ogd_ok
 
 
+@pytest.mark.numpy_floor
 def test_interior_certificate_holds_well_inside():
     # a tight cluster of anchors near the center, a small step and a start
     # inside: both checks pass with room to spare, and fail once the
@@ -537,6 +541,7 @@ def test_interior_certificate_holds_well_inside():
     assert not idle_calls(anchors, [0.3, 0.3], 0.5, dom, noise=noise)[0]
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40),
        batch=st.lists(st.integers(1, 4), max_size=2), dim=st.integers(1, 6),
@@ -580,6 +585,7 @@ def test_interior_box_matches_the_multi_axis_reduce(seed, steps, batch, dim, cen
     event(f"certified: {verdict}")
 
 
+@pytest.mark.numpy_floor
 def test_interior_certificate_allocates_nothing_the_size_of_the_samples():
     # criterion 09's eval pass shape: the box's temporaries are (*batch, d),
     # 1/m of the samples, so the traced peak stays far below them
@@ -596,6 +602,7 @@ def test_interior_certificate_allocates_nothing_the_size_of_the_samples():
     assert peak < samples.points.nbytes / 10
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), steps=st.integers(1, 20),
        h=st.floats(1.01, 100.0), step=st.floats(1e-6, 10.0))
@@ -641,6 +648,7 @@ def _clip_verdict_pass(samples, inits, dom, plan, noise):
     return verdict, out, ref, clipped
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), arms=st.integers(1, 3),
        tasks=st.integers(1, 3), steps=st.integers(1, 30),
@@ -678,6 +686,7 @@ def test_clip_verdict_is_sound_on_quadratic_passes(seed, dim, arms, tasks, steps
     event(f"clip verdict {verdict}, h > 1: {h > 1.0}, a clip acted: {any(clipped)}")
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), arms=st.integers(1, 3),
        tasks=st.integers(1, 3), steps=st.integers(1, 30),
@@ -709,6 +718,7 @@ def test_clip_verdict_is_sound_on_logistic_passes(seed, dim, arms, tasks, steps,
     event(f"clip verdict {verdict}, a clip acted: {any(clipped)}")
 
 
+@pytest.mark.numpy_floor
 def test_clip_verdict_declines_a_loose_anchor_box():
     # anchors at (R, 0) and (0, R): their box's corner is (R, R), so
     # A = R sqrt(2) >= R, and c (R + A) exceeds the calibrated clip bound
@@ -728,6 +738,7 @@ def test_clip_verdict_declines_a_loose_anchor_box():
     assert not _clip_verdict(samples, start, dom, bound * (1.0 + 1e-15))
 
 
+@pytest.mark.numpy_floor
 def test_clip_verdict_declines_a_saturated_sigmoid():
     # a logistic pass whose margin bound F (||center|| + R) is 40: the
     # sigmoid rounds to 1, so the bound is F itself, the calibrated clip
@@ -746,6 +757,7 @@ def test_clip_verdict_declines_a_saturated_sigmoid():
         assert _clip_verdict(samples, dom.center, dom, clip_bound) == holds
 
 
+@pytest.mark.numpy_floor
 def test_clip_verdict_counts_a_start_outside_the_ball():
     # the whole-ball bound reaches rho = max(R, ||start - center||), so a
     # start at distance 3 from the center of a unit ball, anchored there,
@@ -758,6 +770,7 @@ def test_clip_verdict_counts_a_start_outside_the_ball():
     assert _clip_verdict(samples, dom.center, dom, 2.0)
 
 
+@pytest.mark.numpy_floor
 def test_clip_verdict_bounds_the_whole_ball_at_h_over_one():
     # at h = 3 each step sends the iterate to twice its distance from the
     # anchor on the other side, until the projection stops it on the
@@ -778,6 +791,7 @@ def test_clip_verdict_bounds_the_whole_ball_at_h_over_one():
         assert _same_bits(out, ref)
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("interior, clip_idle", [(False, False), (True, False),
                                                  (False, True), (True, True)])
 def test_interior_and_clip_idle_flags_each_skip_one_call(interior, clip_idle):

@@ -49,6 +49,7 @@ MARGIN_GRID = np.unique(np.concatenate([
     -np.geomspace(1e-6, 800.0, 60), [0.0]]))
 
 
+@pytest.mark.numpy_floor
 def test_softplus_matches_logaddexp():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -58,6 +59,7 @@ def test_softplus_matches_logaddexp():
     assert softplus(-800.0) == 0.0 and softplus(800.0) == 800.0
 
 
+@pytest.mark.numpy_floor
 def test_logistic_excess_is_the_label_expectation_and_never_negative():
     # every pair (z, z*) of the grid, with RuntimeWarnings as errors
     z, z_star = MARGIN_GRID[:, None], MARGIN_GRID[None, :]
@@ -86,6 +88,7 @@ EDGE_MARGINS = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0,
                          1.5, -0.25])
 
 
+@pytest.mark.numpy_floor
 def test_workspace_excess_is_the_textbook_formula_byte_for_byte():
     # every margin of the edge grid against every star margin, as
     # population_risk_gap lays them out: rows of margins, one star row
@@ -118,6 +121,7 @@ def test_workspace_excess_is_the_textbook_formula_byte_for_byte():
         assert out.tobytes() == f(EDGE_MARGINS).tobytes()
 
 
+@pytest.mark.numpy_floor
 def test_one_workspace_scores_block_after_block_without_leaking():
     rng = np.random.default_rng(3)
     block_a = (rng.normal(0, 5, (2, 500)), rng.normal(0, 5, 500))
@@ -287,6 +291,7 @@ def _vectorized_logistic_grad(theta, features, labels):
 COORDINATE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=300, deadline=None)
 @given(dim=st.integers(1, 5), data=st.data(), scale=st.floats(-2.0, 2.9),
        label=st.sampled_from([-1.0, 1.0]), theta_lead=st.sampled_from([(), (1,), (1, 1)]),

@@ -321,6 +321,7 @@ def test_hindsight_initializer_beats_surrogate_average():
     assert total / T <= hindsight / T + slack
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
        center_scale=st.sampled_from([0.0, 1.0, 1e3]), tasks=st.integers(5, 40),
@@ -391,6 +392,7 @@ def _spy_steps(monkeypatch):
     return calls
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("tasks, dim, arms", [(1, 3, 2), (2, 3, 2), (9, 3, 2), (40, 1, 1)])
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
 def test_fold_bookkeeping_equals_a_meta_step_replay(family, tasks, dim, arms, monkeypatch):
@@ -430,6 +432,7 @@ def test_fold_bookkeeping_equals_a_meta_step_replay(family, tasks, dim, arms, mo
 
 # an infinite output flows into later steps, whose inf - inf numpy warns
 # about on its way to the ValueError
+@pytest.mark.numpy_floor
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad_task", [0, 3])
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
@@ -465,6 +468,7 @@ def test_fold_bookkeeping_refuses_a_non_finite_output(bad_task, bad_value, monke
     assert verdicts == [(True, True)] and len(calls) == 4
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("family, arms", [
     pytest.param("quadratic", 1, id="1"), pytest.param("quadratic", 2, id="2"),
     pytest.param("logistic", 1, id="logistic-1")])
@@ -516,6 +520,7 @@ def test_training_pass_allocates_nothing_per_step(family, arms, monkeypatch):
         assert peak <= 8 * (blocks + 2 * m * (dim + labels))
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("tasks", [1, 3, 7])
 def test_idle_calls_decides_each_training_pass_once(tasks, monkeypatch):
     # at h = 0.7 with anchors projected onto the sphere the pass is declined

@@ -168,6 +168,7 @@ def test_draw_tasks_equals_single_task_draws(family, noise_std, kept, monkeypatc
         assert 0 < on_sphere.sum() < on_sphere.size
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
        center_scale=st.sampled_from([0.0, 1.0, 1e3]), radius=st.floats(0.3, 5.0),
@@ -219,6 +220,7 @@ def test_interior_anchors_skip_only_idle_projections(seed, dim, center_scale, ra
     event(f"tasks certified: {sum(verdicts)} of {tasks}")
 
 
+@pytest.mark.numpy_floor
 def test_interior_anchors_skip_projection_well_inside():
     # criterion 09's anchors (noise 0.05 about the center of the unit ball)
     # are certified for every task, and a ball they overflow for none
@@ -369,6 +371,7 @@ def test_task_batch_equals_separate_calls(family, arms, tasks):
         assert np.array_equal(batch[:, e:e + 1], one)
 
 
+@pytest.mark.numpy_floor
 def test_logistic_risk_allocates_one_workspace_whatever_the_task_count():
     # the margins of one task, a block of (points + 1) * mc_samples floats,
     # and its workspace are allocated once per call and overwritten task by
@@ -436,6 +439,7 @@ def _label_sampling_gaps(env, theta_star, thetas, count, rng):
     return gaps.mean(axis=-1), gaps.std(axis=-1, ddof=1) / math.sqrt(count)
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("dim, feature_norm", [(2, 1.0), (5, 1.0), (5, 4.0)])
 def test_logistic_risk_gap_agrees_with_label_sampling(dim, feature_norm):
     # integrating the label out changes the estimator, not what it
@@ -547,6 +551,7 @@ def test_substreams_equal_seed_sequences_of_python_ints(master_seed, tags):
         np.random.SeedSequence(ints).generate_state(1, np.uint64)[0])
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("count", [0, 1, 2, 13])
 @pytest.mark.parametrize("tags", [("train-noise",), ("sweep", "V"), (7,), (2**40, "x"),
                                   ("a", "b", "c", 2**50)])
@@ -559,6 +564,7 @@ def test_batched_substreams_equal_substream_calls(master_seed, tags, count):
                      for i in range(count)]
 
 
+@pytest.mark.numpy_floor
 def test_batched_substreams_are_lazy_and_checked(monkeypatch):
     def unexpected(entropy):
         raise AssertionError("seeded before the first next()")
