@@ -6,10 +6,10 @@ noise variance sigma^2), the regularity constants of each loss family and
 the smoothness ceiling, the step scales gamma and eta, and the calibration
 record with its overflow checks. All of it lives here, with what config
 and the run path share: Record, the one record base; Ball, the ball domain
-(geometry's ParamDomain is one); and task_env.EnvSpec's scalar checks. So
-`dpmeta calibrate` loads cli, config and this module: no numpy, and
-neither the standard dataclass module nor inspect. Natural logarithms
-throughout.
+(geometry's ParamDomain is one); and Environment, the task distribution
+with its checks (task_env.EnvSpec is one). So `dpmeta calibrate` loads
+cli, config and this module: no numpy, and neither the standard dataclass
+module nor inspect. Natural logarithms throughout.
 """
 
 from __future__ import annotations
@@ -156,31 +156,44 @@ class Ball(Record):
         return math.sqrt(nsq) <= self._reach
 
 
-def check_env(domain, planted_center, similarity_v, samples_per_task, loss_family,
-              curvature, sample_noise_std, feature_norm) -> None:
-    """task_env.EnvSpec's checks, on a Ball and the matching center:
-    ValueError naming the first violation."""
-    if not domain.contains(planted_center):
-        raise ValueError("planted_center lies outside the domain")
-    if not math.isfinite(similarity_v) or similarity_v < 0:
-        raise ValueError(f"similarity_v must be finite and >= 0, got {similarity_v}")
-    if similarity_v > domain.radius:
-        raise ValueError(
-            f"similarity_v={similarity_v} exceeds the domain radius "
-            f"{domain.radius}; the dispersion would be mostly projection")
-    if int(samples_per_task) != samples_per_task or samples_per_task < 1:
-        raise ValueError(
-            f"samples_per_task must be an integer >= 1, got {samples_per_task}")
-    if loss_family not in LOSS_FAMILIES:
-        raise ValueError(
-            f"loss_family must be one of {LOSS_FAMILIES}, got {loss_family!r}")
-    if not math.isfinite(curvature) or curvature <= 0:
-        raise ValueError(f"curvature must be finite and > 0, got {curvature}")
-    if not math.isfinite(sample_noise_std) or sample_noise_std < 0:
-        raise ValueError(
-            f"sample_noise_std must be finite and >= 0, got {sample_noise_std}")
-    if not math.isfinite(feature_norm) or feature_norm <= 0:
-        raise ValueError(f"feature_norm must be finite and > 0, got {feature_norm}")
+class Environment(Record):
+    """A task distribution on a Ball, with a planted center of Python floats
+    (task_env.EnvSpec holds arrays): task minimizers are the center plus
+    N(0, (V^2/d) I) offsets, V = similarity_v, projected onto the domain, and
+    sample_noise_std scatters quadratic anchors around each. The checks
+    raise ValueError naming the first violation."""
+
+    domain: Ball
+    planted_center: tuple
+    similarity_v: float
+    samples_per_task: int
+    loss_family: str = "quadratic"
+    curvature: float = 1.0
+    sample_noise_std: float = 0.0
+    feature_norm: float = 1.0
+
+    def __post_init__(self):
+        dom, v, m = self.domain, self.similarity_v, self.samples_per_task
+        if not dom.contains(self.planted_center):
+            raise ValueError("planted_center lies outside the domain")
+        if not math.isfinite(v) or v < 0:
+            raise ValueError(f"similarity_v must be finite and >= 0, got {v}")
+        if v > dom.radius:
+            raise ValueError(f"similarity_v={v} exceeds the domain radius {dom.radius}; "
+                             "the dispersion would be mostly projection")
+        if int(m) != m or m < 1:
+            raise ValueError(f"samples_per_task must be an integer >= 1, got {m}")
+        if self.loss_family not in LOSS_FAMILIES:
+            raise ValueError(
+                f"loss_family must be one of {LOSS_FAMILIES}, got {self.loss_family!r}")
+        if not math.isfinite(self.curvature) or self.curvature <= 0:
+            raise ValueError(f"curvature must be finite and > 0, got {self.curvature}")
+        if not math.isfinite(self.sample_noise_std) or self.sample_noise_std < 0:
+            raise ValueError(
+                f"sample_noise_std must be finite and >= 0, got {self.sample_noise_std}")
+        if not math.isfinite(self.feature_norm) or self.feature_norm <= 0:
+            raise ValueError(f"feature_norm must be finite and > 0, got {self.feature_norm}")
+        object.__setattr__(self, "samples_per_task", int(m))
 
 
 # ---- privacy: the task-global Gaussian mechanism
@@ -483,9 +496,9 @@ def _check_step_reach(cfg, G, sigma_sq, step_size, eta):
     standard deviation s per coordinate, a private step's or an anchor's, is
     taken to be at most s * (sqrt(d) + 40) in norm, 40 standard deviations
     past its typical size."""
-    dom = cfg.domain
-    quadratic = cfg.loss_family == "quadratic"
-    grad_bound = cfg.curvature * dom.diameter if quadratic else cfg.feature_norm
+    env = cfg.environment
+    dom, quadratic = env.domain, env.loss_family == "quadratic"
+    grad_bound = env.curvature * dom.diameter if quadratic else env.feature_norm
     sigmas = math.sqrt(dom.dim) + 40.0
     noise = math.sqrt(sigma_sq) * sigmas
     reach = {"private step (sgd_step_size)":
@@ -493,7 +506,7 @@ def _check_step_reach(cfg, G, sigma_sq, step_size, eta):
              "adaptation step (eta)": dom.radius + eta * grad_bound,
              "domain (domain_radius, domain_center)": 2.0 * dom._reach}
     if quadratic:
-        reach["anchor (sample_noise_std)"] = dom.radius + cfg.sample_noise_std * sigmas
+        reach["anchor (sample_noise_std)"] = dom.radius + env.sample_noise_std * sigmas
     too_far = [f"{what}: a vector the run squares can reach norm {value:.3g}, whose "
                "square overflows" for what, value in reach.items()
                if _square(value) == math.inf]
@@ -504,8 +517,8 @@ def _check_step_reach(cfg, G, sigma_sq, step_size, eta):
 def calibrate(cfg) -> CalibrationRecord:
     """Derive all run constants from a config.ExperimentConfig, without
     touching data; only the config's numpy-free fields are read."""
-    dom, reg, priv = cfg.domain, cfg.regularity, cfg.privacy
-    m, G = cfg.samples_per_task, reg.lipschitz_g
+    env, reg, priv = cfg.environment, cfg.regularity, cfg.privacy
+    dom, m, G = env.domain, env.samples_per_task, reg.lipschitz_g
     step_scale = _closed_form("step_scale", private_step_scale, G, reg.growth_alpha,
                               dom.dim, m, priv, cfg.step_scale_variant)
     # make_plan assembles the plan from these; each is checked on its own
@@ -514,7 +527,7 @@ def calibrate(cfg) -> CalibrationRecord:
     sigma_sq = _closed_form("sigma_sq", noise_variance, steps_n, m, G, priv)
     step_size = _closed_form("sgd_step_size", lambda: make_plan(
         m, priv, dom.dim, G, step_scale).step_size)
-    eta = _closed_form("eta", adaptation_step_size, cfg.similarity_v,
+    eta = _closed_form("eta", adaptation_step_size, env.similarity_v,
                        reg.growth_alpha, G, m)
     ceiling = _closed_form("smoothness_ceiling", smoothness_ceiling, G, dom,
                            m, priv, steps_n)

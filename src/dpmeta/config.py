@@ -5,9 +5,9 @@ whitespace starts a comment (as in configparser), so a value may hold ``#``.
 Vector-valued keys take comma-separated floats, held as tuples. Validation
 is collective: a bad config reports every violation at once, not just the
 first. ``KEYS`` is the one place a key is declared: its reader, bounds and
-default. Nothing here imports numpy: a config and its calibration are
-Python floats (dpmeta.calibration), and the run path's task_env.EnvSpec is
-built from them on first use.
+default. Nothing here imports numpy: a config, its calibration.Environment
+and its calibration are Python floats, and the run path's task_env.EnvSpec
+is built from that environment on first use.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import math
 import re
 
 from .calibration import (LOSS_FAMILIES, STEP_SCALE_VARIANTS, Ball,
-                          ConfigError, PrivacyParams, Record, RegularityProfile,
-                          check_env, format_value, logistic_regularity,
+                          ConfigError, Environment, PrivacyParams, Record,
+                          RegularityProfile, format_value, logistic_regularity,
                           quadratic_regularity)
 
 # sweep axis -> the config key it varies
@@ -118,18 +118,10 @@ KEYS = {
 
 
 class ExperimentConfig(Record):
-    """A validated experiment, built by build_config: the environment's
-    fields (domain, planted_center and the fields named after a key), the
-    budgets and the learner constants, all Python values."""
+    """A validated experiment, built by build_config: the task environment,
+    the budgets and the learner constants, all Python values."""
 
-    domain: Ball
-    planted_center: tuple
-    similarity_v: float
-    samples_per_task: int
-    loss_family: str
-    curvature: float
-    sample_noise_std: float
-    feature_norm: float
+    environment: Environment
     regularity: RegularityProfile
     privacy: PrivacyParams
     t_train: int
@@ -145,17 +137,14 @@ class ExperimentConfig(Record):
 
     @functools.cached_property
     def env(self):
-        """The run path's task_env.EnvSpec of these fields, built on first
-        access, so that only a run imports numpy. build_config made its
-        checks with the same rules, so it is always valid."""
+        """The run path's task_env.EnvSpec: the environment with array
+        domain and center, built on first access, so that only a run imports
+        numpy. Its checks are the environment's, so it is always valid."""
         from .geometry import ParamDomain
         from .task_env import EnvSpec
-        return EnvSpec(
-            domain=ParamDomain(center=self.domain.center, radius=self.domain.radius),
-            planted_center=self.planted_center, similarity_v=self.similarity_v,
-            samples_per_task=self.samples_per_task, loss_family=self.loss_family,
-            curvature=self.curvature, sample_noise_std=self.sample_noise_std,
-            feature_norm=self.feature_norm)
+        env = self.environment
+        return EnvSpec(ParamDomain(env.domain.center, env.domain.radius),
+                       *[getattr(env, n) for n in env.fields[1:]])
 
 
 def parse_config_text(text: str) -> dict:
@@ -234,7 +223,7 @@ def build_config(items: dict) -> ExperimentConfig:
             violations.append(f"{key}: coordinates must be finite")
             v[key] = None
 
-    dom, env_ok = None, False
+    dom = environment = None
     if None not in (dim, radius):
         center = v["domain_center"]
         dom = Ball((0.0,) * dim if center is None else center, radius)
@@ -249,10 +238,8 @@ def build_config(items: dict) -> ExperimentConfig:
         if v["planted_center"] is None:
             v["planted_center"] = dom.center
         try:
-            check_env(dom, v["planted_center"], v["similarity_v"],
-                      v["samples_per_task"], family, v["curvature"],
-                      v["sample_noise_std"], v["feature_norm"])
-            env_ok = True
+            environment = Environment(domain=dom, **{
+                n: v[n] for n in Environment.fields if n in KEYS})
         except ValueError as exc:
             violations.append(str(exc))
 
@@ -264,7 +251,7 @@ def build_config(items: dict) -> ExperimentConfig:
             violations.append(str(exc))
 
     regularity = None
-    if env_ok:
+    if environment is not None:
         overrides = {name: v[name] for name in ("lipschitz_g", "growth_alpha")
                      if v[name] is not None}
         try:
@@ -284,6 +271,6 @@ def build_config(items: dict) -> ExperimentConfig:
 
     # every field named after a key takes that key's value
     return ExperimentConfig(
-        domain=dom, regularity=regularity, privacy=privacy,
+        environment=environment, regularity=regularity, privacy=privacy,
         raw_items=tuple(sorted(items.items())),
         **{n: v[n] for n in ExperimentConfig.fields if n in KEYS})

@@ -7,7 +7,8 @@ around the minimizer and come back as arrays (losses.TaskSamples): quadratic
 anchors, or logistic features plus labels. Everything is driven by named
 substreams of a single master seed, so any piece of a run can be regenerated
 independently. A pass's streams are seeded in one batch (substreams),
-bit-identical to separate substream calls. A task is only its minimizer;
+bit-identical to separate substream calls. The distribution, EnvSpec, is
+calibration.Environment with arrays. A task is only its minimizer;
 the sample model is the environment's. A quadratic task draws anchor rows
 only up to the last one its pass keeps; the per-task loop only draws the
 offsets into the pass's step-major block. The shift by the minimizers and
@@ -28,7 +29,7 @@ import zlib
 
 import numpy as np
 
-from .calibration import Record, check_env
+from .calibration import Environment, Record
 from .geometry import (ParamDomain, RowScratch, as_batch, as_vector,
                        coordinate_top, dist_sq, never_rescaled, project_in_place)
 from .losses import (ExcessWorkspace, TaskSamples, logistic_excess,
@@ -175,32 +176,18 @@ def substreams(master_seed: int, *tags, count: int):
         yield np.random.Generator(np.random.PCG64(_SeedState(words)))
 
 
-class EnvSpec(Record):
-    """A task distribution: domain, planted center, dispersion, sample model.
-
-    similarity_v controls how far task minimizers scatter from the planted
-    center: offsets are N(0, (V^2/d) I), so E||offset||^2 = V^2 before
-    projection. sample_noise_std scatters quadratic anchors around each task
-    minimizer.
-    """
+class EnvSpec(Environment):
+    """calibration.Environment with a geometry.ParamDomain and a 1-D float64
+    array planted center: the fields, defaults and checks are the
+    Environment's, the ones config makes."""
 
     domain: ParamDomain
     planted_center: np.ndarray
-    similarity_v: float
-    samples_per_task: int
-    loss_family: str = "quadratic"
-    curvature: float = 1.0
-    sample_noise_std: float = 0.0
-    feature_norm: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "planted_center",
                            as_vector(self.planted_center, self.domain.dim))
-        # the checks config makes on its numpy-free fields
-        check_env(self.domain, self.planted_center, self.similarity_v,
-                  self.samples_per_task, self.loss_family, self.curvature,
-                  self.sample_noise_std, self.feature_norm)
-        object.__setattr__(self, "samples_per_task", int(self.samples_per_task))
+        super().__post_init__()
 
     @property
     def dim(self) -> int:

@@ -168,6 +168,19 @@ def test_config_reports_an_overflowing_offset(tmp_path, capsys):
     assert overflow in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, text, value", [("planted_center", "3,0", (3.0, 0.0)),
+                                               ("similarity_v", "2.5", 2.5)])
+def test_config_and_env_spec_reject_an_environment_alike(key, text, value):
+    # the two environment checks a config reaches past its KEYS readers,
+    # which reject every other bad environment value first: config reports
+    # the text the run path's EnvSpec raises for the same values (radius 2)
+    with pytest.raises(ConfigError) as exc:
+        make_cfg(**{key: text})
+    with pytest.raises(ValueError) as spec_exc:
+        make_cfg().env.replace(**{key: value})
+    assert exc.value.violations == [str(spec_exc.value)]
+
+
 def test_malformed_baseline_flags_are_violations(tmp_path, capsys):
     bad = {"baseline_no_meta": "maybe", "baseline_nonprivate_meta": "maybe"}
     with pytest.raises(ConfigError) as exc:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import dpmeta
-from dpmeta.calibration import Ball, PrivacyParams, Record
+from dpmeta.calibration import Ball, Environment, PrivacyParams, Record
 from dpmeta.config import ExperimentConfig, build_config
 from dpmeta.geometry import ParamDomain
 from dpmeta.learners import LearnerOutput
@@ -73,6 +73,10 @@ def test_fields_are_the_annotated_names_bases_first():
     assert Point.fields == tuple(f.name for f in dataclasses.fields(Twin))
     assert Point.fields == ("a", "b", "label", "note")
     assert Base.fields == ("a", "b")
+    # EnvSpec re-declares domain and planted_center with array types: they
+    # keep their places, which positional EnvSpec(...) calls and
+    # ExperimentConfig.env rely on
+    assert EnvSpec.fields == Environment.fields
 
 
 @given(values)
@@ -145,7 +149,8 @@ def test_every_record_compares_and_hashes_by_identity():
     assert {cls.__name__ for cls in found} >= {
         "Ball", "PrivacyParams", "NoisySgdPlan", "RegularityProfile", "CalibrationRecord",
         "ExperimentConfig", "ParamDomain", "TaskSamples", "OgdConfig", "LearnerOutput",
-        "MetaState", "MetaTraining", "EnvSpec", "TaskSpec", "ArmResult", "MetricsReport"}
+        "MetaState", "MetaTraining", "Environment", "EnvSpec", "TaskSpec", "ArmResult",
+        "MetricsReport"}
 
 
 def _assert_identity(a, b):
@@ -178,6 +183,7 @@ CONFIG_ITEMS = {"dim": "2", "domain_radius": "1.0", "similarity_v": "0.5",
 VALUE_RECORDS = {
     Ball: lambda: Ball((0.0, 0.0), 1.0),
     PrivacyParams: lambda: PrivacyParams(1.0, 1e-5),
+    Environment: lambda: Environment(Ball((0.0, 0.0), 1.0), (0.0, 0.0), 0.1, 3),
     ExperimentConfig: lambda: build_config(CONFIG_ITEMS),
 }
 

@@ -597,3 +597,9 @@ def test_env_spec_validation():
         quad_env(loss_family="linear")
     with pytest.raises(ValueError):
         quad_env(planted_center=np.full(4, 40.0))  # norm 80 > radius 50
+    bad = [("feature_norm", 0.0), ("feature_norm", math.inf)]
+    bad += [(name, value) for name in ("similarity_v", "curvature", "sample_noise_std")
+            for value in (math.nan, math.inf)]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+            quad_env(**{name: value})
