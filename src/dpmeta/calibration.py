@@ -5,17 +5,15 @@ floats: the privacy target and the noisy-SGD plan it buys (step budget n,
 noise variance sigma^2), the regularity constants of each loss family and
 the smoothness ceiling, the step scales gamma and eta, and the calibration
 record with its overflow checks. All of it lives here, with what config
-and the run path share: Record, the one record base; Ball, the ball domain
-(geometry's ParamDomain is one); and Environment, the task distribution
-with its checks (task_env.EnvSpec is one). So `dpmeta calibrate` loads
-cli, config and this module: no numpy, and neither the standard dataclass
-module nor inspect. Natural logarithms throughout.
+and the run path share: Record, the one record base; Ball, the one ball
+domain, and Environment, the one task distribution, both of Python floats.
+So `dpmeta calibrate` loads cli, config and this module: no numpy, and
+neither the standard dataclass module nor inspect. Natural logarithms.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 LOSS_FAMILIES = ("quadratic", "logistic")
 STEP_SCALE_VARIANTS = ("sqrt_m", "g_sqrt_m")
@@ -56,6 +54,20 @@ def _square(x: float) -> float:
         return x**2
     except OverflowError:
         return math.inf
+
+
+def _finite(name: str, value, strict: bool = True):
+    """value; ValueError unless it is finite and > 0 (>= 0 if not strict)."""
+    if not math.isfinite(value) or (value <= 0 if strict else value < 0):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {value}")
+    return value
+
+
+def _count(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer >= 1."""
+    if int(value) != value or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+    return int(value)
 
 
 class Record:
@@ -108,6 +120,19 @@ class Record:
 
 # ---- the domain and the task environment's scalars
 
+def _listed(x):
+    """x, or an array's or numpy scalar's tolist()."""
+    return x.tolist() if hasattr(x, "tolist") else x
+
+
+def _point(v, name: str) -> tuple:
+    """The 1-D vector v, numbers or an array, as a tuple of Python floats."""
+    try:
+        return tuple(map(float, _listed(v)))
+    except TypeError:
+        raise ValueError(f"{name} must be a 1-D vector of numbers, got {v!r}") from None
+
+
 def ball_reach(center, radius) -> float:
     """How far from center a point of the ball {x : ||x - center|| <=
     radius} may lie: GEOM_RTOL of the radius, plus how far rounding can
@@ -115,8 +140,7 @@ def ball_reach(center, radius) -> float:
     per coordinate, however small the radius. Radius 0 allows no rounding,
     so that ball stays the singleton {center}. ValueError for a radius that
     is not finite and >= 0."""
-    if not math.isfinite(radius) or radius < 0:
-        raise ValueError(f"radius must be finite and >= 0, got {radius}")
+    _finite("radius", radius, strict=False)
     slack = 1e-300
     if radius > 0.0:
         slack += 4.0 * math.sqrt(len(center)) * math.ulp(max(map(abs, center)))
@@ -124,17 +148,21 @@ def ball_reach(center, radius) -> float:
 
 
 class Ball(Record):
-    """A closed Euclidean ball {x : ||x - center|| <= radius}: what config
-    checks points against and calibrate reads, and, with an array center,
-    geometry.ParamDomain. contains, on the center as Python floats, is the
-    one membership rule of config and the run path."""
+    """A closed Euclidean ball {x : ||x - center|| <= radius}, the one domain
+    of config and the run path: its center is a finite tuple of Python floats
+    (an array is read through tolist()), and radius 0 the singleton {center}."""
 
     center: tuple
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "_coords", tuple(map(float, self.center)))
-        object.__setattr__(self, "_reach", ball_reach(self._coords, self.radius))
+        center = _point(self.center, "center")
+        if not center or not all(map(math.isfinite, center)):
+            raise ValueError(f"center must be finite, of dimension >= 1, got {center}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "_reach", ball_reach(center, self.radius))
+        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "_radius_sq", _square(self.radius))
 
     @property
     def dim(self) -> int:
@@ -144,22 +172,35 @@ class Ball(Record):
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def contains(self, point) -> bool:
-        """True when point lies in the ball up to its reach; ValueError when
-        the squared offset overflows."""
-        nsq = 0.0
-        for c, x in zip(self._coords, point, strict=True):
-            nsq += (c - x) * (c - x)
-        if not math.isfinite(nsq):
+    def contains(self, v) -> bool:
+        """True when v, a point or a batch shaped (..., dim) (an array, read
+        through tolist(), or nested sequences), lies in the ball up to its
+        reach, every row of it. Every row is checked: a ragged batch, a row
+        not of dimension dim, and a non-finite row or one whose squared
+        offset overflows raise ValueError wherever they lie."""
+        rows, nsqs = [_listed(v)], []
+        try:
+            while isinstance(_listed(rows[0][0]), (list, tuple)):
+                rows = [_listed(row) for batch in rows for row in batch]
+            for row in rows:
+                nsqs.append(0.0)
+                for c, x in zip(self.center, row, strict=True):
+                    nsqs[-1] += (c - x) * (c - x)
+        except (TypeError, IndexError, ValueError):
+            # an empty array keeps the dimension of its rows in its shape only
+            if getattr(v, "size", None) == 0 and v.shape[-1] == self.dim:
+                return True
+            raise ValueError(f"expected vectors of dimension {self.dim}, got {v!r}") from None
+        if not all(map(math.isfinite, nsqs)):
             raise ValueError("vector has non-finite coordinates or a squared norm "
                              "that overflows")
-        return math.sqrt(nsq) <= self._reach
+        return all([math.sqrt(nsq) <= self._reach for nsq in nsqs])
 
 
 class Environment(Record):
-    """A task distribution on a Ball, with a planted center of Python floats
-    (task_env.EnvSpec holds arrays): task minimizers are the center plus
-    N(0, (V^2/d) I) offsets, V = similarity_v, projected onto the domain, and
+    """A task distribution on a Ball, with a planted center held as a tuple
+    of Python floats: task minimizers are the center plus N(0, (V^2/d) I)
+    offsets, V = similarity_v, projected onto the domain, and
     sample_noise_std scatters quadratic anchors around each. The checks
     raise ValueError naming the first violation."""
 
@@ -174,26 +215,25 @@ class Environment(Record):
 
     def __post_init__(self):
         dom, v, m = self.domain, self.similarity_v, self.samples_per_task
-        if not dom.contains(self.planted_center):
+        center = _point(self.planted_center, "planted_center")
+        if not dom.contains(center):
             raise ValueError("planted_center lies outside the domain")
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"similarity_v must be finite and >= 0, got {v}")
-        if v > dom.radius:
+        if _finite("similarity_v", v, strict=False) > dom.radius:
             raise ValueError(f"similarity_v={v} exceeds the domain radius {dom.radius}; "
                              "the dispersion would be mostly projection")
-        if int(m) != m or m < 1:
-            raise ValueError(f"samples_per_task must be an integer >= 1, got {m}")
+        m = _count("samples_per_task", m)
         if self.loss_family not in LOSS_FAMILIES:
             raise ValueError(
                 f"loss_family must be one of {LOSS_FAMILIES}, got {self.loss_family!r}")
-        if not math.isfinite(self.curvature) or self.curvature <= 0:
-            raise ValueError(f"curvature must be finite and > 0, got {self.curvature}")
-        if not math.isfinite(self.sample_noise_std) or self.sample_noise_std < 0:
-            raise ValueError(
-                f"sample_noise_std must be finite and >= 0, got {self.sample_noise_std}")
-        if not math.isfinite(self.feature_norm) or self.feature_norm <= 0:
-            raise ValueError(f"feature_norm must be finite and > 0, got {self.feature_norm}")
-        object.__setattr__(self, "samples_per_task", int(m))
+        _finite("curvature", self.curvature)
+        _finite("sample_noise_std", self.sample_noise_std, strict=False)
+        _finite("feature_norm", self.feature_norm)
+        object.__setattr__(self, "planted_center", center)
+        object.__setattr__(self, "samples_per_task", m)
+
+    @property
+    def dim(self) -> int:
+        return self.domain.dim
 
 
 # ---- privacy: the task-global Gaussian mechanism
@@ -206,13 +246,10 @@ class PrivacyParams(Record):
     group_size: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        _finite("epsilon", self.epsilon)
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if int(self.group_size) != self.group_size or self.group_size < 1:
-            raise ValueError(f"group_size must be an integer >= 1, got {self.group_size}")
-        object.__setattr__(self, "group_size", int(self.group_size))
+        object.__setattr__(self, "group_size", _count("group_size", self.group_size))
 
 
 class NoisySgdPlan(Record):
@@ -230,16 +267,10 @@ class NoisySgdPlan(Record):
     clip_bound: float
 
     def __post_init__(self):
-        if int(self.steps_n) != self.steps_n or self.steps_n < 1:
-            raise ValueError(f"steps_n must be an integer >= 1, got {self.steps_n}")
-        object.__setattr__(self, "steps_n", int(self.steps_n))
-        if not math.isfinite(self.step_size) or self.step_size <= 0:
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
-        if not math.isfinite(self.noise_variance_sigma_sq) or self.noise_variance_sigma_sq < 0:
-            raise ValueError(
-                f"noise_variance_sigma_sq must be finite and >= 0, got {self.noise_variance_sigma_sq}")
-        if not math.isfinite(self.clip_bound) or self.clip_bound <= 0:
-            raise ValueError(f"clip_bound must be finite and > 0, got {self.clip_bound}")
+        object.__setattr__(self, "steps_n", _count("steps_n", self.steps_n))
+        _finite("step_size", self.step_size)
+        _finite("noise_variance_sigma_sq", self.noise_variance_sigma_sq, strict=False)
+        _finite("clip_bound", self.clip_bound)
 
 
 def step_budget(m: int, privacy: PrivacyParams, dim: int) -> int:
@@ -248,10 +279,8 @@ def step_budget(m: int, privacy: PrivacyParams, dim: int) -> int:
     n = max(1, floor(min(m/8, eps^2 m^2 / (32 d ln(1/delta))))). The first
     branch caps gradient reuse, the second is the Gaussian-mechanism budget.
     """
-    if int(m) != m or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m}")
-    if int(dim) != dim or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim}")
+    _count("m", m)
+    _count("dim", dim)
     sample_cap = m / 8.0
     privacy_cap = (privacy.epsilon**2 * m**2) / (32.0 * dim * math.log(1.0 / privacy.delta))
     return max(1, math.floor(min(sample_cap, privacy_cap)))
@@ -265,33 +294,11 @@ def noise_variance(steps_n: int, m: int, clip_bound: float,
     sigma^2 = 8 n G^2 ln(1/delta) / (m^2 eps^2). clip_bound == 0 is allowed
     and gives 0 (nothing to hide).
     """
-    if int(steps_n) != steps_n or steps_n < 1:
-        raise ValueError(f"steps_n must be an integer >= 1, got {steps_n}")
-    if int(m) != m or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m}")
-    if not math.isfinite(clip_bound) or clip_bound < 0:
-        raise ValueError(f"clip_bound must be finite and >= 0, got {clip_bound}")
+    _count("steps_n", steps_n)
+    _count("m", m)
+    _finite("clip_bound", clip_bound, strict=False)
     return (8.0 * steps_n * clip_bound**2 * math.log(1.0 / privacy.delta)) / (
         m**2 * privacy.epsilon**2)
-
-
-def group_dp(privacy: PrivacyParams) -> tuple[float, float]:
-    """Convert a per-record (epsilon, delta) guarantee to groups of size k.
-
-    Returns (k * eps, k * exp((k-1) * eps) * delta). Warns if the converted
-    delta reaches 1, at which point the guarantee is vacuous.
-    """
-    k = privacy.group_size
-    eps_g = k * privacy.epsilon
-    try:
-        delta_g = k * math.exp((k - 1) * privacy.epsilon) * privacy.delta
-    except OverflowError:
-        delta_g = math.inf
-    if delta_g >= 1.0:
-        warnings.warn(
-            f"group-converted delta is {delta_g:.3g} >= 1; the guarantee is vacuous",
-            RuntimeWarning, stacklevel=2)
-    return eps_g, delta_g
 
 
 def make_plan(m: int, privacy: PrivacyParams, dim: int, clip_bound: float,
@@ -328,9 +335,7 @@ class RegularityProfile(Record):
 
     def __post_init__(self):
         for name in ("lipschitz_g", "smoothness_beta", "growth_alpha"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+            _finite(name, getattr(self, name))
 
 
 def quadratic_regularity(curvature: float, dom) -> RegularityProfile:
@@ -427,8 +432,7 @@ def adaptation_step_size(similarity_v: float, growth_alpha: float,
         raise ValueError(f"similarity_v must be >= 0, got {similarity_v}")
     if growth_alpha <= 0 or lipschitz_g <= 0:
         raise ValueError("growth_alpha and lipschitz_g must be > 0")
-    if int(m) != m or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m}")
+    _count("m", m)
     root_m = math.sqrt(m)
     return (similarity_v + 1.0 / (growth_alpha * root_m)) / (lipschitz_g * root_m)
 
@@ -496,7 +500,7 @@ def _check_step_reach(cfg, G, sigma_sq, step_size, eta):
     standard deviation s per coordinate, a private step's or an anchor's, is
     taken to be at most s * (sqrt(d) + 40) in norm, 40 standard deviations
     past its typical size."""
-    env = cfg.environment
+    env = cfg.env
     dom, quadratic = env.domain, env.loss_family == "quadratic"
     grad_bound = env.curvature * dom.diameter if quadratic else env.feature_norm
     sigmas = math.sqrt(dom.dim) + 40.0
@@ -517,7 +521,7 @@ def _check_step_reach(cfg, G, sigma_sq, step_size, eta):
 def calibrate(cfg) -> CalibrationRecord:
     """Derive all run constants from a config.ExperimentConfig, without
     touching data; only the config's numpy-free fields are read."""
-    env, reg, priv = cfg.environment, cfg.regularity, cfg.privacy
+    env, reg, priv = cfg.env, cfg.regularity, cfg.privacy
     dom, m, G = env.domain, env.samples_per_task, reg.lipschitz_g
     step_scale = _closed_form("step_scale", private_step_scale, G, reg.growth_alpha,
                               dom.dim, m, priv, cfg.step_scale_variant)

@@ -6,13 +6,12 @@ Vector-valued keys take comma-separated floats, held as tuples. Validation
 is collective: a bad config reports every violation at once, not just the
 first. ``KEYS`` is the one place a key is declared: its reader, bounds and
 default. Nothing here imports numpy: a config, its calibration.Environment
-and its calibration are Python floats, and the run path's task_env.EnvSpec
-is built from that environment on first use.
+(on a calibration.Ball) and its calibration are Python values, and the run
+path reads that environment as it is.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 
@@ -118,10 +117,11 @@ KEYS = {
 
 
 class ExperimentConfig(Record):
-    """A validated experiment, built by build_config: the task environment,
-    the budgets and the learner constants, all Python values."""
+    """A validated experiment, built by build_config: the task environment
+    env, which calibrate and the run path read alike, the budgets and the
+    learner constants, all Python values."""
 
-    environment: Environment
+    env: Environment
     regularity: RegularityProfile
     privacy: PrivacyParams
     t_train: int
@@ -134,17 +134,6 @@ class ExperimentConfig(Record):
     mc_eval_samples: int
     output_path: str | None
     raw_items: tuple
-
-    @functools.cached_property
-    def env(self):
-        """The run path's task_env.EnvSpec: the environment with array
-        domain and center, built on first access, so that only a run imports
-        numpy. Its checks are the environment's, so it is always valid."""
-        from .geometry import ParamDomain
-        from .task_env import EnvSpec
-        env = self.environment
-        return EnvSpec(ParamDomain(env.domain.center, env.domain.radius),
-                       *[getattr(env, n) for n in env.fields[1:]])
 
 
 def parse_config_text(text: str) -> dict:
@@ -271,6 +260,6 @@ def build_config(items: dict) -> ExperimentConfig:
 
     # every field named after a key takes that key's value
     return ExperimentConfig(
-        environment=environment, regularity=regularity, privacy=privacy,
+        env=environment, regularity=regularity, privacy=privacy,
         raw_items=tuple(sorted(items.items())),
         **{n: v[n] for n in ExperimentConfig.fields if n in KEYS})

@@ -16,9 +16,10 @@ rounding rule for skipping them, whether a row that exact arithmetic keeps
 within a norm can still be rescaled once a run of steps' rounding is
 counted; coordinate_top is the center's part of its coordinate scale.
 Geometric identities hold to 1e-12 relative tolerance, because of float
-rounding. ParamDomain is calibration.Ball with an array center, so ball
-membership is the Ball's one rule, which config checks points with too: it
-allows the few ulps by which center + offset rounds. All is deterministic.
+rounding. The domain is calibration.Ball, whose center is a tuple of
+Python floats, the one domain of config and the run path: its membership
+rule allows the few ulps by which center + offset rounds. All is
+deterministic.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import math
 import numpy as np
 
 from .calibration import Ball, _square
+
+ParamDomain = Ball  # the domain's earlier run-path name
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -63,27 +66,6 @@ def as_batch(x, dim):
     return v
 
 
-class ParamDomain(Ball):
-    """calibration.Ball with a 1-D float64 array center: dim, diameter,
-    reach and membership are the Ball's. radius == 0 is legal and denotes
-    the singleton {center}."""
-
-    center: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
-        super().__post_init__()
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "_radius_sq", _square(self.radius))
-
-    def contains(self, v) -> bool:
-        """True when v, or every vector of a batch shaped (..., dim), lies in
-        the ball: Ball.contains, row by row. Every row is checked, so a
-        non-finite or overflowing one raises ValueError wherever it lies."""
-        rows = _vectors(v, self.dim).reshape(-1, self.dim).tolist()
-        return all([Ball.contains(self, row) for row in rows])
-
-
 def _finite_top(nsq) -> float:
     """The largest of the squared norms nsq, which doubles as the finiteness
     check: a non-finite row, or one whose squared norm overflows, makes it
@@ -116,10 +98,11 @@ _NONE, _SOME, _ALL = range(3)
 class RowScratch:
     """Buffers for the in-place clip and project of batches shaped
     (..., dim), to reuse across calls of one shape: intermediate vectors, the
-    center on every row (refilled when a call brings another center array),
-    the squared norms, and the rows' rescale factors and over-bound mask, by
-    the learners' same-shape rule full-shape up to _FEW_ROWS rows (filled
-    through one view per row), past that (..., 1) columns."""
+    center on every row (filled from center_of, a domain's tuple center,
+    when a call brings another tuple), the squared norms, and the rows'
+    rescale factors and over-bound mask, by the learners' same-shape rule
+    full-shape up to _FEW_ROWS rows (filled through one view per row), past
+    that (..., 1) columns."""
 
     def __init__(self, shape):
         self.vectors, self.center, self.center_of = np.empty(shape), np.empty(shape), None
@@ -170,7 +153,7 @@ def _row_scales(x, limit, limit_sq, scratch: RowScratch) -> int:
     return found
 
 
-def project_in_place(v, dom: ParamDomain, scratch: RowScratch) -> bool:
+def project_in_place(v, dom: Ball, scratch: RowScratch) -> bool:
     """Euclidean projection onto the ball, in place: each row of v, a float64
     array shaped like scratch's buffers, whose squared offset from the
     center exceeds radius**2 becomes center + offset * (radius / ||offset||);
@@ -233,7 +216,7 @@ def never_rescaled(norm: float, bound: float, scale: float, dim: int,
 def coordinate_top(center) -> float:
     """The largest magnitude of a coordinate of center, the part of
     never_rescaled's scale that a ball's center contributes."""
-    return float(np.maximum.reduce(np.abs(center), axis=None))
+    return max(map(abs, center))
 
 
 def dist_sq(a, b):

@@ -43,10 +43,10 @@ import math
 import numpy as np
 
 # the step scales are closed forms, kept in calibration
-from .calibration import (NoisySgdPlan, Record, adaptation_step_size,  # noqa: F401
-                          private_step_scale)
-from .geometry import (ParamDomain, RowScratch, clip_norm_in_place,
-                       coordinate_top, never_rescaled, project_in_place)
+from .calibration import (Ball, NoisySgdPlan, Record,  # noqa: F401
+                          adaptation_step_size, private_step_scale)
+from .geometry import (RowScratch, clip_norm_in_place, coordinate_top,
+                       never_rescaled, project_in_place)
 from .losses import TaskSamples
 from .privacy import sample_step_noise
 
@@ -76,16 +76,19 @@ class LearnerOutput(Record):
 
 class StepWorkspace:
     """The loop's iterate, gradient and geometry's RowScratch, for iterates
-    shaped (*problems, d): a caller may pass one to many noisy_sgd_steps
-    calls of one shape; each call overwrites all of it."""
+    shaped (*problems, d) on the domain dom: a caller may pass one to many
+    noisy_sgd_steps calls of one shape; each call overwrites all of it but
+    the scratch's center, which is dom's, converted from its tuple here, so
+    that no step converts it."""
 
-    def __init__(self, shape):
+    def __init__(self, shape, dom: Ball):
         self.theta = np.empty(shape)
         self.grad = np.empty(shape)
         self.scratch = RowScratch(shape)
+        self.scratch.center[...] = self.scratch.center_of = dom.center
 
 
-def _start(samples: TaskSamples, init, dom: ParamDomain) -> tuple[TaskSamples, StepWorkspace]:
+def _start(samples: TaskSamples, init, dom: Ball) -> tuple[TaskSamples, StepWorkspace]:
     """The samples, as a view with the iterates' batch shape where that only
     adds leading size-1 axes, and a fresh workspace whose iterate holds
     init, after checking the samples' dimension and that init lies in the
@@ -98,12 +101,12 @@ def _start(samples: TaskSamples, init, dom: ParamDomain) -> tuple[TaskSamples, S
     problems = np.broadcast_shapes(np.shape(init)[:-1], batch)
     if len(problems) > len(batch) and math.prod(problems) == math.prod(batch):
         samples = samples.take((slice(None),) + (None,) * (len(problems) - len(batch)))
-    work = StepWorkspace(problems + (samples.dim,))
+    work = StepWorkspace(problems + (samples.dim,), dom)
     work.theta[...] = init
     return samples, work
 
 
-def idle_calls(samples: TaskSamples, starts, step_size: float, dom: ParamDomain,
+def idle_calls(samples: TaskSamples, starts, step_size: float, dom: Ball,
                clip_bound: float | None = None, noise=None,
                steps: int | None = None) -> tuple[bool, bool]:
     """(interior, clip_idle) for a pass that steps from the rows of starts
@@ -177,14 +180,14 @@ def idle_calls(samples: TaskSamples, starts, step_size: float, dom: ParamDomain,
     else:
         feature = math.sqrt(np.maximum.reduce(np.vecdot(points, points), axis=None))
         # hypot: a center far from the origin need not have a finite square
-        margin = feature * (math.hypot(*center.tolist()) + reach)
+        margin = feature * (math.hypot(*center) + reach)
         norm = feature / (1.0 + math.exp(-margin))
         scale = feature * (1.0 + margin)
     return False, never_rescaled(norm, clip_bound, scale, dim, ops)
 
 
 def _projected_steps(seq: TaskSamples, work: StepWorkspace, total, step_size: float,
-                     dom: ParamDomain, clip_bound: float | None = None, noise=None,
+                     dom: Ball, clip_bound: float | None = None, noise=None,
                      final_step: bool = True, interior: bool = False, task=None) -> None:
     """Visit one iterate per sample of seq, in order, from the iterate in
     work, stepping from each; write the average of the visited iterates into
@@ -226,7 +229,7 @@ def _projected_steps(seq: TaskSamples, work: StepWorkspace, total, step_size: fl
 
 
 def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
-            dom: ParamDomain) -> LearnerOutput:
+            dom: Ball) -> LearnerOutput:
     """Projected online gradient descent over the samples in their given order.
 
     Visits theta_1 = init, takes one gradient step per sample, projects after
@@ -243,7 +246,7 @@ def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
     return LearnerOutput(averaged_iterate=average, final_iterate=work.theta)
 
 
-def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan, dom: ParamDomain,
+def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan, dom: Ball,
                     noise, work: StepWorkspace, out, interior: bool = False,
                     clip_idle: bool = False, task: int | None = None):
     """Noisy projected SGD on visits (steps_n, *batch, d) and noise
@@ -265,7 +268,7 @@ def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan, dom: ParamDom
 
 
 def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan,
-                  dom: ParamDomain, rng: np.random.Generator,
+                  dom: Ball, rng: np.random.Generator,
                   index_sequence=None) -> LearnerOutput:
     """Noisy projected SGD on one task: the private within-task learner.
 

@@ -24,9 +24,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import learners
-from .calibration import NoisySgdPlan, Record
+from .calibration import Environment, NoisySgdPlan, Record
 from .geometry import as_vector, dist_sq
-from .task_env import EnvSpec, draw_tasks, substreams
+from .task_env import draw_tasks, substreams
 
 
 class MetaState(Record):
@@ -104,7 +104,7 @@ class MetaTraining(Record):
     theta_stars: np.ndarray
 
 
-def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan],
+def run_meta_training(env: Environment, num_tasks: int, plans: Sequence[NoisySgdPlan],
                       phi_init, master_seed: int) -> MetaTraining:
     """Train one meta-initialization per plan over num_tasks environment draws.
 
@@ -185,7 +185,7 @@ def run_meta_training(env: EnvSpec, num_tasks: int, plans: Sequence[NoisySgdPlan
     phis[0] = phi_init
     bars = np.empty((num_tasks, arms, dim))
     share = np.empty((arms, dim))
-    work = learners.StepWorkspace((arms, dim))
+    work = learners.StepWorkspace((arms, dim), domain)
     for t in range(num_tasks):
         # every arm's phi_t on task t's rows of the pass: inits (arms, d),
         # one problem per arm, averaged straight into bars[t]

@@ -4,17 +4,20 @@ Calibration is exact and closed-form, and lives in dpmeta.calibration: the
 number of noisy steps a task may take and the per-coordinate noise variance
 those steps need follow directly from (epsilon, delta), the per-task sample
 count m, the dimension, and the gradient clip bound. This module draws the
-noise; it also offers the privacy names of calibration to the run path.
+noise and converts a guarantee to groups (group_dp, which no run calls, so
+it stays off the numpy-free `dpmeta calibrate` path); it also offers the
+privacy names of calibration to the run path.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
-from .calibration import (NoisySgdPlan, PrivacyParams, group_dp,  # noqa: F401
-                          make_plan, noise_variance, step_budget)
+from .calibration import (NoisySgdPlan, PrivacyParams, make_plan,  # noqa: F401
+                          noise_variance, step_budget)
 
 
 def sample_step_noise(rng: np.random.Generator, dim: int, sigma_sq: float,
@@ -33,3 +36,22 @@ def sample_step_noise(rng: np.random.Generator, dim: int, sigma_sq: float,
     if sigma_sq == 0.0:
         return np.zeros(shape)
     return rng.normal(0.0, math.sqrt(sigma_sq), size=shape)
+
+
+def group_dp(privacy: PrivacyParams) -> tuple[float, float]:
+    """Convert a per-record (epsilon, delta) guarantee to groups of size k.
+
+    Returns (k * eps, k * exp((k-1) * eps) * delta). Warns if the converted
+    delta reaches 1, at which point the guarantee is vacuous.
+    """
+    k = privacy.group_size
+    eps_g = k * privacy.epsilon
+    try:
+        delta_g = k * math.exp((k - 1) * privacy.epsilon) * privacy.delta
+    except OverflowError:
+        delta_g = math.inf
+    if delta_g >= 1.0:
+        warnings.warn(
+            f"group-converted delta is {delta_g:.3g} >= 1; the guarantee is vacuous",
+            RuntimeWarning, stacklevel=2)
+    return eps_g, delta_g

@@ -7,18 +7,18 @@ around the minimizer and come back as arrays (losses.TaskSamples): quadratic
 anchors, or logistic features plus labels. Everything is driven by named
 substreams of a single master seed, so any piece of a run can be regenerated
 independently. A pass's streams are seeded in one batch (substreams),
-bit-identical to separate substream calls. The distribution, EnvSpec, is
-calibration.Environment with arrays. A task is only its minimizer;
-the sample model is the environment's. A quadratic task draws anchor rows
-only up to the last one its pass keeps; the per-task loop only draws the
-offsets into the pass's step-major block. The shift by the minimizers and
-each task's reach are whole-pass array operations, and only the tasks whose
-anchors geometry.never_rescaled does not certify inside the ball are
-projected, since elsewhere that projection could move no row. Risk is
-scored for a sequence of tasks at once, in one call for either family:
-quadratic tasks in closed form, logistic tasks with the label integrated
-out exactly, over one feature sample that every task and every scored
-point share.
+bit-identical to separate substream calls. The distribution is the
+config's calibration.Environment, whose planted center and domain center
+are tuples of Python floats. A task is only its minimizer; the sample model
+is the environment's. A quadratic task draws anchor rows only up to the
+last one its pass keeps; the per-task loop only draws the offsets into the
+pass's step-major block. The shift by the minimizers and each task's reach
+are whole-pass array operations, and only the tasks whose anchors
+geometry.never_rescaled does not certify inside the ball are projected,
+since elsewhere that projection could move no row. Risk is scored for a
+sequence of tasks at once, in one call for either family: quadratic tasks
+in closed form, logistic tasks with the label integrated out exactly, over
+one feature sample that every task and every scored point share.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ import zlib
 import numpy as np
 
 from .calibration import Environment, Record
-from .geometry import (ParamDomain, RowScratch, as_batch, as_vector,
-                       coordinate_top, dist_sq, never_rescaled, project_in_place)
+from .geometry import (RowScratch, as_batch, coordinate_top, dist_sq,
+                       never_rescaled, project_in_place)
 from .losses import (ExcessWorkspace, TaskSamples, logistic_excess,
                      quadratic_value, sigmoid)
+
+EnvSpec = Environment  # the distribution's earlier run-path name
 
 _SEED_MASK = (1 << 64) - 1
 _WORD_MASK = (1 << 32) - 1
@@ -176,24 +178,6 @@ def substreams(master_seed: int, *tags, count: int):
         yield np.random.Generator(np.random.PCG64(_SeedState(words)))
 
 
-class EnvSpec(Environment):
-    """calibration.Environment with a geometry.ParamDomain and a 1-D float64
-    array planted center: the fields, defaults and checks are the
-    Environment's, the ones config makes."""
-
-    domain: ParamDomain
-    planted_center: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "planted_center",
-                           as_vector(self.planted_center, self.domain.dim))
-        super().__post_init__()
-
-    @property
-    def dim(self) -> int:
-        return self.domain.dim
-
-
 class TaskSpec(Record):
     """One drawn task: its population minimizer. The sample model is the
     environment's. Not serialized; regenerate from the seed."""
@@ -201,7 +185,7 @@ class TaskSpec(Record):
     theta_star: np.ndarray
 
 
-def sample_task(spec: EnvSpec, rng: np.random.Generator) -> TaskSpec:
+def sample_task(spec: Environment, rng: np.random.Generator) -> TaskSpec:
     """Draw a task minimizer: center + z, z ~ N(0, (V^2/d) I), projected
     onto the domain.
 
@@ -211,7 +195,7 @@ def sample_task(spec: EnvSpec, rng: np.random.Generator) -> TaskSpec:
     return TaskSpec(theta_star=_draw_minimizers(spec, (rng,))[0])
 
 
-def _draw_minimizers(spec: EnvSpec, rngs) -> np.ndarray:
+def _draw_minimizers(spec: Environment, rngs) -> np.ndarray:
     """One minimizer per generator, shaped (tasks, d), projected in place."""
     z = np.array([rng.normal(0.0, 1.0, size=spec.dim) for rng in rngs])
     scale = spec.similarity_v / math.sqrt(spec.dim)
@@ -220,7 +204,7 @@ def _draw_minimizers(spec: EnvSpec, rngs) -> np.ndarray:
     return stars
 
 
-def _sphere_features(spec: EnvSpec, count: int, rng: np.random.Generator):
+def _sphere_features(spec: Environment, count: int, rng: np.random.Generator):
     """count features (count, d) uniform on the sphere of radius
     feature_norm."""
     features = rng.standard_normal((count, spec.dim))
@@ -232,7 +216,7 @@ def _sphere_features(spec: EnvSpec, count: int, rng: np.random.Generator):
     return features
 
 
-def _logistic_draw(spec: EnvSpec, theta_star, count: int, rng: np.random.Generator):
+def _logistic_draw(spec: Environment, theta_star, count: int, rng: np.random.Generator):
     """count features uniform on the sphere of radius feature_norm, with
     labels in {-1.0, +1.0} drawn from the logistic model at theta_star."""
     features = _sphere_features(spec, count, rng)
@@ -240,7 +224,7 @@ def _logistic_draw(spec: EnvSpec, theta_star, count: int, rng: np.random.Generat
     return features, labels
 
 
-def generate_losses(task: TaskSpec, spec: EnvSpec,
+def generate_losses(task: TaskSpec, spec: Environment,
                     rng: np.random.Generator) -> TaskSamples:
     """Draw the task's m samples as arrays, from the environment's sample
     model around the task's minimizer.
@@ -256,7 +240,7 @@ def generate_losses(task: TaskSpec, spec: EnvSpec,
     return batch.take((slice(None), 0))
 
 
-def _draw_samples(spec: EnvSpec, theta_stars, rngs, keep) -> TaskSamples:
+def _draw_samples(spec: Environment, theta_stars, rngs, keep) -> TaskSamples:
     """draw_tasks' samples, validated once. rngs is iterated only when the
     sample model draws, so a noise-free quadratic pass creates no generator."""
     m, dim = spec.samples_per_task, spec.dim
@@ -310,7 +294,7 @@ def _draw_samples(spec: EnvSpec, theta_stars, rngs, keep) -> TaskSamples:
     return TaskSamples(points, curvature=spec.curvature)
 
 
-def draw_tasks(spec: EnvSpec, task_rngs, sample_rngs, keep):
+def draw_tasks(spec: Environment, task_rngs, sample_rngs, keep):
     """Draw a pass of tasks: the minimizers (tasks, d), one per generator of
     task_rngs, and their samples as one step-major TaskSamples (k, tasks, d),
     task t's from the t-th generator of sample_rngs. keep is None, which
@@ -330,7 +314,7 @@ def draw_tasks(spec: EnvSpec, task_rngs, sample_rngs, keep):
     return theta_stars, _draw_samples(spec, theta_stars, sample_rngs, keep)
 
 
-def population_risk_gap(spec: EnvSpec, theta_stars, theta,
+def population_risk_gap(spec: Environment, theta_stars, theta,
                         mc_samples: int | None = None,
                         rng: np.random.Generator | None = None):
     """Population excess risk of theta, shaped (..., tasks, d), on tasks of

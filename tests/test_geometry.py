@@ -1,13 +1,13 @@
 from fractions import Fraction
 import math
+import re
 import warnings
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from dpmeta.calibration import Ball, ball_reach, format_value
-from dpmeta.config import build_config
+from dpmeta.calibration import Ball, ball_reach
 from dpmeta.geometry import (_FEW_ROWS, ParamDomain, RowScratch, as_vector,
                              clip_norm_in_place, dist_sq, never_rescaled,
                              project_in_place)
@@ -344,7 +344,7 @@ def _rows_around(rng, center, radius, kinds):
     plus or minus radius along an axis, exactly on the sphere for a zero
     center), "outside" it, or "zero", the center with some coordinates
     replaced by -0.0."""
-    dim = center.size
+    dim = len(center)
     rows = np.empty((len(kinds), dim))
     for row, kind in zip(rows, kinds):
         offset = rng.normal(size=dim)
@@ -521,28 +521,67 @@ def test_invalid_inputs():
             _project_copy([[0.5, 0.0], [1e200, 0.0]], dom)
         with pytest.raises(ValueError):
             _clip_copy([[0.5, 0.0], [1e200, 0.0]], 1.0)
+    # the tuples Ball takes: a center that is non-finite, empty or not 1-D,
+    # and points and batches whose rows are not of the ball's dimension
+    for center, message in [((math.nan, 0.0), "center must be finite, of dimension >= 1"),
+                            ((), "center must be finite, of dimension >= 1"),
+                            (((0.0, 0.0),), "center must be a 1-D vector of numbers")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, got "):
+            Ball(center, 1.0)
+    ball = Ball((0.0, 0.0), 1.0)
+    for v in [(0.0,), ((0.0, 0.0), (0.0,)), [[(0.0, 0.0, 0.0)]], (), 0.0]:
+        with pytest.raises(ValueError, match="^expected vectors of dimension 2, got "):
+            ball.contains(v)
+    with pytest.raises(ValueError, match="^vector has non-finite coordinates"):
+        ball.contains(((0.0, 0.0), (math.inf, 0.0)))
 
 
 _COORDS = st.sampled_from([0.0, 1.0, -3.5, 1e8, -7e12, 2.5e15]) | st.floats(-1e16, 1e16)
 
 
-@settings(max_examples=200, deadline=None)
-@given(dim=st.integers(1, 10), data=st.data(),
-       radius=st.sampled_from([0.0, 1e-9]) | st.floats(1e-12, 1e6))
-def test_config_and_param_domain_agree_on_membership(dim, data, radius):
-    # config decides ball membership on Python floats (calibration.Ball,
-    # which build_config checks phi_init and planted_center with), the run
-    # path with ParamDomain.contains; both must give one answer, so a config
-    # that validates never fails on the run path. Along a ray from the
-    # center, bisection finds where the config's answer flips, at about the
-    # reach radius * (1 + GEOM_RTOL) + slack; the points a few ulps of the
-    # ray's length either side of it are checked, around centers whose large
-    # coordinates make the rounding slack matter
+# coordinates no ball row may hold: non-finite, or whose square overflows
+_ODD = st.sampled_from([math.inf, -math.inf, math.nan, 1e200, -3e180])
+
+
+def _array_rule_contains(ball, v):
+    """Ball membership as the run path once decided it on arrays, the
+    reference: the rows of np.asarray(v, float) shaped (..., dim), each by
+    the per-point rule on Python floats, every row checked."""
+    rows = np.asarray(v, dtype=np.float64)
+    if rows.ndim == 0 or rows.shape[-1] != ball.dim:
+        raise ValueError(f"expected vectors of dimension {ball.dim}, got shape {rows.shape}")
+    reach, verdicts = ball_reach(ball.center, ball.radius), []
+    for row in rows.reshape(-1, ball.dim).tolist():
+        nsq = 0.0
+        for c, x in zip(ball.center, row, strict=True):
+            nsq += (c - x) * (c - x)
+        if not math.isfinite(nsq):
+            raise ValueError("vector has non-finite coordinates or a squared norm "
+                             "that overflows")
+        verdicts.append(math.sqrt(nsq) <= reach)
+    return all(verdicts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 6), data=st.data(),
+       radius=st.sampled_from([0.0, 1e-9]) | st.floats(1e-12, 1e6),
+       form=st.sampled_from(["vector", "rows", "array", "nested"]))
+def test_ball_contains_equals_the_array_rule(dim, data, radius, form):
+    # Ball.contains reads a point or a batch as Python floats, the one
+    # membership rule of config and the run path; it must give the verdict
+    # of the array rule, or raise ValueError where that does, on a vector,
+    # a list of rows, an array shaped (..., d) with 0 to 3 leading axes, or
+    # that array's nested lists. Rows are points a few ulps either side of
+    # where membership flips along a ray from the center (found by
+    # bisection, at about radius * (1 + GEOM_RTOL) + slack), around centers
+    # whose large coordinates make the rounding slack matter, or any
+    # coordinates, non-finite or overflowing ones included; their last axis
+    # is d or not
     center = data.draw(st.lists(_COORDS, min_size=dim, max_size=dim))
     direction = data.draw(st.lists(st.integers(-1000, 1000), min_size=dim, max_size=dim))
     if not any(direction):
         direction[0] = 1
-    ball, dom = Ball(tuple(center), radius), ParamDomain(np.array(center), radius)
+    ball = Ball(tuple(center), radius)
 
     def at(t):
         return [c + u * t for c, u in zip(center, direction)]
@@ -553,30 +592,27 @@ def test_config_and_param_domain_agree_on_membership(dim, data, radius):
     ts = [lo]
     for _ in range(4):
         ts = [math.nextafter(ts[0], 0.0)] + ts + [math.nextafter(ts[-1], math.inf)]
-    for t in ts:
-        point = at(t)
-        inside = dom.contains(np.array(point))
-        assert ball.contains(point) == inside
-        if radius > 0:
-            items = {"dim": str(dim), "domain_radius": format_value(radius),
-                     "domain_center": ",".join(map(format_value, center)),
-                     "phi_init": ",".join(map(format_value, point)),
-                     "similarity_v": "0", "samples_per_task": "10", "t_train": "1",
-                     "epsilon": "1", "delta": "0.1", "master_seed": "1"}
-            try:
-                build_config(items)
-                accepted = True
-            except ValueError as exc:
-                assert exc.violations == ["phi_init lies outside the domain"]
-                accepted = False
-            assert accepted == inside
-    # the batch form holds exactly when every point of the batch is inside:
-    # the points straddling the flip, and those of them the ball contains
-    points = [at(t) for t in ts]
-    assert dom.contains(np.array(points)) == all(ball.contains(p) for p in points)
-    kept = [p for p in points if ball.contains(p)]
-    if kept:
-        assert dom.contains(np.array(kept).reshape(len(kept), 1, dim))
+    width = data.draw(st.sampled_from([dim, dim, dim + 1, max(dim - 1, 1)]))
+    rows = st.lists(_COORDS | _ODD, min_size=width, max_size=width)
+    if width == dim:
+        rows = st.sampled_from([at(t) for t in ts]) | rows
+    if form == "vector":
+        v = tuple(data.draw(rows))
+    elif form == "rows":
+        v = data.draw(st.lists(rows, min_size=1, max_size=5))
+    else:
+        lead = data.draw(st.lists(st.integers(0, 3), max_size=3))
+        count = math.prod(lead)
+        v = np.array(data.draw(st.lists(rows, min_size=count, max_size=count)),
+                     dtype=np.float64).reshape(*lead, width)
+        v = v.tolist() if form == "nested" else v
+    try:
+        inside = _array_rule_contains(ball, v)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ball.contains(v)
+    else:
+        assert ball.contains(v) == inside
 
 
 def test_as_vector_copies():

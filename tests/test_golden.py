@@ -145,7 +145,7 @@ def test_off_center_case_clips_and_projects_on_one_arm(monkeypatch):
     monkeypatch.setattr(dpmeta.learners, "clip_norm_in_place", spy_clip)
     monkeypatch.setattr(dpmeta.learners, "project_in_place", spy_project)
     cfg = build_config(OFF_CENTER_ITEMS)
-    assert cfg.env.curvature == 0.5 and cfg.env.domain.center.any()
+    assert cfg.env.curvature == 0.5 and any(cfg.env.domain.center)
     report = run_experiment(cfg)
     assert list(report.arms) == ["meta"]
     for calls in acted.values():

@@ -173,7 +173,8 @@ def test_config_reports_an_overflowing_offset(tmp_path, capsys):
 def test_config_and_env_spec_reject_an_environment_alike(key, text, value):
     # the two environment checks a config reaches past its KEYS readers,
     # which reject every other bad environment value first: config reports
-    # the text the run path's EnvSpec raises for the same values (radius 2)
+    # the text its Environment, which the run path reads, raises for the
+    # same values (radius 2)
     with pytest.raises(ConfigError) as exc:
         make_cfg(**{key: text})
     with pytest.raises(ValueError) as spec_exc:

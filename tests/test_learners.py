@@ -25,7 +25,7 @@ def _stepped(visits, init, plan, dom, noise, shape, **flags) -> LearnerOutput:
     """noisy_sgd_steps in a fresh workspace of iterates shaped shape: the
     average it wrote and returned, and the theta_n it left in the
     workspace."""
-    work = StepWorkspace(shape)
+    work = StepWorkspace(shape, dom)
     average = noisy_sgd_steps(visits, init, plan, dom, noise, work, np.empty(shape),
                               **flags)
     return LearnerOutput(averaged_iterate=average, final_iterate=work.theta)
@@ -270,7 +270,7 @@ def test_reused_step_workspace_equals_fresh(seed, family, arms, dim, steps):
         init = dom.center + 0.4 * rng.uniform(-1, 1, size=(arms, dim)) / math.sqrt(dim)
         return visits, init, rng.normal(scale=0.5, size=(steps, arms, dim))
 
-    work, out = StepWorkspace((arms, dim)), np.empty((arms, dim))
+    work, out = StepWorkspace((arms, dim), dom), np.empty((arms, dim))
     for _ in range(2):
         other, other_init, other_noise = task()
         noisy_sgd_steps(other, other_init, plan, dom, other_noise, work, out)

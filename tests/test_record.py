@@ -73,10 +73,8 @@ def test_fields_are_the_annotated_names_bases_first():
     assert Point.fields == tuple(f.name for f in dataclasses.fields(Twin))
     assert Point.fields == ("a", "b", "label", "note")
     assert Base.fields == ("a", "b")
-    # EnvSpec re-declares domain and planted_center with array types: they
-    # keep their places, which positional EnvSpec(...) calls and
-    # ExperimentConfig.env rely on
-    assert EnvSpec.fields == Environment.fields
+    # the run path's earlier names for the one domain and environment record
+    assert ParamDomain is Ball and EnvSpec is Environment
 
 
 @given(values)
@@ -148,9 +146,8 @@ def test_every_record_compares_and_hashes_by_identity():
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
     assert {cls.__name__ for cls in found} >= {
         "Ball", "PrivacyParams", "NoisySgdPlan", "RegularityProfile", "CalibrationRecord",
-        "ExperimentConfig", "ParamDomain", "TaskSamples", "OgdConfig", "LearnerOutput",
-        "MetaState", "MetaTraining", "Environment", "EnvSpec", "TaskSpec", "ArmResult",
-        "MetricsReport"}
+        "ExperimentConfig", "TaskSamples", "OgdConfig", "LearnerOutput", "MetaState",
+        "MetaTraining", "Environment", "TaskSpec", "ArmResult", "MetricsReport"}
 
 
 def _assert_identity(a, b):
@@ -159,21 +156,25 @@ def _assert_identity(a, b):
     assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
+# name -> (class, construction from arrays); the run path builds
+# ParamDomain and EnvSpec (Ball and Environment) from arrays, read as tuples
 ARRAY_RECORDS = {
-    ParamDomain: lambda: ParamDomain(np.zeros(2), 1.0),
-    EnvSpec: lambda: EnvSpec(ParamDomain(np.zeros(2), 1.0), np.zeros(2), 0.1, 3),
-    TaskSamples: lambda: TaskSamples(np.ones((1, 2)), curvature=1.0),
-    TaskSpec: lambda: TaskSpec(np.zeros(2)),
-    LearnerOutput: lambda: LearnerOutput(np.zeros(2), np.zeros(2)),
-    MetaState: lambda: MetaState(np.zeros(2), 0, np.zeros(2)),
-    MetaTraining: lambda: MetaTraining(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 2))),
+    "EnvSpec": (EnvSpec, lambda: EnvSpec(ParamDomain(np.zeros(2), 1.0), np.zeros(2), 0.1, 3)),
+    "LearnerOutput": (LearnerOutput, lambda: LearnerOutput(np.zeros(2), np.zeros(2))),
+    "MetaState": (MetaState, lambda: MetaState(np.zeros(2), 0, np.zeros(2))),
+    "MetaTraining": (MetaTraining, lambda: MetaTraining(
+        np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 2)))),
+    "ParamDomain": (ParamDomain, lambda: ParamDomain(np.zeros(2), 1.0)),
+    "TaskSamples": (TaskSamples, lambda: TaskSamples(np.ones((1, 2)), curvature=1.0)),
+    "TaskSpec": (TaskSpec, lambda: TaskSpec(np.zeros(2))),
 }
 
 
-@pytest.mark.parametrize("cls", ARRAY_RECORDS, ids=lambda cls: cls.__name__)
-def test_records_holding_arrays_compare_and_hash_by_identity(cls):
-    a, b = ARRAY_RECORDS[cls](), ARRAY_RECORDS[cls]()
-    assert type(a) is cls
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_records_holding_arrays_compare_and_hash_by_identity(name):
+    cls, build = ARRAY_RECORDS[name]
+    a, b = build(), build()
+    assert type(a) is cls and type(b) is cls and repr(a) == repr(b)
     _assert_identity(a, b)
 
 

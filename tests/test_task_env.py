@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dpmeta import task_env
+from dpmeta.calibration import Ball, Environment
 from dpmeta.geometry import ParamDomain, dist_sq
 from dpmeta.losses import logistic_excess
 from dpmeta.task_env import (EnvSpec, derive_seed, draw_tasks,
@@ -603,3 +604,14 @@ def test_env_spec_validation():
     for name, value in bad:
         with pytest.raises(ValueError, match=f"^{name} must be finite and "):
             quad_env(**{name: value})
+    # tuple planted centers, as config passes them: of the wrong dimension,
+    # not 1-D, non-finite, or on a domain with a tuple center
+    for center in [(0.0, 0.0, 0.0), (0.0,) * 5]:
+        with pytest.raises(ValueError, match="^expected vectors of dimension 4, got "):
+            quad_env(planted_center=center)
+    with pytest.raises(ValueError, match="^planted_center must be a 1-D vector of numbers"):
+        quad_env(planted_center=((0.0,) * 4,))
+    with pytest.raises(ValueError, match="^vector has non-finite coordinates"):
+        quad_env(planted_center=(math.nan, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="^expected vectors of dimension 2, got "):
+        Environment(Ball((0.0, 0.0), 1.0), (0.0, 0.0, 0.0), 0.1, 10)
