@@ -63,10 +63,15 @@ def _finite(name: str, value, strict: bool = True):
     return value
 
 
-def _count(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer >= 1."""
-    if int(value) != value or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+def _count(name: str, value, least: int = 1) -> int:
+    """value as an int; ValueError unless it is an integer >= least (NaN and
+    infinity too). An int is never made a float, so one of any size passes."""
+    try:
+        ok = int(value) == value and value >= least
+    except (OverflowError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
     return int(value)
 
 
@@ -305,10 +310,8 @@ def make_plan(m: int, privacy: PrivacyParams, dim: int, clip_bound: float,
               step_scale: float) -> NoisySgdPlan:
     """Assemble the calibrated plan: n from the step budget, sigma^2 from the
     noise formula, step size step_scale / (G sqrt(n))."""
-    if clip_bound <= 0:
-        raise ValueError(f"clip_bound must be > 0, got {clip_bound}")
-    if step_scale <= 0:
-        raise ValueError(f"step_scale must be > 0, got {step_scale}")
+    _finite("clip_bound", clip_bound)
+    _finite("step_scale", step_scale)
     n = step_budget(m, privacy, dim)
     sigma_sq = noise_variance(n, m, clip_bound, privacy)
     return NoisySgdPlan(
@@ -345,8 +348,7 @@ def quadratic_regularity(curvature: float, dom) -> RegularityProfile:
     Worst-case gradient norm over the ball is c * diameter (parameter at one
     end, anchor at the other); smoothness and growth both equal c.
     """
-    if curvature <= 0:
-        raise ValueError(f"curvature must be > 0, got {curvature}")
+    _finite("curvature", curvature)
     if dom.diameter <= 0:
         raise ValueError("gradient bound degenerates on a zero-radius domain")
     return RegularityProfile(
@@ -362,8 +364,7 @@ def logistic_regularity(feature_norm: float, growth_alpha: float) -> RegularityP
     Gradient norm is at most the feature norm, smoothness at most norm^2 / 4.
     Quadratic growth has no clean closed form here, so the caller supplies it.
     """
-    if feature_norm <= 0:
-        raise ValueError(f"feature_norm must be > 0, got {feature_norm}")
+    _finite("feature_norm", feature_norm)
     return RegularityProfile(
         lipschitz_g=feature_norm,
         smoothness_beta=0.25 * _square(feature_norm),
@@ -381,8 +382,8 @@ def certify_smoothness(profile: RegularityProfile, dom, m: int,
     """
     if dom.diameter <= 0:
         raise ValueError("smoothness certificate needs a positive-diameter domain")
-    if m < 1 or n < 1:
-        raise ValueError(f"m and n must be >= 1, got m={m} n={n}")
+    _count("m", m)
+    _count("n", n)
     bound = smoothness_ceiling(profile.lipschitz_g, dom, m, privacy, n)
     return profile.smoothness_beta <= bound
 
@@ -406,10 +407,10 @@ def private_step_scale(lipschitz_g: float, growth_alpha: float, dim: int, m: int
     1/(G sqrt(m)) under "g_sqrt_m". The scale balances distance-to-optimum
     against noise, so it is deliberately independent of any one task.
     """
-    if lipschitz_g <= 0 or growth_alpha <= 0:
-        raise ValueError("lipschitz_g and growth_alpha must be > 0")
-    if int(m) != m or m < 1 or int(dim) != dim or dim < 1:
-        raise ValueError(f"m and dim must be integers >= 1, got m={m} dim={dim}")
+    _finite("lipschitz_g", lipschitz_g)
+    _finite("growth_alpha", growth_alpha)
+    _count("dim", dim)
+    _count("m", m)
     if variant not in STEP_SCALE_VARIANTS:
         raise ValueError(f"variant must be one of {STEP_SCALE_VARIANTS}, got {variant!r}")
     private_branch = math.sqrt(dim * math.log(1.0 / privacy.delta)) / (privacy.epsilon * m)
@@ -428,10 +429,9 @@ def adaptation_step_size(similarity_v: float, growth_alpha: float,
     Grows with the task dispersion V, so dissimilar environments take larger
     steps and similar ones lean on the initialization.
     """
-    if similarity_v < 0:
-        raise ValueError(f"similarity_v must be >= 0, got {similarity_v}")
-    if growth_alpha <= 0 or lipschitz_g <= 0:
-        raise ValueError("growth_alpha and lipschitz_g must be > 0")
+    _finite("similarity_v", similarity_v, strict=False)
+    _finite("growth_alpha", growth_alpha)
+    _finite("lipschitz_g", lipschitz_g)
     _count("m", m)
     root_m = math.sqrt(m)
     return (similarity_v + 1.0 / (growth_alpha * root_m)) / (lipschitz_g * root_m)

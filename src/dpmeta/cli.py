@@ -12,7 +12,7 @@ one; only the seed in use must lie in [0, 2^64).
 
 `calibrate` imports only this module, config and calibration: no numpy,
 and neither the standard dataclass module nor inspect. The run path's names
-come from harness on first use (__getattr__).
+are looked up in harness at each use (__getattr__).
 """
 
 from __future__ import annotations
@@ -24,20 +24,19 @@ import sys
 from .calibration import InternalInvariantError, calibrate
 from .config import SWEEP_AXES, ConfigError, load_config
 
-# the names main takes from harness, bound as attributes of this module when
-# first looked up
+# the names main takes from harness, looked up there at each use
 _RUN_NAMES = ("run_experiment", "sweep", "write_csv", "write_calibration_sidecar")
 
 
 def __getattr__(name):
-    """Bind a run-path name from harness on first use, so that calibrate
-    never imports harness or numpy. An attribute already set on the module,
-    say by a caller that patched it, is found first and wins."""
+    """A run-path name, looked up in harness at each use and never bound
+    here, so that calibrate never imports harness or numpy and a patch of
+    harness reaches main. An attribute set on this module, say by a caller
+    that patched it, is found first and wins."""
     if name not in _RUN_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import harness
-    value = globals()[name] = getattr(harness, name)
-    return value
+    return getattr(harness, name)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,7 +125,8 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         out = _resolve_out(args, cfg)
-        # looked up on the module at each call, as __getattr__ binds them
+        # looked up on the module at each call: a name set here wins, else
+        # __getattr__ reads harness
         this = sys.modules[__name__]
         if args.command == "run":
             reports = [this.run_experiment(cfg)]

@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 # the step scales are closed forms, kept in calibration
-from .calibration import (Ball, NoisySgdPlan, Record,  # noqa: F401
+from .calibration import (Ball, NoisySgdPlan, Record, _count, _finite,  # noqa: F401
                           adaptation_step_size, private_step_scale)
 from .geometry import (RowScratch, clip_norm_in_place, coordinate_top,
                        never_rescaled, project_in_place)
@@ -58,12 +58,9 @@ class OgdConfig(Record):
     num_steps: int | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.step_size) or self.step_size <= 0:
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        _finite("step_size", self.step_size)
         if self.num_steps is not None:
-            if int(self.num_steps) != self.num_steps or self.num_steps < 1:
-                raise ValueError(f"num_steps must be an integer >= 1, got {self.num_steps}")
-            object.__setattr__(self, "num_steps", int(self.num_steps))
+            object.__setattr__(self, "num_steps", _count("num_steps", self.num_steps))
 
 
 class LearnerOutput(Record):

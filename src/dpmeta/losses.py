@@ -15,13 +15,11 @@ offers them under their old names.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # the regularity constants are closed forms, kept in calibration
-from .calibration import (Record, RegularityProfile, certify_smoothness,  # noqa: F401
-                          logistic_regularity, quadratic_regularity,
+from .calibration import (Record, RegularityProfile, _finite,  # noqa: F401
+                          certify_smoothness, logistic_regularity, quadratic_regularity,
                           smoothness_ceiling)
 from .geometry import as_vector, dist_sq
 
@@ -196,9 +194,7 @@ class TaskSamples(Record):
             raise ValueError(
                 "give exactly one of curvature (quadratic) and labels (logistic)")
         if self.curvature is not None:
-            if not math.isfinite(self.curvature) or self.curvature <= 0:
-                raise ValueError(f"curvature must be finite and > 0, got {self.curvature}")
-            object.__setattr__(self, "curvature", float(self.curvature))
+            object.__setattr__(self, "curvature", float(_finite("curvature", self.curvature)))
             # the gradient's multiplier as a 0-d array, which numpy takes
             # without converting a Python float on every call; None for 1.0,
             # since x * 1.0 is x for every float x
@@ -257,8 +253,7 @@ def finite_diff_check(value, grad, theta, step: float = 1e-6) -> float:
     max_i |g_i - (f(theta + h e_i) - f(theta - h e_i)) / 2h| / max(1, |g_i|).
     """
     theta = as_vector(theta)
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
+    _finite("step", step)
     g = grad(theta)
     worst = 0.0
     for i in range(theta.size):

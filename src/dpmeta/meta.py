@@ -24,7 +24,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import learners
-from .calibration import Environment, NoisySgdPlan, Record
+from .calibration import Environment, NoisySgdPlan, Record, _count
 from .geometry import as_vector, dist_sq
 from .task_env import draw_tasks, substreams
 
@@ -138,9 +138,7 @@ def run_meta_training(env: Environment, num_tasks: int, plans: Sequence[NoisySgd
     alone. No non-private computation runs on the training tasks; only
     theta_bar reaches the meta state. Reruns are bit identical.
     """
-    if int(num_tasks) != num_tasks or num_tasks < 1:
-        raise ValueError(f"num_tasks must be an integer >= 1, got {num_tasks}")
-    num_tasks = int(num_tasks)
+    num_tasks = _count("num_tasks", num_tasks)
     plans = tuple(plans)
     if not plans:
         raise ValueError("need at least one plan")

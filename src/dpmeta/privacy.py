@@ -16,8 +16,8 @@ import warnings
 
 import numpy as np
 
-from .calibration import (NoisySgdPlan, PrivacyParams, make_plan,  # noqa: F401
-                          noise_variance, step_budget)
+from .calibration import (NoisySgdPlan, PrivacyParams, _count, _finite,  # noqa: F401
+                          make_plan, noise_variance, step_budget)
 
 
 def sample_step_noise(rng: np.random.Generator, dim: int, sigma_sq: float,
@@ -28,11 +28,8 @@ def sample_step_noise(rng: np.random.Generator, dim: int, sigma_sq: float,
     consuming randomness, so zero-noise runs match plain SGD bit for bit
     regardless of generator state.
     """
-    if int(dim) != dim or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim}")
-    if not math.isfinite(sigma_sq) or sigma_sq < 0:
-        raise ValueError(f"sigma_sq must be finite and >= 0, got {sigma_sq}")
-    shape = (int(count), dim)
+    shape = (_count("count", count, least=0), _count("dim", dim))
+    _finite("sigma_sq", sigma_sq, strict=False)
     if sigma_sq == 0.0:
         return np.zeros(shape)
     return rng.normal(0.0, math.sqrt(sigma_sq), size=shape)

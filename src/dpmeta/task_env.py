@@ -29,7 +29,7 @@ import zlib
 
 import numpy as np
 
-from .calibration import Environment, Record
+from .calibration import Environment, Record, _count
 from .geometry import (RowScratch, as_batch, coordinate_top, dist_sq,
                        never_rescaled, project_in_place)
 from .losses import (ExcessWorkspace, TaskSamples, logistic_excess,
@@ -161,9 +161,9 @@ def substreams(master_seed: int, *tags, count: int):
     at once, by numpy's SeedSequence arithmetic on uint32 arrays, and each
     next() then builds one generator; nothing runs if none is asked for.
     """
-    if int(count) != count or not 0 <= count <= 1 << 32:
-        raise ValueError(f"count must be an integer in [0, 2**32], got {count}")
-    count = int(count)
+    count = _count("count", count, least=0)
+    if count > 1 << 32:
+        raise ValueError(f"count must be at most 2**32, got {count}")
     # registered here, not at import: numpy.random stays out of a start-up
     # that draws nothing
     from numpy.random.bit_generator import ISeedSequence
@@ -345,11 +345,10 @@ def population_risk_gap(spec: Environment, theta_stars, theta,
         return quadratic_value(thetas, stars, spec.curvature)
     if mc_samples is None or rng is None:
         raise ValueError("logistic risk gaps need mc_samples and an rng")
-    if int(mc_samples) != mc_samples or mc_samples < 2:
-        raise ValueError(f"mc_samples must be an integer >= 2, got {mc_samples}")
+    mc_samples = _count("mc_samples", mc_samples, least=2)
     # the features as columns (d, mc_samples), so that one product per task
     # gives the margins of its minimizer (row 0) and of each of its points
-    columns = np.ascontiguousarray(_sphere_features(spec, int(mc_samples), rng).T)
+    columns = np.ascontiguousarray(_sphere_features(spec, mc_samples, rng).T)
     points = np.moveaxis(thetas, -2, 0).reshape(len(stars), -1, spec.dim)
     gaps = np.empty(points.shape[:2])
     # one workspace for every task: row 0 of rows and of margins is the

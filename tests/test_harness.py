@@ -1006,6 +1006,9 @@ def test_cli_undecodable_config_is_config_error(tmp_path, capsys):
     ({"domain_center": "1e170,0"}, "domain (domain_radius, domain_center)"),
     ({"domain_center": "1e170,0", "loss_family": "logistic", "growth_alpha": "1.0"},
      "domain (domain_radius, domain_center)"),
+    # an int too large for a float is a count all the same: it reaches
+    # calibrate, whose step scale overflows
+    ({"samples_per_task": "1" + "0" * 399}, "step_scale"),
 ])
 def test_cli_overflowing_closed_form_is_config_error(tmp_path, capsys, monkeypatch,
                                                      overrides, constant):
@@ -1017,36 +1020,37 @@ def test_cli_overflowing_closed_form_is_config_error(tmp_path, capsys, monkeypat
     cfg_file = write_cfg_file(tmp_path / "c.txt", **overrides)
     out = tmp_path / "o.csv"
     epsilon = overrides.get("epsilon", BASE_ITEMS["epsilon"])
-    points, runs = [], []  # the sweep's points and the run command's runs
+    calls = []
 
-    def spy(calls):
-        def record(*args, **kwargs):
-            calls.append(args)
-            return run_experiment(*args, **kwargs)
-        return record
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return run_experiment(*args, **kwargs)
 
-    # harness.sweep runs its points through harness.run_experiment
-    monkeypatch.setattr(dpmeta.harness, "run_experiment", spy(points))
-    # the run command calls cli's own binding, which cli.__getattr__ makes on
-    # first use; set in cli's dict (setattr's lookup would bind harness's
-    # patched name), it is unbound again when the test ends
-    monkeypatch.setitem(vars(dpmeta.cli), "run_experiment", spy(runs))
+    # the run command and harness.sweep's points both call
+    # harness.run_experiment: the run command's once, which refuses the
+    # config, unless loading already refused it, and the sweep's never
+    try:
+        load_config(cfg_file)
+        runs = 1
+    except ConfigError:
+        runs = 0
+    monkeypatch.setattr(dpmeta.harness, "run_experiment", spy)
     for args in (["calibrate"], ["run", "--out", str(out)],
                  ["sweep", "--out", str(out), "--axis", "epsilon",
                   "--values", f"0.5,{epsilon}"]):
         assert main(args + ["--config", cfg_file]) == EXIT_CONFIG
         assert constant in capsys.readouterr().err
         assert not out.exists()
-    assert points == []
-    # positive control: a good config's run and sweep reach the spies (the
-    # run command's bad config may have reached run_experiment, which
-    # refused it)
-    runs.clear()
+        assert len(calls) == (runs if args[0] != "calibrate" else 0)
+    # positive control: a good config's run and sweep reach the spy
     good = write_cfg_file(tmp_path / "good.txt")
     assert main(["run", "--out", str(out), "--config", good]) == EXIT_OK
+    assert len(calls) == runs + 1
     assert main(["sweep", "--out", str(out), "--axis", "epsilon", "--values", "0.5",
                  "--config", good]) == EXIT_OK
-    assert (len(runs), len(points)) == (1, 1)
+    assert len(calls) == runs + 2
+    # cli looks the name up in harness at each use and binds nothing
+    assert "run_experiment" not in vars(dpmeta.cli)
     capsys.readouterr()
 
 

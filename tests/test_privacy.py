@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from dpmeta.calibration import (Ball, Environment, adaptation_step_size,
+                                certify_smoothness, logistic_regularity,
+                                private_step_scale, quadratic_regularity)
+from dpmeta.learners import OgdConfig
+from dpmeta.losses import TaskSamples, finite_diff_check
+from dpmeta.meta import run_meta_training
 from dpmeta.privacy import (NoisySgdPlan, PrivacyParams, group_dp, make_plan,
                             noise_variance, sample_step_noise, step_budget)
+from dpmeta.task_env import population_risk_gap, substreams
 
 
 def test_step_budget_frozen_examples():
@@ -113,3 +120,52 @@ def test_sample_step_noise_zero_variance_consumes_no_randomness():
     assert np.array_equal(z, np.zeros((5, 4)))
     # stream untouched: both generators continue identically
     assert np.array_equal(rng1.normal(size=3), rng2.normal(size=3))
+
+
+def _first_substream(count):
+    return next(substreams(3, "tag", count=count))
+
+
+_DOM = Ball((0.0, 0.0), 1.0)
+_PRIV = PrivacyParams(1.0, 1e-5)
+_ENV = Environment(_DOM, (0.0, 0.0), 0.5, 10, loss_family="logistic")
+# each site's callable, good keyword arguments, and the rule of each checked
+# argument: ">" or ">=" 0 for finite scalars, the least value for counts
+_SCALAR_SITES = [
+    (make_plan, dict(m=800, privacy=_PRIV, dim=2, clip_bound=1.0, step_scale=1.0),
+     {"clip_bound": ">", "step_scale": ">"}),
+    (quadratic_regularity, dict(curvature=1.0, dom=_DOM), {"curvature": ">"}),
+    (logistic_regularity, dict(feature_norm=1.0, growth_alpha=1.0), {"feature_norm": ">"}),
+    (certify_smoothness, dict(profile=quadratic_regularity(1.0, _DOM), dom=_DOM, m=800,
+                              privacy=_PRIV, n=10), {"m": 1, "n": 1}),
+    (private_step_scale, dict(lipschitz_g=1.0, growth_alpha=1.0, dim=2, m=800,
+                              privacy=_PRIV),
+     {"lipschitz_g": ">", "growth_alpha": ">", "m": 1, "dim": 1}),
+    (adaptation_step_size, dict(similarity_v=0.5, growth_alpha=1.0, lipschitz_g=1.0, m=800),
+     {"similarity_v": ">=", "growth_alpha": ">", "lipschitz_g": ">"}),
+    (OgdConfig, dict(step_size=0.1, num_steps=5), {"step_size": ">", "num_steps": 1}),
+    (TaskSamples, dict(points=np.zeros((3, 2)), curvature=1.0), {"curvature": ">"}),
+    (finite_diff_check, dict(value=np.sum, grad=np.ones_like, theta=np.zeros(2), step=1e-6),
+     {"step": ">"}),
+    (sample_step_noise, dict(rng=np.random.default_rng(0), dim=2, sigma_sq=1.0, count=3),
+     {"dim": 1, "sigma_sq": ">=", "count": 0}),
+    (run_meta_training, dict(env=_ENV, num_tasks=2, plans=(NoisySgdPlan(2, 0.1, 0.0, 1.0),),
+                             phi_init=np.zeros(2), master_seed=0), {"num_tasks": 1}),
+    (_first_substream, dict(count=2), {"count": 0}),
+    (population_risk_gap, dict(spec=_ENV, theta_stars=np.zeros((1, 2)), theta=np.zeros((1, 2)),
+                               mc_samples=4, rng=np.random.default_rng(0)), {"mc_samples": 2}),
+]
+_BAD = {">": (0.0, -1.0), ">=": (-1.0,), 0: (-1, 2.5), 1: (0, -1, 2.5), 2: (1, 0, -1, 2.5)}
+
+
+@pytest.mark.parametrize("site, name, bad", [
+    pytest.param(site, name, bad, id=f"{site[0].__name__}-{name}-{bad}")
+    for site in _SCALAR_SITES for name, rule in site[2].items()
+    for bad in (math.nan, math.inf, -math.inf) + _BAD[rule]])
+def test_scalar_checks_refuse_bad_values_with_one_rule(site, name, bad):
+    # every count and finite-scalar argument goes through calibration's
+    # _count or _finite: NaN and infinity raise the same ValueError naming
+    # the argument as an out-of-range value, never OverflowError or a result
+    fn, good, _ = site
+    with pytest.raises(ValueError, match=f"^{name} must be (finite and|an integer >=)"):
+        fn(**good | {name: bad})
