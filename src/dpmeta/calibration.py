@@ -57,8 +57,13 @@ def _square(x: float) -> float:
 
 
 def _finite(name: str, value, strict: bool = True):
-    """value; ValueError unless it is finite and > 0 (>= 0 if not strict)."""
-    if not math.isfinite(value) or (value <= 0 if strict else value < 0):
+    """value; ValueError unless it is finite and > 0 (>= 0 if not strict).
+    An int too large for a float is not finite as a float."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite or (value <= 0 if strict else value < 0):
         raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {value}")
     return value
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 from .calibration import (LOSS_FAMILIES, STEP_SCALE_VARIANTS, Ball,
                           ConfigError, Environment, PrivacyParams, Record,
@@ -90,7 +91,9 @@ REQUIRED = object()
 # output_path. Every key but output_path changes a run's CSV; the smoothness
 # constant is always derived.
 KEYS = {
-    "dim": (_COUNT, REQUIRED),
+    # the domain center is a tuple of dim floats, and a tuple's length is an
+    # index-sized integer
+    "dim": (_scalar(int, 1, below=sys.maxsize + 1), REQUIRED),
     "domain_radius": (_POSITIVE, REQUIRED),
     "domain_center": (_vector, None),
     "similarity_v": (_NONNEGATIVE, REQUIRED),

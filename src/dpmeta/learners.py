@@ -72,15 +72,16 @@ class LearnerOutput(Record):
 
 
 class StepWorkspace:
-    """The loop's iterate, gradient and geometry's RowScratch, for iterates
-    shaped (*problems, d) on the domain dom: a caller may pass one to many
-    noisy_sgd_steps calls of one shape; each call overwrites all of it but
-    the scratch's center, which is dom's, converted from its tuple here, so
-    that no step converts it."""
+    """The loop's iterate, gradient, logistic margins (*problems,) and
+    geometry's RowScratch, for iterates shaped (*problems, d) on the domain
+    dom: a caller may pass one to many noisy_sgd_steps calls of one shape;
+    each call overwrites all of it but the scratch's center, which is dom's,
+    converted from its tuple here, so that no step converts it."""
 
     def __init__(self, shape, dom: Ball):
         self.theta = np.empty(shape)
         self.grad = np.empty(shape)
+        self.margins = np.empty(shape[:-1])
         self.scratch = RowScratch(shape)
         self.scratch.center[...] = self.scratch.center_of = dom.center
 
@@ -203,7 +204,8 @@ def _projected_steps(seq: TaskSamples, work: StepWorkspace, total, step_size: fl
     The work.theta the caller filled must lie in the domain (_start checks
     it once per call).
     """
-    theta, grad, scratch, gradient = work.theta, work.grad, work.scratch, seq.grad
+    theta, grad, margins, scratch = work.theta, work.grad, work.margins, work.scratch
+    gradient = seq.grad
     total.fill(0.0)
     # a 0-d array operand spares numpy converting a Python float on every
     # step; the products are the same
@@ -211,7 +213,7 @@ def _projected_steps(seq: TaskSamples, work: StepWorkspace, total, step_size: fl
     for j in range(seq.count if final_step else seq.count - 1):
         at = j if task is None else (j, task)
         total += theta
-        gradient(theta, at, grad)
+        gradient(theta, at, grad, margins)
         if clip_bound is not None:
             clip_norm_in_place(grad, clip_bound, scratch)
         if noise is not None:

@@ -145,13 +145,14 @@ def logistic_excess(margins, star_margins, work=None):
     return np.maximum(gap, _ZERO, out=gap)
 
 
-def _logistic_grad(theta, features, labels, out=None):
+def _logistic_grad(theta, features, labels, out=None, margins=None):
     """-label * sigmoid(-label <feature, theta>) * feature, broadcast over
-    the leading axes, into out when given; dimensions are not checked. At
-    one margin (one sample at one iterate) sigmoid's steps run on Python
-    floats, exact IEEE operations that cost less than ufunc calls; numpy
-    keeps the dot product and exp, so the bits do not change."""
-    margins = np.vecdot(features, theta)
+    the leading axes, into out when given, with the margins written into
+    margins when given; dimensions are not checked. At one margin (one
+    sample at one iterate) sigmoid's steps run on Python floats, exact IEEE
+    operations that cost less than ufunc calls; numpy keeps the dot product
+    and exp, so the bits do not change."""
+    margins = np.vecdot(features, theta, out=margins)
     if margins.size == 1:
         margin, neg_label = margins.item(), -labels.item()
         e = np.exp(-abs(margin)).item()
@@ -222,13 +223,14 @@ class TaskSamples(Record):
     def dim(self) -> int:
         return self.points.shape[-1]
 
-    def grad(self, theta, j, out=None):
+    def grad(self, theta, j, out=None, margins=None):
         """Gradient at theta of sample j of every task in the batch, or of
-        the index tuple j into (m, *batch), written into out when given.
+        the index tuple j into (m, *batch), written into out when given;
+        logistic samples write their margins into margins when given.
         theta's last axis is not checked: the learners check it per call."""
         if self.labels is None:
             return _quadratic_grad(theta, self.points[j], self._curvature, out)
-        return _logistic_grad(theta, self.points[j], self.labels[j], out)
+        return _logistic_grad(theta, self.points[j], self.labels[j], out, margins)
 
     def take(self, where) -> "TaskSamples":
         """The samples at the index tuple `where` into (m, *batch): the

@@ -26,7 +26,7 @@ import numpy as np
 from . import learners
 from .calibration import Environment, NoisySgdPlan, Record, _count
 from .geometry import as_vector, dist_sq
-from .task_env import draw_tasks, substreams
+from .task_env import _bounded_indices, draw_tasks, substream, substreams
 
 
 class MetaState(Record):
@@ -117,14 +117,18 @@ def run_meta_training(env: Environment, num_tasks: int, plans: Sequence[NoisySgd
     shared by all arms, then, if any arm is noisy, standard normals that
     each arm scales by its own noise standard deviation into one noise block
     of num_tasks * steps_n * arms * d floats (the normals are then dropped).
+    Each generator gives the raw words its integers call would read, and
+    one task_env._bounded_indices call turns the pass's words into every
+    index as that call would; a task it flags is drawn again by integers.
     One task_env.draw_tasks call draws every task from (master_seed,
     "train-task", t) and (master_seed, "train-losses", t) and keeps the
     samples it visits. One learners.idle_calls call on phi_init, all visits
     and the whole noise block decides whether the steps may skip the clip
     and the projection, or the clip alone (every phi_t and theta_bar_t is a
     convex combination of iterates, so it stays where they do). By the
-    learners' same-shape rule the visits then get an arms axis: a view for
-    one arm, else for quadratic visits an anchors block of the noise's size.
+    learners' same-shape rule the visits have an arms axis: a view for one
+    arm, and for several quadratic arms the layout draw_tasks writes, an
+    anchors block of the noise's size.
 
     The fold phase is sequential: per task, one learners.noisy_sgd_steps
     call steps every arm from its phi_t, row t of the (tasks + 1, arms, d)
@@ -150,9 +154,20 @@ def run_meta_training(env: Environment, num_tasks: int, plans: Sequence[NoisySgd
     n, m, dim, arms = plan.steps_n, env.samples_per_task, env.dim, len(plans)
     std = np.sqrt([p.noise_variance_sigma_sq for p in plans])
     noisy = std.any()
-    indices = np.empty((num_tasks, n), dtype=np.int64)
+    # the 32-bit halves of ceil(n / 2) raw words cover n indices
+    words = (n + 1) // 2
+    raw = np.empty((num_tasks, words), dtype="<u8")
     normals = np.zeros((num_tasks, n, dim))
     for t, rng in enumerate(substreams(master_seed, "train-noise", count=num_tasks)):
+        raw[t] = rng.bit_generator.random_raw(words)
+        if noisy:
+            rng.standard_normal(out=normals[t])
+    indices, redraw = _bounded_indices(raw, m, n)
+    del raw
+    # a task whose draw numpy would redraw is drawn by numpy, from a fresh
+    # generator on its stream
+    for t in np.flatnonzero(redraw).tolist():
+        rng = substream(master_seed, "train-noise", t)
         indices[t] = rng.integers(0, m, size=n)
         if noisy:
             rng.standard_normal(out=normals[t])
@@ -164,19 +179,21 @@ def run_meta_training(env: Environment, num_tasks: int, plans: Sequence[NoisySgd
     noise = (std[:, None] * normals[:, :, None, :]).swapaxes(0, 1)
     noise += 0.0
     del normals
+    # visits (n, tasks, arms, d), whose rows have the iterates' shape, for
+    # several quadratic arms; one arm's get that shape as a view below
+    copies = arms if arms > 1 and env.loss_family == "quadratic" else None
     theta_stars, visits = draw_tasks(
         env, substreams(master_seed, "train-task", count=num_tasks),
-        substreams(master_seed, "train-losses", count=num_tasks), indices)
+        substreams(master_seed, "train-losses", count=num_tasks), indices, copies)
 
     # num_tasks passes of steps_n steps, one fold each, run in sequence
     steps, domain = num_tasks * (n + 1), env.domain
-    interior, clip_idle = learners.idle_calls(visits, phi_init, plan.step_size, domain,
+    # every arm's anchors are arm 0's, which idle_calls reads alone
+    first = visits if copies is None else visits.take((slice(None), slice(None), 0))
+    interior, clip_idle = learners.idle_calls(first, phi_init, plan.step_size, domain,
                                               plan.clip_bound, noise, steps=steps)
-    if visits.curvature is not None or arms == 1:
-        # visits (n, tasks, arms, d), whose rows have the iterates' shape
+    if arms == 1:
         visits = visits.take((slice(None), slice(None), None))
-        if arms > 1:
-            visits = visits.replace(points=np.repeat(visits.points, arms, axis=2))
 
     # phis[t] is every arm's phi_t, the init of task t; bars[t] its output
     phis = np.empty((num_tasks + 1, arms, dim))

@@ -148,7 +148,8 @@ class _SeedState:
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes np.uint64 itself, which spares the dtype lookup
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError("only generate_state(4, np.uint64) is precomputed")
         return self._words
 
@@ -176,6 +177,29 @@ def substreams(master_seed: int, *tags, count: int):
     entropy[:, len(prefix)] = np.arange(count)
     for words in _seed_states(entropy):
         yield np.random.Generator(np.random.PCG64(_SeedState(words)))
+
+
+def _bounded_indices(raw, m: int, n: int):
+    """Generator.integers(0, m, size=n) for each row of raw (tasks, k), the
+    first k >= n / 2 raw 64-bit words of each task's PCG64 stream: the
+    indices (tasks, n) int64, and a flag per task whose row is not its draw.
+
+    For m in [2, 2**32) numpy draws by Lemire's multiply-shift method on
+    32-bit outputs, and PCG64 gives each word's low half, then its high
+    half: output u draws (u m) >> 32, unless u m mod 2**32 falls below
+    (2**32 - m) mod m, where numpy draws again, from words past the ones
+    given; such a task is flagged. So is every task for m outside that
+    range, where numpy takes other routes. The standard normals a stream
+    draws next read whole words, so an unflagged task's continue as they
+    would after its integers call."""
+    if not 2 <= m < 1 << 32:
+        return np.zeros((len(raw), n), dtype=np.int64), np.ones(len(raw), dtype=bool)
+    halves = raw.astype("<u8", copy=False).view("<u4")[:, :n]
+    redraw = (np.multiply(halves, np.uint32(m)) < ((1 << 32) - m) % m).any(axis=1)
+    indices = halves.astype(np.uint64)
+    indices *= np.uint64(m)
+    indices >>= np.uint64(32)
+    return indices.view(np.int64), redraw
 
 
 class TaskSpec(Record):
@@ -236,11 +260,11 @@ def generate_losses(task: TaskSpec, spec: Environment,
     in {-1, +1} from the logistic model at theta_star. The batch of one of
     draw_tasks.
     """
-    batch = _draw_samples(spec, task.theta_star[None], (rng,), None)
+    batch = _draw_samples(spec, task.theta_star[None], (rng,), None, None)
     return batch.take((slice(None), 0))
 
 
-def _draw_samples(spec: Environment, theta_stars, rngs, keep) -> TaskSamples:
+def _draw_samples(spec: Environment, theta_stars, rngs, keep, arms) -> TaskSamples:
     """draw_tasks' samples, validated once. rngs is iterated only when the
     sample model draws, so a noise-free quadratic pass creates no generator."""
     m, dim = spec.samples_per_task, spec.dim
@@ -251,33 +275,41 @@ def _draw_samples(spec: Environment, theta_stars, rngs, keep) -> TaskSamples:
                              or rows.min() < 0 or rows.max() >= m):
         raise ValueError(f"keep must be indices into the {m} samples, shaped "
                          f"({tasks}, k >= 1), got {rows.shape}")
-    points = np.empty((count, tasks, dim))
+    if arms is not None and spec.loss_family != "quadratic":
+        raise ValueError("only quadratic samples take an arms axis")
+    # every arm's rows are written from the same draws, not copied from arm
+    # 0 at the end, where numpy would first copy arm 0 (the two share a
+    # buffer); without arms, the one copy's axis is dropped at the end
+    block = np.empty((count, tasks, 1 if arms is None else _count("arms", arms), dim))
+    points = block[:, :, 0]
     if spec.loss_family == "logistic":
         labels = np.empty((count, tasks))
         for t, rng in zip(range(tasks), rngs, strict=True):
             features, task_labels = _logistic_draw(spec, theta_stars[t], m, rng)
             points[:, t] = features[rows[t]]
             labels[:, t] = task_labels[rows[t]]
+            # freed now, not while the next task draws its own
+            del features, task_labels
         return TaskSamples(points, labels=labels)
     if spec.sample_noise_std == 0.0:
         # a minimizer projected onto the sphere can round an ulp outside it,
         # so its anchors are projected again, as any anchor is
         anchors = theta_stars.copy()
         project_in_place(anchors, spec.domain, RowScratch(anchors.shape))
-        points[...] = anchors
+        block[...] = anchors[:, None]
     else:
         # task t draws its rows up to the last one it keeps: the normal
         # stream is sequential and nothing is drawn after it, so the rows
         # kept are the same bits
         drawn = [m] * tasks if keep is None else (rows.max(axis=1) + 1).tolist()
         for t, rng in zip(range(tasks), rngs, strict=True):
-            points[:, t] = rng.normal(0.0, spec.sample_noise_std,
-                                      size=(drawn[t], dim))[rows[t]]
+            block[:, t] = rng.normal(0.0, spec.sample_noise_std,
+                                     size=(drawn[t], dim))[rows[t], None]
         # anchors theta* + w lie within ||theta* - center|| + sqrt(d) max|w|
         # of the center; where that is certified inside the ball, their
         # projection could move no row and is skipped
         dom = spec.domain
-        # max|w| per task, from the offsets' per-coordinate box: the
+        # max|w| per task, from arm 0's offsets' per-coordinate box: the
         # temporaries are (tasks, d), 1/k of the anchors
         box = np.maximum(np.maximum.reduce(points, axis=0),
                          -np.minimum.reduce(points, axis=0))
@@ -285,21 +317,25 @@ def _draw_samples(spec: Environment, theta_stars, rngs, keep) -> TaskSamples:
         reaches = (np.sqrt(dist_sq(theta_stars, dom.center))
                    + math.sqrt(dim) * top).tolist()
         center_top = coordinate_top(dom.center)
-        points += theta_stars
-        # only the tasks left uncertified are projected, one at a time
-        scratch = RowScratch((count, dim))
+        block += theta_stars[:, None]
+        # only the tasks left uncertified are projected, one at a time, in
+        # arm 0, which the other arms then copy
+        scratch, others = RowScratch((count, dim)), block[:, :, 1:]
         for t, reach in enumerate(reaches):
             if not never_rescaled(reach, dom.radius, center_top + reach, dim, 1):
                 project_in_place(points[:, t], dom, scratch)
-    return TaskSamples(points, curvature=spec.curvature)
+                others[:, t] = points[:, t, None]
+    return TaskSamples(points if arms is None else block, curvature=spec.curvature)
 
 
-def draw_tasks(spec: Environment, task_rngs, sample_rngs, keep):
+def draw_tasks(spec: Environment, task_rngs, sample_rngs, keep, arms=None):
     """Draw a pass of tasks: the minimizers (tasks, d), one per generator of
     task_rngs, and their samples as one step-major TaskSamples (k, tasks, d),
     task t's from the t-th generator of sample_rngs. keep is None, which
     keeps all m samples, or indices shaped (tasks, k): task t keeps its
-    samples keep[t], in that order, repeats allowed.
+    samples keep[t], in that order, repeats allowed. With arms, a count,
+    quadratic samples come shaped (k, tasks, arms, d), every arm's rows the
+    same anchors, so a multi-arm pass steps on them without a second copy.
 
     Each generator is consumed as sample_task or generate_losses consumes
     it, up to the last sample kept, and projection acts row by row, so
@@ -311,7 +347,7 @@ def draw_tasks(spec: Environment, task_rngs, sample_rngs, keep):
     once, so either may be lazy.
     """
     theta_stars = _draw_minimizers(spec, task_rngs)
-    return theta_stars, _draw_samples(spec, theta_stars, sample_rngs, keep)
+    return theta_stars, _draw_samples(spec, theta_stars, sample_rngs, keep, arms)
 
 
 def population_risk_gap(spec: Environment, theta_stars, theta,

@@ -1009,6 +1009,9 @@ def test_cli_undecodable_config_is_config_error(tmp_path, capsys):
     # an int too large for a float is a count all the same: it reaches
     # calibrate, whose step scale overflows
     ({"samples_per_task": "1" + "0" * 399}, "step_scale"),
+    # a dimension is the length of the domain center's tuple, so it must be
+    # an index-sized integer
+    ({"dim": "1" + "0" * 400}, "dim: must be < "),
 ])
 def test_cli_overflowing_closed_form_is_config_error(tmp_path, capsys, monkeypatch,
                                                      overrides, constant):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dpmeta.learners
+import dpmeta.meta
 from dpmeta.geometry import ParamDomain
 from dpmeta.learners import noisy_sgd_run
 from dpmeta.meta import meta_step, new_state, run_meta_training, surrogate_loss
@@ -244,6 +245,48 @@ def test_noisy_arms_share_one_noise_generator(family):
         assert np.array_equal(shared.phi_hat[a], state.phi_hat())
 
 
+@pytest.mark.numpy_floor
+@pytest.mark.parametrize("steps", [6, 7])
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_redrawn_tasks_equal_the_raw_word_pass(family, steps, monkeypatch):
+    # a task that task_env._bounded_indices flags (where Generator.integers
+    # would redraw) is drawn again by integers and standard_normal on a
+    # fresh generator of its stream: a pass with some tasks forced onto
+    # that route, and a pass with every task on it, must equal bit for bit
+    # the pass that takes every index from the raw words
+    dom = ParamDomain(np.array([0.1, -0.2]), 0.8)
+    env = EnvSpec(domain=dom, planted_center=np.array([0.4, -0.2]),
+                  similarity_v=0.3, samples_per_task=12, loss_family=family,
+                  sample_noise_std=0.5, feature_norm=2.0)
+    plan = NoisySgdPlan(steps_n=steps, step_size=0.5, noise_variance_sigma_sq=0.2,
+                        clip_bound=0.3)
+    plans = (plan, plan.replace(noise_variance_sigma_sq=0.0))
+    phi_init = np.array([0.7, -0.5])
+    words = run_meta_training(env, 9, plans, phi_init, 21)
+    real_indices, real_substream = dpmeta.meta._bounded_indices, dpmeta.meta.substream
+    redrawn = []
+
+    def counted(*args):
+        redrawn.append(args)
+        return real_substream(*args)
+
+    monkeypatch.setattr(dpmeta.meta, "substream", counted)
+    for forced, count in (([0, 4, 8], 3), (slice(None), 9)):
+        def forcing(raw, m, n, forced=forced):
+            indices, redraw = real_indices(raw, m, n)
+            assert not redraw.any()
+            redraw[forced] = True
+            return indices, redraw
+
+        monkeypatch.setattr(dpmeta.meta, "_bounded_indices", forcing)
+        redrawn.clear()
+        drawn = run_meta_training(env, 9, plans, phi_init, 21)
+        assert len(redrawn) == count
+        assert all(args[:2] == (21, "train-noise") for args in redrawn)
+        for name in ("phi_hat", "surrogate_losses", "theta_stars"):
+            assert getattr(drawn, name).tobytes() == getattr(words, name).tobytes()
+
+
 def test_training_plans_must_agree_on_the_schedule():
     # the arms of one pass share the step schedule and the clip bound and
     # may differ only in noise variance
@@ -476,25 +519,31 @@ def test_training_pass_allocates_nothing_per_step(family, arms, monkeypatch):
     # the pass draws its blocks ahead, so a task's call allocates no array:
     # at d = 128 an array shaped like the (arms, d) iterates holds 1 KiB or
     # more, and a call's traced memory never rises by that, at 4 steps per
-    # task as at 32; one logistic arm takes the one-margin gradient. The
-    # pass's peak is at most the blocks it held before its anchors had an
-    # arms axis (the visits, the standard normals and the noise, T n
-    # (2 + arms) d floats, and T n logistic labels) plus that anchors block
-    # (T n arms d floats, none for one arm, whose visits are a view), and two
-    # of a task's (m, d) sample draws with their labels. A logistic step's
-    # numpy calls hold up to about 2 KiB of buffers whatever d, so that pass
-    # runs at d = 512, where an iterate holds 4 KiB
+    # task as at 32; one logistic arm takes the one-margin gradient, whose
+    # margins go into the step workspace. The pass's peak, over the draws
+    # and every call, is at most its blocks, T n (2 + arms) d floats and T n
+    # logistic labels: the standard normals and the noise, then the noise
+    # and the visits, which draw_tasks writes with the arms axis of several
+    # quadratic arms (one arm's is a view). On top come the visits'
+    # finiteness mask (T n arms d bytes), two of a task's (m, d) sample
+    # draws with their labels, and one numpy iteration buffer (8192
+    # floats), whatever the pass's size. A logistic step's numpy calls hold
+    # up to about 2 KiB of buffers whatever d (the margin's vecdot alone
+    # about 0.5 KiB, with out= given), so that pass runs at d = 512, where
+    # an iterate holds 4 KiB
     tasks, m = 6, 50
     dim, center, labels = (128, 0.05, 0) if family == "quadratic" else (512, 0.02, 1)
     dom = ParamDomain(np.zeros(dim), 1.0)
     env = EnvSpec(domain=dom, planted_center=np.full(dim, center), similarity_v=0.3,
                   samples_per_task=m, loss_family=family, curvature=1.0,
                   sample_noise_std=0.3)
-    rises = []
+    rises, peaks = [], []
     real_steps = dpmeta.learners.noisy_sgd_steps
 
     def spy(*args, **kwargs):
-        before = tracemalloc.get_traced_memory()[0]
+        # the pass's peak so far, which reset_peak would lose
+        before, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
         tracemalloc.reset_peak()
         out = real_steps(*args, **kwargs)
         rises.append(tracemalloc.get_traced_memory()[1] - before)
@@ -507,17 +556,18 @@ def test_training_pass_allocates_nothing_per_step(family, arms, monkeypatch):
         plans = (plan, plan.replace(noise_variance_sigma_sq=0.0))[:arms]
         run_meta_training(env, tasks, plans, np.zeros(dim), 3)
         rises.clear()
+        peaks.clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             run_meta_training(env, tasks, plans, np.zeros(dim), 3)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            peak = max(peaks + [tracemalloc.get_traced_memory()[1]]) - base
         finally:
             tracemalloc.stop()
         assert len(rises) == tasks
         assert max(rises) < 8 * arms * dim
-        blocks = tasks * n * ((2 + arms + (arms if arms > 1 else 0)) * dim + labels)
-        assert peak <= 8 * (blocks + 2 * m * (dim + labels))
+        blocks = tasks * n * ((2 + arms) * dim + labels)
+        assert peak <= 8 * (blocks + 2 * m * (dim + labels) + 8192) + tasks * n * arms * dim
 
 
 @pytest.mark.numpy_floor

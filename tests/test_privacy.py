@@ -155,17 +155,21 @@ _SCALAR_SITES = [
     (population_risk_gap, dict(spec=_ENV, theta_stars=np.zeros((1, 2)), theta=np.zeros((1, 2)),
                                mc_samples=4, rng=np.random.default_rng(0)), {"mc_samples": 2}),
 ]
-_BAD = {">": (0.0, -1.0), ">=": (-1.0,), 0: (-1, 2.5), 1: (0, -1, 2.5), 2: (1, 0, -1, 2.5)}
+# an int too large for a float is no finite scalar, of either sign
+_HUGE = {10**400: "10**400", -10**400: "-10**400"}
+_BAD = {">": (0.0, -1.0, *_HUGE), ">=": (-1.0, *_HUGE), 0: (-1, 2.5), 1: (0, -1, 2.5),
+        2: (1, 0, -1, 2.5)}
 
 
 @pytest.mark.parametrize("site, name, bad", [
-    pytest.param(site, name, bad, id=f"{site[0].__name__}-{name}-{bad}")
+    pytest.param(site, name, bad, id=f"{site[0].__name__}-{name}-{_HUGE.get(bad, bad)}")
     for site in _SCALAR_SITES for name, rule in site[2].items()
     for bad in (math.nan, math.inf, -math.inf) + _BAD[rule]])
 def test_scalar_checks_refuse_bad_values_with_one_rule(site, name, bad):
     # every count and finite-scalar argument goes through calibration's
-    # _count or _finite: NaN and infinity raise the same ValueError naming
-    # the argument as an out-of-range value, never OverflowError or a result
+    # _count or _finite: NaN, infinity and ints past the float range raise
+    # the same ValueError naming the argument as an out-of-range value,
+    # never OverflowError or a result
     fn, good, _ = site
     with pytest.raises(ValueError, match=f"^{name} must be (finite and|an integer >=)"):
         fn(**good | {name: bad})

@@ -167,6 +167,20 @@ def test_draw_tasks_equals_single_task_draws(family, noise_std, kept, monkeypatc
         on_sphere = np.isclose(np.sqrt(dist_sq(dom.center, batch.points)), dom.radius,
                                rtol=1e-12, atol=0.0)
         assert 0 < on_sphere.sum() < on_sphere.size
+    # with an arms axis, every arm's rows are the pass's anchors; logistic
+    # samples take no arms axis
+    def layered():
+        return draw_tasks(env, (substream(5, "t", t) for t in range(tasks)),
+                          (substream(5, "s", t) for t in range(tasks)), keep, arms=3)[1]
+
+    if family == "logistic":
+        with pytest.raises(ValueError, match="arms axis"):
+            layered()
+        return
+    arms = layered().points
+    assert arms.shape == batch.points.shape[:2] + (3, 3)
+    for a in range(3):
+        assert arms[:, :, a].tobytes() == batch.points.tobytes()
 
 
 @pytest.mark.numpy_floor
@@ -241,6 +255,37 @@ def test_interior_anchors_skip_projection_well_inside():
             draw_tasks(env, substreams(1, "t", count=4), substreams(1, "s", count=4), None)
         seen.append(verdicts)
     assert seen == [[True] * 4, [False] * 4]
+
+
+@pytest.mark.numpy_floor
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 40),
+       m=st.sampled_from([1, 2, 100, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1]))
+def test_bounded_indices_are_generator_integers(seed, n, m):
+    # on twin generators, ceil(n / 2) raw words through _bounded_indices
+    # give the indices Generator.integers(0, m, size=n) gives, unless the
+    # task is flagged, and the standard normals drawn next are the same.
+    # For m in [2, 2**32) a task is flagged exactly where integers read
+    # more than n 32-bit halves (Lemire's redraw): more words, or for odd n
+    # the last word's high half, which PCG64 keeps for its next 32-bit
+    # output. Outside that range every task is flagged. m = 2**31 + 1
+    # redraws about half the draws
+    words, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    raw = words.bit_generator.random_raw((n + 1) // 2)
+    indices, flagged = task_env._bounded_indices(raw[None], m, n)
+    assert indices.shape == (1, n) and indices.dtype == np.int64 and flagged.shape == (1,)
+    want = ref.integers(0, m, size=n)
+    state = ref.bit_generator.state
+    read_n_halves = (words.bit_generator.state["state"] == state["state"]
+                     and state["has_uint32"] == n % 2)
+    if 2 <= m < 2**32:
+        assert bool(flagged[0]) == (not read_n_halves)
+    else:
+        assert flagged[0]
+    event(f"m = {m}: {'flagged' if flagged[0] else 'taken'}, n {'odd' if n % 2 else 'even'}")
+    if not flagged[0]:
+        assert indices[0].tobytes() == want.tobytes()
+        assert words.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
 
 
 def test_draw_tasks_validates_kept_indices():
