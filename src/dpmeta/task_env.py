@@ -12,19 +12,24 @@ config's calibration.Environment, whose planted center and domain center
 are tuples of Python floats. A task is only its minimizer; the sample model
 is the environment's. A quadratic task draws anchor rows only up to the
 last one its pass keeps; the per-task loop only draws the offsets into the
-pass's step-major block. The shift by the minimizers and each task's reach
-are whole-pass array operations, and only the tasks whose anchors
-geometry.never_rescaled does not certify inside the ball are projected,
-since elsewhere that projection could move no row. Risk is scored for a
-sequence of tasks at once, in one call for either family: quadratic tasks
-in closed form, logistic tasks with the label integrated out exactly, over
-one feature sample that every task and every scored point share.
+pass's step-major block, on two threads for a large pass (_split), each
+task from its own generator into its own columns. The shift by the
+minimizers and each task's reach are whole-pass array operations, and only
+the tasks whose anchors geometry.never_rescaled does not certify inside the
+ball are projected, since elsewhere that projection could move no row. Risk
+is scored for a sequence of tasks at once, in one call for either family:
+quadratic tasks in closed form, logistic tasks with the label integrated out
+exactly, over one feature sample that every task and every scored point
+share.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import os
+import threading
 import zlib
 
 import numpy as np
@@ -138,20 +143,29 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-class _SeedState:
-    """Stands in for one stream's SeedSequence where PCG64 seeds from it:
-    generate_state(4, np.uint64) returns the words _seed_states computed."""
+@functools.cache
+def _seed_state_class():
+    """The class that stands in for one stream's SeedSequence where PCG64
+    seeds from it: generate_state(4, np.uint64) returns the words
+    _seed_states computed. Made on first use, not at import, so that
+    numpy.random stays out of a start-up that draws nothing; a subclass of
+    ISeedSequence, not a registered one, since an ABC caches the answer
+    for a subclass and not for a registered class."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    __slots__ = ("_words",)
+    class _SeedState(ISeedSequence):
+        __slots__ = ("_words",)
 
-    def __init__(self, words):
-        self._words = words
+        def __init__(self, words):
+            self._words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 passes np.uint64 itself, which spares the dtype lookup
-        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
-            raise ValueError("only generate_state(4, np.uint64) is precomputed")
-        return self._words
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 passes np.uint64 itself, which spares the dtype lookup
+            if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+                raise ValueError("only generate_state(4, np.uint64) is precomputed")
+            return self._words
+
+    return _SeedState
 
 
 def substreams(master_seed: int, *tags, count: int):
@@ -165,10 +179,7 @@ def substreams(master_seed: int, *tags, count: int):
     count = _count("count", count, least=0)
     if count > 1 << 32:
         raise ValueError(f"count must be at most 2**32, got {count}")
-    # registered here, not at import: numpy.random stays out of a start-up
-    # that draws nothing
-    from numpy.random.bit_generator import ISeedSequence
-    ISeedSequence.register(_SeedState)
+    seed_state = _seed_state_class()
     prefix = _mix_tags(master_seed, tags)
     # row i is _mix_tags(master_seed, tags + (i,)): an index below 2**32 is
     # the one word i
@@ -176,7 +187,7 @@ def substreams(master_seed: int, *tags, count: int):
     entropy[:, :len(prefix)] = prefix
     entropy[:, len(prefix)] = np.arange(count)
     for words in _seed_states(entropy):
-        yield np.random.Generator(np.random.PCG64(_SeedState(words)))
+        yield np.random.Generator(np.random.PCG64(seed_state(words)))
 
 
 def _bounded_indices(raw, m: int, n: int):
@@ -264,9 +275,63 @@ def generate_losses(task: TaskSpec, spec: Environment,
     return batch.take((slice(None), 0))
 
 
+# a noisy quadratic pass is drawn on two threads (_split) when it has at
+# least _SPLIT_TASKS tasks that draw at least _SPLIT_NORMALS normals each on
+# average: numpy's normal fill releases the GIL. On a 2-CPU Xeon (numpy
+# 2.4), whole draw_tasks calls of d = 2 tasks, split over inline, read 0.92
+# at 100 tasks of 1024 normals, 0.79 at 100 of 2048 and 0.73 at 64 of 3800,
+# where a thread's start and join (about 0.1 ms) is small next to the fill;
+# but 1.09 at 8 tasks of 3800 and 0.84 at 16. Fewer normals a task leave
+# each task's GIL-held work (about 2 us: the normal call and the strided
+# write) large next to its fill
+_SPLIT_NORMALS = 2048
+_SPLIT_TASKS = 16
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split(items, count: int, body) -> None:
+    """body(lo, hi, part) for the count items of an iterable, part being
+    items lo..hi-1: the upper half on one worker thread, which takes its
+    items from the iterable itself, and the lower half, listed first, on
+    the calling thread. The worker is joined whatever happens, and its
+    exception is raised in the caller."""
+    items, half = iter(items), count // 2
+    lower = list(itertools.islice(items, half))
+    failed = []
+
+    def upper():
+        try:
+            body(half, count, items)
+        except BaseException as exc:  # re-raised in the caller below
+            failed.append(exc)
+
+    worker = threading.Thread(target=upper, name="dpmeta-draw")
+    worker.start()
+    try:
+        body(0, half, lower)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+
+
 def _draw_samples(spec: Environment, theta_stars, rngs, keep, arms) -> TaskSamples:
     """draw_tasks' samples, validated once. rngs is iterated only when the
-    sample model draws, so a noise-free quadratic pass creates no generator."""
+    sample model draws, so a noise-free quadratic pass creates no generator.
+
+    A noisy quadratic pass draws each task's offsets into its own columns of
+    the step-major block, allocated first: body(lo, hi, part) draws tasks
+    lo..hi-1 from their generators part, on two threads (_split) for a large
+    pass in a process that may use two CPUs, else inline. Each task reads
+    only its own generator and writes only its own columns, so the block is
+    the same bits either way. The shift by the minimizers, the reach
+    certificate and the projection then act on the whole pass."""
     m, dim = spec.samples_per_task, spec.dim
     tasks = len(theta_stars)
     rows = [slice(None)] * tasks if keep is None else np.asarray(keep)
@@ -302,9 +367,17 @@ def _draw_samples(spec: Environment, theta_stars, rngs, keep, arms) -> TaskSampl
         # stream is sequential and nothing is drawn after it, so the rows
         # kept are the same bits
         drawn = [m] * tasks if keep is None else (rows.max(axis=1) + 1).tolist()
-        for t, rng in zip(range(tasks), rngs, strict=True):
-            block[:, t] = rng.normal(0.0, spec.sample_noise_std,
-                                     size=(drawn[t], dim))[rows[t], None]
+
+        def body(lo, hi, part):
+            for t, rng in zip(range(lo, hi), part, strict=True):
+                block[:, t] = rng.normal(0.0, spec.sample_noise_std,
+                                         size=(drawn[t], dim))[rows[t], None]
+
+        if (tasks >= _SPLIT_TASKS and sum(drawn) * dim >= _SPLIT_NORMALS * tasks
+                and _cpus() > 1):
+            _split(rngs, tasks, body)
+        else:
+            body(0, tasks, rngs)
         # anchors theta* + w lie within ||theta* - center|| + sqrt(d) max|w|
         # of the center; where that is certified inside the ball, their
         # projection could move no row and is skipped

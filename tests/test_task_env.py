@@ -1,5 +1,8 @@
 import copy
 import math
+import os
+import threading
+import time
 import tracemalloc
 import zlib
 
@@ -181,6 +184,120 @@ def test_draw_tasks_equals_single_task_draws(family, noise_std, kept, monkeypatc
     assert arms.shape == batch.points.shape[:2] + (3, 3)
     for a in range(3):
         assert arms[:, :, a].tobytes() == batch.points.tobytes()
+
+
+def _projecting_env(noise_std):
+    """test_draw_tasks_equals_single_task_draws' quadratic environment, whose
+    projection binds on some minimizers and anchors, not all."""
+    dom = ParamDomain(np.array([0.2, 0.0, -0.1]), 1.0)
+    return EnvSpec(domain=dom, planted_center=np.array([0.6, 0.1, -0.1]),
+                   similarity_v=0.9, samples_per_task=9, sample_noise_std=noise_std)
+
+
+class _ThreadSpy(threading.Thread):
+    """threading.Thread, counting the threads made."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made.append(self)
+
+
+@pytest.mark.parametrize("noise_std", [0.7, 0.05])
+@pytest.mark.parametrize("kept", [False, True, "zeros"])
+@pytest.mark.parametrize("arms", [None, 3])
+def test_split_draw_equals_inline_draw(noise_std, kept, arms, monkeypatch):
+    # a pass drawn on two threads, forced here on a small pass of an odd
+    # task count (halves of 3 and 4 tasks), is the inline pass byte for byte
+    env, tasks = _projecting_env(noise_std), 7
+    keep = None
+    if kept == "zeros":
+        keep = np.zeros((tasks, 4), dtype=np.int64)
+    elif kept:
+        keep = np.random.default_rng(3).integers(0, 9, size=(tasks, 4))
+    monkeypatch.setattr(task_env, "_SPLIT_NORMALS", 0)
+    monkeypatch.setattr(task_env, "_SPLIT_TASKS", 2)
+    monkeypatch.setattr(threading, "Thread", _ThreadSpy)
+    _ThreadSpy.made = []
+    draws = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(task_env, "_cpus", lambda: cpus)
+        draws[cpus] = draw_tasks(env, substreams(5, "t", count=tasks),
+                                 substreams(5, "s", count=tasks), keep, arms)
+    assert len(_ThreadSpy.made) == 1
+    (inline_stars, inline), (split_stars, split) = draws[1], draws[2]
+    assert split_stars.tobytes() == inline_stars.tobytes()
+    assert split.points.shape == inline.points.shape
+    assert split.points.tobytes() == inline.points.tobytes()
+
+
+class _Draws:
+    """A sample generator whose normal() raises, or sleeps and records that
+    it finished, in place of a draw."""
+
+    def __init__(self, finished=None):
+        self.finished = finished
+
+    def normal(self, loc, scale, size):
+        if self.finished is None:
+            raise RuntimeError("draw failed")
+        time.sleep(0.05)
+        self.finished.append(True)
+        return np.zeros(size)
+
+
+def test_split_draw_raises_and_joins(monkeypatch):
+    env, tasks = _projecting_env(0.7), 7
+    monkeypatch.setattr(task_env, "_SPLIT_NORMALS", 0)
+    monkeypatch.setattr(task_env, "_SPLIT_TASKS", 2)
+    monkeypatch.setattr(task_env, "_cpus", lambda: 2)
+    before = threading.active_count()
+    # a failure in the worker's half, tasks 3-6, comes out of draw_tasks
+    rngs = list(substreams(5, "s", count=tasks))
+    rngs[5] = _Draws()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        draw_tasks(env, substreams(5, "t", count=tasks), rngs, None)
+    assert threading.active_count() == before
+    # a failure in the caller's half, tasks 0-2, waits for the worker's
+    finished = []
+    rngs = [_Draws(finished) for _ in range(tasks)]
+    rngs[0] = _Draws()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        draw_tasks(env, substreams(5, "t", count=tasks), rngs, None)
+    assert finished == [True] * 4
+    assert threading.active_count() == before
+    # one generator too few or too many is refused, in either half
+    for count in (2, tasks - 1, tasks + 1):
+        with pytest.raises(ValueError, match="zip"):
+            draw_tasks(env, substreams(5, "t", count=tasks),
+                       substreams(5, "s", count=count), None)
+        assert threading.active_count() == before
+
+
+def test_split_draw_needs_two_cpus_and_a_large_pass(monkeypatch):
+    # a pass of _SPLIT_TASKS tasks of _SPLIT_NORMALS normals each is split
+    # where the process may use two CPUs: not with one, nor one task fewer
+    m = task_env._SPLIT_NORMALS // 2
+    env = EnvSpec(domain=ParamDomain(np.zeros(2), 1.0), planted_center=np.zeros(2),
+                  similarity_v=0.5, samples_per_task=m, sample_noise_std=0.05)
+    monkeypatch.setattr(threading, "Thread", _ThreadSpy)
+
+    def threads(tasks, affinity):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        _ThreadSpy.made = []
+        draw_tasks(env, substreams(1, "t", count=tasks), substreams(1, "s", count=tasks),
+                   None)
+        return len(_ThreadSpy.made)
+
+    tasks = task_env._SPLIT_TASKS
+    assert threads(tasks, {0, 1}) == 1
+    assert threads(tasks, {0}) == 0
+    assert threads(tasks - 1, {0, 1}) == 0
+    # where the affinity cannot be read, the CPU count serves
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert task_env._cpus() == 1
 
 
 @pytest.mark.numpy_floor
@@ -608,6 +725,16 @@ def test_batched_substreams_equal_substream_calls(master_seed, tags, count):
     batch = [g.bit_generator.state for g in substreams(master_seed, *tags, count=count)]
     assert batch == [substream(master_seed, *tags, i).bit_generator.state
                      for i in range(count)]
+
+
+def test_seed_state_is_a_seed_sequence_subclass():
+    # a subclass, not a registered class, so that PCG64's isinstance check
+    # is answered from the ABC's cache
+    from numpy.random.bit_generator import ISeedSequence
+    assert ISeedSequence in task_env._seed_state_class().__mro__
+    rng = next(substreams(9, "eval-losses", count=1))
+    assert type(rng.bit_generator.seed_seq) is task_env._seed_state_class()
+    assert rng.bit_generator.state == substream(9, "eval-losses", 0).bit_generator.state
 
 
 @pytest.mark.numpy_floor
