@@ -125,7 +125,7 @@ def _row_scales(x, limit, limit_sq, scratch: RowScratch) -> int:
     rows whose squared norm exceeds limit_sq, the factor limit / norm in
     scratch.factors. Returns _NONE when no row is over, _ALL when every row
     is, else _SOME with the rows over marked in scratch.mask."""
-    nsq = np.vecdot(x, x, out=scratch.nsq)
+    nsq = np.vecdot(x, x, scratch.nsq)
     if not scratch.few:
         if _finite_top(nsq) <= limit_sq:
             return _NONE
@@ -162,17 +162,17 @@ def project_in_place(v, dom: Ball, scratch: RowScratch) -> bool:
     center = scratch.center
     if scratch.center_of is not dom.center:
         center[...] = scratch.center_of = dom.center
-    offset = np.subtract(v, center, out=scratch.vectors)
+    offset = np.subtract(v, center, scratch.vectors)
     found = _row_scales(offset, dom.radius, dom._radius_sq, scratch)
     if found == _NONE:
         return False
-    offset *= scratch.factors
+    np.multiply(offset, scratch.factors, offset)
     if found == _ALL:
-        np.add(offset, center, out=v)
+        np.add(offset, center, v)
     else:
         # every row is scaled and shifted back, but only the rows over are
         # written to v (a masked copy is cheaper than two masked ufuncs)
-        offset += center
+        np.add(offset, center, offset)
         np.copyto(v, offset, where=scratch.mask)
     return True
 
@@ -186,9 +186,9 @@ def clip_norm_in_place(v, bound: float, scratch: RowScratch) -> bool:
     if found == _NONE:
         return False
     if found == _ALL:
-        v *= scratch.factors
+        np.multiply(v, scratch.factors, v)
     else:
-        np.multiply(v, scratch.factors, out=scratch.vectors)
+        np.multiply(v, scratch.factors, scratch.vectors)
         np.copyto(v, scratch.vectors, where=scratch.mask)
     return True
 

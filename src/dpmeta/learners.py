@@ -18,17 +18,25 @@ objects, and stops after the last visit, as training reads only the average.
 noisy_sgd_run is its one-problem reference: it checks its inputs, draws one
 task's indices, then its noise, from one generator, and takes the last step.
 
-The same-shape rule: a training step is about ten numpy calls on (arms, d)
-arrays, so numpy's per-call cost bounds it, and a call with an operand that
-broadcasts costs about twice one whose operands share one shape or are 0-d.
-So the loop's operands have the iterate's shape wherever that copies at most
-a pass's noise block: meta gives its visits an arms axis (a view for one
-arm), _start gives one arm's eval samples a leading size-1 axis (a view;
-more arms keep broadcasting, as a copy would be m x arms x tasks x d
-floats), and geometry keeps the center and, on few rows, the row factors at
-the batch's shape. Each call is the same ufunc on the same values, so the
-bits do not change. A one-arm logistic step's gradient takes losses'
-one-row route, sigmoid on Python floats, with the same bits.
+A step is a few numpy calls on small arrays: four in an interior eval step
+at curvature 1.0, about ten in a training step that clips and projects. So
+numpy's per-call cost, not arithmetic, bounds it, and the loop does its
+per-call work once per call: it takes task t's rows, looks up the gradient
+kernel, the clip and the projection, and binds the ufuncs, which take out
+positionally (numpy parses that faster than out=); the step size is a 0-d
+array in the workspace. A step then runs no Python code but the kernel,
+the clip and the projection.
+
+The same-shape rule: a call with an operand that broadcasts costs about
+twice one whose operands share one shape or are 0-d. So the loop's operands
+have the iterate's shape wherever that copies at most a pass's noise block:
+meta gives its visits an arms axis (a view for one arm), _start gives one
+arm's eval samples a leading size-1 axis (a view; more arms keep
+broadcasting, as a copy would be m x arms x tasks x d floats), and geometry
+keeps the center and, on few rows, the row factors at the batch's shape.
+Each call is the same ufunc on the same values, so the bits do not change.
+A one-arm logistic step's gradient takes losses' one-row route, sigmoid on
+Python floats, with the same bits.
 
 One call, idle_calls, decides once per pass whether neither the clip nor
 the projection can act (interior) and whether the clip cannot (clip_idle),
@@ -43,6 +51,7 @@ import math
 import numpy as np
 
 # the step scales are closed forms, kept in calibration
+from . import losses
 from .calibration import (Ball, NoisySgdPlan, Record, _count, _finite,  # noqa: F401
                           adaptation_step_size, private_step_scale)
 from .geometry import (RowScratch, clip_norm_in_place, coordinate_top,
@@ -74,23 +83,30 @@ class LearnerOutput(Record):
 class StepWorkspace:
     """The loop's iterate, gradient, logistic margins (*problems,) and
     geometry's RowScratch, for iterates shaped (*problems, d) on the domain
-    dom: a caller may pass one to many noisy_sgd_steps calls of one shape;
-    each call overwrites all of it but the scratch's center, which is dom's,
-    converted from its tuple here, so that no step converts it."""
+    dom, and step_size as a 0-d array, which numpy takes without converting
+    a Python float on every step: a caller may pass one to many
+    noisy_sgd_steps calls of one shape; each call overwrites all of it but
+    the scratch's center, which is dom's, converted from its tuple here, so
+    that no step converts it, and the step, which a call refills in place
+    only when it brings another step size."""
 
-    def __init__(self, shape, dom: Ball):
+    def __init__(self, shape, dom: Ball, step_size: float):
         self.theta = np.empty(shape)
         self.grad = np.empty(shape)
         self.margins = np.empty(shape[:-1])
         self.scratch = RowScratch(shape)
         self.scratch.center[...] = self.scratch.center_of = dom.center
+        self.step = np.array(step_size, dtype=np.float64)
+        self.step_size = step_size
 
 
-def _start(samples: TaskSamples, init, dom: Ball) -> tuple[TaskSamples, StepWorkspace]:
+def _start(samples: TaskSamples, init, dom: Ball,
+           step_size: float) -> tuple[TaskSamples, StepWorkspace]:
     """The samples, as a view with the iterates' batch shape where that only
-    adds leading size-1 axes, and a fresh workspace whose iterate holds
-    init, after checking the samples' dimension and that init lies in the
-    domain: the leading axes of init broadcast against the batch axes."""
+    adds leading size-1 axes, and a fresh workspace for step_size whose
+    iterate holds init, after checking the samples' dimension and that init
+    lies in the domain: the leading axes of init broadcast against the batch
+    axes."""
     if samples.dim != dom.dim:
         raise ValueError(f"samples have dimension {samples.dim}, the domain {dom.dim}")
     if not dom.contains(init):
@@ -99,7 +115,7 @@ def _start(samples: TaskSamples, init, dom: Ball) -> tuple[TaskSamples, StepWork
     problems = np.broadcast_shapes(np.shape(init)[:-1], batch)
     if len(problems) > len(batch) and math.prod(problems) == math.prod(batch):
         samples = samples.take((slice(None),) + (None,) * (len(problems) - len(batch)))
-    work = StepWorkspace(problems + (samples.dim,), dom)
+    work = StepWorkspace(problems + (samples.dim,), dom, step_size)
     work.theta[...] = init
     return samples, work
 
@@ -193,37 +209,53 @@ def _projected_steps(seq: TaskSamples, work: StepWorkspace, total, step_size: fl
 
     Step j evaluates sample j's gradient at theta (clipped to clip_bound when
     given), adds noise[j] when given, steps by step_size, and projects onto
-    the ball; with task t given, it reads rows (j, t) of seq and noise
-    instead. geometry clips and projects a problem only when its own row is
-    outside. With interior True, which only idle_calls may decide, the loop
-    does not project, since no projection could act. With final_step False
-    the loop stops after the last visit, so the final iterate is the last
-    one visited and the last sample's gradient, clip and noise are unused.
+    the ball; with task t given, it steps on task t's rows of seq and noise
+    instead, taken once per call. geometry clips and projects a problem only
+    when its own row is outside. With interior True, which only idle_calls
+    may decide, the loop does not project, since no projection could act.
+    With final_step False the loop stops after the last visit, so the final
+    iterate is the last one visited and the last sample's gradient, clip and
+    noise are unused.
 
-    Every step writes only work's buffers and total, and allocates no array.
-    The work.theta the caller filled must lie in the domain (_start checks
-    it once per call).
+    The rows, the family's gradient kernel, the clip and the projection are
+    looked up once per call, from their modules, and the ufuncs are bound to
+    locals and take out positionally; the step is work's 0-d array, refilled
+    in place when a call brings another step size. Every step writes only
+    work's buffers and total, and allocates no array. The work.theta the
+    caller filled must lie in the domain (_start checks it once per call).
     """
     theta, grad, margins, scratch = work.theta, work.grad, work.margins, work.scratch
-    gradient = seq.grad
+    points, labels = seq.points, seq.labels
+    if task is not None:
+        points = points[:, task]
+        labels = None if labels is None else labels[:, task]
+        noise = None if noise is None else noise[:, task]
+    quadratic = labels is None
+    kernel = losses._quadratic_grad if quadratic else losses._logistic_grad
+    curvature = seq._curvature if quadratic else None
+    clip = None if clip_bound is None else clip_norm_in_place
+    project = None if interior else project_in_place
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    step = work.step
+    if work.step_size != step_size:
+        step[()] = work.step_size = step_size
     total.fill(0.0)
-    # a 0-d array operand spares numpy converting a Python float on every
-    # step; the products are the same
-    step = np.asarray(step_size, dtype=np.float64)
     for j in range(seq.count if final_step else seq.count - 1):
-        at = j if task is None else (j, task)
-        total += theta
-        gradient(theta, at, grad, margins)
-        if clip_bound is not None:
-            clip_norm_in_place(grad, clip_bound, scratch)
+        add(total, theta, total)
+        if quadratic:
+            kernel(theta, points[j], curvature, grad)
+        else:
+            kernel(theta, points[j], labels[j], grad, margins)
+        if clip is not None:
+            clip(grad, clip_bound, scratch)
         if noise is not None:
-            grad += noise[at]
-        grad *= step
-        theta -= grad
-        if not interior:
-            project_in_place(theta, dom, scratch)
+            add(grad, noise[j], grad)
+        multiply(grad, step, grad)
+        subtract(theta, grad, theta)
+        if project is not None:
+            project(theta, dom, scratch)
     if not final_step:
-        total += theta
+        add(total, theta, total)
     total /= seq.count
 
 
@@ -238,7 +270,7 @@ def ogd_run(samples: TaskSamples, init, cfg: OgdConfig,
     if cfg.num_steps is not None and cfg.num_steps != samples.count:
         raise ValueError(
             f"cfg.num_steps={cfg.num_steps} but {samples.count} samples were supplied")
-    rows, work = _start(samples, init, dom)
+    rows, work = _start(samples, init, dom, cfg.step_size)
     interior = idle_calls(samples, init, cfg.step_size, dom)[0]
     average = np.empty(work.theta.shape)
     _projected_steps(rows, work, average, cfg.step_size, dom, interior=interior)
@@ -266,6 +298,22 @@ def noisy_sgd_steps(visits: TaskSamples, init, plan: NoisySgdPlan, dom: Ball,
     return out
 
 
+def _pinned_indices(seq, n: int, m: int):
+    """seq as n int64 indices into m samples. It must be an integer array
+    or a list or tuple of Python ints; anything else (bools, floats,
+    strings) and an index outside [0, m) raise ValueError, before a
+    conversion could round, wrap or overflow."""
+    if not (seq.dtype.kind in "iu" if isinstance(seq, np.ndarray) else
+            isinstance(seq, (list, tuple)) and all(type(i) is int for i in seq)):
+        raise ValueError("index_sequence must be an integer array or a list or "
+                         "tuple of Python ints")
+    if np.shape(seq) != (n,):
+        raise ValueError(f"index_sequence must have shape {(n,)}, got {np.shape(seq)}")
+    if min(seq) < 0 or max(seq) >= m:
+        raise ValueError("index_sequence entries must index into the samples")
+    return np.asarray(seq, dtype=np.int64)
+
+
 def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan,
                   dom: Ball, rng: np.random.Generator,
                   index_sequence=None) -> LearnerOutput:
@@ -281,7 +329,7 @@ def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan,
     zero-variance run draws no noise. An index_sequence of shape (steps_n,)
     pins the sampling.
     """
-    samples, work = _start(samples, init, dom)
+    samples, work = _start(samples, init, dom, plan.step_size)
     if work.theta.ndim != 1:
         raise ValueError(f"noisy_sgd_run takes one problem, got problems shaped "
                          f"{work.theta.shape[:-1]}")
@@ -289,11 +337,7 @@ def noisy_sgd_run(samples: TaskSamples, init, plan: NoisySgdPlan,
     if index_sequence is None:
         indices = rng.integers(0, m, size=n)
     else:
-        indices = np.asarray(index_sequence, dtype=np.int64)
-        if indices.shape != (n,):
-            raise ValueError(f"index_sequence must have shape {(n,)}, got {indices.shape}")
-        if indices.min() < 0 or indices.max() >= m:
-            raise ValueError("index_sequence entries must index into the samples")
+        indices = _pinned_indices(index_sequence, n, m)
     # zero variance returns zeros and consumes no randomness
     noise = sample_step_noise(rng, dom.dim, plan.noise_variance_sigma_sq, count=n)
     average = np.empty(work.theta.shape)

@@ -39,9 +39,9 @@ def quadratic_value(theta, anchors, curvature):
 def _quadratic_grad(theta, anchors, curvature, out=None):
     """curvature * (theta - anchor), broadcast over the leading axes, into
     out when given; dimensions are not checked. None stands for 1.0."""
-    out = np.subtract(theta, anchors, out=out)
+    out = np.subtract(theta, anchors, out)
     if curvature is not None:
-        out *= curvature
+        np.multiply(out, curvature, out)
     return out
 
 

@@ -200,7 +200,7 @@ def run_meta_training(env: Environment, num_tasks: int, plans: Sequence[NoisySgd
     phis[0] = phi_init
     bars = np.empty((num_tasks, arms, dim))
     share = np.empty((arms, dim))
-    work = learners.StepWorkspace((arms, dim), domain)
+    work = learners.StepWorkspace((arms, dim), domain, plan.step_size)
     for t in range(num_tasks):
         # every arm's phi_t on task t's rows of the pass: inits (arms, d),
         # one problem per arm, averaged straight into bars[t]

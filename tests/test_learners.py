@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import dpmeta.learners
-from dpmeta.geometry import ParamDomain, RowScratch, dist_sq, project_in_place
+from dpmeta.geometry import (ParamDomain, RowScratch, clip_norm_in_place, dist_sq,
+                             project_in_place)
 from dpmeta.learners import (LearnerOutput, OgdConfig, StepWorkspace,
                              adaptation_step_size, idle_calls, noisy_sgd_run,
                              noisy_sgd_steps, ogd_run, private_step_scale)
 from dpmeta.losses import (TaskSamples, logistic_regularity, quadratic_regularity,
                            quadratic_value, sigmoid)
-from dpmeta.privacy import NoisySgdPlan, PrivacyParams
+from dpmeta.privacy import NoisySgdPlan, PrivacyParams, sample_step_noise
 
 DOM = ParamDomain(np.zeros(2), 10.0)
 
@@ -25,7 +26,7 @@ def _stepped(visits, init, plan, dom, noise, shape, **flags) -> LearnerOutput:
     """noisy_sgd_steps in a fresh workspace of iterates shaped shape: the
     average it wrote and returned, and the theta_n it left in the
     workspace."""
-    work = StepWorkspace(shape, dom)
+    work = StepWorkspace(shape, dom, plan.step_size)
     average = noisy_sgd_steps(visits, init, plan, dom, noise, work, np.empty(shape),
                               **flags)
     return LearnerOutput(averaged_iterate=average, final_iterate=work.theta)
@@ -171,6 +172,24 @@ def test_noisy_sgd_index_sequence_validation():
     with pytest.raises(ValueError):
         noisy_sgd_run(samples, [0.0, 0.0], plan, DOM, np.random.default_rng(0),
                       index_sequence=[-1, 0, 1, 2])  # negative
+    # only integer arrays and lists or tuples of Python ints are indices:
+    # nothing is rounded, parsed, wrapped or overflows into one
+    for bad in ([0.7, 1.9, 2.2, 0.0], [True, False, True, False], ["1", "0", "2", "0"],
+                np.array([0.0, 1.0, 2.0, 0.0]), np.array([True, False, True, False]),
+                [0, np.int64(1), 2, 0], "0120", 3, [[0, 1], [2, 0]],
+                [0, 1, 2, 2**63], [0, 1, 2, 2**64],
+                np.array([0, 1, 2, 2**63], dtype=np.uint64),
+                np.array([0, 1, 2, -1], dtype=np.int8)):
+        with pytest.raises(ValueError, match="index_sequence"):
+            noisy_sgd_run(samples, [0.0, 0.0], plan, DOM, np.random.default_rng(0),
+                          index_sequence=bad)
+    spread = quad([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    runs = [noisy_sgd_run(spread, [1.0, 0.0], plan, DOM, np.random.default_rng(0),
+                          index_sequence=good).averaged_iterate
+            for good in ([0, 1, 2, 0], (0, 1, 2, 0), np.array([0, 1, 2, 0]),
+                         np.array([0, 1, 2, 0], dtype=np.uint64),
+                         np.array([0, 1, 2, 0], dtype=np.int8))]
+    assert all(np.array_equal(run, runs[0]) for run in runs)
     # one task from one init only: two inits, or a batch of tasks, make
     # more than one problem, with or without a pinned index sequence
     tasks = quad(np.zeros((3, 2, 2)))
@@ -270,7 +289,7 @@ def test_reused_step_workspace_equals_fresh(seed, family, arms, dim, steps):
         init = dom.center + 0.4 * rng.uniform(-1, 1, size=(arms, dim)) / math.sqrt(dim)
         return visits, init, rng.normal(scale=0.5, size=(steps, arms, dim))
 
-    work, out = StepWorkspace((arms, dim), dom), np.empty((arms, dim))
+    work, out = StepWorkspace((arms, dim), dom, plan.step_size), np.empty((arms, dim))
     for _ in range(2):
         other, other_init, other_noise = task()
         noisy_sgd_steps(other, other_init, plan, dom, other_noise, work, out)
@@ -282,6 +301,134 @@ def test_reused_step_workspace_equals_fresh(seed, family, arms, dim, steps):
     assert np.array_equal(work.theta, fresh.final_iterate)
     assert again is out
     assert np.array_equal(init, before)
+
+
+def _keyword_out_steps(seq, theta, step_size, dom, clip_bound=None, noise=None,
+                       final_step=True, interior=False, task=None):
+    """The step loop in its per-step form: rows (j, task) indexed on every
+    step, each gradient through TaskSamples.grad, and every ufunc given
+    out= by keyword. Returns the average of the visited iterates and the
+    final iterate."""
+    theta = np.array(theta, dtype=np.float64)
+    grad, margins = np.empty(theta.shape), np.empty(theta.shape[:-1])
+    scratch, total = RowScratch(theta.shape), np.zeros(theta.shape)
+    step = np.asarray(step_size, dtype=np.float64)
+    for j in range(seq.count if final_step else seq.count - 1):
+        at = j if task is None else (j, task)
+        np.add(total, theta, out=total)
+        seq.grad(theta, at, grad, margins)
+        if clip_bound is not None:
+            clip_norm_in_place(grad, clip_bound, scratch)
+        if noise is not None:
+            np.add(grad, noise[at], out=grad)
+        np.multiply(grad, step, out=grad)
+        np.subtract(theta, grad, out=theta)
+        if not interior:
+            project_in_place(theta, dom, scratch)
+    if not final_step:
+        np.add(total, theta, out=total)
+    total /= seq.count
+    return total, theta
+
+
+@pytest.mark.numpy_floor
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["quadratic", "logistic"]),
+       curvature=st.sampled_from([1.0, 0.5, 2.5]), arms=st.integers(1, 3),
+       tasks=st.integers(1, 3), dim=st.integers(1, 3), steps=st.integers(1, 8),
+       step=st.floats(0.05, 1.5), spread=st.sampled_from([0.1, 2.0]),
+       clip=st.booleans(), noisy=st.booleans(), interior=st.booleans())
+def test_step_loop_equals_the_keyword_out_loop(seed, family, curvature, arms, tasks, dim,
+                                               steps, step, spread, clip, noisy, interior):
+    # the loop takes a call's rows once and steps with bound ufuncs and
+    # positional out: ogd_run, noisy_sgd_steps on a pass's task t and on
+    # task t's rows alone, and noisy_sgd_run give the per-step loop's bits,
+    # with clips and projections that act on some steps and not on others
+    rng = np.random.default_rng(seed)
+    dom = ParamDomain(rng.normal(scale=0.3, size=dim), 1.0)
+    shape = (steps, tasks, arms, dim)
+    if family == "quadratic":
+        visits = TaskSamples(dom.center + spread * rng.uniform(-1, 1, size=shape) / math.sqrt(dim),
+                             curvature=curvature)
+    else:
+        labels = np.where(rng.random(shape[:-1]) < 0.5, 1.0, -1.0)
+        visits = TaskSamples(2.0 * spread * rng.normal(size=shape), labels=labels)
+    noise = rng.normal(scale=0.5, size=shape) if noisy else None
+    init = dom.center + 0.9 * rng.uniform(-1, 1, size=(arms, dim)) / math.sqrt(dim)
+    plan = NoisySgdPlan(steps_n=steps, step_size=step, noise_variance_sigma_sq=0.25,
+                        clip_bound=0.5)
+    clip_bound = plan.clip_bound if clip else None
+    flags = dict(interior=interior, clip_idle=not clip)
+    out = np.empty((arms, dim))
+    for t in range(tasks):
+        average, final = _keyword_out_steps(visits, init, step, dom, clip_bound, noise,
+                                            final_step=False, interior=interior, task=t)
+        work = StepWorkspace((arms, dim), dom, step)
+        noisy_sgd_steps(visits, init, plan, dom, noise, work, out, task=t, **flags)
+        assert out.tobytes() == average.tobytes()
+        assert work.theta.tobytes() == final.tobytes()
+        # a workspace made for another step size takes this one
+        alone = visits.take((slice(None), t))
+        work = StepWorkspace((arms, dim), dom, step + 1.0)
+        noisy_sgd_steps(alone, init, plan, dom, None if noise is None else noise[:, t],
+                        work, out, **flags)
+        assert out.tobytes() == average.tobytes()
+        assert work.theta.tobytes() == final.tobytes()
+
+    # eval: every arm's init on every task, projected unless certified
+    samples = visits.take((slice(None), slice(None), 0))
+    starts = init[:, None, :]
+    certified = idle_calls(samples, starts, step, dom)[0]
+    event(f"ogd_run interior: {certified}")
+    average, final = _keyword_out_steps(samples, np.broadcast_to(starts, (arms, tasks, dim)),
+                                        step, dom, interior=certified)
+    run = ogd_run(samples, starts, OgdConfig(step), dom)
+    assert run.averaged_iterate.tobytes() == average.tobytes()
+    assert run.final_iterate.tobytes() == final.tobytes()
+
+    # the one-problem reference takes the last step, clipped and noised
+    one = visits.take((slice(None), 0, 0))
+    pinned = list(range(steps))
+    noise_one = sample_step_noise(np.random.default_rng(seed), dim,
+                                  plan.noise_variance_sigma_sq, count=steps)
+    average, final = _keyword_out_steps(one, init[0], step, dom, plan.clip_bound, noise_one)
+    run = noisy_sgd_run(one, init[0], plan, dom, np.random.default_rng(seed),
+                        index_sequence=pinned)
+    assert run.averaged_iterate.tobytes() == average.tobytes()
+    assert run.final_iterate.tobytes() == final.tobytes()
+
+
+@pytest.mark.numpy_floor
+@pytest.mark.parametrize("spread", [0.3, 3.0], ids=["interior", "projected"])
+def test_eval_adaptation_allocates_nothing_per_step(spread):
+    # criterion 09's eval shape, one arm on 100 tasks at d = 2: ogd_run's
+    # traced peak is its workspace, the average it returns and temporaries
+    # the size of a few iterates (idle_calls' box, numpy's masked-call
+    # buffers), at m = 50 as at m = 400, so no step keeps anything; anchors
+    # spread over [-3, 3] leave the unit ball, so the steps project
+    dom = ParamDomain(np.zeros(2), 1.0)
+    starts = np.zeros((1, 1, 2))
+    work = StepWorkspace((1, 100, 2), dom, 0.5)
+    iterate = work.theta.nbytes
+    # the workspace's arrays and the average, an iterate
+    held = iterate + sum(a.nbytes for a in (
+        work.theta, work.grad, work.margins, work.scratch.vectors, work.scratch.center,
+        work.scratch.nsq, work.scratch.factors, work.scratch.mask))
+    excess = []
+    for m in (50, 400):
+        rng = np.random.default_rng(m)
+        samples = TaskSamples(rng.uniform(-spread, spread, size=(m, 100, 2)), curvature=1.0)
+        assert idle_calls(samples, starts, 0.5, dom)[0] == (spread < 1.0)
+        ogd_run(samples, starts, OgdConfig(0.5), dom)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ogd_run(samples, starts, OgdConfig(0.5), dom)
+            excess.append(tracemalloc.get_traced_memory()[1] - base - held)
+        finally:
+            tracemalloc.stop()
+    assert excess[0] < 4 * iterate
+    assert excess[1] <= excess[0] + iterate / 4
 
 
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
